@@ -15,7 +15,7 @@
 // fail+restore cycle checks the incremental table is byte-identical to the
 // full one, pair by pair — a speedup against a wrong table is meaningless.
 // Each timed cycle runs 3 reps; the median is reported. Eager cold builds
-// drop to 1 rep above 4096 pairs — at k16-sparse each costs ~20 s and the
+// drop to 1 rep above 4096 pairs — at k16-sparse each costs ~13 s and the
 // reps were pure redundancy.
 #include <sys/resource.h>
 
@@ -123,8 +123,12 @@ struct ColdResult {
   double lazy_working_set_ms = 0.0;
   std::size_t working_set_pairs = 0;
   std::uint64_t pairs_materialized = 0;
+  /// Switch-level Yen runs behind those pairs (stub-host decomposition).
+  std::uint64_t attach_pairs_computed = 0;
   double parallel_ms = 0.0;
   std::size_t parallel_threads = 0;
+  /// Switch-level Yen runs behind the full parallel table.
+  std::uint64_t parallel_attach_pairs_computed = 0;
   bool identical = false;
 };
 
@@ -158,6 +162,7 @@ ColdResult run_cold(const Topology& topo, std::size_t k_paths,
   r.lazy_working_set_ms =
       r.lazy_ctor_ms + r.lazy_first_query_ms + ms_since(t0);
   r.pairs_materialized = lazy.pairs_materialized();
+  r.attach_pairs_computed = lazy.counters().attach_pairs_computed;
 
   // Parallel eager arm. At least 2 workers even on a single-core box so the
   // scratch/commit fan-out path is actually exercised (and visible to TSan
@@ -168,6 +173,8 @@ ColdResult run_cold(const Topology& topo, std::size_t k_paths,
   t0 = std::chrono::steady_clock::now();
   RoutingGraph parallel(topo, k_paths, BuildMode::kEager, &pool);
   r.parallel_ms = ms_since(t0);
+  r.parallel_attach_pairs_computed =
+      parallel.counters().attach_pairs_computed;
 
   // Identity gate: fully materialize the lazy arm, then all three modes
   // must agree pair by pair. A fast cold build that computes a different
@@ -385,7 +392,7 @@ int main(int argc, char** argv) {
     const auto hosts = topo.hosts().size();
     const auto pairs = static_cast<std::uint64_t>(hosts) * (hosts - 1);
 
-    // One eager rep above 4096 pairs: each k16-sparse build costs ~20 s and
+    // One eager rep above 4096 pairs: each k16-sparse build costs ~13 s and
     // repeating it told us nothing a single rep doesn't.
     const int build_reps = pairs > 4096 ? 1 : reps;
     std::vector<double> build;
@@ -419,11 +426,13 @@ int main(int argc, char** argv) {
                 build_ms, choose_ns);
     std::printf(
         "%-20s   cold: lazy ctor %.3f ms, first query %.3f ms, "
-        "%zu-pair working set %.2f ms (%.1fx), parallel %.2f ms "
-        "(%zu thr, %.1fx)%s\n",
+        "%zu-pair working set %.2f ms (%.1fx, %llu switch-pair runs), "
+        "parallel %.2f ms (%zu thr, %.1fx, %llu switch-pair runs)%s\n",
         label.c_str(), cold.lazy_ctor_ms, cold.lazy_first_query_ms,
         cold.working_set_pairs, cold.lazy_working_set_ms, lazy_speedup,
+        static_cast<unsigned long long>(cold.attach_pairs_computed),
         cold.parallel_ms, cold.parallel_threads, parallel_speedup,
+        static_cast<unsigned long long>(cold.parallel_attach_pairs_computed),
         cold.identical ? "" : "  TABLE MISMATCH");
 
     if (!first) std::fprintf(out, ",\n");
@@ -441,14 +450,18 @@ int main(int argc, char** argv) {
         "\"lazy_first_query_ms\": %.4f,\n"
         "        \"lazy_working_set_ms\": %.3f, \"working_set_pairs\": %zu, "
         "\"pairs_materialized\": %llu,\n"
+        "        \"attach_pairs_computed\": %llu,\n"
         "        \"cold_speedup_lazy\": %.1f, \"parallel_build_ms\": %.3f, "
         "\"parallel_threads\": %zu,\n"
+        "        \"parallel_attach_pairs_computed\": %llu,\n"
         "        \"cold_speedup_parallel\": %.2f, \"identical\": %s},\n",
         cold.lazy_ctor_ms, cold.lazy_first_query_ms, cold.lazy_working_set_ms,
         cold.working_set_pairs,
-        static_cast<unsigned long long>(cold.pairs_materialized), lazy_speedup,
-        cold.parallel_ms, cold.parallel_threads, parallel_speedup,
-        cold.identical ? "true" : "false");
+        static_cast<unsigned long long>(cold.pairs_materialized),
+        static_cast<unsigned long long>(cold.attach_pairs_computed),
+        lazy_speedup, cold.parallel_ms, cold.parallel_threads,
+        static_cast<unsigned long long>(cold.parallel_attach_pairs_computed),
+        parallel_speedup, cold.identical ? "true" : "false");
     emit_victim(out, "median_cable", median);
     std::fprintf(out, ",\n");
     emit_victim(out, "worst_cable", worst);

@@ -246,12 +246,17 @@ void RoutingGraph::rebuild(const Topology& topo,
     topo_ = &topo;
     index_topology(topo);
   }
+  // Switch-level runs are valid for one banned set only.
+  attach_cache_ = {};
   if (same_topology && mode == RebuildMode::kIncremental) {
     rebuild_incremental(banned_links);
   } else {
     rebuild_full(banned_links);
   }
   banned_ = banned_links;
+  // An eager table is complete, so nothing reads the runs before the next
+  // rebuild drops them anyway.
+  if (build_ == BuildMode::kEager) attach_cache_ = {};
 }
 
 void RoutingGraph::index_topology(const Topology& topo) {
@@ -270,6 +275,27 @@ void RoutingGraph::index_topology(const Topology& topo) {
   in_links_.assign(node_count_, {});
   for (const Link& l : topo.links()) {
     in_links_[l.dst.value()].push_back(l.id);
+  }
+
+  // Stub hosts: one uplink and one downlink, both to the same switch.
+  access_.assign(hosts_.size(), Access{});
+  attach_nodes_.clear();
+  std::vector<std::uint32_t> attach_index(node_count_, kNotHost);
+  for (std::size_t i = 0; i < hosts_.size(); ++i) {
+    const auto& out = topo.out_links(hosts_[i]);
+    const auto& in = in_links_[hosts_[i].value()];
+    if (out.size() != 1 || in.size() != 1) continue;
+    const NodeId sw = topo.link(out.front()).dst;
+    if (topo.link(in.front()).src != sw ||
+        topo.node(sw).kind != NodeKind::kSwitch) {
+      continue;
+    }
+    std::uint32_t& a = attach_index[sw.value()];
+    if (a == kNotHost) {
+      a = static_cast<std::uint32_t>(attach_nodes_.size());
+      attach_nodes_.push_back(sw);
+    }
+    access_[i] = Access{out.front(), in.front(), a};
   }
 }
 
@@ -391,16 +417,73 @@ void RoutingGraph::rebuild_incremental(
   counters_.pairs_reused += total_pairs - recomputed;
 }
 
+void RoutingGraph::run_yen(NodeId src, NodeId dst,
+                           const std::unordered_set<LinkId>& banned,
+                           PairScratch& out) const {
+  out.found = k_shortest_paths(*topo_, src, dst, k_, banned, &out.touched);
+  std::sort(out.touched.begin(), out.touched.end());
+  out.touched.erase(std::unique(out.touched.begin(), out.touched.end()),
+                    out.touched.end());
+}
+
+std::size_t RoutingGraph::attach_pair(std::size_t slot) const {
+  const std::size_t H = hosts_.size();
+  const std::uint32_t a = access_[slot / H].attach;
+  const std::uint32_t b = access_[slot % H].attach;
+  if (a == kNotHost || b == kNotHost) return kNoAttachPair;
+  return static_cast<std::size_t>(a) * attach_nodes_.size() + b;
+}
+
+std::optional<RoutingGraph::PairScratch>& RoutingGraph::attach_entry(
+    std::size_t ap) const {
+  if (attach_cache_.empty()) {
+    attach_cache_.resize(attach_nodes_.size() * attach_nodes_.size());
+  }
+  return attach_cache_[ap];
+}
+
+// A stub pair's candidates are uplink + (each switch-level candidate) +
+// downlink, with touched = switch-level touched ∪ {uplink, downlink}; a
+// banned access link leaves the pair empty with nothing touched. This is
+// the host-level Yen run exactly (docs/architecture.md): neither stub can be
+// a transit node, so that run's first and last spur searches always come
+// back empty and every other search is the switch-level one plus the two
+// access links. Hosts on one switch get the single up+down path because a
+// switch's run to itself yields the one empty chain.
 void RoutingGraph::compute_pair(std::size_t slot,
                                 const std::unordered_set<LinkId>& banned,
                                 PairScratch& out) const {
   const std::size_t H = hosts_.size();
-  const NodeId a = hosts_[slot / H];
-  const NodeId b = hosts_[slot % H];
-  out.found = k_shortest_paths(*topo_, a, b, k_, banned, &out.touched);
-  std::sort(out.touched.begin(), out.touched.end());
-  out.touched.erase(std::unique(out.touched.begin(), out.touched.end()),
-                    out.touched.end());
+  const std::size_t ap = attach_pair(slot);
+  if (ap == kNoAttachPair) {
+    run_yen(hosts_[slot / H], hosts_[slot % H], banned, out);
+    return;
+  }
+  const LinkId up = access_[slot / H].up;
+  const LinkId down = access_[slot % H].down;
+  if (banned.contains(up) || banned.contains(down)) return;
+  std::optional<PairScratch>& mid = attach_entry(ap);
+  if (!mid) {
+    const std::size_t A = attach_nodes_.size();
+    run_yen(attach_nodes_[ap / A], attach_nodes_[ap % A], banned,
+            mid.emplace());
+    ++counters_.attach_pairs_computed;
+  }
+  if (mid->found.empty()) return;
+  out.found.reserve(mid->found.size());
+  for (const Path& p : mid->found) {
+    Path& full = out.found.emplace_back();
+    full.links.reserve(p.links.size() + 2);
+    full.links.push_back(up);
+    full.links.insert(full.links.end(), p.links.begin(), p.links.end());
+    full.links.push_back(down);
+  }
+  out.touched.reserve(mid->touched.size() + 2);
+  out.touched.assign(mid->touched.begin(), mid->touched.end());
+  for (const LinkId l : {up, down}) {
+    out.touched.insert(
+        std::lower_bound(out.touched.begin(), out.touched.end(), l), l);
+  }
 }
 
 void RoutingGraph::commit_pair(std::size_t slot, PairScratch&& scratch) const {
@@ -490,30 +573,63 @@ void RoutingGraph::materialize_all(util::ThreadPool* pool) {
     }
   }
   if (todo.empty()) return;
-  if (pool == nullptr || pool->thread_count() <= 1) {
-    for (std::uint32_t slot : todo) recompute_pair(slot, banned_);
-    return;
-  }
-  // Fan the pure per-pair Yen runs across the pool into private scratch.
-  // Workers only read shared state (topology, banned set — both frozen for
-  // the duration); all interning happens after wait_idle() on this thread,
-  // walking `todo` in ascending slot order, so the PathId sequence is
-  // byte-identical to computing the same slots serially.
-  std::vector<PairScratch> scratch(todo.size());
-  const std::size_t chunk =
-      std::max<std::size_t>(1, todo.size() / (pool->thread_count() * 8));
-  for (std::size_t begin = 0; begin < todo.size(); begin += chunk) {
-    const std::size_t end = std::min(begin + chunk, todo.size());
-    pool->submit([this, &todo, &scratch, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) {
-        compute_pair(todo[i], banned_, scratch[i]);
+  // Parallel: first run the distinct Yen computations `todo` needs across
+  // the pool — each uncached attachment pair some stub pair with live
+  // access links derives from, then every non-stub pair — into private
+  // scratch. Workers only read shared state (topology, banned set — both
+  // frozen for the duration); caching and interning happen after
+  // wait_idle() on this thread, walking `todo` in ascending slot order, so
+  // the PathId sequence is byte-identical to computing the slots serially.
+  std::vector<PairScratch> scratch;
+  std::size_t next = 0;  // scratch index of the next non-stub slot
+  if (pool != nullptr && pool->thread_count() > 1) {
+    const std::size_t H = hosts_.size();
+    const std::size_t A = attach_nodes_.size();
+    std::vector<std::pair<NodeId, NodeId>> runs;
+    std::vector<std::size_t> attach_runs;  // cache index of runs[i]
+    std::vector<char> queued(A * A, 0);
+    for (std::uint32_t slot : todo) {
+      const std::size_t ap = attach_pair(slot);
+      if (ap == kNoAttachPair || banned_.contains(access_[slot / H].up) ||
+          banned_.contains(access_[slot % H].down) || queued[ap] != 0 ||
+          attach_entry(ap)) {
+        continue;
       }
-    });
+      queued[ap] = 1;
+      runs.emplace_back(attach_nodes_[ap / A], attach_nodes_[ap % A]);
+      attach_runs.push_back(ap);
+    }
+    for (std::uint32_t slot : todo) {
+      if (attach_pair(slot) == kNoAttachPair) {
+        runs.emplace_back(hosts_[slot / H], hosts_[slot % H]);
+      }
+    }
+    scratch.resize(runs.size());
+    const std::size_t chunk =
+        std::max<std::size_t>(1, runs.size() / (pool->thread_count() * 8));
+    for (std::size_t begin = 0; begin < runs.size(); begin += chunk) {
+      const std::size_t end = std::min(begin + chunk, runs.size());
+      pool->submit([this, &runs, &scratch, begin, end] {
+        for (std::size_t i = begin; i < end; ++i) {
+          run_yen(runs[i].first, runs[i].second, banned_, scratch[i]);
+        }
+      });
+    }
+    pool->wait_idle();  // happens-before: workers' scratch writes visible
+    for (std::size_t i = 0; i < attach_runs.size(); ++i) {
+      attach_entry(attach_runs[i]).emplace(std::move(scratch[i]));
+      ++counters_.attach_pairs_computed;
+    }
+    next = attach_runs.size();
   }
-  pool->wait_idle();  // happens-before: workers' scratch writes visible here
-  for (std::size_t i = 0; i < todo.size(); ++i) {
-    commit_pair(todo[i], std::move(scratch[i]));
+  for (std::uint32_t slot : todo) {
+    if (next < scratch.size() && attach_pair(slot) == kNoAttachPair) {
+      commit_pair(slot, std::move(scratch[next++]));
+    } else {
+      recompute_pair(slot, banned_);  // stub pairs derive from the cache
+    }
   }
+  attach_cache_ = {};  // every pair is materialized: no reader is left
 }
 
 PathSet RoutingGraph::paths(NodeId src_host, NodeId dst_host) const {
@@ -559,6 +675,7 @@ void RoutingGraph::encode_counters(sim::StateEncoder& enc) const {
   enc.put_u64(counters_.noop_rebuilds);
   enc.put_u64(counters_.pairs_invalidated);
   enc.put_u64(counters_.lazy_materializations);
+  enc.put_u64(counters_.attach_pairs_computed);
   enc.put_u64(static_cast<std::uint64_t>(materialized_count_));
 }
 

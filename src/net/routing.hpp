@@ -18,6 +18,15 @@
 //    merely *invalidates* affected materialized pairs instead of recomputing
 //    them. At warehouse scale most host pairs never carry a shuffle flow, so
 //    this removes the cold-build wall entirely.
+//
+// Either way, a pair of *stub* hosts (each wired to the fabric by exactly one
+// uplink and one downlink, both to the same switch) does not run Yen itself:
+// its candidates are the source's uplink, then each candidate of one cached
+// Yen run between the two attachment switches, then the destination's
+// downlink. A stub host is never a transit node, so this is exactly the
+// host-level Yen result — same candidates, same order, same touched links
+// (the argument is in docs/architecture.md). Every host pair on a rack pair
+// shares that one switch-level run.
 #pragma once
 
 #include <cassert>
@@ -209,6 +218,10 @@ struct RoutingCounters {
   std::uint64_t pairs_invalidated = 0;
   /// Lazy mode: pairs computed on first query (subset of pairs_recomputed).
   std::uint64_t lazy_materializations = 0;
+  /// Yen runs between two attachment switches, the shared middle section of
+  /// every stub-host pair's candidates. At most (attachment switches)² per
+  /// banned set, however many host pairs derive from them.
+  std::uint64_t attach_pairs_computed = 0;
 };
 
 /// Precomputed k-shortest paths for every host pair. The SDN topology
@@ -241,11 +254,13 @@ class RoutingGraph {
   /// In lazy mode this materializes the pair on first use.
   [[nodiscard]] bool has_paths(NodeId src_host, NodeId dst_host) const;
 
-  /// Computes every not-yet-materialized pair. With a thread pool, per-pair
-  /// Yen runs execute concurrently into private scratch and are interned on
-  /// the calling thread in canonical slot order — the PathId sequence (part
-  /// of the determinism contract) is identical to computing the same pairs
-  /// serially. Without one (or with a single-threaded pool), runs serially.
+  /// Computes every not-yet-materialized pair. With a thread pool, the Yen
+  /// runs (switch-level runs for stub pairs, host-level runs for the rest)
+  /// execute concurrently into private scratch; host pairs are then derived
+  /// and interned on the calling thread in canonical slot order — the PathId
+  /// sequence (part of the determinism contract) is identical to computing
+  /// the same pairs serially. Without one (or with a single-threaded pool),
+  /// runs serially.
   void materialize_all(util::ThreadPool* pool = nullptr);
 
   /// Ordered host pairs whose candidates are currently computed. Equals the
@@ -306,12 +321,24 @@ class RoutingGraph {
   static constexpr std::uint32_t kNotHost =
       std::numeric_limits<std::uint32_t>::max();
 
-  /// One pair's Yen result before interning: private scratch a worker thread
-  /// can fill without touching shared graph state. `touched` is sorted and
-  /// deduplicated by compute_pair().
+  static constexpr std::size_t kNoAttachPair =
+      std::numeric_limits<std::size_t>::max();
+
+  /// One Yen result before interning: private scratch a worker thread can
+  /// fill without touching shared graph state. `touched` is sorted and
+  /// deduplicated.
   struct PairScratch {
     std::vector<Path> found;
     std::vector<LinkId> touched;
+  };
+
+  /// A host's access links when it is a stub: its only uplink and only
+  /// downlink, both to attachment switch `attach` (index into
+  /// attach_nodes_). `attach` is kNotHost for every other host.
+  struct Access {
+    LinkId up;
+    LinkId down;
+    std::uint32_t attach = kNotHost;
   };
 
   [[nodiscard]] std::uint32_t host_slot(NodeId n) const {
@@ -327,8 +354,20 @@ class RoutingGraph {
   void index_topology(const Topology& topo);
   void rebuild_full(const std::unordered_set<LinkId>& banned);
   void rebuild_incremental(const std::unordered_set<LinkId>& banned);
-  /// Pure per-pair Yen run into scratch: reads only the topology and the
-  /// banned set, writes only `out` — safe to fan across worker threads.
+  /// Pure Yen run between two nodes into scratch: reads only the topology
+  /// and the banned set, writes only `out` — safe to fan across worker
+  /// threads.
+  void run_yen(NodeId src, NodeId dst,
+               const std::unordered_set<LinkId>& banned,
+               PairScratch& out) const;
+  /// Attachment-cache index a pair of stub hosts derives its candidates
+  /// from; kNoAttachPair when either host is not a stub.
+  [[nodiscard]] std::size_t attach_pair(std::size_t slot) const;
+  /// The attachment-pair cache entry, allocating the table on first use.
+  std::optional<PairScratch>& attach_entry(std::size_t ap) const;
+  /// One host pair's candidates under `banned`: host-to-host Yen, or for a
+  /// stub pair the composition over the (cached) switch-level run. Not
+  /// thread-safe for stub pairs — it may fill the attachment cache.
   void compute_pair(std::size_t slot, const std::unordered_set<LinkId>& banned,
                     PairScratch& out) const;
   /// Interns a scratch result and installs it (PathId assignment happens
@@ -358,8 +397,8 @@ class RoutingGraph {
 
   // pythia-lint: allow(snapshot-skip, group) construction-time derivations
   // of the (fingerprinted) topology: wiring, host maps, reverse adjacency,
-  // and sizes rebuild identically in the restored process. k_ and banned_
-  // ARE encoded.
+  // stub access links, and sizes rebuild identically in the restored
+  // process. k_ and banned_ ARE encoded.
   const Topology* topo_ = nullptr;
   std::size_t k_ = 0;
   BuildMode build_ = BuildMode::kEager;
@@ -369,6 +408,8 @@ class RoutingGraph {
   std::unordered_set<LinkId> banned_;          // banned set of last rebuild
   std::size_t node_count_ = 0;
   std::size_t link_count_ = 0;
+  std::vector<Access> access_;        // per host slot
+  std::vector<NodeId> attach_nodes_;  // attachment switch index → node
 
   // Lazy cache: logically-const queries (paths/has_paths/encode_state)
   // materialize pairs on demand, so these are mutable. Every materialized
@@ -389,6 +430,13 @@ class RoutingGraph {
   mutable std::vector<char> materialized_;
   mutable std::size_t materialized_count_ = 0;
   mutable RoutingCounters counters_;
+
+  // pythia-lint: allow(snapshot-skip) derived cache: switch-level Yen runs
+  // under the current banned set (dense attach × attach, allocated on first
+  // use, dropped by every rebuild that changes the banned set and once every
+  // pair is materialized); a restored graph recomputes an entry on the next
+  // stub-pair query that needs it.
+  mutable std::vector<std::optional<PairScratch>> attach_cache_;
 };
 
 }  // namespace pythia::net

@@ -4,11 +4,25 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "sim/snapshot.hpp"
 #include "util/log.hpp"
 
 namespace pythia::sdn {
+
+namespace {
+
+/// k = 0 would leave every host pair without candidates: background
+/// placement silently installs nothing and ECMP would hash modulo zero.
+std::size_t checked_k_paths(const ControllerConfig& cfg) {
+  if (cfg.k_paths == 0) {
+    throw std::invalid_argument("ControllerConfig::k_paths must be >= 1");
+  }
+  return cfg.k_paths;
+}
+
+}  // namespace
 
 Controller::Controller(sim::Simulation& sim, net::Fabric& fabric,
                        const net::Topology& topo, ControllerConfig cfg)
@@ -20,7 +34,7 @@ Controller::Controller(sim::Simulation& sim, net::Fabric& fabric,
       // topologies don't pay the full cold build at startup. Behaviorally
       // identical to eager (per-pair results are pure in topology + banned
       // set); proven byte-identical by tests/net/test_routing_lazy.cpp.
-      routing_(topo, cfg.k_paths, net::BuildMode::kLazy),
+      routing_(topo, checked_k_paths(cfg), net::BuildMode::kLazy),
       ecmp_(routing_),
       snapshot_load_bps_(topo.link_count(), 0.0),
       snapshot_shuffle_bps_(topo.link_count(), 0.0),

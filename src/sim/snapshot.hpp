@@ -124,7 +124,9 @@ class Snapshot {
   // coalescing counters; controller rules carry intent weights plus the
   // intent-weighted outcome counters and open-batch state (see
   // docs/architecture.md pipeline section).
-  static constexpr std::uint32_t kFormatVersion = 3;
+  // v4: routing.counters gained attach_pairs_computed (switch-level Yen
+  // runs behind the stub-host decomposition).
+  static constexpr std::uint32_t kFormatVersion = 4;
 
   // --- identity + cursor (set by the capturing layer) ---
   std::uint64_t root_seed = 0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/simulation.hpp"
 
 namespace pythia::sdn {
@@ -32,6 +34,17 @@ struct Fixture {
     return Controller(sim, fabric, topo, cfg);
   }
 };
+
+TEST(Controller, RejectsZeroKPaths) {
+  // k = 0 leaves every pair without candidates: background placement would
+  // install nothing and ECMP would compute hash % 0.
+  Fixture f;
+  ControllerConfig cfg;
+  cfg.k_paths = 0;
+  EXPECT_THROW((void)f.make_controller(cfg), std::invalid_argument);
+  cfg.k_paths = 1;
+  EXPECT_NO_THROW((void)f.make_controller(cfg));
+}
 
 TEST(Controller, ResolveFallsBackToEcmp) {
   Fixture f;
