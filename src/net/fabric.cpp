@@ -16,6 +16,9 @@ namespace {
 constexpr double kDoneEpsilonBytes = 0.5;
 constexpr std::uint32_t kNoPos = std::numeric_limits<std::uint32_t>::max();
 constexpr std::uint32_t kNoLink = std::numeric_limits<std::uint32_t>::max();
+/// Below this many active flows the exact component BFS is always cheap, so
+/// collect_component() never takes the dense whole-fabric fallback.
+constexpr std::size_t kDenseFallbackMinFlows = 16;
 
 /// Min-heap order on (eta, slot); slot breaks ties deterministically.
 struct EtaLater {
@@ -35,11 +38,13 @@ Fabric::Fabric(sim::Simulation& sim, const Topology& topo, FabricConfig cfg)
       link_up_(topo.link_count(), 1),
       elastic_rate_bps_(topo.link_count(), 0.0),
       class_rate_bps_(topo.link_count(), {0.0, 0.0, 0.0, 0.0}),
+      link_sums_stale_(topo.link_count(), 0),
       link_dirty_(topo.link_count(), 0),
       residual_(topo.link_count(), 0.0),
       unfixed_weight_(topo.link_count(), 0.0),
       unfixed_count_(topo.link_count(), 0),
       link_share_(topo.link_count(), 0.0),
+      link_touched_(topo.link_count(), 0),
       link_in_comp_(topo.link_count(), 0),
       hier_(cfg.rate_engine == RateEngine::kHierarchical),
       last_settle_(sim.now()) {
@@ -50,7 +55,6 @@ Fabric::Fabric(sim::Simulation& sim, const Topology& topo, FabricConfig cfg)
     const auto core = static_cast<std::uint32_t>(num_groups_ - 1);
     link_group_.resize(topo.link_count());
     link_rank_.assign(topo.link_count(), 0);
-    link_touched_.assign(topo.link_count(), 0);
     group_links_.assign(num_groups_, {});
     group_flows_.assign(num_groups_, {});
     group_mark_.assign(num_groups_, 0);
@@ -380,17 +384,20 @@ util::BitsPerSec Fabric::link_cbr_load(LinkId l) const {
 
 util::BitsPerSec Fabric::link_elastic_rate(LinkId l) const {
   maybe_flush();
+  refresh_link_sums(l.value());
   return util::BitsPerSec{elastic_rate_bps_[l.value()]};
 }
 
 util::BitsPerSec Fabric::link_class_rate(LinkId l, FlowClass cls) const {
   maybe_flush();
+  refresh_link_sums(l.value());
   return util::BitsPerSec{
       class_rate_bps_[l.value()][static_cast<std::size_t>(cls)]};
 }
 
 double Fabric::link_utilization(LinkId l) const {
   maybe_flush();
+  refresh_link_sums(l.value());
   if (!link_up_[l.value()]) return 0.0;  // a dead port serves nothing
   const double cap = topo_->link(l).capacity.bps();
   if (cap <= 0.0) return 0.0;
@@ -586,6 +593,23 @@ void Fabric::maybe_flush() const {
   if (recompute_pending_) const_cast<Fabric*>(this)->flush_coalesced();
 }
 
+void Fabric::refresh_link_sums(std::uint32_t l) const {
+  // The same additions, in the same ascending-id order, from the same zero
+  // start as an eager end-of-fill sum: the rates cannot have moved since the
+  // fill that marked the link (any later change refills and re-marks it).
+  if (!link_sums_stale_[l]) return;
+  link_sums_stale_[l] = 0;
+  double elastic = 0.0;
+  std::array<double, 4> per_class{};
+  for (FlowId fid : link_flows_[l]) {
+    const Flow& f = flows_[fid.value()];
+    elastic += f.rate.bps();
+    per_class[static_cast<std::size_t>(f.spec.cls)] += f.rate.bps();
+  }
+  elastic_rate_bps_[l] = elastic;
+  class_rate_bps_[l] = per_class;
+}
+
 void Fabric::collect_component() {
   // BFS over the bipartite link/flow graph from the dirty seed: any flow
   // crossing a touched link, and any link such a flow crosses, can see its
@@ -596,13 +620,19 @@ void Fabric::collect_component() {
     link_in_comp_[l] = 1;
     comp_links_.push_back(l);
   }
-  for (std::size_t head = 0; head < comp_links_.size(); ++head) {
+  const bool may_fall_back = active_.size() >= kDenseFallbackMinFlows;
+  bool dense = false;
+  for (std::size_t head = 0; head < comp_links_.size() && !dense; ++head) {
     const std::uint32_t l = comp_links_[head];
     for (FlowId fid : link_flows_[l]) {
       const std::uint32_t slot = fid.value();
       if (flow_in_comp_[slot]) continue;
       flow_in_comp_[slot] = 1;
       comp_flows_.push_back(slot);
+      if (may_fall_back && 2 * comp_flows_.size() > active_.size()) {
+        dense = true;
+        break;
+      }
       for (LinkId l2 : flows_[slot].spec.path) {
         if (link_in_comp_[l2.value()]) continue;
         link_in_comp_[l2.value()] = 1;
@@ -610,18 +640,32 @@ void Fabric::collect_component() {
       }
     }
   }
-  std::sort(comp_links_.begin(), comp_links_.end());
   for (std::uint32_t l : comp_links_) link_in_comp_[l] = 0;
   for (std::uint32_t s : comp_flows_) flow_in_comp_[s] = 0;
+  if (dense) {
+    // The component holds more than half the active flows: finishing the
+    // BFS and sorting would cost about as much as the fill. Fill every link
+    // that carries a flow or is dirty instead — a union of whole components,
+    // which fills to the same bits — gathered ascending by one sweep. It
+    // covers fewer than 2x the component's flows.
+    comp_links_.clear();
+    for (std::uint32_t l = 0; l < link_flows_.size(); ++l) {
+      if (!link_flows_[l].empty() || link_dirty_[l]) comp_links_.push_back(l);
+    }
+    comp_flows_.clear();
+    for (FlowId id : active_) comp_flows_.push_back(id.value());
+    ++counters_.full_fills;
+  } else {
+    std::sort(comp_links_.begin(), comp_links_.end());
+    if (comp_links_.size() == link_flows_.size()) ++counters_.full_fills;
+  }
   counters_.links_touched += comp_links_.size();
   counters_.flows_touched += comp_flows_.size();
-  if (comp_links_.size() == link_flows_.size()) ++counters_.full_fills;
 }
 
 void Fabric::fill_component() {
   for (std::uint32_t l : comp_links_) {
-    elastic_rate_bps_[l] = 0.0;
-    class_rate_bps_[l].fill(0.0);
+    link_sums_stale_[l] = 1;  // re-summed on read (refresh_link_sums)
     residual_[l] = elastic_headroom(l);
     double weight = 0.0;
     std::uint32_t count = 0;
@@ -679,17 +723,21 @@ void Fabric::fill_component() {
             std::max(0.0, unfixed_weight_[lv] - f.spec.weight);
         assert(unfixed_count_[lv] > 0);
         --unfixed_count_[lv];
-        link_share_[lv] = residual_[lv] / std::max(unfixed_weight_[lv], 1e-12);
+        if (!link_touched_[lv]) {
+          link_touched_[lv] = 1;
+          touched_links_.push_back(lv);
+        }
       }
     }
-  }
 
-  for (std::uint32_t l : comp_links_) {
-    for (FlowId fid : link_flows_[l]) {
-      const Flow& f = flows_[fid.value()];
-      elastic_rate_bps_[l] += f.rate.bps();
-      class_rate_bps_[l][static_cast<std::size_t>(f.spec.cls)] += f.rate.bps();
+    // One share refresh per touched link per round, as in
+    // fill_component_hier(): nothing reads link_share_ until the next scan,
+    // and the value depends only on the final residual and weight.
+    for (std::uint32_t lv : touched_links_) {
+      link_touched_[lv] = 0;
+      link_share_[lv] = residual_[lv] / std::max(unfixed_weight_[lv], 1e-12);
     }
+    touched_links_.clear();
   }
 }
 
@@ -1138,7 +1186,8 @@ void Fabric::encode_state(sim::StateEncoder& enc) const {
   }
 
   enc.put_u32(static_cast<std::uint32_t>(topo_->link_count()));
-  for (std::size_t l = 0; l < topo_->link_count(); ++l) {
+  for (std::uint32_t l = 0; l < topo_->link_count(); ++l) {
+    refresh_link_sums(l);
     enc.put_bool(link_up_[l] != 0);
     enc.put_f64(cbr_load_bps_[l]);
     enc.put_f64(elastic_rate_bps_[l]);

@@ -16,7 +16,22 @@
 //  * kIncremental (default) tracks the links dirtied by each change and
 //    refills only the connected component of links/flows reachable from
 //    them through shared links — flows in untouched components keep their
-//    rates, which are bit-identical to what a full fill would recompute;
+//    rates, which are bit-identical to what a full fill would recompute.
+//    Two shortcuts keep those bits:
+//    - Dense fallback. Once the BFS has gathered more than half the active
+//      flows (with at least 16 active), it stops and fills every link that
+//      carries a flow or is dirty, gathered ascending in one sweep: a union
+//      of whole components. Each fill round freezes the flows of the
+//      lowest-id link at the minimum share; that link lies in one
+//      component and its freezes move residuals only there, so every
+//      component sees the bottlenecks and arithmetic it would see alone.
+//      The fallback fills fewer than 2x the component's flows.
+//    - Rate sums on read. A fill marks its links stale instead of
+//      re-summing them; link_elastic_rate, link_class_rate,
+//      link_utilization and encode_state re-sum a stale link over its
+//      flows in ascending id from zero, the additions the eager end-of-fill
+//      sum made. The rates are still the fill's: a later rate change comes
+//      from a fill, which marks the link again;
 //  * kHierarchical exploits the topology's locality-group partition
 //    (Topology::node_group — fat-tree pods coupled through core links):
 //    the affected component is collected group-by-group over flat
@@ -106,8 +121,8 @@ using FlowCompleteFn = std::function<void(FlowId, util::SimTime)>;
 /// Which progressive-fill driver recomputes rates on fabric changes.
 enum class RateEngine {
   /// Dirty-set incremental: refill only the connected component of
-  /// links/flows affected by the change (falls back to a full fill when the
-  /// component spans every link). Default.
+  /// links/flows affected by the change, or every busy link once the
+  /// component holds more than half the active flows. Default.
   kIncremental,
   /// Legacy full fill over all links and flows on every change. Kept as the
   /// side-by-side baseline for differential tests and the scaling bench.
@@ -130,7 +145,10 @@ struct FabricConfig {
 /// Hot-path counters for perf-trajectory tracking across PRs.
 struct FabricCounters {
   std::uint64_t recomputes = 0;        // progressive fills run
-  std::uint64_t full_fills = 0;        // fills that spanned every link
+  /// Fills that took the whole-fabric path: every kFullRecompute fill, a
+  /// component that spans every link, and kIncremental's dense fallback
+  /// (a component holding more than half the active flows).
+  std::uint64_t full_fills = 0;
   std::uint64_t links_touched = 0;     // Σ links revisited per fill
   std::uint64_t flows_touched = 0;     // Σ flows revisited per fill
   std::uint64_t completion_events = 0; // completion events fired
@@ -310,11 +328,14 @@ class Fabric {
   void push_eta(Flow& f);
   void compact_eta_heap();
   /// Gathers the component of links/flows reachable from the dirty set into
-  /// comp_links_/comp_flows_.
+  /// comp_links_/comp_flows_, or every busy or dirty link and every active
+  /// flow once the component holds more than half the active flows.
   void collect_component();
   /// Progressive fill restricted to comp_links_/comp_flows_ using the
-  /// per-link flow index.
+  /// per-link flow index; marks the filled links' rate sums stale.
   void fill_component();
+  /// Re-sums a link's elastic and per-class rates if a fill marked it stale.
+  void refresh_link_sums(std::uint32_t l) const;
   /// Legacy progressive fill over every link and active flow.
   void fill_full();
 
@@ -363,8 +384,14 @@ class Fabric {
   };
   std::vector<CbrStream> cbrs_;
   std::vector<char> link_up_;             // per link
-  std::vector<double> elastic_rate_bps_;  // per link, refreshed on recompute
-  std::vector<std::array<double, 4>> class_rate_bps_;  // per link, per class
+  // Per-link rate sums: written by every fill under kFullRecompute and
+  // kHierarchical, re-summed on read under kIncremental (refresh_link_sums).
+  mutable std::vector<double> elastic_rate_bps_;
+  mutable std::vector<std::array<double, 4>> class_rate_bps_;  // per class
+
+  // pythia-lint: allow(snapshot-skip) derived cache of the two sums above:
+  // encode_state re-sums every stale link before it encodes them.
+  mutable std::vector<char> link_sums_stale_;  // per link
 
   // Dirty-link accumulator consumed by the next recompute.
   // pythia-lint: allow(snapshot-skip, group) empty at every snapshot cut:
@@ -379,8 +406,8 @@ class Fabric {
   std::vector<double> residual_;
   std::vector<double> unfixed_weight_;
   std::vector<std::uint32_t> unfixed_count_;
-  // Cached residual_/max(unfixed_weight_, eps) per link, refreshed only when
-  // a freeze touches the link, so the per-round bottleneck scan compares
+  // Cached residual_/max(unfixed_weight_, eps) per link, refreshed once per
+  // round for the links a freeze touched, so the bottleneck scan compares
   // instead of dividing. Each cached value is the exact division the inline
   // expression would produce (same operands), which keeps bottleneck
   // selection bit-identical to fill_full()'s. fill_component() rebuilds the
@@ -394,8 +421,9 @@ class Fabric {
   // `share < best` tie-break exactly.
   std::vector<double> share_dense_;
   std::vector<std::uint32_t> link_rank_;
-  // Per-round dedup of freeze-time share refreshes: one division per touched
-  // link per round instead of one per (flow, link) path step.
+  // Per-round dedup of freeze-time share refreshes (both component fills):
+  // one division per touched link per round instead of one per (flow, link)
+  // path step.
   std::vector<char> link_touched_;
   std::vector<std::uint32_t> touched_links_;
   std::vector<char> link_in_comp_;

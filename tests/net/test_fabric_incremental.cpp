@@ -3,9 +3,14 @@
 // the observable outcomes (flow completion instants, sampled rates, delivered
 // bytes) must match bit-for-bit. Both engines share the progressive-fill
 // arithmetic and canonical orderings, so any divergence is a bug in the
-// dirty-set component tracking.
+// dirty-set component tracking. DenseComponentOracle runs the two fabrics in
+// lockstep through a churn that crosses the dense-component fallback bound
+// both ways and also compares every link's rate sums after every event.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -210,6 +215,241 @@ TEST(IncrementalDifferential, QuickstartSurfaceIdentical) {
     return result.completion_time().ns();
   };
   EXPECT_EQ(run(RateEngine::kIncremental), run(RateEngine::kFullRecompute));
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// What the dense-component churn saw on the incremental arm.
+struct DenseChurnCoverage {
+  int events = 0;
+  int exact_fills_before_dense = 0;  // exact BFS fills, >= 16 active flows
+  int dense_fills = 0;               // fills that took the dense fallback
+  int exact_fills_after_dense = 0;   // the same, since the last dense fill
+  int emptied_in_dense = 0;          // links emptied by a dense-fill event
+};
+
+/// Schedules the dense-component churn on one fabric. Two flows per host to
+/// its two next rack neighbours give rack-sized components; a wave of
+/// cross-rack flows then couples every rack through the spines into one
+/// component holding most active flows, and its departures split it back
+/// into rack-local ones. Weights come from {1, 2, 3} and capacities are
+/// equal, so bottleneck ties are common and the fill's link order matters.
+void schedule_dense_churn(sim::Simulation& sim, Fabric& fabric,
+                          const Topology& topo, const RoutingGraph& routing,
+                          std::size_t servers_per_rack, std::uint64_t seed,
+                          CompletionLog& log) {
+  util::Xoshiro256 rng(seed);
+  const auto hosts = topo.hosts();
+  const std::size_t racks = hosts.size() / servers_per_rack;
+  int tag = 0;
+  auto at = [&](double t_s, NodeId src, NodeId dst, std::int64_t size) {
+    const auto& paths = routing.paths(src, dst);
+    FlowSpec spec;
+    spec.src = src;
+    spec.dst = dst;
+    spec.size = Bytes{size};
+    spec.path = paths[rng.below(paths.size())].links;
+    spec.cls = static_cast<FlowClass>(rng.below(4));
+    spec.weight = 1.0 + static_cast<double>(rng.below(3));
+    const int t = tag++;
+    sim.at(SimTime::from_seconds(t_s), [&fabric, &log, spec, t] {
+      fabric.start_flow(spec, [&log, t](FlowId, SimTime done) {
+        log.emplace_back(t, done.ns());
+      });
+    });
+  };
+
+  // Rack-local flows, staggered over the first 0.2 s; they outlive the
+  // cross-rack wave so the fabric ends with rack-sized components again.
+  for (std::size_t r = 0; r < racks; ++r) {
+    for (std::size_t s = 0; s < servers_per_rack; ++s) {
+      const NodeId src = hosts[r * servers_per_rack + s];
+      for (std::size_t hop = 1; hop <= 2; ++hop) {
+        const NodeId dst =
+            hosts[r * servers_per_rack + (s + hop) % servers_per_rack];
+        at(rng.uniform(0.0, 0.2), src, dst,
+           static_cast<std::int64_t>(1'500'000'000 + rng.below(1'500'000'000)));
+      }
+    }
+  }
+  // The cross-rack wave: starts over 0.3-0.5 s, short enough to drain
+  // while the rack-local flows are still running.
+  for (int i = 0; i < 28; ++i) {
+    const std::size_t src_idx = rng.below(hosts.size());
+    std::size_t dst_idx = src_idx;
+    while (dst_idx / servers_per_rack == src_idx / servers_per_rack) {
+      dst_idx = rng.below(hosts.size());
+    }
+    at(rng.uniform(0.3, 0.5), hosts[src_idx], hosts[dst_idx],
+       static_cast<std::int64_t>(20'000'000 + rng.below(280'000'000)));
+  }
+  // A few late rack-local starts land after the wave has drained.
+  for (int i = 0; i < 6; ++i) {
+    const std::size_t r = rng.below(racks);
+    const std::size_t s = rng.below(servers_per_rack);
+    at(rng.uniform(3.0, 3.5), hosts[r * servers_per_rack + s],
+       hosts[r * servers_per_rack + (s + 3) % servers_per_rack],
+       static_cast<std::int64_t>(100'000'000 + rng.below(400'000'000)));
+  }
+  // Background CBR along one cross-rack path while the wave runs, so
+  // utilization reads mix CBR and elastic load.
+  const auto cbr_path = routing.paths(hosts[0], hosts.back())[0].links;
+  sim.at(SimTime::from_seconds(0.35), [&fabric, cbr_path] {
+    const CbrId id = fabric.start_cbr(cbr_path, BitsPerSec{3e9});
+    fabric.simulation().at(SimTime::from_seconds(0.9),
+                           [&fabric, id] { fabric.stop_cbr(id); });
+  });
+}
+
+/// Runs the dense-component churn on an incremental and a full-recompute
+/// fabric in lockstep, one event at a time, and after every event compares
+/// completions, every active flow's rate bits, and every link's elastic,
+/// per-class and utilization bits. Returns what the incremental arm covered.
+DenseChurnCoverage run_dense_churn_lockstep(std::uint64_t seed) {
+  LeafSpineConfig cfg;
+  cfg.racks = 4;
+  cfg.servers_per_rack = 6;
+  cfg.spines = 3;
+  const Topology topo = make_leaf_spine(cfg);
+  const RoutingGraph routing(topo, cfg.spines);
+
+  sim::Simulation sim_inc(seed);
+  sim::Simulation sim_full(seed);
+  Fabric inc(sim_inc, topo, FabricConfig{RateEngine::kIncremental});
+  Fabric full(sim_full, topo, FabricConfig{RateEngine::kFullRecompute});
+  CompletionLog log_inc;
+  CompletionLog log_full;
+  schedule_dense_churn(sim_inc, inc, topo, routing, cfg.servers_per_rack, seed,
+                       log_inc);
+  schedule_dense_churn(sim_full, full, topo, routing, cfg.servers_per_rack,
+                       seed, log_full);
+
+  DenseChurnCoverage cov;
+  std::vector<char> busy(topo.link_count(), 0);
+  while (true) {
+    const FabricCounters before = inc.counters();
+    const std::size_t ran_inc = sim_inc.run(1);
+    const std::size_t ran_full = sim_full.run(1);
+    EXPECT_EQ(ran_inc, ran_full);
+    if (ran_inc == 0 || ran_full == 0) break;
+    ++cov.events;
+    const std::string where = "seed " + std::to_string(seed) + ", event " +
+                              std::to_string(cov.events);
+    EXPECT_EQ(sim_inc.now(), sim_full.now()) << where;
+    EXPECT_EQ(log_inc, log_full) << where;
+
+    const auto active_inc = inc.active_flows();
+    const auto active_full = full.active_flows();
+    EXPECT_EQ(active_inc, active_full) << where;
+    if (active_inc != active_full) break;
+    for (FlowId id : active_inc) {
+      EXPECT_EQ(bits(inc.flow(id).rate.bps()), bits(full.flow(id).rate.bps()))
+          << where << ", flow " << id.value();
+    }
+
+    const FabricCounters& after = inc.counters();
+    const bool dense = after.full_fills > before.full_fills;
+    for (std::uint32_t l = 0; l < topo.link_count(); ++l) {
+      const LinkId link{l};
+      const double elastic = inc.link_elastic_rate(link).bps();
+      EXPECT_EQ(bits(elastic), bits(full.link_elastic_rate(link).bps()))
+          << where << ", link " << l;
+      for (std::size_t c = 0; c < 4; ++c) {
+        const auto cls = static_cast<FlowClass>(c);
+        EXPECT_EQ(bits(inc.link_class_rate(link, cls).bps()),
+                  bits(full.link_class_rate(link, cls).bps()))
+            << where << ", link " << l << ", class " << c;
+      }
+      EXPECT_EQ(bits(inc.link_utilization(link)),
+                bits(full.link_utilization(link)))
+          << where << ", link " << l;
+      const bool now_busy = !inc.flows_crossing(link).empty();
+      if (busy[l] && !now_busy) {
+        // The link's last flow just left: its sum must read exactly +0.0.
+        EXPECT_EQ(bits(elastic), bits(0.0)) << where << ", link " << l;
+        if (dense) ++cov.emptied_in_dense;
+      }
+      busy[l] = now_busy ? 1 : 0;
+    }
+
+    if (after.recomputes == before.recomputes ||
+        after.flows_touched == before.flows_touched) {
+      continue;  // no fill ran, or it had no flows to place
+    }
+    if (dense) {
+      ++cov.dense_fills;
+      cov.exact_fills_after_dense = 0;
+    } else if (inc.active_flow_count() >= 16) {
+      if (cov.dense_fills == 0) {
+        ++cov.exact_fills_before_dense;
+      } else {
+        ++cov.exact_fills_after_dense;
+      }
+    }
+  }
+  EXPECT_EQ(log_inc.size(), inc.flows_started());
+  return cov;
+}
+
+class DenseComponentOracle : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DenseComponentOracle, EveryEventMatchesFullRecompute) {
+  const DenseChurnCoverage cov = run_dense_churn_lockstep(GetParam());
+  // The churn must cross the half-active bound in both directions and empty
+  // a link inside a dense fill, or the comparisons above prove nothing new.
+  EXPECT_GT(cov.exact_fills_before_dense, 0);
+  EXPECT_GT(cov.dense_fills, 0);
+  EXPECT_GT(cov.exact_fills_after_dense, 0);
+  EXPECT_GT(cov.emptied_in_dense, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DenseComponentOracle,
+                         ::testing::Values(1u, 2u, 3u, 5u, 8u));
+
+TEST(IncrementalCounters, DenseComponentTouchesEveryBusyLink) {
+  // Eight cross-rack flows share rack 0's spine uplink; eight rack-local
+  // flows in rack 2 form eight one-flow components. A ninth cross-rack start
+  // joins a component holding 9 of 17 active flows, so the fill takes the
+  // dense fallback and touches every busy link and every active flow.
+  LeafSpineConfig cfg;
+  cfg.racks = 3;
+  cfg.servers_per_rack = 8;
+  cfg.spines = 1;
+  const Topology topo = make_leaf_spine(cfg);
+  const RoutingGraph routing(topo, 1);
+  sim::Simulation sim;
+  Fabric fabric(sim, topo, FabricConfig{RateEngine::kIncremental});
+  const auto hosts = topo.hosts();
+  auto start = [&](NodeId src, NodeId dst) {
+    FlowSpec spec;
+    spec.src = src;
+    spec.dst = dst;
+    spec.size = Bytes{10'000'000'000};
+    spec.path = routing.paths(src, dst)[0].links;
+    fabric.start_flow(spec);
+  };
+  for (std::size_t i = 0; i < 8; ++i) start(hosts[i], hosts[8 + i]);
+  for (std::size_t i = 0; i < 8; ++i) {
+    const auto before = fabric.counters();
+    start(hosts[16 + i], hosts[16 + (i + 1) % 8]);
+    const auto after = fabric.counters();
+    // Each rack-local start stays an exact one-flow component.
+    EXPECT_EQ(after.flows_touched - before.flows_touched, 1u);
+    EXPECT_EQ(after.full_fills, before.full_fills);
+  }
+  ASSERT_EQ(fabric.active_flow_count(), 16u);
+
+  const auto before = fabric.counters();
+  start(hosts[0], hosts[9]);
+  const auto after = fabric.counters();
+  std::size_t busy_links = 0;
+  for (std::uint32_t l = 0; l < topo.link_count(); ++l) {
+    if (!fabric.flows_crossing(LinkId{l}).empty()) ++busy_links;
+  }
+  EXPECT_EQ(after.links_touched - before.links_touched, busy_links);
+  EXPECT_EQ(after.flows_touched - before.flows_touched, 17u);
+  EXPECT_EQ(after.full_fills - before.full_fills, 1u);
+  EXPECT_LT(busy_links, topo.link_count());  // not a whole-fabric BFS
 }
 
 TEST(IncrementalCounters, DisjointComponentsStayUntouched) {
