@@ -2,9 +2,9 @@
 // k=4/8/16 at 100 → 20 000 concurrent flows, across all three rate engines
 // (legacy full recompute, dirty-set incremental, group-partitioned
 // hierarchical). Writes BENCH_fabric.json (recompute counts, links touched,
-// wall-time per event, per-cell RSS, per-arm behavior checksums and an
-// all_identical verdict CI gates on) to track the perf trajectory across
-// PRs. `--smoke` runs a tiny sweep for CI.
+// fill rounds run and reused, wall-time per event, per-cell RSS, per-arm
+// behavior checksums and an all_identical verdict CI gates on) to track the
+// perf trajectory across PRs. `--smoke` runs a tiny sweep for CI.
 //
 // Protocol per cell: ramp N long-lived flows to steady state, then time a
 // window of M additional flow arrivals grouped into shuffle waves — bursts
@@ -147,6 +147,8 @@ struct CellResult {
   std::uint64_t events = 0;
   std::uint64_t recomputes = 0;
   std::uint64_t links_touched = 0;
+  std::uint64_t fill_rounds = 0;    // progressive-fill rounds run
+  std::uint64_t reused_rounds = 0;  // rounds a warm start replayed instead
   double ramp_ms = 0.0;
   double window_ms = 0.0;
   long rss_kb = 0;
@@ -231,6 +233,8 @@ CellResult run_cell(const Topology& topo, RateEngine engine,
   r.wall_ns_per_event = r.events ? wall_ns / static_cast<double>(r.events) : 0;
   r.recomputes = c1.recomputes - c0.recomputes;
   r.links_touched = c1.links_touched - c0.links_touched;
+  r.fill_rounds = c1.fill_rounds - c0.fill_rounds;
+  r.reused_rounds = c1.reused_rounds - c0.reused_rounds;
   r.ramp_ms = std::chrono::duration_cast<std::chrono::microseconds>(
                   ramp_end - ramp_begin)
                   .count() /
@@ -391,13 +395,16 @@ int main(int argc, char** argv) {
       std::snprintf(b, sizeof b,
                     "      \"%s\": {\"wall_ns_per_event\": %.1f, "
                     "\"events\": %llu, \"recomputes\": %llu, "
-                    "\"links_touched\": %llu, \"ramp_ms\": %.2f, "
+                    "\"links_touched\": %llu, \"fill_rounds\": %llu, "
+                    "\"reused_rounds\": %llu, \"ramp_ms\": %.2f, "
                     "\"window_ms\": %.2f, \"rss_kb\": %ld, "
                     "\"behavior_checksum\": \"%016llx\"}",
                     name, r.wall_ns_per_event,
                     static_cast<unsigned long long>(r.events),
                     static_cast<unsigned long long>(r.recomputes),
                     static_cast<unsigned long long>(r.links_touched),
+                    static_cast<unsigned long long>(r.fill_rounds),
+                    static_cast<unsigned long long>(r.reused_rounds),
                     r.ramp_ms, r.window_ms, r.rss_kb,
                     static_cast<unsigned long long>(r.behavior_checksum));
       return std::string(b);

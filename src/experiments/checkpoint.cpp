@@ -236,12 +236,30 @@ RestoreResult restore_snapshot(const sim::Snapshot& snap,
   // without advance_now the replayed clock sits at the last fired event's
   // timestamp and the sim.queue section diverges (see docs/checkpoint.md).
   result.scenario->run_to_event_count(snap.cursor_events);
-  if (snap.cursor_time > result.scenario->simulation().now()) {
-    result.scenario->simulation().queue().advance_now(snap.cursor_time);
+  sim::EventQueue& queue = result.scenario->simulation().queue();
+  std::string early_event;
+  if (snap.cursor_time > queue.now()) {
+    // A faithful replay holds no live event before the capture clock
+    // (advance_now's precondition). A diverged one can — a restore without
+    // the capture's prologue, say — so it stays unverified, unadvanced.
+    const auto pending = queue.pending_events();
+    if (!pending.empty() && pending.front().at < snap.cursor_time) {
+      early_event = "replay holds a live event at " +
+                    std::to_string(pending.front().at.ns()) +
+                    " ns, before the capture clock " +
+                    std::to_string(snap.cursor_time.ns()) + " ns";
+    } else {
+      queue.advance_now(snap.cursor_time);
+    }
   }
 
   sim::Snapshot replayed = capture_snapshot(*result.scenario, job, snap.label);
   result.divergence = sim::Snapshot::describe_divergence(snap, replayed);
+  if (!early_event.empty()) {
+    result.divergence = result.divergence.empty()
+                            ? early_event
+                            : early_event + "; " + result.divergence;
+  }
   result.verified = result.divergence.empty();
   return result;
 }

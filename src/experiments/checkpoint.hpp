@@ -39,7 +39,8 @@ struct RestoreResult {
   /// True when the replayed image matched the snapshot byte-for-byte.
   bool verified = false;
   /// Empty when verified; otherwise the first diverging section, as
-  /// reported by sim::Snapshot::describe_divergence.
+  /// reported by sim::Snapshot::describe_divergence, preceded by the live
+  /// event that kept a diverged replay from reaching the capture clock.
   std::string divergence;
 };
 

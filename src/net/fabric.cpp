@@ -46,6 +46,7 @@ Fabric::Fabric(sim::Simulation& sim, const Topology& topo, FabricConfig cfg)
       link_share_(topo.link_count(), 0.0),
       link_touched_(topo.link_count(), 0),
       link_in_comp_(topo.link_count(), 0),
+      rec_init_(topo.link_count()),
       hier_(cfg.rate_engine == RateEngine::kHierarchical),
       last_settle_(sim.now()) {
   if (hier_) {
@@ -106,6 +107,7 @@ std::uint32_t Fabric::acquire_slot() {
   active_pos_.push_back(kNoPos);
   flow_fixed_.push_back(0);
   flow_in_comp_.push_back(0);
+  rec_freeze_round_.push_back(kNoPos);
   eta_stamp_.push_back(0);
   arena_weight_.push_back(0.0);
   arena_rate_bps_.push_back(0.0);
@@ -268,6 +270,9 @@ FlowId Fabric::start_flow(FlowSpec spec, FlowCompleteFn on_complete) {
   Flow& f = flows_[slot];
   f = Flow{};
   path_len_[slot] = 0;  // slot reuse ends the stale-read detection window
+  // A recycled slot must not inherit its predecessor's recorded freeze
+  // round: the new flow never froze in the warm-start record.
+  rec_freeze_round_[slot] = kNoPos;
   f.id = FlowId{slot};
   f.spec = std::move(spec);
   f.started = sim_->now();
@@ -544,9 +549,9 @@ void Fabric::recompute_rates() {
     fill_component_hier();
     return;
   }
-  collect_component();
-  clear_dirty();
-  fill_component();
+  const bool dense = collect_component();
+  fill_component(dense);
+  clear_dirty();  // after the fill: the warm start reads the dirty set
 }
 
 void Fabric::after_mutation() {
@@ -610,10 +615,15 @@ void Fabric::refresh_link_sums(std::uint32_t l) const {
   class_rate_bps_[l] = per_class;
 }
 
-void Fabric::collect_component() {
+bool Fabric::collect_component() {
   // BFS over the bipartite link/flow graph from the dirty seed: any flow
   // crossing a touched link, and any link such a flow crosses, can see its
   // allocation change; everything outside the closure provably cannot.
+  // Link-first: every queued link lists its flows before any flow's path is
+  // walked, so a dense component crosses the half-active bound after few
+  // path walks. Visit order changes neither whether the component holds
+  // more than half the active flows nor a finished BFS's sets (comp_links_
+  // is sorted below; comp_flows_ only seeds flags and a count).
   comp_links_.clear();
   comp_flows_.clear();
   for (std::uint32_t l : dirty_links_) {
@@ -622,22 +632,28 @@ void Fabric::collect_component() {
   }
   const bool may_fall_back = active_.size() >= kDenseFallbackMinFlows;
   bool dense = false;
-  for (std::size_t head = 0; head < comp_links_.size() && !dense; ++head) {
-    const std::uint32_t l = comp_links_[head];
-    for (FlowId fid : link_flows_[l]) {
-      const std::uint32_t slot = fid.value();
-      if (flow_in_comp_[slot]) continue;
-      flow_in_comp_[slot] = 1;
-      comp_flows_.push_back(slot);
-      if (may_fall_back && 2 * comp_flows_.size() > active_.size()) {
-        dense = true;
-        break;
+  std::size_t link_head = 0;
+  std::size_t flow_head = 0;
+  while (!dense) {
+    if (link_head < comp_links_.size()) {
+      for (FlowId fid : link_flows_[comp_links_[link_head++]]) {
+        const std::uint32_t slot = fid.value();
+        if (flow_in_comp_[slot]) continue;
+        flow_in_comp_[slot] = 1;
+        comp_flows_.push_back(slot);
+        if (may_fall_back && 2 * comp_flows_.size() > active_.size()) {
+          dense = true;
+          break;
+        }
       }
-      for (LinkId l2 : flows_[slot].spec.path) {
-        if (link_in_comp_[l2.value()]) continue;
-        link_in_comp_[l2.value()] = 1;
-        comp_links_.push_back(l2.value());
+    } else if (flow_head < comp_flows_.size()) {
+      for (LinkId l : flows_[comp_flows_[flow_head++]].spec.path) {
+        if (link_in_comp_[l.value()]) continue;
+        link_in_comp_[l.value()] = 1;
+        comp_links_.push_back(l.value());
       }
+    } else {
+      break;
     }
   }
   for (std::uint32_t l : comp_links_) link_in_comp_[l] = 0;
@@ -661,23 +677,149 @@ void Fabric::collect_component() {
   }
   counters_.links_touched += comp_links_.size();
   counters_.flows_touched += comp_flows_.size();
+  return dense;
 }
 
-void Fabric::fill_component() {
+void Fabric::init_fill_state(std::uint32_t l) {
+  residual_[l] = elastic_headroom(l);
+  double weight = 0.0;
+  for (FlowId fid : link_flows_[l]) weight += flows_[fid.value()].spec.weight;
+  unfixed_weight_[l] = weight;
+  unfixed_count_[l] = static_cast<std::uint32_t>(link_flows_[l].size());
+}
+
+std::uint32_t Fabric::replay_record() {
+  const auto rounds = static_cast<std::uint32_t>(rec_bottleneck_.size());
+  // A clean link's flows, their weights and its headroom are unchanged
+  // since the recording fill, so it starts in the recorded state; a dirty
+  // link is summed cold and rewrites its entry.
+  for (std::uint32_t l : comp_links_) {
+    if (link_dirty_[l]) {
+      init_fill_state(l);
+      rec_init_[l] = fill_state(l);
+    } else {
+      assert(rec_init_[l].link == l && "a clean link the record lacks");
+      set_fill_state(rec_init_[l]);
+    }
+  }
+  // Stable counting sort of the dirty links' recorded freezes by round, so
+  // each link's freezes within a round keep ascending slot order, the order
+  // the fill applies them. After placement replay_end_[k] ends round k's
+  // bucket (which starts where round k-1's ends).
+  replay_end_.assign(rounds + 1, 0);
+  for (std::uint32_t l : dirty_links_) {
+    for (FlowId fid : link_flows_[l]) {
+      const std::uint32_t r = rec_freeze_round_[fid.value()];
+      if (r < rounds) ++replay_end_[r + 1];
+    }
+  }
+  for (std::uint32_t k = 0; k < rounds; ++k) {
+    replay_end_[k + 1] += replay_end_[k];
+  }
+  replay_events_.resize(replay_end_[rounds]);
+  for (std::uint32_t l : dirty_links_) {
+    for (FlowId fid : link_flows_[l]) {
+      const std::uint32_t r = rec_freeze_round_[fid.value()];
+      if (r < rounds) replay_events_[replay_end_[r]++] = {l, fid.value()};
+    }
+  }
+
+  // The dirty link with unfixed flows and the lowest (share, id); its
+  // shares move only when a replayed freeze lands on a dirty link.
+  std::uint32_t dirty_best = kNoLink;
+  double dirty_best_share = 0.0;
+  bool dirty_moved = true;
+  std::uint32_t event = 0;
+  std::uint32_t k = 0;
+  for (; k < rounds; ++k) {
+    const std::uint32_t bottleneck = rec_bottleneck_[k];
+    const double share = rec_share_[k];
+    if (link_dirty_[bottleneck]) break;
+    if (dirty_moved) {
+      dirty_moved = false;
+      dirty_best = kNoLink;
+      for (std::uint32_t l : dirty_links_) {
+        if (unfixed_count_[l] == 0) continue;
+        const double s = residual_[l] / std::max(unfixed_weight_[l], 1e-12);
+        if (dirty_best == kNoLink || s < dirty_best_share ||
+            (s == dirty_best_share && l < dirty_best)) {
+          dirty_best = l;
+          dirty_best_share = s;
+        }
+      }
+    }
+    // The scan's strict `<` in ascending link order: a dirty link takes the
+    // round from the bottleneck at a lower share, or at an equal one with a
+    // lower id.
+    if (dirty_best != kNoLink &&
+        (dirty_best_share < share ||
+         (dirty_best_share == share && dirty_best < bottleneck))) {
+      break;
+    }
+    // Round k freezes the record's flows at the record's share; apply them
+    // to the dirty links with the fill's arithmetic.
+    const double fill_share = share < 0.0 ? 0.0 : share;
+    for (; event < replay_end_[k]; ++event) {
+      const auto [l, slot] = replay_events_[event];
+      const double weight = flows_[slot].spec.weight;
+      const double rate = fill_share * weight;
+      residual_[l] = std::max(0.0, residual_[l] - rate);
+      unfixed_weight_[l] = std::max(0.0, unfixed_weight_[l] - weight);
+      assert(unfixed_count_[l] > 0);
+      --unfixed_count_[l];
+      dirty_moved = true;
+    }
+    // The round touched exactly the links the record logged for it: clean
+    // ones take the logged state, dirty ones rewrite it in place.
+    for (std::uint32_t i = rec_log_off_[k]; i < rec_log_off_[k + 1]; ++i) {
+      LinkFillState& entry = rec_log_[i];
+      if (link_dirty_[entry.link]) {
+        entry = fill_state(entry.link);
+      } else {
+        set_fill_state(entry);
+      }
+    }
+  }
+  rec_bottleneck_.resize(k);
+  rec_share_.resize(k);
+  rec_log_.resize(rec_log_off_[k]);
+  rec_log_off_.resize(k + 1);
+  return k;
+}
+
+void Fabric::fill_component(bool dense) {
+  // A dense fill right after another dense fill resumes at the first round
+  // its dirty links can affect; any other fill starts cold. Only a dense
+  // fill leaves a record for the next one.
+  std::uint32_t round = 0;
+  if (dense && rec_valid_) {
+    round = replay_record();
+  } else {
+    for (std::uint32_t l : comp_links_) {
+      init_fill_state(l);
+      if (dense) rec_init_[l] = fill_state(l);
+    }
+    if (dense) {
+      rec_bottleneck_.clear();
+      rec_share_.clear();
+      rec_log_.clear();
+      rec_log_off_.assign(1, 0);
+    }
+  }
+  rec_valid_ = dense;
+  counters_.reused_rounds += round;
   for (std::uint32_t l : comp_links_) {
     link_sums_stale_[l] = 1;  // re-summed on read (refresh_link_sums)
-    residual_[l] = elastic_headroom(l);
-    double weight = 0.0;
-    std::uint32_t count = 0;
-    for (FlowId fid : link_flows_[l]) {
-      weight += flows_[fid.value()].spec.weight;
-      ++count;
-    }
-    unfixed_weight_[l] = weight;
-    unfixed_count_[l] = count;
-    link_share_[l] = residual_[l] / std::max(weight, 1e-12);
+    link_share_[l] = residual_[l] / std::max(unfixed_weight_[l], 1e-12);
   }
-  for (std::uint32_t slot : comp_flows_) flow_fixed_[slot] = 0;
+  // Flows the replayed rounds froze keep their rates: only a fill sets a
+  // rate, and the recording fill gave them exactly these.
+  std::size_t remaining_flows = 0;
+  for (std::uint32_t slot : comp_flows_) {
+    const bool fixed = rec_freeze_round_[slot] < round;
+    flow_fixed_[slot] = fixed ? 1 : 0;
+    if (!fixed) ++remaining_flows;
+  }
 
   // Weighted progressive filling: repeatedly saturate the link with the
   // smallest fair share per unit weight, freeze its flows at weight x share,
@@ -685,8 +827,8 @@ void Fabric::fill_component() {
   // classic max-min allocation. Candidate links that empty out are compacted
   // away (in order) so later rounds scan only still-contended links.
   cand_links_ = comp_links_;
-  std::size_t remaining_flows = comp_flows_.size();
-  while (remaining_flows > 0) {
+  for (; remaining_flows > 0; ++round) {
+    ++counters_.fill_rounds;
     double best_share = std::numeric_limits<double>::infinity();
     std::uint32_t best_link = kNoLink;
     std::size_t out = 0;
@@ -704,6 +846,10 @@ void Fabric::fill_component() {
     }
     cand_links_.resize(out);
     assert(best_link != kNoLink);
+    if (dense) {
+      rec_bottleneck_.push_back(best_link);
+      rec_share_.push_back(best_share);
+    }
     if (best_share < 0.0) best_share = 0.0;
 
     // Freeze every unfixed flow crossing the bottleneck (ascending by id —
@@ -715,6 +861,7 @@ void Fabric::fill_component() {
       const double rate = best_share * f.spec.weight;
       set_rate(f, rate);
       flow_fixed_[slot] = 1;
+      rec_freeze_round_[slot] = round;
       --remaining_flows;
       for (LinkId l : f.spec.path) {
         const std::uint32_t lv = l.value();
@@ -736,8 +883,12 @@ void Fabric::fill_component() {
     for (std::uint32_t lv : touched_links_) {
       link_touched_[lv] = 0;
       link_share_[lv] = residual_[lv] / std::max(unfixed_weight_[lv], 1e-12);
+      if (dense) rec_log_.push_back(fill_state(lv));
     }
     touched_links_.clear();
+    if (dense) {
+      rec_log_off_.push_back(static_cast<std::uint32_t>(rec_log_.size()));
+    }
   }
 }
 
@@ -772,6 +923,7 @@ void Fabric::fill_full() {
 
   std::size_t remaining_flows = sorted_active_.size();
   while (remaining_flows > 0) {
+    ++counters_.fill_rounds;
     double best_share = std::numeric_limits<double>::infinity();
     std::uint32_t best_link = kNoLink;
     for (std::uint32_t l = 0; l < residual_.size(); ++l) {
@@ -897,6 +1049,7 @@ void Fabric::fill_component_hier() {
   std::size_t remaining_flows = comp_flows_.size();
   touched_links_.clear();
   while (remaining_flows > 0) {
+    ++counters_.fill_rounds;
     // Pass 1: plain min over the dense share array. min is associative and
     // commutative here (no NaNs, and shares are never negative zero, so
     // evaluation order cannot change the value) — four independent chains
@@ -1145,6 +1298,8 @@ void Fabric::encode_counters(sim::StateEncoder& enc) const {
   enc.put_u64(counters_.settles);
   enc.put_u64(counters_.deferred_recomputes);
   enc.put_u64(counters_.cohort_flushes);
+  enc.put_u64(counters_.fill_rounds);
+  enc.put_u64(counters_.reused_rounds);
 }
 
 void Fabric::encode_state(sim::StateEncoder& enc) const {

@@ -31,7 +31,32 @@
 //      link_utilization and encode_state re-sum a stale link over its
 //      flows in ascending id from zero, the additions the eager end-of-fill
 //      sum made. The rates are still the fill's: a later rate change comes
-//      from a fill, which marks the link again;
+//      from a fill, which marks the link again.
+//    - Warm start. A dense fill (the fallback, over every busy link)
+//      records each round's bottleneck b_k and share s_k, each flow's
+//      freeze round, each link's initial (residual, unfixed weight, unfixed
+//      count), and a log of every touched link's triple after each round.
+//      The next fill, if it is dense too, replays that record: with D the
+//      dirty links it consumes, it stops at the first round k* where b_k
+//      is in D, or a D link with unfixed flows has a share below s_k (or
+//      equal to it with a lower id than b_k — the scan's strict `<` in
+//      ascending link order). Before that, round k's recorded freezes are
+//      applied to the D links in ascending slot order with the fill's own
+//      arithmetic. Clean links then take their state from the log prefix,
+//      flows frozen before k* stay fixed at their rates, and the ordinary
+//      loop runs from k*. Exact, by induction on k: if the rounds before k
+//      matched and b_k is clean, every clean link enters round k in the
+//      record's state, b_k carries the record's flows and unfixed set, and
+//      no D link outranks (s_k, b_k), so round k picks b_k at s_k and
+//      freezes the same flows at the same rate bits. A removed, rerouted or
+//      reweighted flow dirties every link it crosses, as do CBR and up/down
+//      changes, so no round that froze such a flow is replayed and no new
+//      flow freezes before k*. The prefix touches the same links as the
+//      record, so D links' log entries are rewritten in place and the log
+//      is truncated at k*; the replay costs O(busy links + active flows +
+//      flows on D links + prefix log entries + recorded rounds), with no
+//      comparison sort and no log copy. Any component fill drops the
+//      record, and a restored fabric rebuilds it by replay;
 //  * kHierarchical exploits the topology's locality-group partition
 //    (Topology::node_group — fat-tree pods coupled through core links):
 //    the affected component is collected group-by-group over flat
@@ -155,6 +180,11 @@ struct FabricCounters {
   std::uint64_t settles = 0;           // non-empty settle intervals
   std::uint64_t deferred_recomputes = 0;  // recomputes absorbed by coalescing
   std::uint64_t cohort_flushes = 0;       // deferred fills actually run
+  /// Progressive-fill rounds run (every engine); one bottleneck per round.
+  std::uint64_t fill_rounds = 0;
+  /// Rounds kIncremental's dense warm start took from the previous dense
+  /// fill's record instead of running them.
+  std::uint64_t reused_rounds = 0;
 };
 
 class Fabric {
@@ -329,11 +359,34 @@ class Fabric {
   void compact_eta_heap();
   /// Gathers the component of links/flows reachable from the dirty set into
   /// comp_links_/comp_flows_, or every busy or dirty link and every active
-  /// flow once the component holds more than half the active flows.
-  void collect_component();
+  /// flow once the component holds more than half the active flows (a dense
+  /// fill; returns true).
+  bool collect_component();
   /// Progressive fill restricted to comp_links_/comp_flows_ using the
-  /// per-link flow index; marks the filled links' rate sums stale.
-  void fill_component();
+  /// per-link flow index; marks the filled links' rate sums stale. A dense
+  /// fill warm-starts from the previous dense fill's record and keeps one.
+  void fill_component(bool dense);
+  /// One link's fill state: residual headroom, unfixed weight and count.
+  struct LinkFillState {
+    std::uint32_t link;
+    std::uint32_t count;
+    double residual;
+    double weight;
+  };
+  [[nodiscard]] LinkFillState fill_state(std::uint32_t l) const {
+    return {l, unfixed_count_[l], residual_[l], unfixed_weight_[l]};
+  }
+  void set_fill_state(const LinkFillState& s) {
+    residual_[s.link] = s.residual;
+    unfixed_weight_[s.link] = s.weight;
+    unfixed_count_[s.link] = s.count;
+  }
+  /// A fill's starting state for link l: headroom and its flows' weights.
+  void init_fill_state(std::uint32_t l);
+  /// Warm start: brings every component link to its state after the
+  /// record's leading rounds that the dirty links cannot affect, rewrites
+  /// and truncates the record to them, and returns their count.
+  std::uint32_t replay_record();
   /// Re-sums a link's elastic and per-class rates if a fill marked it stale.
   void refresh_link_sums(std::uint32_t l) const;
   /// Legacy progressive fill over every link and active flow.
@@ -433,6 +486,24 @@ class Fabric {
   std::vector<std::uint32_t> cand_links_;
   std::vector<std::uint32_t> comp_flows_;
   std::vector<FlowId> sorted_active_;   // fill_full scratch
+
+  // Warm-start record of the last fill, kept only while that fill was
+  // dense (kIncremental; see file header), plus the replay's scratch.
+  // pythia-lint: allow(snapshot-skip, group) derived from the fill
+  // sequence: restore replays from t = 0, so the record rebuilds exactly.
+  bool rec_valid_ = false;
+  std::vector<std::uint32_t> rec_bottleneck_;    // per round
+  std::vector<double> rec_share_;                // per round, as scanned
+  std::vector<std::uint32_t> rec_freeze_round_;  // slot-indexed
+  std::vector<LinkFillState> rec_init_;          // link-indexed
+  std::vector<LinkFillState> rec_log_;           // touched links per round
+  std::vector<std::uint32_t> rec_log_off_;       // round k: [off[k], off[k+1])
+  struct ReplayEvent {
+    std::uint32_t link;
+    std::uint32_t slot;
+  };
+  std::vector<ReplayEvent> replay_events_;       // D-link freezes by round
+  std::vector<std::uint32_t> replay_end_;        // per round, into the above
 
   // Lazy min-heap of flow completion instants; stale entries are skipped by
   // stamp comparison, so a rate change is O(log n) instead of an O(flows)

@@ -126,7 +126,9 @@ class Snapshot {
   // docs/architecture.md pipeline section).
   // v4: routing.counters gained attach_pairs_computed (switch-level Yen
   // runs behind the stub-host decomposition).
-  static constexpr std::uint32_t kFormatVersion = 4;
+  // v5: fabric.counters gained fill_rounds and reused_rounds (the dense
+  // fill's warm start).
+  static constexpr std::uint32_t kFormatVersion = 5;
 
   // --- identity + cursor (set by the capturing layer) ---
   std::uint64_t root_seed = 0;

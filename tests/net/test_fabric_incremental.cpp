@@ -6,10 +6,18 @@
 // dirty-set component tracking. DenseComponentOracle runs the two fabrics in
 // lockstep through a churn that crosses the dense-component fallback bound
 // both ways and also compares every link's rate sums after every event.
+// WarmStartOracle does the same through a churn aimed at the dense fill's
+// warm start, and checks every warm start's reused rounds against a
+// reference progressive fill.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -219,6 +227,39 @@ TEST(IncrementalDifferential, QuickstartSurfaceIdentical) {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
+/// Compares two fabrics run in lockstep after one event: completions, the
+/// active set, every active flow's rate bits, and every link's elastic,
+/// per-class and utilization bits. Returns false if the active sets differ.
+bool expect_same_fabric(const Fabric& inc, const Fabric& full,
+                        const CompletionLog& log_inc,
+                        const CompletionLog& log_full,
+                        const std::string& where) {
+  EXPECT_EQ(log_inc, log_full) << where;
+  const auto active = inc.active_flows();
+  EXPECT_EQ(active, full.active_flows()) << where;
+  if (active != full.active_flows()) return false;
+  for (FlowId id : active) {
+    EXPECT_EQ(bits(inc.flow(id).rate.bps()), bits(full.flow(id).rate.bps()))
+        << where << ", flow " << id.value();
+  }
+  for (std::uint32_t l = 0; l < inc.topology().link_count(); ++l) {
+    const LinkId link{l};
+    EXPECT_EQ(bits(inc.link_elastic_rate(link).bps()),
+              bits(full.link_elastic_rate(link).bps()))
+        << where << ", link " << l;
+    for (std::size_t c = 0; c < 4; ++c) {
+      const auto cls = static_cast<FlowClass>(c);
+      EXPECT_EQ(bits(inc.link_class_rate(link, cls).bps()),
+                bits(full.link_class_rate(link, cls).bps()))
+          << where << ", link " << l << ", class " << c;
+    }
+    EXPECT_EQ(bits(inc.link_utilization(link)),
+              bits(full.link_utilization(link)))
+        << where << ", link " << l;
+  }
+  return true;
+}
+
 /// What the dense-component churn saw on the incremental arm.
 struct DenseChurnCoverage {
   int events = 0;
@@ -336,37 +377,17 @@ DenseChurnCoverage run_dense_churn_lockstep(std::uint64_t seed) {
     const std::string where = "seed " + std::to_string(seed) + ", event " +
                               std::to_string(cov.events);
     EXPECT_EQ(sim_inc.now(), sim_full.now()) << where;
-    EXPECT_EQ(log_inc, log_full) << where;
-
-    const auto active_inc = inc.active_flows();
-    const auto active_full = full.active_flows();
-    EXPECT_EQ(active_inc, active_full) << where;
-    if (active_inc != active_full) break;
-    for (FlowId id : active_inc) {
-      EXPECT_EQ(bits(inc.flow(id).rate.bps()), bits(full.flow(id).rate.bps()))
-          << where << ", flow " << id.value();
-    }
+    if (!expect_same_fabric(inc, full, log_inc, log_full, where)) break;
 
     const FabricCounters& after = inc.counters();
     const bool dense = after.full_fills > before.full_fills;
     for (std::uint32_t l = 0; l < topo.link_count(); ++l) {
       const LinkId link{l};
-      const double elastic = inc.link_elastic_rate(link).bps();
-      EXPECT_EQ(bits(elastic), bits(full.link_elastic_rate(link).bps()))
-          << where << ", link " << l;
-      for (std::size_t c = 0; c < 4; ++c) {
-        const auto cls = static_cast<FlowClass>(c);
-        EXPECT_EQ(bits(inc.link_class_rate(link, cls).bps()),
-                  bits(full.link_class_rate(link, cls).bps()))
-            << where << ", link " << l << ", class " << c;
-      }
-      EXPECT_EQ(bits(inc.link_utilization(link)),
-                bits(full.link_utilization(link)))
-          << where << ", link " << l;
       const bool now_busy = !inc.flows_crossing(link).empty();
       if (busy[l] && !now_busy) {
         // The link's last flow just left: its sum must read exactly +0.0.
-        EXPECT_EQ(bits(elastic), bits(0.0)) << where << ", link " << l;
+        EXPECT_EQ(bits(inc.link_elastic_rate(link).bps()), bits(0.0))
+            << where << ", link " << l;
         if (dense) ++cov.emptied_in_dense;
       }
       busy[l] = now_busy ? 1 : 0;
@@ -405,6 +426,446 @@ TEST_P(DenseComponentOracle, EveryEventMatchesFullRecompute) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DenseComponentOracle,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u));
+
+/// The fabric state a progressive fill reads: every active flow's path and
+/// weight by id, and every link's elastic headroom, CBR load and state.
+struct FillInput {
+  struct FlowIn {
+    std::vector<LinkId> path;
+    double weight = 1.0;
+  };
+  std::map<std::uint32_t, FlowIn> flows;
+  std::vector<double> headroom;
+  std::vector<double> cbr;
+  std::vector<char> up;
+};
+
+FillInput fill_input(const Fabric& fabric) {
+  FillInput in;
+  for (FlowId id : fabric.active_flows()) {
+    const Flow& f = fabric.flow(id);
+    in.flows[id.value()] = {f.spec.path, f.spec.weight};
+  }
+  for (std::uint32_t l = 0; l < fabric.topology().link_count(); ++l) {
+    in.headroom.push_back(fabric.link_residual_capacity(LinkId{l}).bps());
+    in.cbr.push_back(fabric.link_cbr_load(LinkId{l}).bps());
+    in.up.push_back(fabric.link_up(LinkId{l}) ? 1 : 0);
+  }
+  return in;
+}
+
+/// The links a mutation between two fill inputs dirtied: every link of a
+/// started, completed or reweighted flow, both paths of a rerouted one, and
+/// every link whose CBR load or up state changed.
+std::vector<char> dirtied_links(const FillInput& before,
+                                const FillInput& after) {
+  std::vector<char> dirty(before.up.size(), 0);
+  auto mark = [&dirty](const std::vector<LinkId>& path) {
+    for (LinkId l : path) dirty[l.value()] = 1;
+  };
+  for (const auto& [id, f] : before.flows) {
+    const auto it = after.flows.find(id);
+    if (it == after.flows.end() || it->second.weight != f.weight) {
+      mark(f.path);
+    } else if (it->second.path != f.path) {
+      mark(f.path);
+      mark(it->second.path);
+    }
+  }
+  for (const auto& [id, f] : after.flows) {
+    if (!before.flows.contains(id)) mark(f.path);
+  }
+  for (std::size_t l = 0; l < dirty.size(); ++l) {
+    if (before.cbr[l] != after.cbr[l] || before.up[l] != after.up[l]) {
+      dirty[l] = 1;
+    }
+  }
+  return dirty;
+}
+
+/// One round of a reference progressive fill.
+struct RefRound {
+  std::uint32_t bottleneck = 0;
+  double share = 0.0;                 // as scanned, before the clamp
+  std::vector<std::uint32_t> frozen;  // ascending flow ids
+  bool dirty_tie_above = false;  // a dirty link ties `share` at a higher id
+};
+
+/// An independent weighted progressive fill over every link and flow, in
+/// the operation order the fabric's fills share (ascending flow ids, first
+/// lowest share in ascending link order), recording each round.
+std::vector<RefRound> reference_fill(const FillInput& in,
+                                     const std::vector<char>& dirty) {
+  const std::size_t links = in.headroom.size();
+  std::vector<double> residual = in.headroom;
+  std::vector<double> weight(links, 0.0);
+  std::vector<std::uint32_t> count(links, 0);
+  for (const auto& [id, f] : in.flows) {
+    for (LinkId l : f.path) {
+      weight[l.value()] += f.weight;
+      ++count[l.value()];
+    }
+  }
+  auto share_of = [&](std::size_t l) {
+    return residual[l] / std::max(weight[l], 1e-12);
+  };
+  std::set<std::uint32_t> fixed;
+  std::vector<RefRound> rounds;
+  while (fixed.size() < in.flows.size()) {
+    RefRound round;
+    round.share = std::numeric_limits<double>::infinity();
+    for (std::size_t l = 0; l < links; ++l) {
+      if (count[l] == 0) continue;
+      if (share_of(l) < round.share) {
+        round.share = share_of(l);
+        round.bottleneck = static_cast<std::uint32_t>(l);
+      }
+    }
+    for (std::size_t l = round.bottleneck + 1; l < links; ++l) {
+      if (dirty[l] && count[l] > 0 && share_of(l) == round.share) {
+        round.dirty_tie_above = true;
+      }
+    }
+    const double share = round.share < 0.0 ? 0.0 : round.share;
+    for (const auto& [id, f] : in.flows) {
+      if (fixed.contains(id)) continue;
+      const bool crosses =
+          std::any_of(f.path.begin(), f.path.end(), [&](LinkId l) {
+            return l.value() == round.bottleneck;
+          });
+      if (!crosses) continue;
+      fixed.insert(id);
+      round.frozen.push_back(id);
+      const double rate = share * f.weight;
+      for (LinkId l : f.path) {
+        const std::uint32_t lv = l.value();
+        residual[lv] = std::max(0.0, residual[lv] - rate);
+        weight[lv] = std::max(0.0, weight[lv] - f.weight);
+        --count[lv];
+      }
+    }
+    rounds.push_back(std::move(round));
+  }
+  return rounds;
+}
+
+bool same_round(const RefRound& a, const RefRound& b) {
+  return a.bottleneck == b.bottleneck && bits(a.share) == bits(b.share) &&
+         a.frozen == b.frozen;
+}
+
+/// How the warm starts of a churn ended, and which mutations they absorbed.
+struct WarmStartCoverage {
+  int warm_fills = 0;         // dense fills right after a dense fill
+  int cold_after_component = 0;  // dense fills right after a component fill
+  int reused_rounds = 0;
+  int exit_dirty_bottleneck = 0;
+  int exit_undercut = 0;      // a dirty link below the recorded share
+  int exit_tie_lower_id = 0;  // a dirty link at it, with a lower id
+  int passed_tie_higher_id = 0;  // one at it with a higher id: no exit
+  int full_reuse = 0;            // every recorded round replayed
+  int reroutes = 0;
+  int reweights = 0;
+  int cbr_starts = 0;
+  int cbr_stops = 0;
+  int link_fails = 0;
+  int link_restores = 0;
+  int recycled_slots = 0;
+};
+
+/// What one scheduled churn event does.
+enum class ChurnOp {
+  kStart,
+  kQuietStart,
+  kIsolatedStart,
+  kReroute,
+  kReweight,
+  kCbr,
+  kFail,
+};
+
+/// Schedules the warm-start churn on one fabric: long flows with weights
+/// {1, 2, 3} over equal-capacity links (so shares tie exactly), then one
+/// mutation every 20 ms. Host 23 stays idle, so no exact component fill
+/// spans every link and `full_fills` counts dense fills only; hosts 5 and
+/// 11 only ever carry "quiet" flows that join the dense component through
+/// lightly loaded links; hosts 21 and 22 only exchange isolated rack-local
+/// flows, whose fills are component fills. Decisions read the fabric, so
+/// both lockstep arms make the same ones.
+void schedule_warm_churn(sim::Simulation& sim, Fabric& fabric,
+                         const RoutingGraph& routing, std::uint64_t seed,
+                         CompletionLog& log) {
+  const auto hosts = fabric.topology().hosts();
+  std::vector<NodeId> churn_hosts;
+  for (std::size_t h = 0; h < 21; ++h) {
+    if (h != 5 && h != 11) churn_hosts.push_back(hosts[h]);
+  }
+  auto start = [&fabric, &routing, &log](util::Xoshiro256& rng, NodeId src,
+                                         NodeId dst, std::int64_t size) {
+    const auto& paths = routing.paths(src, dst);
+    FlowSpec spec;
+    spec.src = src;
+    spec.dst = dst;
+    spec.size = Bytes{size};
+    spec.path = paths[rng.below(paths.size())].links;
+    spec.cls = static_cast<FlowClass>(rng.below(4));
+    spec.weight = 1.0 + static_cast<double>(rng.below(3));
+    const int tag = static_cast<int>(fabric.flows_started());
+    fabric.start_flow(spec, [&log, tag](FlowId, SimTime done) {
+      log.emplace_back(tag, done.ns());
+    });
+  };
+  auto pick_pair = [churn_hosts](util::Xoshiro256& rng) {
+    const NodeId src = churn_hosts[rng.below(churn_hosts.size())];
+    NodeId dst = src;
+    while (dst == src) dst = churn_hosts[rng.below(churn_hosts.size())];
+    return std::pair{src, dst};
+  };
+
+  util::Xoshiro256 plan(seed);
+  for (int i = 0; i < 24; ++i) {
+    const std::uint64_t s = plan();
+    sim.at(SimTime::from_seconds(0.01 * i), [=] {
+      util::Xoshiro256 rng(s);
+      const auto [src, dst] = pick_pair(rng);
+      start(rng, src, dst,
+            static_cast<std::int64_t>(3'000'000'000 + rng.below(2'000'000'000)));
+    });
+  }
+  const std::vector<ChurnOp> menu = {
+      ChurnOp::kStart,   ChurnOp::kStart,    ChurnOp::kStart,
+      ChurnOp::kQuietStart, ChurnOp::kIsolatedStart, ChurnOp::kReroute,
+      ChurnOp::kReroute, ChurnOp::kReweight, ChurnOp::kReweight,
+      ChurnOp::kCbr,     ChurnOp::kFail};
+  for (int i = 0; i < 150; ++i) {
+    const ChurnOp op = menu[plan.below(menu.size())];
+    const std::uint64_t s = plan();
+    const SimTime at = SimTime::from_seconds(0.3 + 0.02 * i);
+    sim.at(at, [=, &fabric, &routing] {
+      util::Xoshiro256 rng(s);
+      const auto active = fabric.active_flows();
+      switch (op) {
+        case ChurnOp::kStart: {
+          const auto [src, dst] = pick_pair(rng);
+          start(rng, src, dst,
+                static_cast<std::int64_t>(20'000'000 + rng.below(200'000'000)));
+          break;
+        }
+        case ChurnOp::kQuietStart:
+          start(rng, hosts[5], hosts[11],
+                static_cast<std::int64_t>(10'000'000 + rng.below(30'000'000)));
+          break;
+        case ChurnOp::kIsolatedStart:
+          start(rng, hosts[21], hosts[22],
+                static_cast<std::int64_t>(5'000'000 + rng.below(20'000'000)));
+          break;
+        case ChurnOp::kReroute: {
+          if (active.empty()) break;
+          const FlowId id = active[rng.below(active.size())];
+          const Flow& f = fabric.flow(id);
+          const auto& paths = routing.paths(f.spec.src, f.spec.dst);
+          const auto& path = paths[rng.below(paths.size())].links;
+          if (path != f.spec.path) fabric.reroute_flow(id, path);
+          break;
+        }
+        case ChurnOp::kReweight: {
+          if (active.empty()) break;
+          const FlowId id = active[rng.below(active.size())];
+          const double w = fabric.flow(id).spec.weight;
+          fabric.set_flow_weight(id, w == 3.0 ? 1.0 : w + 1.0);
+          break;
+        }
+        case ChurnOp::kCbr: {
+          const auto [src, dst] = pick_pair(rng);
+          const auto& paths = routing.paths(src, dst);
+          const CbrId id = fabric.start_cbr(
+              paths[rng.below(paths.size())].links,
+              BitsPerSec{1e9 + 1e9 * static_cast<double>(rng.below(3))});
+          fabric.simulation().after(Duration::from_seconds(0.07),
+                                    [&fabric, id] { fabric.stop_cbr(id); });
+          break;
+        }
+        case ChurnOp::kFail: {
+          // A leaf-spine link: the last 2 * racks * spines links.
+          const std::size_t n = fabric.topology().link_count();
+          const LinkId victim{
+              static_cast<std::uint32_t>(n - 1 - rng.below(24))};
+          fabric.fail_link(victim);
+          fabric.simulation().after(Duration::from_seconds(0.05),
+                                    [&fabric, victim] {
+                                      fabric.restore_link(victim);
+                                    });
+          break;
+        }
+      }
+    });
+  }
+}
+
+/// Runs the warm-start churn on an incremental and a full-recompute fabric
+/// in lockstep. After every event it compares completions, every flow's
+/// rate bits and every link's elastic, per-class and utilization bits.
+/// After every dense fill it checks the fill's rounds against a reference
+/// fill: a warm start must reuse exactly the recorded rounds before the
+/// first one whose bottleneck is dirty or that the current state no longer
+/// repeats, and every other dense fill must start cold.
+void run_warm_churn_lockstep(std::uint64_t seed, WarmStartCoverage& cov) {
+  LeafSpineConfig cfg;
+  cfg.racks = 4;
+  cfg.servers_per_rack = 6;
+  cfg.spines = 3;
+  const Topology topo = make_leaf_spine(cfg);
+  const RoutingGraph routing(topo, cfg.spines);
+
+  sim::Simulation sim_inc(seed);
+  sim::Simulation sim_full(seed);
+  Fabric inc(sim_inc, topo, FabricConfig{RateEngine::kIncremental});
+  Fabric full(sim_full, topo, FabricConfig{RateEngine::kFullRecompute});
+  CompletionLog log_inc;
+  CompletionLog log_full;
+  schedule_warm_churn(sim_inc, inc, routing, seed, log_inc);
+  schedule_warm_churn(sim_full, full, routing, seed, log_full);
+
+  enum class LastFill { kNone, kComponent, kDense };
+  LastFill last = LastFill::kNone;
+  std::vector<RefRound> record;  // reference rounds of the last dense fill
+  std::set<std::uint32_t> used_slots;
+  FillInput before = fill_input(inc);
+  for (int event = 1;; ++event) {
+    const FabricCounters c0 = inc.counters();
+    const std::size_t ran_inc = sim_inc.run(1);
+    const std::size_t ran_full = sim_full.run(1);
+    EXPECT_EQ(ran_inc, ran_full);
+    if (ran_inc == 0 || ran_full == 0) break;
+    const std::string where =
+        "seed " + std::to_string(seed) + ", event " + std::to_string(event);
+    EXPECT_EQ(sim_inc.now(), sim_full.now()) << where;
+    if (!expect_same_fabric(inc, full, log_inc, log_full, where)) return;
+
+    const FabricCounters& c1 = inc.counters();
+    const FillInput after = fill_input(inc);
+    const std::vector<char> dirty = dirtied_links(before, after);
+    const std::uint64_t reused = c1.reused_rounds - c0.reused_rounds;
+    const std::uint64_t ran = c1.fill_rounds - c0.fill_rounds;
+    ASSERT_LE(c1.recomputes - c0.recomputes, 1u) << where;
+    if (c1.links_touched == c0.links_touched) {  // no fill ran
+      EXPECT_EQ(reused, 0u) << where;
+      before = after;
+      continue;
+    }
+    bool recycled = false;
+    for (const auto& [id, f] : after.flows) {
+      if (before.flows.contains(id)) continue;
+      recycled = recycled || used_slots.contains(id);
+      used_slots.insert(id);
+    }
+    if (c1.full_fills == c0.full_fills) {
+      EXPECT_EQ(reused, 0u) << where;  // component fills never replay
+      last = LastFill::kComponent;
+      before = after;
+      continue;
+    }
+
+    const std::vector<RefRound> now = reference_fill(after, dirty);
+    for (const RefRound& round : now) {
+      for (std::uint32_t id : round.frozen) {
+        const double share = round.share < 0.0 ? 0.0 : round.share;
+        EXPECT_EQ(bits(inc.flow(FlowId{id}).rate.bps()),
+                  bits(share * after.flows.at(id).weight))
+            << where << ": the reference fill disagrees, flow " << id;
+      }
+    }
+    EXPECT_EQ(ran + reused, now.size()) << where;
+    if (last != LastFill::kDense) {
+      EXPECT_EQ(reused, 0u) << where << ": a cold dense fill reused rounds";
+      if (last == LastFill::kComponent) ++cov.cold_after_component;
+    } else {
+      ++cov.warm_fills;
+      std::size_t k = 0;
+      while (k < record.size() && k < now.size() &&
+             !dirty[record[k].bottleneck] && same_round(record[k], now[k])) {
+        ++k;
+      }
+      EXPECT_EQ(reused, k) << where << " (recorded " << record.size()
+                           << " rounds, now " << now.size() << ")";
+      cov.reused_rounds += static_cast<int>(reused);
+      if (k == record.size()) {
+        ++cov.full_reuse;
+      } else if (dirty[record[k].bottleneck]) {
+        ++cov.exit_dirty_bottleneck;
+      } else if (k < now.size() && dirty[now[k].bottleneck]) {
+        if (now[k].share < record[k].share) {
+          ++cov.exit_undercut;
+        } else {
+          EXPECT_EQ(bits(now[k].share), bits(record[k].share)) << where;
+          EXPECT_LT(now[k].bottleneck, record[k].bottleneck) << where;
+          ++cov.exit_tie_lower_id;
+        }
+      } else {
+        ADD_FAILURE() << where << ": round " << k
+                      << " diverged with a clean bottleneck";
+      }
+      if (std::any_of(now.begin(), now.begin() + static_cast<std::ptrdiff_t>(k),
+                      [](const RefRound& r) { return r.dirty_tie_above; })) {
+        ++cov.passed_tie_higher_id;
+      }
+      // One mutation per event: count the fills each kind fed.
+      bool cbr_start = false;
+      bool cbr_stop = false;
+      bool fail = false;
+      bool restore = false;
+      for (std::size_t l = 0; l < dirty.size(); ++l) {
+        cbr_start = cbr_start || before.cbr[l] < after.cbr[l];
+        cbr_stop = cbr_stop || before.cbr[l] > after.cbr[l];
+        fail = fail || (before.up[l] && !after.up[l]);
+        restore = restore || (!before.up[l] && after.up[l]);
+      }
+      bool reroute = false;
+      bool reweight = false;
+      for (const auto& [id, f] : before.flows) {
+        const auto it = after.flows.find(id);
+        if (it == after.flows.end()) continue;
+        reroute = reroute || it->second.path != f.path;
+        reweight = reweight || it->second.weight != f.weight;
+      }
+      cov.cbr_starts += cbr_start;
+      cov.cbr_stops += cbr_stop;
+      cov.link_fails += fail;
+      cov.link_restores += restore;
+      cov.reroutes += reroute;
+      cov.reweights += reweight;
+      cov.recycled_slots += recycled;
+    }
+    last = LastFill::kDense;
+    record = now;
+    before = after;
+  }
+  EXPECT_EQ(log_inc.size(), inc.flows_started()) << "seed " << seed;
+}
+
+TEST(WarmStartOracle, EveryEventMatchesFullRecompute) {
+  WarmStartCoverage cov;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 5u, 8u}) {
+    run_warm_churn_lockstep(seed, cov);
+  }
+  // Every exit of the replay, and every kind of mutation, must have been
+  // exercised between two dense fills, or the comparisons prove nothing.
+  EXPECT_GT(cov.warm_fills, 0);
+  EXPECT_GT(cov.reused_rounds, 0);
+  EXPECT_GT(cov.exit_dirty_bottleneck, 0);
+  EXPECT_GT(cov.exit_undercut, 0);
+  EXPECT_GT(cov.exit_tie_lower_id, 0);
+  EXPECT_GT(cov.passed_tie_higher_id, 0);
+  EXPECT_GT(cov.full_reuse, 0);
+  EXPECT_GT(cov.reroutes, 0);
+  EXPECT_GT(cov.reweights, 0);
+  EXPECT_GT(cov.cbr_starts, 0);
+  EXPECT_GT(cov.cbr_stops, 0);
+  EXPECT_GT(cov.link_fails, 0);
+  EXPECT_GT(cov.link_restores, 0);
+  EXPECT_GT(cov.recycled_slots, 0);
+  EXPECT_GT(cov.cold_after_component, 0);
+}
 
 TEST(IncrementalCounters, DenseComponentTouchesEveryBusyLink) {
   // Eight cross-rack flows share rack 0's spine uplink; eight rack-local
@@ -450,6 +911,89 @@ TEST(IncrementalCounters, DenseComponentTouchesEveryBusyLink) {
   EXPECT_EQ(after.flows_touched - before.flows_touched, 17u);
   EXPECT_EQ(after.full_fills - before.full_fills, 1u);
   EXPECT_LT(busy_links, topo.link_count());  // not a whole-fabric BFS
+}
+
+TEST(IncrementalCounters, WarmStartReusesUnaffectedRounds) {
+  // Sixteen cross-rack flows, one per host pair, over 10 Gb/s host links
+  // and a spine that never binds: one dense component whose fill runs
+  // sixteen rounds, round k freezing flow k on its uplink (all shares tie,
+  // so the lowest link id wins). Halving flow k's weight doubles the share
+  // of its own links only, so a warm start replays rounds 0..k-1 and runs
+  // the rest. An isolated rack-local start in between is a component fill,
+  // which drops the record: the next dense fill starts cold.
+  LeafSpineConfig cfg;
+  cfg.racks = 2;
+  cfg.servers_per_rack = 18;
+  cfg.spines = 1;
+  cfg.uplink = BitsPerSec{1e12};
+  const Topology topo = make_leaf_spine(cfg);
+  const RoutingGraph routing(topo, 1);
+  sim::Simulation sim_inc;
+  sim::Simulation sim_full;
+  Fabric inc(sim_inc, topo, FabricConfig{RateEngine::kIncremental});
+  Fabric full(sim_full, topo, FabricConfig{RateEngine::kFullRecompute});
+  const auto hosts = topo.hosts();
+  std::vector<FlowId> cross;
+  auto start = [&](NodeId src, NodeId dst) {
+    FlowSpec spec;
+    spec.src = src;
+    spec.dst = dst;
+    spec.size = Bytes{10'000'000'000};
+    spec.path = routing.paths(src, dst)[0].links;
+    full.start_flow(spec);
+    return inc.start_flow(spec);
+  };
+  for (std::size_t i = 0; i < 16; ++i) {
+    cross.push_back(start(hosts[i], hosts[18 + i]));
+  }
+  struct Step {
+    std::uint64_t dense_fills;
+    std::uint64_t reused;
+    std::uint64_t ran;
+    std::uint64_t oracle_ran;
+  };
+  auto step = [&](auto mutate) {
+    const FabricCounters a0 = inc.counters();
+    const FabricCounters b0 = full.counters();
+    mutate();
+    const FabricCounters& a1 = inc.counters();
+    const FabricCounters& b1 = full.counters();
+    for (FlowId id : inc.active_flows()) {
+      EXPECT_EQ(bits(inc.flow(id).rate.bps()), bits(full.flow(id).rate.bps()))
+          << "flow " << id.value();
+    }
+    return Step{a1.full_fills - a0.full_fills,
+                a1.reused_rounds - a0.reused_rounds,
+                a1.fill_rounds - a0.fill_rounds,
+                b1.fill_rounds - b0.fill_rounds};
+  };
+  auto halve = [&](std::size_t k) {
+    return step([&, k] {
+      inc.set_flow_weight(cross[k], 0.5);
+      full.set_flow_weight(cross[k], 0.5);
+    });
+  };
+
+  const Step late = halve(15);
+  EXPECT_EQ(late.dense_fills, 1u);
+  EXPECT_EQ(late.oracle_ran, 16u);
+  EXPECT_EQ(late.reused, 15u);
+  EXPECT_EQ(late.ran, 1u);
+
+  const Step isolated = step([&] { start(hosts[16], hosts[17]); });
+  EXPECT_EQ(isolated.dense_fills, 0u);
+  EXPECT_EQ(isolated.reused, 0u);
+
+  const Step cold = halve(14);
+  EXPECT_EQ(cold.dense_fills, 1u);
+  EXPECT_EQ(cold.oracle_ran, 17u);
+  EXPECT_EQ(cold.reused, 0u);
+  EXPECT_EQ(cold.ran, 17u);
+
+  const Step warm = halve(13);
+  EXPECT_EQ(warm.dense_fills, 1u);
+  EXPECT_EQ(warm.reused, 13u);
+  EXPECT_EQ(warm.reused + warm.ran, warm.oracle_ran);
 }
 
 TEST(IncrementalCounters, DisjointComponentsStayUntouched) {
