@@ -4,6 +4,9 @@
 // bound how large an experiment the harness can sweep.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <functional>
+
 #include "net/ecmp.hpp"
 #include "net/fabric.hpp"
 #include "net/routing.hpp"
@@ -28,6 +31,52 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1'000)->Arg(10'000)->Arg(100'000);
+
+// Arrivals scheduled in time order up front, then drained: the shape of the
+// intent storm's pre-scheduled events (the queue's in-order lane).
+void BM_EventQueuePrescheduled(benchmark::State& state) {
+  const auto arrivals = static_cast<std::size_t>(state.range(0));
+  std::uint64_t sink = 0;
+  for (auto _ : state) {
+    sim::EventQueue q;
+    for (std::size_t i = 0; i < arrivals; ++i) {
+      // Four arrivals per 10 ms tick, like the storm's quantized instants.
+      q.schedule(util::SimTime{static_cast<std::int64_t>(i / 4) * 10'000'000},
+                 [&sink, i] { sink += i; });
+    }
+    benchmark::DoNotOptimize(q.run_all());
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(arrivals));
+}
+BENCHMARK(BM_EventQueuePrescheduled)->Arg(400'000);
+
+// One event among ~`pending` others is cancelled and rescheduled at a random
+// time, then the earliest event fires and re-arms itself: the fabric's
+// completion-event churn (the queue's heap side). One item = one reschedule
+// plus one fired event.
+void BM_EventQueueRescheduleChurn(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  sim::EventQueue q;
+  util::Xoshiro256 rng(11);
+  constexpr std::uint64_t kSpanNs = 1'000'000'000;
+  std::function<void()> rearm = [&] {
+    q.schedule_after(util::Duration{static_cast<std::int64_t>(
+                         rng.below(kSpanNs))},
+                     [&rearm] { rearm(); });
+  };
+  for (std::size_t i = 0; i < pending; ++i) rearm();
+  sim::EventHandle churn;
+  for (auto _ : state) {
+    churn.cancel();
+    churn = q.schedule_after(
+        util::Duration{static_cast<std::int64_t>(rng.below(kSpanNs))}, [] {});
+    benchmark::DoNotOptimize(q.run_one());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueRescheduleChurn)->Arg(1'000);
 
 void BM_MaxMinRecompute(benchmark::State& state) {
   const auto flows = static_cast<std::size_t>(state.range(0));

@@ -42,13 +42,7 @@ void FaultChannel::schedule_delivery(std::function<void()> deliver) {
   });
 }
 
-void FaultChannel::send(std::function<void()> deliver) {
-  ++offered_;
-  if (cfg_.transparent()) {
-    ++delivered_;
-    deliver();
-    return;
-  }
+void FaultChannel::send_lossy(std::function<void()> deliver) {
   if (cfg_.drop_probability > 0.0 &&
       sim_->rng(stream_).uniform01() < cfg_.drop_probability) {
     ++dropped_;

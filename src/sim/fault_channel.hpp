@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 
 #include "sim/simulation.hpp"
 #include "util/time.hpp"
@@ -55,8 +56,18 @@ class FaultChannel {
 
   /// Offers one message. `deliver` runs zero times (dropped), once, or twice
   /// (duplicated), each at send-time + base_delay + jitter. A transparent
-  /// channel invokes it synchronously.
-  void send(std::function<void()> deliver);
+  /// channel invokes it synchronously, in place; only a lossy one type-erases
+  /// it, since it may deliver it twice.
+  template <class F>
+  void send(F&& deliver) {
+    ++offered_;
+    if (cfg_.transparent()) {
+      ++delivered_;
+      deliver();
+      return;
+    }
+    send_lossy(std::function<void()>(std::forward<F>(deliver)));
+  }
 
   [[nodiscard]] const FaultChannelConfig& config() const { return cfg_; }
   [[nodiscard]] bool transparent() const { return cfg_.transparent(); }
@@ -83,6 +94,8 @@ class FaultChannel {
 
  private:
   [[nodiscard]] util::Duration sample_delay();
+  /// send() past the transparent fast path: drop, duplicate or delay.
+  void send_lossy(std::function<void()> deliver);
   void schedule_delivery(std::function<void()> deliver);
 
   // pythia-lint: allow(snapshot-skip, group) sim_ is restore-factory wiring

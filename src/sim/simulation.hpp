@@ -10,6 +10,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -25,11 +26,13 @@ class Simulation {
   [[nodiscard]] util::SimTime now() const { return queue_.now(); }
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
-  EventHandle at(util::SimTime t, EventFn fn) {
-    return queue_.schedule(t, std::move(fn));
+  template <class F>
+  EventHandle at(util::SimTime t, F&& fn) {
+    return queue_.schedule(t, std::forward<F>(fn));
   }
-  EventHandle after(util::Duration d, EventFn fn) {
-    return queue_.schedule_after(d, std::move(fn));
+  template <class F>
+  EventHandle after(util::Duration d, F&& fn) {
+    return queue_.schedule_after(d, std::forward<F>(fn));
   }
 
   /// Runs the simulation to completion (or `max_events`).

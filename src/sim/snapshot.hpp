@@ -1,10 +1,10 @@
 // Deterministic simulation snapshots: versioned, checksummed binary
 // serialization of the full simulation state.
 //
-// Events are type-erased closures (`sim::EventFn`), so a snapshot cannot
-// marshal the event heap's function objects directly. Instead a snapshot
-// couples two things the determinism contract (golden traces + pythia-lint,
-// PRs 3/5) makes sound:
+// Events are type-erased closures held in the event queue's slab, so a
+// snapshot cannot marshal the queue's function objects directly. Instead a
+// snapshot couples two things the determinism contract (golden traces +
+// pythia-lint, PRs 3/5) makes sound:
 //
 //  * a **replay cursor** — the root seed, a config fingerprint, and the
 //    exact number of events fired — from which a restore rebuilds the

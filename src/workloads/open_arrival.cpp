@@ -125,15 +125,16 @@ void schedule_storm(sim::Simulation& sim, core::Collector& collector,
   for (const StormEvent& e : events) {
     switch (e.kind) {
       case StormEvent::Kind::kReducerLocated:
-        sim.at(e.at, [&collector, e] {
+        sim.at(e.at, [&collector, &e] {
           collector.reducer_located(e.job_serial, e.reduce_index, e.server);
         });
         break;
       case StormEvent::Kind::kIntent:
-        sim.at(e.at, [&collector, e] { collector.ingest(e.intent); });
+        sim.at(e.at, [&collector, &e] { collector.ingest(e.intent); });
         break;
       case StormEvent::Kind::kJobCompleted:
-        sim.at(e.at, [&collector, e] { collector.job_completed(e.job_serial); });
+        sim.at(e.at,
+               [&collector, &e] { collector.job_completed(e.job_serial); });
         break;
     }
   }

@@ -93,8 +93,12 @@ struct StormEvent {
     std::uint64_t seed);
 
 /// Schedules every storm event against `collector` on `sim`'s event queue.
+/// The events are read in place when they fire, so `events` must outlive
+/// the run and stay unmodified; a temporary vector is rejected.
 void schedule_storm(sim::Simulation& sim, core::Collector& collector,
                     const std::vector<StormEvent>& events);
+void schedule_storm(sim::Simulation& sim, core::Collector& collector,
+                    std::vector<StormEvent>&& events) = delete;
 
 /// Number of kIntent events in the storm.
 [[nodiscard]] std::size_t storm_intent_count(
