@@ -1,10 +1,10 @@
 // Fabric hot-path scaling sweep: wall-time per flow event on fat-tree
-// k=4/8/16 at 100 → 20 000 concurrent flows, across all three rate engines
-// (legacy full recompute, dirty-set incremental, group-partitioned
-// hierarchical). Writes BENCH_fabric.json (recompute counts, links touched,
-// fill rounds run and reused, wall-time per event, per-cell RSS, per-arm
-// behavior checksums and an all_identical verdict CI gates on) to track the
-// perf trajectory across PRs. `--smoke` runs a tiny sweep for CI.
+// k=4/8 at 100 → 5 000 concurrent flows, for the production rate engine
+// (dirty-set incremental) against its oracle (legacy full recompute).
+// Writes BENCH_fabric.json (recompute counts, links touched, fill rounds run
+// and reused, ramp and window times, per-cell RSS, per-arm behavior
+// checksums and an all_identical verdict CI gates on) to track the perf
+// trajectory across PRs. `--smoke` runs a tiny sweep for CI.
 //
 // Protocol per cell: ramp N long-lived flows to steady state, then time a
 // window of M additional flow arrivals grouped into shuffle waves — bursts
@@ -14,17 +14,11 @@
 // window divided by arrivals. Flows are never drained (teardown is
 // untimed), so the window isolates per-event cost.
 //
-// All arms ramp with cohort coalescing on and flush once before the window:
-// the ramp then costs one progressive fill instead of N increasingly
-// expensive ones, which is what makes the >=20k-flow cells tractable for
-// every engine. Inside the window the arms diverge by engine generation:
-// kFullRecompute and kIncremental are measured eager — one recompute per
-// event, their semantics before this PR — while kHierarchical keeps
-// coalescing on and pays one recompute per wave cohort, which is the third
-// pillar of the engine rebuild. End-of-window behavior checksums are still
-// compared across all arms (coalescing is proven state-identical by the
-// fabric differential suite), so the speedups never trade away the
-// bit-identical contract.
+// Both arms run eager throughout: the ramp pays one progressive fill per
+// started flow (untimed but reported as ramp_ms), and the window pays one
+// recompute per arrival. End-of-window behavior checksums are compared
+// across the arms, so the speedup never trades away the bit-identical
+// contract.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -159,17 +153,14 @@ struct CellResult {
   std::uint64_t behavior_checksum = 0;
 };
 
-/// Arrivals per wave cohort: every wave schedules this many simultaneous
+/// Arrivals per wave: every wave schedules this many simultaneous
 /// starts, like one mapper wave fanning out to reducers.
 constexpr int kWaveSize = 25;
 
 CellResult run_cell(const Topology& topo, RateEngine engine,
                     std::size_t concurrent, int churn, std::uint64_t seed) {
-  // The oracle engines predate cohort coalescing; measure them eager.
-  const bool coalesce_window = engine == RateEngine::kHierarchical;
   sim::Simulation sim(seed);
-  Fabric fabric(sim, topo,
-                FabricConfig{.rate_engine = engine, .coalesce_cohorts = true});
+  Fabric fabric(sim, topo, FabricConfig{.rate_engine = engine});
   util::Xoshiro256 rng(seed);
   const auto hosts = topo.hosts();
 
@@ -190,15 +181,11 @@ CellResult run_cell(const Topology& topo, RateEngine engine,
     spec.path = fat_tree_path(topo, src, dst, rng);
     fabric.start_flow(spec);
   }
-  // One fill for the whole ramp cohort, paid here — not in the window.
-  fabric.flush_coalesced();
-  fabric.set_cohort_coalescing(coalesce_window);
   const auto ramp_end = std::chrono::steady_clock::now();
 
   // Measurement window: churn arrivals in waves of kWaveSize simultaneous
-  // starts, waves 5 ms apart. Each wave is one event cohort; the flows are
-  // sized to outlive the window so every recompute runs against the full
-  // steady-state backdrop.
+  // starts, waves 5 ms apart. The flows are sized to outlive the window so
+  // every recompute runs against the full steady-state backdrop.
   for (int i = 0; i < churn; ++i) {
     const auto [src, dst] = random_pair();
     FlowSpec spec;
@@ -217,9 +204,6 @@ CellResult run_cell(const Topology& topo, RateEngine engine,
              static_cast<std::uint64_t>(churn) &&
          sim.queue().run_one()) {
   }
-  // The final wave's cohort has not drained yet when the start-count guard
-  // trips; its recompute belongs to the window (no-op for eager arms).
-  fabric.flush_coalesced();
   const auto window_end = std::chrono::steady_clock::now();
   const auto c1 = fabric.counters();
 
@@ -241,7 +225,6 @@ CellResult run_cell(const Topology& topo, RateEngine engine,
               1000.0;
   r.window_ms = wall_ns / 1e6;
   r.rss_kb = current_rss_kb();  // fabric still live: the cell's footprint
-  fabric.flush_coalesced();     // identical stop position across arms
   sim::StateEncoder enc;
   fabric.encode_state(enc);
   r.behavior_checksum = fnv1a(enc.bytes());
@@ -249,15 +232,17 @@ CellResult run_cell(const Topology& topo, RateEngine engine,
   // The N long flows are dropped untimed with the fabric.
 }
 
-/// Medians out machine noise: the cell is run `reps` times (the seed makes
+/// Medians out machine noise: the cell is run kReps times (the seed makes
 /// every run identical, so event counts and counters agree) and the run
 /// with the median window time is reported.
+constexpr int kReps = 3;
+
 CellResult run_cell_median(const Topology& topo, RateEngine engine,
                            std::size_t concurrent, int churn,
-                           std::uint64_t seed, int reps) {
+                           std::uint64_t seed) {
   std::vector<CellResult> runs;
-  runs.reserve(static_cast<std::size_t>(reps));
-  for (int i = 0; i < reps; ++i) {
+  runs.reserve(kReps);
+  for (int i = 0; i < kReps; ++i) {
     runs.push_back(run_cell(topo, engine, concurrent, churn, seed));
   }
   std::sort(runs.begin(), runs.end(),
@@ -267,14 +252,9 @@ CellResult run_cell_median(const Topology& topo, RateEngine engine,
   return runs[runs.size() / 2];
 }
 
-
 struct Cell {
   std::size_t k;
   std::size_t flows;
-  /// The >=20k cells skip the quadratic full-recompute arm (it would take
-  /// minutes for numbers nobody tracks); incremental remains the oracle.
-  bool run_full = true;
-  int reps = 3;
 };
 
 }  // namespace
@@ -300,11 +280,10 @@ int main(int argc, char** argv) {
   if (!one.empty()) {
     std::size_t k = 8;
     std::size_t flows = 5000;
-    char engine_c = 'h';
+    char engine_c = 'i';
     std::sscanf(one.c_str(), "%zu:%zu:%c", &k, &flows, &engine_c);
-    const RateEngine engine = engine_c == 'f'   ? RateEngine::kFullRecompute
-                              : engine_c == 'i' ? RateEngine::kIncremental
-                                                : RateEngine::kHierarchical;
+    const RateEngine engine = engine_c == 'f' ? RateEngine::kFullRecompute
+                                              : RateEngine::kIncremental;
     net::FatTreeConfig cfg;
     cfg.k = k;
     const Topology topo = net::make_fat_tree(cfg);
@@ -324,10 +303,6 @@ int main(int argc, char** argv) {
         cells.push_back({k, n});
       }
     }
-    // The headline scale cells: 20k and 50k concurrent flows on a
-    // 1024-host k=16 fabric, hierarchical vs incremental only.
-    cells.push_back({16, 20'000, /*run_full=*/false, /*reps=*/1});
-    cells.push_back({16, 50'000, /*run_full=*/false, /*reps=*/1});
   }
   const int churn = smoke ? 40 : 200;
 
@@ -340,9 +315,8 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"smoke\": %s,\n  \"churn_events\": %d,\n",
                smoke ? "true" : "false", churn);
 
-  std::printf("%-14s %8s | %12s %12s %12s | %9s %9s\n", "topology", "flows",
-              "full ns/ev", "incr ns/ev", "hier ns/ev", "incr/full",
-              "hier/incr");
+  std::printf("%-14s %8s | %12s %12s | %9s\n", "topology", "flows",
+              "full ns/ev", "incr ns/ev", "incr/full");
   std::string cells_json;
   bool all_identical = true;
   std::size_t prev_k = 0;
@@ -357,32 +331,19 @@ int main(int argc, char** argv) {
     const std::string label = "fat_tree_k" + std::to_string(cell.k);
     const std::size_t n = cell.flows;
 
-    const CellResult inc = run_cell_median(topo, RateEngine::kIncremental, n,
-                                           churn, 7, cell.reps);
-    const CellResult hier = run_cell_median(topo, RateEngine::kHierarchical, n,
-                                            churn, 7, cell.reps);
-    CellResult full;
-    if (cell.run_full) {
-      full = run_cell_median(topo, RateEngine::kFullRecompute, n, churn, 7,
-                             cell.reps);
-    }
-    const bool identical =
-        inc.behavior_checksum == hier.behavior_checksum &&
-        (!cell.run_full || full.behavior_checksum == inc.behavior_checksum);
+    const CellResult inc =
+        run_cell_median(topo, RateEngine::kIncremental, n, churn, 7);
+    const CellResult full =
+        run_cell_median(topo, RateEngine::kFullRecompute, n, churn, 7);
+    const bool identical = full.behavior_checksum == inc.behavior_checksum;
     all_identical = all_identical && identical;
 
-    const double speedup_inc =
-        cell.run_full && inc.wall_ns_per_event > 0.0
-            ? full.wall_ns_per_event / inc.wall_ns_per_event
-            : 0.0;
-    const double speedup_hier =
-        hier.wall_ns_per_event > 0.0
-            ? inc.wall_ns_per_event / hier.wall_ns_per_event
-            : 0.0;
-    std::printf("%-14s %8zu | %12.0f %12.0f %12.0f | %8.1fx %8.1fx%s\n",
-                label.c_str(), n, full.wall_ns_per_event,
-                inc.wall_ns_per_event, hier.wall_ns_per_event, speedup_inc,
-                speedup_hier, identical ? "" : "  CHECKSUM MISMATCH");
+    const double speedup = inc.wall_ns_per_event > 0.0
+                               ? full.wall_ns_per_event / inc.wall_ns_per_event
+                               : 0.0;
+    std::printf("%-14s %8zu | %12.0f %12.0f | %8.1fx%s\n", label.c_str(), n,
+                full.wall_ns_per_event, inc.wall_ns_per_event, speedup,
+                identical ? "" : "  CHECKSUM MISMATCH");
     std::fflush(stdout);
 
     char buf[256];
@@ -409,14 +370,12 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(r.behavior_checksum));
       return std::string(b);
     };
-    if (cell.run_full) cells_json += arm_json("full", full) + ",\n";
+    cells_json += arm_json("full", full) + ",\n";
     cells_json += arm_json("incremental", inc) + ",\n";
-    cells_json += arm_json("hierarchical", hier) + ",\n";
     std::snprintf(buf, sizeof buf,
-                  "      \"speedup\": %.2f, \"speedup_hierarchical\": %.2f,\n"
-                  "      \"peak_rss_kb\": %ld, \"identical\": %s}",
-                  speedup_inc, speedup_hier,
-                  std::max({full.rss_kb, inc.rss_kb, hier.rss_kb}),
+                  "      \"speedup\": %.2f, \"peak_rss_kb\": %ld, "
+                  "\"identical\": %s}",
+                  speedup, std::max(full.rss_kb, inc.rss_kb),
                   identical ? "true" : "false");
     cells_json += buf;
   }

@@ -28,14 +28,11 @@ Collector::Collector(sim::Simulation& sim, Allocator& allocator,
   }
   shards_ = std::make_unique<ShardedIntentQueue>(ShardedIntentQueue::Config{
       .shard_count = shard_count, .pod_capacity = cfg_.pod_queue_capacity});
-  cohort_token_ = sim_->queue().add_cohort_listener([this] { drain_cohort(); });
-  cohort_listener_registered_ = true;
+  sim_->queue().set_cohort_hook([this] { drain_cohort(); });
 }
 
 Collector::~Collector() {
-  if (cohort_listener_registered_) {
-    sim_->queue().remove_cohort_listener(cohort_token_);
-  }
+  if (shards_ != nullptr) sim_->queue().clear_cohort_hook();
 }
 
 void Collector::purge_expired() {

@@ -226,7 +226,7 @@ class Collector {
   /// expiry horizon (held_at for resolved held intents, now otherwise).
   void admit_intent(const ShuffleIntent& intent, net::NodeId dst,
                     util::SimTime ttl_base);
-  /// Cohort-boundary listener body: canonical drain + (batched) coalescing.
+  /// Cohort-hook body: canonical drain + (batched) coalescing.
   void drain_cohort();
   void submit_one(const AdmittedIntent& a);
   void submit_run(std::uint32_t src, std::uint32_t dst, std::int64_t sum,
@@ -251,13 +251,9 @@ class Collector {
   std::map<std::pair<std::uint32_t, std::uint32_t>, PendingUpdate> batch_;
   bool flush_pending_ = false;
 
-  /// Cohort pipelines: the sharded admission queues + boundary listener.
+  /// Cohort pipelines: the sharded admission queues, drained by the event
+  /// queue's cohort hook (installed while shards_ is set).
   std::unique_ptr<ShardedIntentQueue> shards_;
-  // pythia-lint: allow(snapshot-skip, group) cohort plumbing quiescent at
-  // snapshot cuts: listeners drain at cohort boundaries, and cuts happen at
-  // settled instants. shards_ carries its own encode_state section.
-  std::size_t cohort_token_ = 0;
-  bool cohort_listener_registered_ = false;
 
   std::map<std::pair<std::uint32_t, std::uint32_t>, bool> pair_seen_;
   std::unordered_map<net::NodeId, std::int64_t> dst_outstanding_;

@@ -109,7 +109,6 @@ void encode_scenario_config(const ScenarioConfig& cfg,
   enc.put_u8(static_cast<std::uint8_t>(cfg.scheduler));
   enc.put_bool(cfg.enable_netflow);
   enc.put_u8(static_cast<std::uint8_t>(cfg.rate_engine));
-  enc.put_bool(cfg.coalesce_cohorts);
 }
 
 void encode_job_spec(const hadoop::JobSpec& job, sim::StateEncoder& enc) {
@@ -161,14 +160,6 @@ sim::Snapshot capture_snapshot(Scenario& scenario,
   snap.cursor_events = scenario.simulation().queue().events_fired();
   snap.cursor_time = scenario.simulation().now();
   snap.label = std::move(label);
-
-  // Close any open rate-recompute cohort BEFORE encoding anything. A capture
-  // taken mid-cohort (the bisection probe's run_to_event_count cursor) would
-  // otherwise encode pre-flush rates, and the restored replay — which flushes
-  // at the same point via this very call — would diverge. Flushing here is
-  // deterministic on both sides: it is the next fabric action after event N
-  // in both timelines. No-op when coalescing is off or nothing is pending.
-  scenario.fabric().flush_coalesced();
 
   // Fixed section order — verification and bisection compare pairwise.
   add_section(snap, "sim.queue", [&](sim::StateEncoder& enc) {

@@ -52,9 +52,7 @@ Scenario::Scenario(ScenarioConfig cfg)
     : cfg_(std::move(cfg)), topo_(build_topology(cfg_)) {
   sim_ = std::make_unique<sim::Simulation>(cfg_.seed);
   fabric_ = std::make_unique<net::Fabric>(
-      *sim_, topo_,
-      net::FabricConfig{.rate_engine = cfg_.rate_engine,
-                        .coalesce_cohorts = cfg_.coalesce_cohorts});
+      *sim_, topo_, net::FabricConfig{.rate_engine = cfg_.rate_engine});
   controller_ =
       std::make_unique<sdn::Controller>(*sim_, *fabric_, topo_,
                                         cfg_.controller);

@@ -58,10 +58,6 @@ struct ScenarioConfig {
   /// Fabric rate engine; kFullRecompute only for differential testing and
   /// baseline benchmarking (allocations are identical by construction).
   net::RateEngine rate_engine = net::RateEngine::kIncremental;
-  /// Defer fabric rate recomputes to same-instant cohort boundaries (one
-  /// recompute per burst of simultaneous events). Observationally identical
-  /// to eager recomputes; see docs/architecture.md.
-  bool coalesce_cohorts = false;
 };
 
 /// One knob set for the control-plane fault ablation: how broken are the two

@@ -47,53 +47,7 @@ Fabric::Fabric(sim::Simulation& sim, const Topology& topo, FabricConfig cfg)
       link_touched_(topo.link_count(), 0),
       link_in_comp_(topo.link_count(), 0),
       rec_init_(topo.link_count()),
-      hier_(cfg.rate_engine == RateEngine::kHierarchical),
-      last_settle_(sim.now()) {
-  if (hier_) {
-    // Locality groups from the topology, plus one shared core group (last
-    // index) for links whose endpoints straddle groups or carry none.
-    num_groups_ = topo.group_count() + 1;
-    const auto core = static_cast<std::uint32_t>(num_groups_ - 1);
-    link_group_.resize(topo.link_count());
-    link_rank_.assign(topo.link_count(), 0);
-    group_links_.assign(num_groups_, {});
-    group_flows_.assign(num_groups_, {});
-    group_mark_.assign(num_groups_, 0);
-    for (std::uint32_t l = 0; l < topo.link_count(); ++l) {
-      const std::int32_t g = topo.link_group(LinkId{l});
-      const std::uint32_t idx = g < 0 ? core : static_cast<std::uint32_t>(g);
-      link_group_[l] = idx;
-      group_links_[idx].push_back(l);  // ascending: l ascends
-    }
-  }
-  if (cfg_.coalesce_cohorts) {
-    cohort_token_ =
-        sim.queue().add_cohort_listener([this] { flush_coalesced(); });
-    cohort_listener_registered_ = true;
-  }
-}
-
-Fabric::~Fabric() {
-  if (cohort_listener_registered_) {
-    sim_->queue().remove_cohort_listener(cohort_token_);
-  }
-}
-
-std::uint32_t Fabric::SpanArena::acquire(std::uint32_t len,
-                                         std::uint8_t& bucket) {
-  std::uint8_t b = 0;
-  while ((1u << b) < std::max(len, 1u)) ++b;
-  bucket = b;
-  auto& list = free_[b];
-  if (!list.empty()) {
-    const std::uint32_t off = list.back();
-    list.pop_back();
-    return off;
-  }
-  const auto off = static_cast<std::uint32_t>(size_);
-  size_ += (1u << b);
-  return off;
-}
+      last_settle_(sim.now()) {}
 
 std::uint32_t Fabric::acquire_slot() {
   if (!free_slots_.empty()) {
@@ -109,17 +63,6 @@ std::uint32_t Fabric::acquire_slot() {
   flow_in_comp_.push_back(0);
   rec_freeze_round_.push_back(kNoPos);
   eta_stamp_.push_back(0);
-  arena_weight_.push_back(0.0);
-  arena_rate_bps_.push_back(0.0);
-  arena_eta_ns_.push_back(-1);
-  arena_cls_.push_back(0);
-  path_off_.push_back(kNoPos);
-  path_len_.push_back(0);
-  path_bucket_.push_back(0);
-  groups_off_.push_back(kNoPos);
-  groups_len_.push_back(0);
-  groups_bucket_.push_back(0);
-  flow_mark_.push_back(0);
   return slot;
 }
 
@@ -127,94 +70,7 @@ void Fabric::release_slot(std::uint32_t slot) {
   // The completed Flow record stays readable until the slot is reused.
   callbacks_[slot] = nullptr;
   ++eta_stamp_[slot];
-  if (hier_) free_path_row(slot);
   free_slots_.push_back(slot);
-}
-
-void Fabric::arena_admit(std::uint32_t slot) {
-  const Flow& f = flows_[slot];
-  arena_weight_[slot] = f.spec.weight;
-  arena_cls_[slot] = static_cast<std::uint8_t>(f.spec.cls);
-  arena_rate_bps_[slot] = f.rate.bps();
-  arena_eta_ns_[slot] = -1;
-  const auto len = static_cast<std::uint32_t>(f.spec.path.size());
-  const std::uint32_t off = path_arena_.acquire(len, path_bucket_[slot]);
-  if (path_pool_.size() < path_arena_.size()) {
-    path_pool_.resize(path_arena_.size());
-  }
-  path_off_[slot] = off;
-  path_len_[slot] = len;
-  std::copy(f.spec.path.begin(), f.spec.path.end(), path_pool_.begin() + off);
-
-  // Distinct locality groups the path touches, in first-touch order (a
-  // fat-tree path sees at most src pod + core + dst pod).
-  scratch_groups_.clear();
-  for (std::uint32_t i = 0; i < len; ++i) {
-    const std::uint32_t g = link_group_[path_pool_[off + i].value()];
-    if (std::find(scratch_groups_.begin(), scratch_groups_.end(), g) ==
-        scratch_groups_.end()) {
-      scratch_groups_.push_back(g);
-    }
-  }
-  const auto glen = static_cast<std::uint32_t>(scratch_groups_.size());
-  const std::uint32_t goff = group_arena_.acquire(glen, groups_bucket_[slot]);
-  if (group_id_pool_.size() < group_arena_.size()) {
-    group_id_pool_.resize(group_arena_.size());
-    group_pos_pool_.resize(group_arena_.size());
-  }
-  groups_off_[slot] = goff;
-  groups_len_[slot] = glen;
-  for (std::uint32_t i = 0; i < glen; ++i) {
-    const std::uint32_t g = scratch_groups_[i];
-    group_id_pool_[goff + i] = g;
-    group_pos_pool_[goff + i] =
-        static_cast<std::uint32_t>(group_flows_[g].size());
-    group_flows_[g].push_back(slot);
-  }
-}
-
-void Fabric::unregister_flow_groups(std::uint32_t slot) {
-  const std::uint32_t goff = groups_off_[slot];
-  assert(goff != kNoPos);
-  for (std::uint32_t i = 0; i < groups_len_[slot]; ++i) {
-    const std::uint32_t g = group_id_pool_[goff + i];
-    const std::uint32_t pos = group_pos_pool_[goff + i];
-    auto& list = group_flows_[g];
-    assert(pos < list.size() && list[pos] == slot);
-    const std::uint32_t moved = list.back();
-    list[pos] = moved;
-    list.pop_back();
-    if (moved != slot) {
-      // Fix the moved flow's recorded position for this group (its group
-      // row has at most a handful of entries).
-      const std::uint32_t moff = groups_off_[moved];
-      for (std::uint32_t j = 0; j < groups_len_[moved]; ++j) {
-        if (group_id_pool_[moff + j] == g) {
-          group_pos_pool_[moff + j] = pos;
-          break;
-        }
-      }
-    }
-  }
-  group_arena_.release(goff, groups_bucket_[slot]);
-  groups_off_[slot] = kNoPos;
-  groups_len_[slot] = 0;
-}
-
-void Fabric::free_path_row(std::uint32_t slot) {
-  if (path_off_[slot] == kNoPos) return;
-#ifndef NDEBUG
-  // Poison the freed row: a straggler holding this slot's span reads
-  // invalid link ids, not a successor flow's path.
-  for (std::uint32_t i = 0; i < path_len_[slot]; ++i) {
-    path_pool_[path_off_[slot] + i] = LinkId{};
-  }
-#endif
-  path_arena_.release(path_off_[slot], path_bucket_[slot]);
-  path_off_[slot] = kNoPos;
-  // path_len_ deliberately survives: flow_path() distinguishes "row was
-  // recycled" (len > 0, fatal in debug) from "never had one" (zero-byte
-  // flow, empty span). The length resets when the slot is reused.
 }
 
 void Fabric::insert_link_flow(LinkId l, FlowId id) {
@@ -269,7 +125,6 @@ FlowId Fabric::start_flow(FlowSpec spec, FlowCompleteFn on_complete) {
   const std::uint32_t slot = acquire_slot();
   Flow& f = flows_[slot];
   f = Flow{};
-  path_len_[slot] = 0;  // slot reuse ends the stale-read detection window
   // A recycled slot must not inherit its predecessor's recorded freeze
   // round: the new flow never froze in the warm-start record.
   rec_freeze_round_[slot] = kNoPos;
@@ -313,7 +168,6 @@ FlowId Fabric::start_flow(FlowSpec spec, FlowCompleteFn on_complete) {
     insert_link_flow(l, id);
     mark_dirty(l);
   }
-  if (hier_) arena_admit(slot);
   settle_and_recompute();
   for (auto* obs : observers_) {
     obs->on_flow_started(*this, id, sim_->now());
@@ -328,7 +182,6 @@ void Fabric::set_flow_weight(FlowId id, double weight) {
   if (f.completed || f.spec.weight == weight) return;
   settle();
   f.spec.weight = weight;
-  if (hier_) arena_weight_[id.value()] = weight;
   for (LinkId l : f.spec.path) mark_dirty(l);
   after_mutation();
 }
@@ -344,16 +197,11 @@ void Fabric::reroute_flow(FlowId id, std::vector<LinkId> new_path) {
     remove_link_flow(l, id);
     mark_dirty(l);
   }
-  if (hier_) {
-    unregister_flow_groups(id.value());
-    free_path_row(id.value());
-  }
   f.spec.path = std::move(new_path);
   for (LinkId l : f.spec.path) {
     insert_link_flow(l, id);
     mark_dirty(l);
   }
-  if (hier_) arena_admit(id.value());
   after_mutation();
 }
 
@@ -388,20 +236,17 @@ util::BitsPerSec Fabric::link_cbr_load(LinkId l) const {
 }
 
 util::BitsPerSec Fabric::link_elastic_rate(LinkId l) const {
-  maybe_flush();
   refresh_link_sums(l.value());
   return util::BitsPerSec{elastic_rate_bps_[l.value()]};
 }
 
 util::BitsPerSec Fabric::link_class_rate(LinkId l, FlowClass cls) const {
-  maybe_flush();
   refresh_link_sums(l.value());
   return util::BitsPerSec{
       class_rate_bps_[l.value()][static_cast<std::size_t>(cls)]};
 }
 
 double Fabric::link_utilization(LinkId l) const {
-  maybe_flush();
   refresh_link_sums(l.value());
   if (!link_up_[l.value()]) return 0.0;  // a dead port serves nothing
   const double cap = topo_->link(l).capacity.bps();
@@ -433,24 +278,12 @@ void Fabric::restore_link(LinkId l) {
 
 const Flow& Fabric::flow(FlowId id) const {
   assert(id.value() < flows_.size());
-  // A mid-cohort caller must see the rate an eager fabric would have
-  // computed at this instant — flush the deferred fill first.
-  maybe_flush();
   return flows_[id.value()];
 }
 
 std::span<const LinkId> Fabric::flow_path(FlowId id) const {
   assert(id.value() < flows_.size());
-  const std::uint32_t slot = id.value();
-  if (!hier_) {
-    const auto& p = flows_[slot].spec.path;
-    return {p.data(), p.size()};
-  }
-  const std::uint32_t off = path_off_[slot];
-  assert((off != kNoPos || path_len_[slot] == 0) &&
-         "stale FlowId: arena path row was recycled");
-  if (off == kNoPos) return {};
-  return {path_pool_.data() + off, path_len_[slot]};
+  return flows_[id.value()].spec.path;
 }
 
 bool Fabric::flow_active(FlowId id) const {
@@ -471,11 +304,6 @@ void Fabric::settle() {
     last_settle_ = now;
     return;
   }
-  // Coalescing contract: a deferred recompute must flush (cohort boundary
-  // or read) before simulated time advances, or flows would integrate at
-  // stale rates.
-  assert(!recompute_pending_ &&
-         "deferred recompute leaked across a time advance");
   ++counters_.settles;
   const double secs = dt.seconds();
   for (FlowId id : active_) {
@@ -515,9 +343,8 @@ void Fabric::push_eta(Flow& f) {
   if (f.rate.bps() <= 0.0) return;  // starved: re-examined on the next change
   // Ceil to the next nanosecond so the settled remainder at the event is
   // never still above the epsilon. Deadlines anchor at last_settle_, the
-  // instant the remaining volume was settled to — identical to now() on
-  // every eager path (rates change only right after a settle), and the
-  // correct anchor when a coalesced flush runs after the clock moved on.
+  // instant the remaining volume was settled to (rates change only right
+  // after a settle, so it equals now()).
   const double secs = f.remaining_bytes / f.rate.bytes_per_sec();
   const auto eta_ns =
       last_settle_.ns() + static_cast<std::int64_t>(std::ceil(secs * 1e9));
@@ -543,59 +370,14 @@ void Fabric::recompute_rates() {
     return;
   }
   if (dirty_links_.empty()) return;  // probe-forced accounting point
-  if (hier_) {
-    collect_component_hier();
-    clear_dirty();
-    fill_component_hier();
-    return;
-  }
   const bool dense = collect_component();
   fill_component(dense);
   clear_dirty();  // after the fill: the warm start reads the dirty set
 }
 
 void Fabric::after_mutation() {
-  if (cfg_.coalesce_cohorts) {
-    ++counters_.deferred_recomputes;
-    recompute_pending_ = true;
-    sim_->queue().mark_cohort_activity();
-    return;
-  }
   recompute_rates();
   schedule_next_completion();
-}
-
-void Fabric::flush_coalesced() {
-  if (!recompute_pending_) return;
-  recompute_pending_ = false;
-  ++counters_.cohort_flushes;
-  recompute_rates();
-  schedule_next_completion();
-}
-
-void Fabric::set_cohort_coalescing(bool on) {
-  // Runtime toggle so a caller (the scaling bench compares engine
-  // generations this way) can ramp with coalescing and then measure eager
-  // semantics. Turning it off materializes any pending cohort first, so the
-  // fabric is exactly the state an always-eager run would hold here.
-  if (on == cfg_.coalesce_cohorts) return;
-  if (!on) {
-    flush_coalesced();
-    cfg_.coalesce_cohorts = false;
-    return;
-  }
-  cfg_.coalesce_cohorts = true;
-  if (!cohort_listener_registered_) {
-    cohort_token_ =
-        sim_->queue().add_cohort_listener([this] { flush_coalesced(); });
-    cohort_listener_registered_ = true;
-  }
-}
-
-void Fabric::maybe_flush() const {
-  // Logically const: flushing only materializes the state an eager fabric
-  // would already hold at this instant.
-  if (recompute_pending_) const_cast<Fabric*>(this)->flush_coalesced();
 }
 
 void Fabric::refresh_link_sums(std::uint32_t l) const {
@@ -877,9 +659,9 @@ void Fabric::fill_component(bool dense) {
       }
     }
 
-    // One share refresh per touched link per round, as in
-    // fill_component_hier(): nothing reads link_share_ until the next scan,
-    // and the value depends only on the final residual and weight.
+    // One share refresh per touched link per round: nothing reads
+    // link_share_ until the next scan, and the value depends only on the
+    // final residual and weight.
     for (std::uint32_t lv : touched_links_) {
       link_touched_[lv] = 0;
       link_share_[lv] = residual_[lv] / std::max(unfixed_weight_[lv], 1e-12);
@@ -969,207 +751,18 @@ void Fabric::fill_full() {
   }
 }
 
-void Fabric::collect_component_hier() {
-  // Group-closure collection: seed with the dirty links' groups, then close
-  // over pod coupling — every flow of a marked group drags in the other
-  // groups its path touches (at most src pod + core + dst pod). The result
-  // is a superset of collect_component()'s exact flow-by-flow BFS closure:
-  // whole groups enter at once, so links of a closed group that no affected
-  // flow crosses ride along. That is provably harmless to the fill — such
-  // links either carry no flows (unfixed_count 0, skipped every round) or
-  // carry flows that are themselves in the component (membership is
-  // group-complete), so the floating-point operation sequence matches the
-  // exact component's, which matches fill_full()'s.
-  ++hier_epoch_;
-  comp_groups_.clear();
-  comp_links_.clear();
-  comp_flows_.clear();
-  for (std::uint32_t l : dirty_links_) {
-    const std::uint32_t g = link_group_[l];
-    if (group_mark_[g] == hier_epoch_) continue;
-    group_mark_[g] = hier_epoch_;
-    comp_groups_.push_back(g);
-  }
-  for (std::size_t head = 0; head < comp_groups_.size(); ++head) {
-    const std::uint32_t g = comp_groups_[head];
-    for (std::uint32_t slot : group_flows_[g]) {
-      if (flow_mark_[slot] == hier_epoch_) continue;
-      flow_mark_[slot] = hier_epoch_;
-      comp_flows_.push_back(slot);
-      const std::uint32_t goff = groups_off_[slot];
-      for (std::uint32_t i = 0; i < groups_len_[slot]; ++i) {
-        const std::uint32_t g2 = group_id_pool_[goff + i];
-        if (group_mark_[g2] == hier_epoch_) continue;
-        group_mark_[g2] = hier_epoch_;
-        comp_groups_.push_back(g2);
-      }
-    }
-  }
-  for (std::uint32_t g : comp_groups_) {
-    comp_links_.insert(comp_links_.end(), group_links_[g].begin(),
-                       group_links_[g].end());
-  }
-  std::sort(comp_links_.begin(), comp_links_.end());
-  counters_.links_touched += comp_links_.size();
-  counters_.flows_touched += comp_flows_.size();
-  if (comp_links_.size() == link_flows_.size()) ++counters_.full_fills;
-}
-
-void Fabric::fill_component_hier() {
-  // fill_component() with every Flow-record read replaced by its dense
-  // arena mirror (weights, classes, path rows) and the per-round bottleneck
-  // search flattened into a rank-indexed share array. Links that empty out
-  // are parked at +inf instead of compacted away, so the scan is a pure
-  // branch-free min over contiguous doubles — the compiler vectorizes it —
-  // and a second pass recovers the first rank holding the min, which is
-  // exactly the link the legacy strict `share < best` scan would pick
-  // (ranks follow comp_links_ order). Every share that feeds arithmetic is
-  // still residual / max(weight, 1e-12), so allocations stay bit-identical.
-  const std::size_t n = comp_links_.size();
-  share_dense_.resize(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    const std::uint32_t l = comp_links_[r];
-    link_rank_[l] = static_cast<std::uint32_t>(r);
-    elastic_rate_bps_[l] = 0.0;
-    class_rate_bps_[l].fill(0.0);
-    residual_[l] = elastic_headroom(l);
-    double weight = 0.0;
-    std::uint32_t count = 0;
-    for (FlowId fid : link_flows_[l]) {
-      weight += arena_weight_[fid.value()];
-      ++count;
-    }
-    unfixed_weight_[l] = weight;
-    unfixed_count_[l] = count;
-    share_dense_[r] = count == 0 ? std::numeric_limits<double>::infinity()
-                                 : residual_[l] / std::max(weight, 1e-12);
-  }
-  for (std::uint32_t slot : comp_flows_) flow_fixed_[slot] = 0;
-
-  std::size_t remaining_flows = comp_flows_.size();
-  touched_links_.clear();
-  while (remaining_flows > 0) {
-    ++counters_.fill_rounds;
-    // Pass 1: plain min over the dense share array. min is associative and
-    // commutative here (no NaNs, and shares are never negative zero, so
-    // evaluation order cannot change the value) — four independent chains
-    // hide the minsd latency. Pass 2: first rank at the min, which is the
-    // link the legacy strict `share < best` scan would pick (ranks follow
-    // comp_links_ order).
-    const double* shares = share_dense_.data();
-    double m0 = std::numeric_limits<double>::infinity();
-    double m1 = m0;
-    double m2 = m0;
-    double m3 = m0;
-    std::size_t r = 0;
-    for (; r + 4 <= n; r += 4) {
-      m0 = std::min(m0, shares[r]);
-      m1 = std::min(m1, shares[r + 1]);
-      m2 = std::min(m2, shares[r + 2]);
-      m3 = std::min(m3, shares[r + 3]);
-    }
-    for (; r < n; ++r) m0 = std::min(m0, shares[r]);
-    double best_share = std::min(std::min(m0, m1), std::min(m2, m3));
-    std::size_t best_rank = 0;
-    while (shares[best_rank] != best_share) ++best_rank;
-    const std::uint32_t best_link = comp_links_[best_rank];
-    assert(unfixed_count_[best_link] > 0);
-    if (best_share < 0.0) best_share = 0.0;
-
-    for (FlowId fid : link_flows_[best_link]) {
-      const std::uint32_t slot = fid.value();
-      if (flow_fixed_[slot]) continue;
-      const double w = arena_weight_[slot];
-      const double rate = best_share * w;
-      set_rate_hier(slot, rate);
-      flow_fixed_[slot] = 1;
-      --remaining_flows;
-      const std::uint32_t off = path_off_[slot];
-      const std::uint32_t len = path_len_[slot];
-      for (std::uint32_t i = 0; i < len; ++i) {
-        const std::uint32_t lv = path_pool_[off + i].value();
-        residual_[lv] = std::max(0.0, residual_[lv] - rate);
-        unfixed_weight_[lv] = std::max(0.0, unfixed_weight_[lv] - w);
-        assert(unfixed_count_[lv] > 0);
-        --unfixed_count_[lv];
-        // Share refresh is deferred below: nothing reads share_dense_ until
-        // the next round's min pass, and the refreshed value is a pure
-        // function of the final residual_/unfixed_weight_, so one division
-        // per touched link replaces one per (flow, link) touch without
-        // moving a single bit of the result.
-        if (!link_touched_[lv]) {
-          link_touched_[lv] = 1;
-          touched_links_.push_back(lv);
-        }
-      }
-    }
-
-    for (std::uint32_t lv : touched_links_) {
-      link_touched_[lv] = 0;
-      share_dense_[link_rank_[lv]] =
-          unfixed_count_[lv] == 0
-              ? std::numeric_limits<double>::infinity()
-              : residual_[lv] / std::max(unfixed_weight_[lv], 1e-12);
-    }
-    touched_links_.clear();
-  }
-
-  for (std::uint32_t l : comp_links_) {
-    for (FlowId fid : link_flows_[l]) {
-      const std::uint32_t slot = fid.value();
-      const double r = arena_rate_bps_[slot];
-      elastic_rate_bps_[l] += r;
-      class_rate_bps_[l][arena_cls_[slot]] += r;
-    }
-  }
-}
-
-void Fabric::set_rate_hier(std::uint32_t slot, double rate_bps) {
-  // The mirror always equals flows_[slot].rate, so the no-change test can
-  // stay on the dense 8-byte-per-slot array — refreezing a flow at its old
-  // rate (the common case) never faults in the cold Flow record.
-  if (arena_rate_bps_[slot] == rate_bps) return;
-  Flow& f = flows_[slot];
-  f.rate = util::BitsPerSec{rate_bps};
-  arena_rate_bps_[slot] = rate_bps;
-  push_eta_hier(slot, f);
-}
-
-void Fabric::push_eta_hier(std::uint32_t slot, const Flow& f) {
-  if (f.rate.bps() <= 0.0) {
-    arena_eta_ns_[slot] = -1;  // starved: re-examined on the next change
-    return;
-  }
-  // Same arithmetic as push_eta(); the deadline just lives in a dense
-  // per-slot array instead of a lazy heap.
-  const double secs = f.remaining_bytes / f.rate.bytes_per_sec();
-  arena_eta_ns_[slot] =
-      last_settle_.ns() + static_cast<std::int64_t>(std::ceil(secs * 1e9));
-}
-
 void Fabric::schedule_next_completion() {
-  std::int64_t eta = -1;
-  if (hier_) {
-    // Dense min over the active set; a flat 8-byte-per-flow scan beats heap
-    // maintenance once most rates change on every fill. The min alone
-    // decides the event time, so no ordering state needs maintaining.
-    for (FlowId id : active_) {
-      const std::int64_t e = arena_eta_ns_[id.value()];
-      if (e >= 0 && (eta < 0 || e < eta)) eta = e;
-    }
-  } else {
-    while (!eta_heap_.empty() &&
-           eta_heap_.front().stamp != eta_stamp_[eta_heap_.front().slot]) {
-      std::pop_heap(eta_heap_.begin(), eta_heap_.end(), EtaLater{});
-      eta_heap_.pop_back();
-    }
-    if (!eta_heap_.empty()) eta = eta_heap_.front().eta_ns;
+  while (!eta_heap_.empty() &&
+         eta_heap_.front().stamp != eta_stamp_[eta_heap_.front().slot]) {
+    std::pop_heap(eta_heap_.begin(), eta_heap_.end(), EtaLater{});
+    eta_heap_.pop_back();
   }
-  if (eta < 0) {
+  if (eta_heap_.empty()) {
     completion_event_.cancel();
     scheduled_eta_ns_ = -1;
     return;
   }
+  const std::int64_t eta = eta_heap_.front().eta_ns;
   if (eta == scheduled_eta_ns_ && completion_event_.valid() &&
       !completion_event_.cancelled()) {
     return;  // already armed for this instant
@@ -1193,11 +786,6 @@ void Fabric::complete_flow(std::uint32_t slot) {
     mark_dirty(l);
   }
   ++eta_stamp_[slot];
-  if (hier_) {
-    unregister_flow_groups(slot);
-    arena_rate_bps_[slot] = 0.0;
-    arena_eta_ns_[slot] = -1;
-  }
   f.completed = true;
   f.completed_at = sim_->now();
   f.remaining_bytes = 0.0;
@@ -1217,50 +805,23 @@ void Fabric::on_completion_event() {
   // Collect finished flows first: callbacks may start new flows, which
   // mutates active_ and triggers nested recomputes.
   std::vector<FlowId> done;
-  if (hier_) {
-    // Scan the dense deadline array for due flows, then process in
-    // (eta, slot) order — exactly the order the legacy heap pops them.
-    due_slots_.clear();
-    for (FlowId id : active_) {
-      const std::uint32_t slot = id.value();
-      const std::int64_t e = arena_eta_ns_[slot];
-      if (e >= 0 && e <= now_ns) due_slots_.push_back(slot);
-    }
-    std::sort(due_slots_.begin(), due_slots_.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                if (arena_eta_ns_[a] != arena_eta_ns_[b]) {
-                  return arena_eta_ns_[a] < arena_eta_ns_[b];
-                }
-                return a < b;
-              });
-    for (std::uint32_t slot : due_slots_) {
-      Flow& f = flows_[slot];
-      if (f.remaining_bytes > kDoneEpsilonBytes) {
-        push_eta_hier(slot, f);  // defensive: deadline drifted, re-arm
-        continue;
-      }
-      done.push_back(f.id);
-      complete_flow(slot);
-    }
-  } else {
-    while (!eta_heap_.empty()) {
-      const EtaEntry top = eta_heap_.front();
-      if (top.stamp != eta_stamp_[top.slot]) {
-        std::pop_heap(eta_heap_.begin(), eta_heap_.end(), EtaLater{});
-        eta_heap_.pop_back();
-        continue;
-      }
-      if (top.eta_ns > now_ns) break;
+  while (!eta_heap_.empty()) {
+    const EtaEntry top = eta_heap_.front();
+    if (top.stamp != eta_stamp_[top.slot]) {
       std::pop_heap(eta_heap_.begin(), eta_heap_.end(), EtaLater{});
       eta_heap_.pop_back();
-      Flow& f = flows_[top.slot];
-      if (f.remaining_bytes > kDoneEpsilonBytes) {
-        push_eta(f);  // defensive: deadline drifted, re-arm
-        continue;
-      }
-      done.push_back(f.id);
-      complete_flow(top.slot);
+      continue;
     }
+    if (top.eta_ns > now_ns) break;
+    std::pop_heap(eta_heap_.begin(), eta_heap_.end(), EtaLater{});
+    eta_heap_.pop_back();
+    Flow& f = flows_[top.slot];
+    if (f.remaining_bytes > kDoneEpsilonBytes) {
+      push_eta(f);  // defensive: deadline drifted, re-arm
+      continue;
+    }
+    done.push_back(f.id);
+    complete_flow(top.slot);
   }
   recompute_rates();
   schedule_next_completion();
@@ -1297,7 +858,6 @@ void Fabric::encode_counters(sim::StateEncoder& enc) const {
   enc.put_u64(counters_.completion_events);
   enc.put_u64(counters_.settles);
   enc.put_u64(counters_.deferred_recomputes);
-  enc.put_u64(counters_.cohort_flushes);
   enc.put_u64(counters_.fill_rounds);
   enc.put_u64(counters_.reused_rounds);
 }

@@ -9,10 +9,10 @@
 // settled against simulated time before every recompute, so byte accounting
 // is exact.
 //
-// Three rate engines share the same progressive-fill arithmetic:
+// Two rate engines share the same progressive-fill arithmetic:
 //  * kFullRecompute reruns the fill over every link and flow on each change
 //    (the original O(rounds × links × flows) algorithm, kept as the
-//    differential-testing and benchmarking baseline);
+//    differential-testing and benchmarking oracle);
 //  * kIncremental (default) tracks the links dirtied by each change and
 //    refills only the connected component of links/flows reachable from
 //    them through shared links — flows in untouched components keep their
@@ -56,26 +56,7 @@
 //      is truncated at k*; the replay costs O(busy links + active flows +
 //      flows on D links + prefix log entries + recorded rounds), with no
 //      comparison sort and no log copy. Any component fill drops the
-//      record, and a restored fabric rebuilds it by replay;
-//  * kHierarchical exploits the topology's locality-group partition
-//    (Topology::node_group — fat-tree pods coupled through core links):
-//    the affected component is collected group-by-group over flat
-//    struct-of-arrays flow mirrors instead of flow-by-flow BFS, the fill
-//    reads those dense arrays (weights, classes, rates, path rows in a
-//    shared arena) instead of chasing Flow records, and completion
-//    deadlines live in a dense per-slot array scanned linearly rather than
-//    a lazy heap. The collected component is a superset of the exact BFS
-//    component (whole groups at a time), which is provably harmless: extra
-//    links carry no unfixed flows and are skipped by the fill, so the
-//    floating-point operation sequence — and therefore every allocated
-//    rate — stays bit-identical to kFullRecompute.
-//
-// Orthogonally, `FabricConfig::coalesce_cohorts` batches rate recomputes:
-// mutations inside one same-instant event cohort mark state dirty and defer
-// the fill to the cohort boundary (an EventQueue cohort listener), so a
-// burst of simultaneous arrivals pays one fill instead of one per arrival.
-// Any rate read mid-cohort flushes the pending fill first, which makes the
-// coalesced fabric observationally equivalent to the eager one.
+//      record, and a restored fabric rebuilds it by replay.
 #pragma once
 
 #include <array>
@@ -150,21 +131,12 @@ enum class RateEngine {
   /// component holds more than half the active flows. Default.
   kIncremental,
   /// Legacy full fill over all links and flows on every change. Kept as the
-  /// side-by-side baseline for differential tests and the scaling bench.
+  /// oracle for differential tests and the scaling bench.
   kFullRecompute,
-  /// Group-partitioned component collection + struct-of-arrays fill. Uses
-  /// Topology's locality groups (pods/racks vs. the shared core); on
-  /// topologies without group metadata it degrades to full-component fills
-  /// that are still bit-identical, just not faster.
-  kHierarchical,
 };
 
 struct FabricConfig {
   RateEngine rate_engine = RateEngine::kIncremental;
-  /// Defer rate recomputes to same-instant event-cohort boundaries (see
-  /// file header). Orthogonal to the engine choice; allocations remain
-  /// bit-identical because mid-cohort reads flush the deferred fill.
-  bool coalesce_cohorts = false;
 };
 
 /// Hot-path counters for perf-trajectory tracking across PRs.
@@ -178,8 +150,10 @@ struct FabricCounters {
   std::uint64_t flows_touched = 0;     // Σ flows revisited per fill
   std::uint64_t completion_events = 0; // completion events fired
   std::uint64_t settles = 0;           // non-empty settle intervals
-  std::uint64_t deferred_recomputes = 0;  // recomputes absorbed by coalescing
-  std::uint64_t cohort_flushes = 0;       // deferred fills actually run
+  /// Always 0: every recompute runs eagerly. Kept, and still encoded,
+  /// because the end-to-end benchmark reports it as the per-layer metric
+  /// `fabric.deferred_recomputes`.
+  std::uint64_t deferred_recomputes = 0;
   /// Progressive-fill rounds run (every engine); one bottleneck per round.
   std::uint64_t fill_rounds = 0;
   /// Rounds kIncremental's dense warm start took from the previous dense
@@ -190,7 +164,6 @@ struct FabricCounters {
 class Fabric {
  public:
   Fabric(sim::Simulation& sim, const Topology& topo, FabricConfig cfg = {});
-  ~Fabric();
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -247,11 +220,7 @@ class Fabric {
   [[nodiscard]] util::BitsPerSec link_residual_capacity(LinkId l) const;
 
   [[nodiscard]] const Flow& flow(FlowId id) const;
-  /// Current path of `id` as a view. Under kHierarchical this resolves the
-  /// flow's arena path row and carries a use-after-recycle guard: reading a
-  /// slot whose row was freed by swap-pop recycling is a deterministic
-  /// debug-build abort (and an empty span in release builds) instead of a
-  /// wrong-path read — the fabric analogue of PathId's generation stamp.
+  /// Current path of `id` as a view of its spec.path.
   [[nodiscard]] std::span<const LinkId> flow_path(FlowId id) const;
   [[nodiscard]] bool flow_active(FlowId id) const;
   [[nodiscard]] std::size_t active_flow_count() const { return active_.size(); }
@@ -281,21 +250,6 @@ class Fabric {
   /// can force an accounting point.
   void settle_and_recompute();
 
-  /// Runs a recompute deferred by cohort coalescing right now; no-op when
-  /// eager or already clean. Snapshot capture calls this before encoding so
-  /// the capture-time flush lands at the same replay position on both sides
-  /// of a restore (see docs/checkpoint.md); rate accessors call it
-  /// internally, so user code never needs to.
-  void flush_coalesced();
-
-  /// Toggles cohort coalescing at runtime. Turning it off flushes any
-  /// pending cohort first, so the fabric lands in exactly the state an
-  /// always-eager run would hold at this instant; turning it on registers
-  /// the cohort listener if this fabric never had one. The scaling bench
-  /// uses this to ramp every arm coalesced but measure the oracle engines
-  /// under their original eager per-event semantics.
-  void set_cohort_coalescing(bool on);
-
   /// Serializes the fabric's logical state for snapshots: counters, every
   /// active flow (sorted by id) with its exact settled remaining volume and
   /// rate bits, CBR streams, and per-link up/load/rate state. Physical
@@ -316,32 +270,13 @@ class Fabric {
     std::uint64_t stamp;
   };
 
-  /// Power-of-two size-bucketed span allocator for arena rows (flow paths,
-  /// flow group lists). Freed rows go onto a per-bucket LIFO free list, so
-  /// allocation order — and therefore every offset — is a deterministic
-  /// function of the mutation sequence, never of the host allocator.
-  class SpanArena {
-   public:
-    /// Offset of a row holding >= len entries; sets `bucket` for release().
-    std::uint32_t acquire(std::uint32_t len, std::uint8_t& bucket);
-    void release(std::uint32_t off, std::uint8_t bucket) {
-      free_[bucket].push_back(off);
-    }
-    /// High-water span count; callers size their pools to this.
-    [[nodiscard]] std::size_t size() const { return size_; }
-
-   private:
-    std::size_t size_ = 0;
-    std::array<std::vector<std::uint32_t>, 32> free_;
-  };
-
   void settle();
   void recompute_rates();
   void after_mutation();
   void schedule_next_completion();
   void on_completion_event();
-  /// Completion bookkeeping shared by the heap- and arena-driven event
-  /// handlers (swap-pop from active_, link/group deregistration, stats).
+  /// Completion bookkeeping for one due flow (swap-pop from active_, link
+  /// deregistration, stats).
   void complete_flow(std::uint32_t slot);
 
   std::uint32_t acquire_slot();
@@ -392,27 +327,6 @@ class Fabric {
   /// Legacy progressive fill over every link and active flow.
   void fill_full();
 
-  // --- kHierarchical internals ---
-  /// Copies spec.path into the path arena and indexes the flow under every
-  /// locality group its path touches.
-  void arena_admit(std::uint32_t slot);
-  /// Releases the group index entries (swap-pop with position fixup).
-  void unregister_flow_groups(std::uint32_t slot);
-  /// Frees the path row; the offset sentinel left behind turns stale
-  /// flow_path() reads into deterministic debug aborts.
-  void free_path_row(std::uint32_t slot);
-  /// Group-closure component collection (superset of collect_component's
-  /// exact BFS component; see file header for why that is harmless).
-  void collect_component_hier();
-  /// fill_component with all Flow-record reads replaced by arena reads;
-  /// identical floating-point operation sequence.
-  void fill_component_hier();
-  void set_rate_hier(std::uint32_t slot, double rate_bps);
-  void push_eta_hier(std::uint32_t slot, const Flow& f);
-  /// Mid-cohort rate read: flush the deferred fill so coalesced mode is
-  /// observationally equivalent to eager.
-  void maybe_flush() const;
-
   // pythia-lint: allow(snapshot-skip, group) construction wiring and config
   // identity: restore builds a fresh Fabric from the fingerprinted scenario.
   sim::Simulation* sim_;
@@ -437,8 +351,8 @@ class Fabric {
   };
   std::vector<CbrStream> cbrs_;
   std::vector<char> link_up_;             // per link
-  // Per-link rate sums: written by every fill under kFullRecompute and
-  // kHierarchical, re-summed on read under kIncremental (refresh_link_sums).
+  // Per-link rate sums: written by every fill under kFullRecompute,
+  // re-summed on read under kIncremental (refresh_link_sums).
   mutable std::vector<double> elastic_rate_bps_;
   mutable std::vector<std::array<double, 4>> class_rate_bps_;  // per class
 
@@ -448,7 +362,7 @@ class Fabric {
 
   // Dirty-link accumulator consumed by the next recompute.
   // pythia-lint: allow(snapshot-skip, group) empty at every snapshot cut:
-  // cuts happen at settled instants, after the pending recompute drained.
+  // every mutation's recompute consumes it before the mutation returns.
   std::vector<std::uint32_t> dirty_links_;
   std::vector<char> link_dirty_;
 
@@ -466,17 +380,8 @@ class Fabric {
   // selection bit-identical to fill_full()'s. fill_component() rebuilds the
   // cache on entry, so fill_full() need not maintain it.
   std::vector<double> link_share_;
-  // kHierarchical selection scratch: comp_links_[r] has its live share at
-  // share_dense_[r] (+inf once the link empties), and link_rank_ inverts the
-  // mapping for freeze-time refreshes. A dense array the vectorized min scan
-  // can walk without indirection or a count check; ranks follow comp_links_
-  // order, so "first rank at the min" reproduces the legacy strict
-  // `share < best` tie-break exactly.
-  std::vector<double> share_dense_;
-  std::vector<std::uint32_t> link_rank_;
-  // Per-round dedup of freeze-time share refreshes (both component fills):
-  // one division per touched link per round instead of one per (flow, link)
-  // path step.
+  // Per-round dedup of freeze-time share refreshes: one division per
+  // touched link per round instead of one per (flow, link) path step.
   std::vector<char> link_touched_;
   std::vector<std::uint32_t> touched_links_;
   std::vector<char> link_in_comp_;
@@ -507,65 +412,13 @@ class Fabric {
 
   // Lazy min-heap of flow completion instants; stale entries are skipped by
   // stamp comparison, so a rate change is O(log n) instead of an O(flows)
-  // rescan per event. (Legacy engines only — kHierarchical keeps per-slot
-  // deadlines in arena_eta_ns_ and scans active_ linearly, which is both
-  // cheaper at scale and free of heap-garbage bookkeeping.)
+  // rescan per event.
   // pythia-lint: allow(snapshot-skip, group) lazy completion cache: restore
   // replay re-pushes an entry per re-admitted flow, and stale entries are
   // skipped by stamp anyway. scheduled_eta_ns_ IS encoded.
   std::vector<EtaEntry> eta_heap_;
   std::vector<std::uint64_t> eta_stamp_;  // slot-indexed
   std::int64_t scheduled_eta_ns_ = -1;
-
-  // --- struct-of-arrays flow arena (kHierarchical) ---
-  // Dense slot-indexed mirrors of the Flow fields the fill hot loops read;
-  // Flow::spec stays authoritative for the public API. Path rows live in a
-  // shared pool so a fill walks contiguous memory instead of per-flow
-  // vectors.
-  // pythia-lint: allow(snapshot-skip, group) struct-of-arrays mirror of
-  // Flow::spec (which IS encoded): re-admitting the encoded flows through
-  // start_flow() repopulates every arena row and the path pool.
-  bool hier_ = false;
-  std::vector<double> arena_weight_;        // slot-indexed
-  std::vector<double> arena_rate_bps_;      // slot-indexed
-  std::vector<std::int64_t> arena_eta_ns_;  // slot-indexed; -1 = starved
-  std::vector<std::uint8_t> arena_cls_;     // slot-indexed
-  std::vector<LinkId> path_pool_;
-  std::vector<std::uint32_t> path_off_;     // slot-indexed; kNoPos = freed
-  std::vector<std::uint32_t> path_len_;     // slot-indexed
-  std::vector<std::uint8_t> path_bucket_;   // slot-indexed
-  SpanArena path_arena_;
-
-  // Locality-group index: link -> group, per-group sorted link lists, and
-  // per-group active-flow membership (swap-pop, position tracked in the
-  // flow's group row so removal is O(groups on path)).
-  // pythia-lint: allow(snapshot-skip, group) locality-group index derived
-  // from the (fingerprinted) topology at construction plus the re-admitted
-  // flows; epoch marks only dedupe within one closure walk.
-  std::size_t num_groups_ = 0;              // locality groups + shared core
-  std::vector<std::uint32_t> link_group_;
-  std::vector<std::vector<std::uint32_t>> group_links_;
-  std::vector<std::vector<std::uint32_t>> group_flows_;
-  std::vector<std::uint32_t> group_id_pool_;   // flow group rows
-  std::vector<std::uint32_t> group_pos_pool_;  // parallel to group_id_pool_
-  std::vector<std::uint32_t> groups_off_;      // slot-indexed
-  std::vector<std::uint32_t> groups_len_;      // slot-indexed
-  std::vector<std::uint8_t> groups_bucket_;    // slot-indexed
-  SpanArena group_arena_;
-  std::vector<std::uint64_t> group_mark_;      // epoch marks, group-indexed
-  std::vector<std::uint64_t> flow_mark_;       // epoch marks, slot-indexed
-  std::uint64_t hier_epoch_ = 0;
-  std::vector<std::uint32_t> comp_groups_;     // closure scratch
-  std::vector<std::uint32_t> scratch_groups_;  // per-flow dedupe scratch
-  std::vector<std::uint32_t> due_slots_;       // completion scan scratch
-
-  // --- cohort coalescing ---
-  // pythia-lint: allow(snapshot-skip, group) cohort plumbing is quiescent at
-  // snapshot cuts (settled instants): no recompute pending, no listener
-  // registered, and the token is only meaningful inside one cohort.
-  bool recompute_pending_ = false;
-  std::size_t cohort_token_ = 0;
-  bool cohort_listener_registered_ = false;
 
   // pythia-lint: allow(snapshot-skip, group) completion_event_ is
   // re-scheduled from the encoded scheduled_eta_ns_ during restore, and

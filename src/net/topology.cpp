@@ -1,6 +1,5 @@
 #include "net/topology.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace pythia::net {
@@ -25,16 +24,6 @@ void Topology::set_node_group(NodeId n, std::int32_t group) {
   assert(n.valid() && n.value() < nodes_.size());
   assert(group >= kCoreGroup);
   node_group_[n.value()] = group;
-  if (group >= 0) {
-    group_count_ = std::max(group_count_, static_cast<std::size_t>(group) + 1);
-  }
-}
-
-std::int32_t Topology::link_group(LinkId l) const {
-  const Link& link = links_[l.value()];
-  const std::int32_t a = node_group_[link.src.value()];
-  const std::int32_t b = node_group_[link.dst.value()];
-  return a == b ? a : kCoreGroup;
 }
 
 LinkId Topology::add_link(NodeId src, NodeId dst, util::BitsPerSec capacity) {

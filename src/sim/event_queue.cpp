@@ -108,8 +108,8 @@ bool EventQueue::run_one() {
     skim_cancelled();
     const Key* next = front();
     if (next == nullptr) {
-      // Drain is a cohort boundary: give listeners a chance to flush
-      // deferred work (which may schedule new events), then look again.
+      // Drain is a cohort boundary: give the hook a chance to flush queued
+      // work (which may schedule new events), then look again.
       if (cohort_dirty_) {
         notify_cohort_end();
         continue;
@@ -197,15 +197,11 @@ void EventQueue::advance_now(util::SimTime to) {
   now_ = to;
 }
 
-std::size_t EventQueue::add_cohort_listener(CohortListener fn) {
-  const std::size_t token = next_cohort_token_++;
-  cohort_listeners_.emplace_back(token, std::move(fn));
-  return token;
-}
-
-void EventQueue::remove_cohort_listener(std::size_t token) {
-  std::erase_if(cohort_listeners_,
-                [token](const auto& p) { return p.first == token; });
+void EventQueue::set_cohort_hook(std::function<void()> fn) {
+  if (cohort_hook_) {
+    throw std::logic_error("EventQueue: a cohort hook is already installed");
+  }
+  cohort_hook_ = std::move(fn);
 }
 
 void EventQueue::skim_cancelled() {
@@ -219,10 +215,10 @@ void EventQueue::skim_cancelled() {
 }
 
 void EventQueue::notify_cohort_end() {
-  // Clear first: a listener that defers new work mid-flush re-arms the flag
+  // Clear first: a hook that queues new work while it runs re-arms the flag
   // and earns another boundary pass.
   cohort_dirty_ = false;
-  for (auto& [token, fn] : cohort_listeners_) fn();
+  if (cohort_hook_) cohort_hook_();
 }
 
 void EventQueue::maybe_compact() {

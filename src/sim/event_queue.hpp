@@ -163,31 +163,28 @@ class EventQueue {
     abort_check_ = std::move(should_abort);
   }
 
-  // --- cohort boundaries (batched event coalescing) ----------------------
+  // --- cohort boundaries -------------------------------------------------
   //
   // A *cohort* is a maximal run of events firing at the same simulated
-  // instant. A subsystem that coalesces work across a cohort (the fabric's
-  // batched rate recompute) registers a listener and calls
-  // mark_cohort_activity() whenever it defers work; the queue then invokes
-  // every listener, in registration order, at the cohort boundary — before
-  // the clock advances past the current instant, when the queue drains, and
-  // before run_until() parks the clock. Listeners may schedule new events
-  // (at now() or later); the loop re-examines the queue after notifying, so
-  // a completion event scheduled by a flush still fires at the right time.
-  // Notification is level-triggered and idempotent: it only happens while
-  // the activity flag is set, and notifying clears the flag, so an inert
-  // listener costs one flag test per boundary and nothing else. Listeners
-  // are NOT events: they consume no sequence numbers and leave the
-  // (time, seq) skeleton — and therefore snapshots and golden traces —
-  // untouched.
+  // instant. A subsystem that batches work across a cohort (the collector's
+  // cohort intent pipelines) installs the cohort hook and calls
+  // mark_cohort_activity() whenever it queues work; the queue then invokes
+  // the hook at the cohort boundary — before the clock advances past the
+  // current instant, when the queue drains, and before run_until() parks
+  // the clock. The hook may schedule new events (at now() or later); the
+  // loop re-examines the queue after it runs, so an event scheduled at
+  // now() still fires before the clock moves. Notification is
+  // level-triggered and idempotent: it only happens while the activity flag
+  // is set, and notifying clears the flag, so an idle hook costs one flag
+  // test per boundary and nothing else. The hook is NOT an event: it
+  // consumes no sequence numbers and leaves the (time, seq) skeleton — and
+  // therefore snapshots and golden traces — untouched.
 
-  using CohortListener = std::function<void()>;
-
-  /// Registers `fn`; returns a token for remove_cohort_listener.
-  std::size_t add_cohort_listener(CohortListener fn);
-  /// Removes a listener; idempotent, preserves the order of the others.
-  void remove_cohort_listener(std::size_t token);
-  /// Flags deferred work; the next cohort boundary will notify listeners.
+  /// Installs the cohort hook. Throws std::logic_error if one is installed.
+  void set_cohort_hook(std::function<void()> fn);
+  /// Removes the cohort hook; no-op when none is installed.
+  void clear_cohort_hook() { cohort_hook_ = nullptr; }
+  /// Flags queued work; the next cohort boundary will run the hook.
   void mark_cohort_activity() { cohort_dirty_ = true; }
   [[nodiscard]] bool cohort_activity_pending() const { return cohort_dirty_; }
 
@@ -303,8 +300,7 @@ class EventQueue {
   std::size_t live_ = 0;
   std::size_t cancelled_in_heap_ = 0;
   std::function<bool()> abort_check_;
-  std::vector<std::pair<std::size_t, CohortListener>> cohort_listeners_;
-  std::size_t next_cohort_token_ = 0;
+  std::function<void()> cohort_hook_;
   bool cohort_dirty_ = false;
 };
 

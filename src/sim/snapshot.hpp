@@ -128,7 +128,9 @@ class Snapshot {
   // runs behind the stub-host decomposition).
   // v5: fabric.counters gained fill_rounds and reused_rounds (the dense
   // fill's warm start).
-  static constexpr std::uint32_t kFormatVersion = 5;
+  // v6: fabric cohort coalescing was removed: fabric.counters dropped its
+  // flush counter, and the scenario fingerprint dropped its config flag.
+  static constexpr std::uint32_t kFormatVersion = 6;
 
   // --- identity + cursor (set by the capturing layer) ---
   std::uint64_t root_seed = 0;

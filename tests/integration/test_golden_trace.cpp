@@ -29,8 +29,8 @@ namespace pythia::exp {
 namespace {
 
 constexpr const char* kGoldenRelPath = "/integration/golden/seed_trace.txt";
-constexpr const char* kHierGoldenRelPath =
-    "/integration/golden/hier_fabric_k8_trace.txt";
+constexpr const char* kFabricGoldenRelPath =
+    "/integration/golden/fabric_k8_trace.txt";
 
 std::string golden_path() { return std::string(PYTHIA_TEST_DIR) + kGoldenRelPath; }
 
@@ -156,26 +156,22 @@ std::vector<net::LinkId> fat_tree_path(const net::Topology& topo,
   return path;
 }
 
-/// The pinned hierarchical-engine scenario: fat-tree k=8, kHierarchical with
-/// cohort coalescing, a steady backdrop plus three shuffle waves of
-/// simultaneous arrivals. Every start, completion, and the final settled
-/// state image go into the trace, so an engine change that moves any event
-/// time — or any allocation bit — shows up as an explicit golden diff.
-std::string record_hier_fabric_trace() {
+/// The pinned fabric scenario: fat-tree k=8 under the default kIncremental
+/// engine, a steady backdrop plus three shuffle waves of simultaneous
+/// arrivals. Every start, completion, and the final settled state image go
+/// into the trace, so an engine change that moves any event time — or any
+/// allocation bit — shows up as an explicit golden diff.
+std::string record_fabric_k8_trace() {
   net::FatTreeConfig topo_cfg;
   topo_cfg.k = 8;
   const net::Topology topo = net::make_fat_tree(topo_cfg);
   sim::Simulation sim(1234);
-  net::Fabric fabric(sim, topo,
-                     net::FabricConfig{
-                         .rate_engine = net::RateEngine::kHierarchical,
-                         .coalesce_cohorts = true,
-                     });
+  net::Fabric fabric(sim, topo);
   util::Xoshiro256 rng(1234);
   const auto hosts = topo.hosts();
 
   std::ostringstream trace;
-  trace << "hier_fabric_k8 seed=1234 engine=hierarchical coalesced=1\n";
+  trace << "fabric_k8 seed=1234 engine=incremental\n";
   auto on_done = [&trace](net::FlowId id, util::SimTime t) {
     trace << "done t=" << t.ns() << " flow=" << id.value() << "\n";
   };
@@ -210,7 +206,6 @@ std::string record_hier_fabric_trace() {
   while (sim.queue().run_one()) {
   }
 
-  fabric.flush_coalesced();
   sim::StateEncoder enc;
   fabric.encode_state(enc);
   std::uint64_t h = 1469598103934665603ULL;
@@ -224,13 +219,13 @@ std::string record_hier_fabric_trace() {
   return trace.str();
 }
 
-TEST(GoldenTrace, HierFabricK8MatchesGoldenFile) {
-  check_against_golden(record_hier_fabric_trace(),
-                       std::string(PYTHIA_TEST_DIR) + kHierGoldenRelPath);
+TEST(GoldenTrace, FabricK8MatchesGoldenFile) {
+  check_against_golden(record_fabric_k8_trace(),
+                       std::string(PYTHIA_TEST_DIR) + kFabricGoldenRelPath);
 }
 
-TEST(GoldenTrace, HierFabricTraceIsDeterministicAcrossRuns) {
-  EXPECT_EQ(record_hier_fabric_trace(), record_hier_fabric_trace());
+TEST(GoldenTrace, FabricK8TraceIsDeterministicAcrossRuns) {
+  EXPECT_EQ(record_fabric_k8_trace(), record_fabric_k8_trace());
 }
 
 }  // namespace

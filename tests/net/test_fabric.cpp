@@ -204,6 +204,44 @@ TEST(Fabric, RerouteMovesTraffic) {
   EXPECT_DOUBLE_EQ(fabric.link_elastic_rate(ax).bps(), 0.0);
 }
 
+TEST(Fabric, RerouteAtUnchangedRateKeepsDeadline) {
+  // A reroute onto an equal-capacity path leaves the flow's rate unchanged,
+  // so its absolute completion deadline must survive the move. Both
+  // engines: the refill sets the same rate bits and must not drop the ETA.
+  for (const RateEngine engine :
+       {RateEngine::kIncremental, RateEngine::kFullRecompute}) {
+    SCOPED_TRACE(engine == RateEngine::kIncremental ? "incremental" : "full");
+    // 2 racks x 2 spines, 10 Gb/s everywhere: the two cross-rack paths
+    // (one per spine) have equal capacity.
+    const Topology topo = make_leaf_spine({});
+    const RoutingGraph routing(topo, 2);
+    const auto hosts = topo.hosts();
+    const NodeId src = hosts.front();
+    const NodeId dst = hosts.back();
+    const auto& paths = routing.paths(src, dst);
+    ASSERT_EQ(paths.size(), 2u);
+
+    sim::Simulation sim;
+    Fabric fabric(sim, topo, FabricConfig{.rate_engine = engine});
+    FlowSpec spec;
+    spec.src = src;
+    spec.dst = dst;
+    spec.size = Bytes{kGB};
+    spec.path = paths[0].links;
+    double done = 0.0;
+    const FlowId f = fabric.start_flow(
+        spec, [&](FlowId, SimTime at) { done = at.seconds(); });
+    sim.at(SimTime::from_seconds(0.1),
+           [&] { fabric.reroute_flow(f, paths[1].links); });
+    sim.run();
+
+    // 1 GB at 10 Gb/s on either path: done at 0.8 s, reroute or not.
+    EXPECT_NEAR(done, 0.8, 1e-6);
+    EXPECT_EQ(fabric.active_flow_count(), 0u);
+    EXPECT_EQ(fabric.flows_completed(), 1u);
+  }
+}
+
 TEST(Fabric, ZeroByteFlowCompletesAsync) {
   Chain c;
   sim::Simulation sim;

@@ -1,10 +1,13 @@
 // Regression tests for the fabric accounting bugs: settle() byte-rounding
 // drift, zero-byte flows skipping on_flow_started, link_utilization on
 // failed/zero-capacity links, and a randomized byte-conservation property
-// (Σ observer bytes == Σ completed spec.size).
+// (every completed flow's observer bytes == its spec.size, on leaf-spine and
+// fat-tree churn).
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/fabric.hpp"
@@ -24,20 +27,30 @@ using util::SimTime;
 class AccountingProbe : public FabricObserver {
  public:
   void on_flow_started(const Fabric&, FlowId, SimTime) override { ++starts_; }
-  void on_bytes_moved(const Fabric&, FlowId, Bytes moved, SimTime,
+  void on_bytes_moved(const Fabric&, FlowId flow, Bytes moved, SimTime,
                       SimTime) override {
     total_moved_ += moved.count();
+    flow_moved_[flow.value()] += moved.count();
   }
   void on_flow_completed(const Fabric& fabric, FlowId flow,
                          SimTime) override {
     ++completions_;
-    completed_size_ += fabric.flow(flow).spec.size.count();
+    const std::int64_t size = fabric.flow(flow).spec.size.count();
+    completed_size_ += size;
+    // Ids recycle once a flow completes: close its ledger entry now.
+    completed_.emplace_back(size, flow_moved_[flow.value()]);
+    flow_moved_.erase(flow.value());
   }
 
   std::uint64_t starts_ = 0;
   std::uint64_t completions_ = 0;
   std::int64_t total_moved_ = 0;
   std::int64_t completed_size_ = 0;
+  /// (spec size, observer total) per completed flow.
+  std::vector<std::pair<std::int64_t, std::int64_t>> completed_;
+
+ private:
+  std::map<std::uint32_t, std::int64_t> flow_moved_;
 };
 
 TEST(FabricAccounting, SettleResidueSumsExactly) {
@@ -138,20 +151,35 @@ TEST(FabricAccounting, FailedLinkReportsZeroUtilization) {
 
 TEST(FabricAccounting, ByteConservationAcrossRandomizedChurn) {
   // Property: over a randomized seeded run with staggered finite flows,
-  // the sum of bytes reported to observers equals the sum of completed flow
-  // sizes exactly, and matches the fabric's own delivered counter.
-  for (const std::uint64_t seed : {3u, 17u, 99u, 2026u}) {
+  // every completed flow's observer byte total equals its spec size exactly
+  // (integer equality, no tolerance), so the sums match too, and they match
+  // the fabric's own delivered counter. The fat-tree input also mixes in
+  // zero-byte flows, which complete without moving a byte.
+  struct ChurnInput {
+    std::uint64_t seed;
+    bool fat_tree;
+    int zero_byte_every;  // every n-th flow carries zero bytes; 0 = none
+  };
+  for (const ChurnInput in :
+       {ChurnInput{3, false, 0}, ChurnInput{17, false, 0},
+        ChurnInput{99, false, 0}, ChurnInput{2026, false, 0},
+        ChurnInput{21, true, 7}}) {
+    SCOPED_TRACE("seed " + std::to_string(in.seed) +
+                 (in.fat_tree ? " fat tree" : " leaf-spine"));
     LeafSpineConfig cfg;
     cfg.racks = 2;
     cfg.servers_per_rack = 4;
     cfg.spines = 2;
-    const Topology topo = make_leaf_spine(cfg);
-    const RoutingGraph routing(topo, cfg.spines);
-    sim::Simulation sim(seed);
+    FatTreeConfig fat_cfg;
+    fat_cfg.k = 4;
+    const Topology topo =
+        in.fat_tree ? make_fat_tree(fat_cfg) : make_leaf_spine(cfg);
+    const RoutingGraph routing(topo, in.fat_tree ? 4 : cfg.spines);
+    sim::Simulation sim(in.seed);
     Fabric fabric(sim, topo);
     AccountingProbe probe;
     fabric.add_observer(&probe);
-    util::Xoshiro256 rng(seed);
+    util::Xoshiro256 rng(in.seed);
     const auto hosts = topo.hosts();
 
     constexpr int kFlows = 50;
@@ -160,10 +188,14 @@ TEST(FabricAccounting, ByteConservationAcrossRandomizedChurn) {
       NodeId dst = src;
       while (dst == src) dst = hosts[rng.below(hosts.size())];
       const auto& paths = routing.paths(src, dst);
+      const bool zero_byte =
+          in.zero_byte_every > 0 && i % in.zero_byte_every == 0;
       FlowSpec spec;
       spec.src = src;
       spec.dst = dst;
-      spec.size = Bytes{static_cast<std::int64_t>(1 + rng.below(300'000'000))};
+      spec.size = zero_byte ? Bytes::zero()
+                            : Bytes{static_cast<std::int64_t>(
+                                  1 + rng.below(300'000'000))};
       spec.path = paths[rng.below(paths.size())].links;
       spec.weight = rng.uniform(0.5, 3.0);
       sim.at(SimTime{static_cast<std::int64_t>(rng.below(1'500'000'000))},
@@ -173,7 +205,11 @@ TEST(FabricAccounting, ByteConservationAcrossRandomizedChurn) {
 
     EXPECT_EQ(probe.starts_, static_cast<std::uint64_t>(kFlows));
     EXPECT_EQ(probe.completions_, static_cast<std::uint64_t>(kFlows));
-    EXPECT_EQ(probe.total_moved_, probe.completed_size_) << "seed " << seed;
+    ASSERT_EQ(probe.completed_.size(), static_cast<std::size_t>(kFlows));
+    for (const auto& [spec_size, observed] : probe.completed_) {
+      EXPECT_EQ(observed, spec_size);  // exact, to the byte
+    }
+    EXPECT_EQ(probe.total_moved_, probe.completed_size_);
     EXPECT_EQ(fabric.bytes_delivered().count(), probe.completed_size_);
   }
 }

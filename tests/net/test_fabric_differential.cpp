@@ -1,11 +1,11 @@
-// Three-engine differential validation of the fabric rate engines. Every
-// scenario is replayed under kFullRecompute, kIncremental, and kHierarchical
-// (eager and cohort-coalesced), and the observable outcomes must match
-// bit-for-bit: completion order and instants, every sampled rate's IEEE-754
-// bits, and the full encode_state() image at mid-run cuts. The engines share
-// the progressive-fill arithmetic by construction, so any divergence is a
-// bug in component tracking, the group closure, the arena mirrors, or the
-// cohort-flush placement — exactly the machinery this suite exists to catch.
+// Differential validation of the production fabric rate engine against its
+// oracle. Every scenario is replayed under kFullRecompute and kIncremental,
+// and the observable outcomes must match bit-for-bit: completion order and
+// instants, every sampled rate's IEEE-754 bits, and the full encode_state()
+// image at mid-run cuts. The engines share the progressive-fill arithmetic
+// by construction, so any divergence is a bug in kIncremental's component
+// tracking, dense fallback or warm start — exactly the machinery this suite
+// exists to catch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,14 +13,11 @@
 #include <utility>
 #include <vector>
 
-#include "experiments/checkpoint.hpp"
-#include "experiments/scenario.hpp"
 #include "net/fabric.hpp"
 #include "net/routing.hpp"
 #include "sim/simulation.hpp"
 #include "sim/snapshot.hpp"
 #include "util/random.hpp"
-#include "workloads/hibench.hpp"
 
 namespace pythia::net {
 namespace {
@@ -29,18 +26,15 @@ using util::BitsPerSec;
 using util::Bytes;
 using util::SimTime;
 
-/// One engine configuration under test.
+/// One engine under test.
 struct Arm {
   RateEngine engine;
-  bool coalesce;
   const char* name;
 };
 
 constexpr Arm kArms[] = {
-    {RateEngine::kFullRecompute, false, "full"},
-    {RateEngine::kIncremental, false, "incremental"},
-    {RateEngine::kHierarchical, false, "hierarchical"},
-    {RateEngine::kHierarchical, true, "hierarchical+coalesce"},
+    {RateEngine::kFullRecompute, "full"},
+    {RateEngine::kIncremental, "incremental"},
 };
 
 /// (start sequence, completion instant); flow ids recycle, the sequence is
@@ -67,9 +61,7 @@ ChurnResult run_churn(const Arm& arm, std::uint64_t seed,
   const RoutingGraph routing(topo, 4);
 
   sim::Simulation sim(seed);
-  Fabric fabric(sim, topo,
-                FabricConfig{.rate_engine = arm.engine,
-                             .coalesce_cohorts = arm.coalesce});
+  Fabric fabric(sim, topo, FabricConfig{.rate_engine = arm.engine});
   util::Xoshiro256 rng(seed);
   const auto hosts = topo.hosts();
   const auto hosts_per_pod = hosts.size() / cfg.k;
@@ -116,7 +108,7 @@ ChurnResult run_churn(const Arm& arm, std::uint64_t seed,
     const auto& paths = routing.paths(src, dst);
     const auto path = paths[rng.below(paths.size())].links;
     // Every 9th flow is zero-byte: starts and completes within one instant,
-    // exercising slot recycling and the arena stale-row discipline hard.
+    // exercising slot recycling hard.
     const auto size = static_cast<std::int64_t>(
         i % 9 == 8 ? 0 : 1'000'000 + rng.below(300'000'000));
     const double weight = rng.uniform(0.5, 3.0);
@@ -226,9 +218,9 @@ TEST_P(FabricDifferential, AllEnginesBitIdentical) {
   }
 }
 
-// Pod-local traffic (components never leave a group), core-coupled traffic
-// (closure spans pods), and the mixed regime each stress different paths
-// through collect_component_hier().
+// Pod-local traffic (small components), core-coupled traffic (components
+// that span pods) and the mixed regime each stress different paths through
+// collect_component().
 INSTANTIATE_TEST_SUITE_P(
     Seeds, FabricDifferential,
     ::testing::Values(ChurnParam{1, 0.5}, ChurnParam{7, 0.5},
@@ -236,175 +228,6 @@ INSTANTIATE_TEST_SUITE_P(
                       ChurnParam{3, 0.0},   // pure intra-pod
                       ChurnParam{3, 1.0},   // pure cross-pod
                       ChurnParam{99, 0.15}, ChurnParam{99, 0.85}));
-
-TEST(FabricDifferential, CoalescingAbsorbsBurstRecomputes) {
-  // A burst of same-instant arrivals pays one fill under coalescing; the
-  // deferred_recomputes counter proves the batching actually engaged.
-  FatTreeConfig cfg;
-  cfg.k = 4;
-  const Topology topo = make_fat_tree(cfg);
-  const RoutingGraph routing(topo, 4);
-  const auto hosts = topo.hosts();
-
-  auto burst = [&](bool coalesce) {
-    sim::Simulation sim(5);
-    Fabric fabric(sim, topo,
-                  FabricConfig{.rate_engine = RateEngine::kHierarchical,
-                               .coalesce_cohorts = coalesce});
-    for (int i = 0; i < 32; ++i) {
-      const NodeId src = hosts[i % hosts.size()];
-      const NodeId dst = hosts[(i + 5) % hosts.size()];
-      FlowSpec spec;
-      spec.src = src;
-      spec.dst = dst;
-      spec.size = Bytes{50'000'000};
-      spec.path = routing.paths(src, dst)[0].links;
-      sim.at(SimTime::from_seconds(0.1),
-             [&fabric, spec] { fabric.start_flow(spec); });
-    }
-    sim.run();
-    return fabric.counters();
-  };
-
-  const FabricCounters eager = burst(false);
-  const FabricCounters coalesced = burst(true);
-  EXPECT_GT(coalesced.deferred_recomputes, 0u);
-  EXPECT_GT(coalesced.cohort_flushes, 0u);
-  // 32 same-instant arrivals: eager pays >= 32 fills for the burst alone;
-  // coalesced folds the burst into one flush.
-  EXPECT_LT(coalesced.recomputes + coalesced.cohort_flushes, eager.recomputes);
-}
-
-TEST(FabricDifferential, RuntimeCoalescingToggleLandsOnEagerState) {
-  // The scaling bench ramps every arm coalesced and then switches the
-  // oracle engines to eager mid-run; the toggle must leave the fabric in
-  // exactly the state an always-eager run holds at the same instant.
-  FatTreeConfig cfg;
-  cfg.k = 4;
-  const Topology topo = make_fat_tree(cfg);
-  const RoutingGraph routing(topo, 4);
-  const auto hosts = topo.hosts();
-
-  auto run = [&](bool toggled) {
-    sim::Simulation sim(11);
-    Fabric fabric(sim, topo,
-                  FabricConfig{.rate_engine = RateEngine::kIncremental,
-                               .coalesce_cohorts = toggled});
-    for (int i = 0; i < 12; ++i) {
-      const NodeId src = hosts[i % hosts.size()];
-      const NodeId dst = hosts[(i + 7) % hosts.size()];
-      FlowSpec spec;
-      spec.src = src;
-      spec.dst = dst;
-      spec.size = Bytes{40'000'000 + i * 1'000'000};
-      spec.path = routing.paths(src, dst)[0].links;
-      fabric.start_flow(spec);
-    }
-    if (toggled) fabric.set_cohort_coalescing(false);  // flushes the cohort
-    // Post-toggle churn runs eager on both sides.
-    FlowSpec late;
-    late.src = hosts[2];
-    late.dst = hosts[9];
-    late.size = Bytes{25'000'000};
-    late.path = routing.paths(late.src, late.dst)[0].links;
-    fabric.start_flow(late);
-    sim.run_until(SimTime::from_seconds(0.05));
-    sim::StateEncoder enc;
-    fabric.encode_state(enc);
-    return enc.bytes();
-  };
-
-  EXPECT_EQ(run(false), run(true));
-}
-
-TEST(FabricDifferential, MidCohortReadsFlushDeferredWork) {
-  // Rate reads inside a cohort must observe post-recompute values even
-  // though the boundary flush has not fired yet.
-  FatTreeConfig cfg;
-  cfg.k = 4;
-  const Topology topo = make_fat_tree(cfg);
-  const RoutingGraph routing(topo, 4);
-  const auto hosts = topo.hosts();
-  sim::Simulation sim(5);
-  Fabric fabric(sim, topo,
-                FabricConfig{.rate_engine = RateEngine::kHierarchical,
-                             .coalesce_cohorts = true});
-  FlowSpec spec;
-  spec.src = hosts[0];
-  spec.dst = hosts[1];
-  spec.size = Bytes{1'000'000'000};
-  spec.path = routing.paths(spec.src, spec.dst)[0].links;
-  double rate_seen = -1.0;
-  double util_seen = -1.0;
-  sim.at(SimTime::from_seconds(0.1), [&] {
-    const FlowId id = fabric.start_flow(spec);
-    // Same event, before any boundary: accessors must flush.
-    rate_seen = fabric.flow(id).rate.bps();
-    util_seen = fabric.link_utilization(spec.path[0]);
-  });
-  sim.run_until(SimTime::from_seconds(0.2));
-  EXPECT_GT(rate_seen, 0.0);
-  EXPECT_GT(util_seen, 0.0);
-}
-
-TEST(FabricCheckpoint, HierarchicalScenarioRestoresVerified) {
-  // Scenario-level capture/restore with the hierarchical engine and cohort
-  // coalescing on: the mid-run cut exercises the capture-flushes-first
-  // protocol (a capture between a deferral and its boundary flush must
-  // encode post-flush state identically on both sides).
-  for (const bool coalesce : {false, true}) {
-    exp::ScenarioConfig cfg;
-    cfg.seed = 11;
-    cfg.scheduler = exp::SchedulerKind::kPythia;
-    cfg.background.oversubscription = 10.0;
-    cfg.rate_engine = RateEngine::kHierarchical;
-    cfg.coalesce_cohorts = coalesce;
-    const auto job = workloads::sort_job(Bytes{4'000'000'000LL}, 16);
-
-    exp::Scenario probe(cfg);
-    (void)probe.run_job(job);
-    const std::uint64_t events = probe.simulation().queue().events_fired();
-    ASSERT_GT(events, 100u);
-
-    for (const std::uint64_t cut : {events / 3, (2 * events) / 3}) {
-      exp::Scenario golden(cfg);
-      golden.submit_job(job);
-      golden.run_to_event_count(cut);
-      const sim::Snapshot snap =
-          exp::capture_snapshot(golden, job, "hier-cut");
-      exp::RestoreResult restored = exp::restore_snapshot(snap, cfg, job);
-      ASSERT_TRUE(restored.verified)
-          << "coalesce=" << coalesce << " cut " << cut << ": "
-          << restored.divergence;
-      const auto golden_result = golden.finish();
-      const auto restored_result = restored.scenario->finish();
-      EXPECT_EQ(restored_result.completion_time(),
-                golden_result.completion_time());
-    }
-  }
-}
-
-TEST(FabricCheckpoint, ScenarioSurfaceIdenticalAcrossEngines) {
-  // The quickstart scenario shape must complete at the same instant under
-  // all three engines, with and without coalescing.
-  auto run = [](RateEngine engine, bool coalesce) {
-    exp::ScenarioConfig cfg;
-    cfg.seed = 42;
-    cfg.scheduler = exp::SchedulerKind::kEcmp;
-    cfg.background.oversubscription = 10.0;
-    cfg.rate_engine = engine;
-    cfg.coalesce_cohorts = coalesce;
-    exp::Scenario scenario(cfg);
-    return scenario.run_job(workloads::sort_job(Bytes{2'000'000'000}, 4))
-        .completion_time()
-        .ns();
-  };
-  const std::int64_t base = run(RateEngine::kFullRecompute, false);
-  EXPECT_EQ(base, run(RateEngine::kIncremental, false));
-  EXPECT_EQ(base, run(RateEngine::kHierarchical, false));
-  EXPECT_EQ(base, run(RateEngine::kHierarchical, true));
-  EXPECT_EQ(base, run(RateEngine::kIncremental, true));
-}
 
 }  // namespace
 }  // namespace pythia::net

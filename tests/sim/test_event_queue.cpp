@@ -316,6 +316,47 @@ TEST(EventQueue, BoxedCaptureDestroyedExactlyOnce) {
   expect_each_capture_destroyed_once<128>();
 }
 
+TEST(EventQueue, CohortHookRunsOncePerMarkedBoundary) {
+  EventQueue q;
+  int hook_runs = 0;
+  q.set_cohort_hook([&] { ++hook_runs; });
+
+  // No mark_cohort_activity(): advances and the drain never run the hook.
+  q.schedule(SimTime{10}, [] {});
+  q.schedule(SimTime{20}, [] {});
+  q.run_all();
+  EXPECT_EQ(hook_runs, 0);
+
+  // Time advance: two marks in the t=30 cohort, one run before t=40 fires.
+  int runs_seen_at_40 = -1;
+  q.schedule(SimTime{30}, [&] { q.mark_cohort_activity(); });
+  q.schedule(SimTime{30}, [&] { q.mark_cohort_activity(); });
+  q.schedule(SimTime{40}, [&] { runs_seen_at_40 = hook_runs; });
+  q.run_all();
+  EXPECT_EQ(runs_seen_at_40, 1);
+  EXPECT_EQ(hook_runs, 1);  // the unmarked drain after t=40 adds none
+
+  // Drain: the last event marks, the hook runs once as the queue empties.
+  q.schedule(SimTime{50}, [&] { q.mark_cohort_activity(); });
+  q.run_all();
+  EXPECT_EQ(hook_runs, 2);
+
+  // run_until park: the hook runs once before the clock parks at t=80,
+  // although a later event is still queued.
+  q.schedule(SimTime{60}, [&] { q.mark_cohort_activity(); });
+  q.schedule(SimTime{100}, [] {});
+  q.run_until(SimTime{80});
+  EXPECT_EQ(hook_runs, 3);
+  EXPECT_EQ(q.now(), SimTime{80});
+  q.run_all();
+  EXPECT_EQ(hook_runs, 3);
+
+  // One hook at a time: a second registration throws until it is cleared.
+  EXPECT_THROW(q.set_cohort_hook([] {}), std::logic_error);
+  q.clear_cohort_hook();
+  q.set_cohort_hook([] {});
+}
+
 // --- lockstep oracle --------------------------------------------------------
 
 /// Reference model of the queue's observable semantics: one list of keys,
