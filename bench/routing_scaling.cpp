@@ -1,22 +1,23 @@
 // Routing-engine scaling sweep: k-shortest-path table rebuild latency on
-// fat-tree k=4/8/16 for a single-cable (duplex) failure and its restore,
-// full recompute vs the incremental reverse-index rebuild, the cold-build
-// cost across construction modes (eager serial, eager parallel on a thread
-// pool, lazy on-demand), plus the per-flow allocator choose_path decision
-// latency on the interned tables. Writes BENCH_routing.json (rebuild wall
-// times, pairs recomputed vs reused, cold-build arms, choose_path ns, peak
-// RSS). `--smoke` runs k=4 only for CI.
+// fat-tree k=4/8/16 for a single-cable (duplex) failure and its restore, a
+// fresh full table vs the incremental rebuild (drop the affected pairs, then
+// materialize them again), the cold-build cost across construction paths
+// (materialize_all serial, materialize_all on a thread pool, lazy
+// on-demand), plus the per-flow allocator choose_path decision latency on
+// the interned tables. Writes BENCH_routing.json (rebuild wall times, pairs
+// recomputed vs reused, cold-build arms, choose_path ns, peak RSS).
+// `--smoke` runs k=4 only for CI.
 //
 // Two victims per topology: the cable with the *median* reverse-index
 // fanout (a representative physical failure) and the one with the *largest*
 // (the adversarial case — on a fat tree that is a core uplink whose
 // candidate sets cover a quarter of all cross-pod pairs, which bounds the
 // achievable speedup by the work ratio itself). Before timing, one untimed
-// fail+restore cycle checks the incremental table is byte-identical to the
-// full one, pair by pair — a speedup against a wrong table is meaningless.
-// Each timed cycle runs 3 reps; the median is reported. Eager cold builds
-// drop to 1 rep above 4096 pairs — at k16-sparse each costs ~13 s and the
-// reps were pure redundancy.
+// fail+restore cycle checks the incremental table is byte-identical to a
+// fresh full one, pair by pair — a speedup against a wrong table is
+// meaningless. Each timed cycle runs 3 reps; the median is reported. Full
+// cold builds drop to 1 rep above 4096 pairs — at k16-sparse each costs
+// ~13 s and the reps were pure redundancy.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -42,10 +43,8 @@
 namespace {
 
 using namespace pythia;
-using net::BuildMode;
 using net::LinkId;
 using net::NodeId;
-using net::RebuildMode;
 using net::RoutingGraph;
 using net::Topology;
 
@@ -70,10 +69,21 @@ std::unordered_set<LinkId> duplex(const Topology& topo, LinkId l) {
   return banned;
 }
 
-/// Switch-switch cables actually present in some candidate set, sorted by
-/// reverse-index fanout ascending. Cables no pair routes over (common in the
-/// sparse k=16 cell, whose 128 hosts cannot exercise the full core) are
-/// excluded — "failing" one is a no-op for routing and measures nothing.
+/// A fresh graph with every pair computed under `banned`: the full-rebuild
+/// arm, and the reference every incremental table is checked against.
+RoutingGraph full_table(const Topology& topo, std::size_t k_paths,
+                        const std::unordered_set<LinkId>& banned) {
+  RoutingGraph rg(topo, k_paths);
+  rg.rebuild(banned);
+  rg.materialize_all();
+  return rg;
+}
+
+/// Switch-switch cables actually present in some candidate set of `rg` (a
+/// full table), sorted by reverse-index fanout ascending. Cables no pair
+/// routes over (common in the sparse k=16 cell, whose 128 hosts cannot
+/// exercise the full core) are excluded — "failing" one is a no-op for
+/// routing and measures nothing.
 std::vector<LinkId> cables_by_fanout(const Topology& topo,
                                      const RoutingGraph& rg) {
   std::vector<LinkId> cables;
@@ -110,11 +120,11 @@ bool tables_identical(const Topology& topo, const RoutingGraph& a,
   return true;
 }
 
-/// Cold-build cost across the three construction modes. `eager_ms` comes
-/// from the timed builds in main(); the lazy arm splits construction from
-/// first-query and working-set materialization (the pairs a real workload
-/// would actually touch); the parallel arm is a full eager build fanned
-/// across a thread pool with slot-order interning.
+/// Cold-build cost across the three construction paths. `build_ms` comes
+/// from the timed serial full builds in main(); the lazy arm splits
+/// construction from first-query and working-set materialization (the pairs
+/// a real workload would actually touch); the parallel arm is a full build
+/// fanned across a thread pool with slot-order interning.
 struct ColdResult {
   double lazy_ctor_ms = 0.0;
   double lazy_first_query_ms = 0.0;
@@ -132,7 +142,8 @@ struct ColdResult {
   bool identical = false;
 };
 
-/// `reference` must be a clean (no banned links) eager graph on `topo`.
+/// `reference` must be a clean (no banned links), fully materialized graph
+/// on `topo`.
 ColdResult run_cold(const Topology& topo, std::size_t k_paths,
                     std::uint64_t pairs, const RoutingGraph& reference) {
   ColdResult r;
@@ -150,7 +161,7 @@ ColdResult run_cold(const Topology& topo, std::size_t k_paths,
   }
 
   auto t0 = std::chrono::steady_clock::now();
-  RoutingGraph lazy(topo, k_paths, BuildMode::kLazy);
+  RoutingGraph lazy(topo, k_paths);
   r.lazy_ctor_ms = ms_since(t0);
   t0 = std::chrono::steady_clock::now();
   (void)lazy.paths(sample.front().first, sample.front().second);
@@ -164,19 +175,20 @@ ColdResult run_cold(const Topology& topo, std::size_t k_paths,
   r.pairs_materialized = lazy.pairs_materialized();
   r.attach_pairs_computed = lazy.counters().attach_pairs_computed;
 
-  // Parallel eager arm. At least 2 workers even on a single-core box so the
+  // Parallel full build. At least 2 workers even on a single-core box so the
   // scratch/commit fan-out path is actually exercised (and visible to TSan
   // when this runs in CI smoke).
   util::ThreadPool pool(
       std::max<std::size_t>(2, std::thread::hardware_concurrency()));
   r.parallel_threads = pool.thread_count();
   t0 = std::chrono::steady_clock::now();
-  RoutingGraph parallel(topo, k_paths, BuildMode::kEager, &pool);
+  RoutingGraph parallel(topo, k_paths);
+  parallel.materialize_all(&pool);
   r.parallel_ms = ms_since(t0);
   r.parallel_attach_pairs_computed =
       parallel.counters().attach_pairs_computed;
 
-  // Identity gate: fully materialize the lazy arm, then all three modes
+  // Identity gate: fully materialize the lazy arm, then all three paths
   // must agree pair by pair. A fast cold build that computes a different
   // table measures nothing.
   lazy.materialize_all();
@@ -205,45 +217,54 @@ struct VictimResult {
   }
 };
 
+/// `inc` must be fully materialized; it is again on return. The incremental
+/// arm is rebuild() plus materialize_all() of the pairs it dropped; the full
+/// arm builds a fresh table under the same banned set.
 VictimResult run_victim(const Topology& topo, RoutingGraph& inc,
-                        RoutingGraph& full, LinkId victim, int reps) {
+                        LinkId victim, int reps) {
   VictimResult r;
   r.fanout = inc.pairs_using(victim);
   const auto banned = duplex(topo, victim);
+  const std::unordered_set<LinkId> none;
+  const auto incremental = [&inc](const std::unordered_set<LinkId>& b) {
+    inc.rebuild(b);
+    inc.materialize_all();
+  };
 
   // Cold first failure: the reverse index still carries the initial build's
   // touched unions, which include every unchosen Yen candidate. A
   // fail+restore cycle shrinks the recomputed pairs' stored witness runs to
-  // the ban-era unions (still sound — the differential tests prove it), so
-  // repeat failures of the same cable recompute fewer pairs. Both costs are
-  // real: cold is the first-ever failure, warm is every one after.
+  // the ban-era unions (still sound — the routing suites check it against
+  // the oracle), so repeat failures of the same cable recompute fewer
+  // pairs. Both costs are real: cold is the first-ever failure, warm is
+  // every one after.
   const auto cold_before = inc.counters().pairs_recomputed;
   auto t0 = std::chrono::steady_clock::now();
-  inc.rebuild(topo, banned, RebuildMode::kIncremental);
+  incremental(banned);
   r.fail_inc_cold_ms = ms_since(t0);
   r.pairs_recomputed_cold = inc.counters().pairs_recomputed - cold_before;
-  full.rebuild(topo, banned, RebuildMode::kFull);
-  r.identical = tables_identical(topo, inc, full);
-  inc.rebuild(topo, {}, RebuildMode::kIncremental);
-  full.rebuild(topo, {}, RebuildMode::kFull);
-  r.identical = r.identical && tables_identical(topo, inc, full);
+  r.identical =
+      tables_identical(topo, inc, full_table(topo, inc.k(), banned));
+  incremental(none);
+  r.identical = r.identical &&
+                tables_identical(topo, inc, full_table(topo, inc.k(), none));
 
   std::vector<double> fail_full, fail_inc, restore_full, restore_inc;
   for (int i = 0; i < reps; ++i) {
     t0 = std::chrono::steady_clock::now();
-    full.rebuild(topo, banned, RebuildMode::kFull);
+    (void)full_table(topo, inc.k(), banned);
     fail_full.push_back(ms_since(t0));
     t0 = std::chrono::steady_clock::now();
-    full.rebuild(topo, {}, RebuildMode::kFull);
+    (void)full_table(topo, inc.k(), none);
     restore_full.push_back(ms_since(t0));
 
     const auto before_fail = inc.counters().pairs_recomputed;
     t0 = std::chrono::steady_clock::now();
-    inc.rebuild(topo, banned, RebuildMode::kIncremental);
+    incremental(banned);
     fail_inc.push_back(ms_since(t0));
     const auto before_restore = inc.counters().pairs_recomputed;
     t0 = std::chrono::steady_clock::now();
-    inc.rebuild(topo, {}, RebuildMode::kIncremental);
+    incremental(none);
     restore_inc.push_back(ms_since(t0));
     r.pairs_recomputed_fail = before_restore - before_fail;
     r.pairs_recomputed_restore =
@@ -392,25 +413,25 @@ int main(int argc, char** argv) {
     const auto hosts = topo.hosts().size();
     const auto pairs = static_cast<std::uint64_t>(hosts) * (hosts - 1);
 
-    // One eager rep above 4096 pairs: each k16-sparse build costs ~13 s and
-    // repeating it told us nothing a single rep doesn't.
+    // One full-build rep above 4096 pairs: each k16-sparse build costs
+    // ~13 s and repeating it told us nothing a single rep doesn't.
     const int build_reps = pairs > 4096 ? 1 : reps;
     std::vector<double> build;
     for (int i = 0; i < build_reps; ++i) {
       const auto t0 = std::chrono::steady_clock::now();
       RoutingGraph rg(topo, k_paths);
+      rg.materialize_all();
       build.push_back(ms_since(t0));
     }
     const double build_ms = median3(build);
 
     RoutingGraph inc(topo, k_paths);
-    RoutingGraph full(topo, k_paths);
-    const ColdResult cold = run_cold(topo, k_paths, pairs, full);
+    inc.materialize_all();
+    const ColdResult cold = run_cold(topo, k_paths, pairs, inc);
     const auto cables = cables_by_fanout(topo, inc);
-    const VictimResult median = run_victim(
-        topo, inc, full, cables[cables.size() / 2], reps);
-    const VictimResult worst = run_victim(topo, inc, full, cables.back(),
-                                          reps);
+    const VictimResult median =
+        run_victim(topo, inc, cables[cables.size() / 2], reps);
+    const VictimResult worst = run_victim(topo, inc, cables.back(), reps);
     const double choose_ns = choose_path_ns(topo, choose_iters);
     all_identical = all_identical && median.identical && worst.identical &&
                     cold.identical;

@@ -175,9 +175,9 @@ sim::Snapshot capture_snapshot(Scenario& scenario,
     scenario.fabric().encode_counters(enc);
   });
   // Slot-ordered link chains (RoutingGraph::kStateVersion): the encoder
-  // materializes any pair the lazy graph has not computed yet, so a lazily
-  // and an eagerly built graph capture the same bytes here even though
-  // their pools interned paths in different orders. Encoded before
+  // materializes any pair the lazy graph has not computed yet, so graphs
+  // that were queried in different orders capture the same bytes here even
+  // though their pools interned paths in different orders. Encoded before
   // routing.counters so the forced materialization it performs is already
   // reflected in the counters section (identically on capture and on the
   // restored re-capture).

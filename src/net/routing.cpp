@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <queue>
+#include <stdexcept>
 
 #include "sim/snapshot.hpp"
 #include "util/thread_pool.hpp"
@@ -41,16 +42,6 @@ struct LinkSeqHash {
     return static_cast<std::size_t>(link_seq_hash(links));
   }
 };
-
-/// Mints a PathId, stamping the pool generation in debug builds so stale
-/// resolution after PathPool::clear() aborts instead of reading garbage.
-PathId make_path_id(std::uint32_t idx, [[maybe_unused]] std::uint32_t gen) {
-  PathId id{idx};
-#ifndef NDEBUG
-  id.debug_set_generation(gen);
-#endif
-  return id;
-}
 
 }  // namespace
 
@@ -190,18 +181,12 @@ PathId PathPool::intern(Path path) {
   const std::uint64_t h = link_seq_hash(path.links);
   auto& bucket = index_[h];
   for (std::uint32_t id : bucket) {
-    if (paths_[id].links == path.links) return make_path_id(id, generation_);
+    if (paths_[id].links == path.links) return PathId{id};
   }
   const auto id = static_cast<std::uint32_t>(paths_.size());
   paths_.push_back(std::move(path));
   bucket.push_back(id);
-  return make_path_id(id, generation_);
-}
-
-void PathPool::clear() {
-  paths_.clear();
-  index_.clear();
-  ++generation_;
+  return PathId{id};
 }
 
 std::vector<Path> PathSet::materialize() const {
@@ -212,75 +197,30 @@ std::vector<Path> PathSet::materialize() const {
 }
 
 RoutingGraph::RoutingGraph(const Topology& topo, std::size_t k,
-                           BuildMode build, util::ThreadPool* pool)
-    : k_(k), build_(build) {
-  if (build_ == BuildMode::kEager && pool != nullptr) {
-    // Parallel cold build: index, then fan the per-pair Yen runs across the
-    // pool. materialize_all interns in canonical slot order on this thread,
-    // so the result — including every PathId value — matches a serial build.
-    topo_ = &topo;
-    index_topology(topo);
-    ++counters_.full_rebuilds;
-    materialize_all(pool);
-  } else {
-    rebuild(topo, {}, RebuildMode::kFull);
+                           BuildMode /*build*/)
+    : topo_(&topo), k_(k) {
+  if (k_ == 0) {
+    throw std::invalid_argument(
+        "RoutingGraph needs k >= 1 candidate paths per host pair");
   }
-}
-
-void RoutingGraph::rebuild(const Topology& topo,
-                           const std::unordered_set<LinkId>& banned_links,
-                           RebuildMode mode) {
-  const bool same_topology = topo_ == &topo &&
-                             node_count_ == topo.node_count() &&
-                             link_count_ == topo.link_count();
-  if (same_topology && banned_links == banned_) {
-    // No-op delta: same topology, same banned set — in any mode the table
-    // could not change. Return before copying the banned set or bumping
-    // rebuild counters; only the no-op count moves (pinned by unit test).
-    ++counters_.noop_rebuilds;
-    return;
-  }
-  if (!same_topology) {
-    // A different (or resized) topology invalidates every interned id.
-    if (topo_ != nullptr) pool_.clear();
-    topo_ = &topo;
-    index_topology(topo);
-  }
-  // Switch-level runs are valid for one banned set only.
-  attach_cache_ = {};
-  if (same_topology && mode == RebuildMode::kIncremental) {
-    rebuild_incremental(banned_links);
-  } else {
-    rebuild_full(banned_links);
-  }
-  banned_ = banned_links;
-  // An eager table is complete, so nothing reads the runs before the next
-  // rebuild drops them anyway.
-  if (build_ == BuildMode::kEager) attach_cache_ = {};
-}
-
-void RoutingGraph::index_topology(const Topology& topo) {
-  node_count_ = topo.node_count();
-  link_count_ = topo.link_count();
+  const std::size_t nodes = topo.node_count();
   hosts_ = topo.hosts();
-  host_slot_.assign(node_count_, kNotHost);
+  host_slot_.assign(nodes, kNotHost);
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
     host_slot_[hosts_[i].value()] = static_cast<std::uint32_t>(i);
   }
   table_.assign(hosts_.size() * hosts_.size(), {});
   pair_links_.assign(table_.size(), {});
-  link_pairs_.assign(link_count_, {});
+  link_pairs_.assign(topo.link_count(), {});
   materialized_.assign(table_.size(), 0);
-  materialized_count_ = 0;
-  in_links_.assign(node_count_, {});
+  in_links_.assign(nodes, {});
   for (const Link& l : topo.links()) {
     in_links_[l.dst.value()].push_back(l.id);
   }
 
   // Stub hosts: one uplink and one downlink, both to the same switch.
   access_.assign(hosts_.size(), Access{});
-  attach_nodes_.clear();
-  std::vector<std::uint32_t> attach_index(node_count_, kNotHost);
+  std::vector<std::uint32_t> attach_index(nodes, kNotHost);
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
     const auto& out = topo.out_links(hosts_[i]);
     const auto& in = in_links_[hosts_[i].value()];
@@ -299,25 +239,10 @@ void RoutingGraph::index_topology(const Topology& topo) {
   }
 }
 
-void RoutingGraph::rebuild_full(const std::unordered_set<LinkId>& banned) {
-  ++counters_.full_rebuilds;
-  for (auto& slots : link_pairs_) slots.clear();
-  for (std::size_t slot = 0; slot < table_.size(); ++slot) {
-    table_[slot].clear();
-    pair_links_[slot].clear();
-    materialized_[slot] = 0;
-  }
-  materialized_count_ = 0;
-  if (build_ == BuildMode::kLazy) return;  // pairs recompute on first query
-  for (std::size_t slot = 0; slot < table_.size(); ++slot) {
-    if (diagonal(slot)) continue;  // src == dst
-    recompute_pair(slot, banned);
-  }
-}
-
-// Incremental rebuild recomputes only pairs the banned-set delta can affect;
-// every other pair's cached k-best set is *exactly* what a full rebuild
-// would produce (the differential tests exercise this):
+// A rebuild drops only the materialized pairs the banned-set delta can
+// affect; every other pair's k-best set is *exactly* what a fresh Yen run
+// under the new banned set would produce (the routing suites check every
+// pair against direct k_shortest_paths calls):
 //
 //  - Newly banned link m: a pair can only change if m was touched by its
 //    last Yen run (any generated candidate, chosen or not). If no spur
@@ -333,88 +258,76 @@ void RoutingGraph::rebuild_full(const std::unordered_set<LinkId>& banned) {
 //    no new or changed candidate can displace a chosen one and the result
 //    set is unchanged. (Unchosen long candidates may differ; they are also
 //    irrelevant to future deltas for the same hop-bound reason.)
-void RoutingGraph::rebuild_incremental(
-    const std::unordered_set<LinkId>& banned) {
+void RoutingGraph::rebuild(const std::unordered_set<LinkId>& banned_links) {
+  if (banned_links == banned_) {
+    // No-op delta: the table could not change. Return before copying the
+    // banned set or bumping rebuild counters; only the no-op count moves
+    // (pinned by unit test).
+    ++counters_.noop_rebuilds;
+    return;
+  }
   ++counters_.incremental_rebuilds;
+  // Switch-level runs are valid for one banned set only.
+  attach_cache_ = {};
   std::vector<LinkId> added;    // newly failed links
   std::vector<LinkId> removed;  // restored links
   // pythia-lint: allow(unordered-iter) set difference; `added` is sorted
   // below before it drives any rebuild decision
-  for (LinkId l : banned) {
+  for (LinkId l : banned_links) {
     if (!banned_.contains(l)) added.push_back(l);
   }
   // pythia-lint: allow(unordered-iter) set difference; `removed` is sorted
   // below before it drives any rebuild decision
   for (LinkId l : banned_) {
-    if (!banned.contains(l)) removed.push_back(l);
+    if (!banned_links.contains(l)) removed.push_back(l);
   }
-  const std::size_t H = hosts_.size();
-  const std::size_t total_pairs = H < 2 ? 0 : H * (H - 1);
-  // An empty delta cannot reach here: rebuild() early-returns when the
-  // banned set is unchanged, and set equality is exactly "no delta".
-  assert(!(added.empty() && removed.empty()));
   std::sort(added.begin(), added.end());
   std::sort(removed.begin(), removed.end());
+  banned_ = banned_links;
 
   std::vector<char> affected(table_.size(), 0);
   for (LinkId l : added) {
     for (std::uint32_t slot : link_pairs_[l.value()]) affected[slot] = 1;
   }
 
-  if (!removed.empty()) {
-    std::vector<std::uint32_t> dist_to_u;
-    std::vector<std::uint32_t> dist_from_v;
-    for (LinkId l : removed) {
-      const Link& link = topo_->link(l);
-      bfs_hops(link.src, /*reverse=*/true, banned, dist_to_u);
-      bfs_hops(link.dst, /*reverse=*/false, banned, dist_from_v);
-      for (std::size_t ai = 0; ai < H; ++ai) {
-        const std::uint32_t du = dist_to_u[hosts_[ai].value()];
-        if (du == kUnreachable) continue;
-        for (std::size_t bi = 0; bi < H; ++bi) {
-          if (bi == ai) continue;
-          const std::size_t slot = pair_slot(
-              static_cast<std::uint32_t>(ai), static_cast<std::uint32_t>(bi));
-          if (affected[slot] != 0) continue;
-          // Lazy: a pair with no current candidates has nothing a restored
-          // link could stale-ify; it recomputes on next query anyway.
-          if (build_ == BuildMode::kLazy && materialized_[slot] == 0) {
-            continue;
-          }
-          const std::uint32_t dv = dist_from_v[hosts_[bi].value()];
-          if (dv == kUnreachable) continue;
-          const auto& ids = table_[slot];
-          if (ids.size() < k_) {
-            // Starved or partitioned pair: the restored link may add paths.
-            affected[slot] = 1;
-            continue;
-          }
-          const std::size_t lb =
-              static_cast<std::size_t>(du) + 1 + static_cast<std::size_t>(dv);
-          if (lb <= pool_.path(ids.back()).hops()) affected[slot] = 1;
+  const std::size_t H = hosts_.size();
+  std::vector<std::uint32_t> dist_to_u;
+  std::vector<std::uint32_t> dist_from_v;
+  for (LinkId l : removed) {
+    const Link& link = topo_->link(l);
+    bfs_hops(link.src, /*reverse=*/true, dist_to_u);
+    bfs_hops(link.dst, /*reverse=*/false, dist_from_v);
+    for (std::size_t ai = 0; ai < H; ++ai) {
+      const std::uint32_t du = dist_to_u[hosts_[ai].value()];
+      if (du == kUnreachable) continue;
+      for (std::size_t bi = 0; bi < H; ++bi) {
+        const std::size_t slot = pair_slot(static_cast<std::uint32_t>(ai),
+                                           static_cast<std::uint32_t>(bi));
+        // An unmaterialized pair (the diagonal included) has nothing a
+        // restored link could stale-ify; it computes on its next query.
+        if (affected[slot] != 0 || materialized_[slot] == 0) continue;
+        const std::uint32_t dv = dist_from_v[hosts_[bi].value()];
+        if (dv == kUnreachable) continue;
+        const auto& ids = table_[slot];
+        if (ids.size() < k_) {
+          // Starved or partitioned pair: the restored link may add paths.
+          affected[slot] = 1;
+          continue;
         }
+        const std::size_t lb =
+            static_cast<std::size_t>(du) + 1 + static_cast<std::size_t>(dv);
+        if (lb <= pool_.path(ids.back()).hops()) affected[slot] = 1;
       }
     }
   }
 
-  if (build_ == BuildMode::kLazy) {
-    // Affected pairs are dropped, not recomputed — the next query (if any
-    // ever comes) recomputes under the then-current banned set. Surviving
-    // materialized pairs are the reuse win.
-    for (std::size_t slot = 0; slot < table_.size(); ++slot) {
-      if (affected[slot] != 0) invalidate_pair(slot);
-    }
-    counters_.pairs_reused += materialized_count_;
-    return;
-  }
-
-  std::size_t recomputed = 0;
+  // Affected pairs are dropped, not recomputed — the next query (if any
+  // ever comes) recomputes under the then-current banned set. Surviving
+  // materialized pairs are the reuse win.
   for (std::size_t slot = 0; slot < table_.size(); ++slot) {
-    if (affected[slot] == 0) continue;
-    recompute_pair(slot, banned);
-    ++recomputed;
+    if (affected[slot] != 0) invalidate_pair(slot);
   }
-  counters_.pairs_reused += total_pairs - recomputed;
+  counters_.pairs_reused += materialized_count_;
 }
 
 void RoutingGraph::run_yen(NodeId src, NodeId dst,
@@ -543,11 +456,11 @@ void RoutingGraph::set_pair(std::size_t slot, std::vector<PathId> ids,
 }
 
 void RoutingGraph::bfs_hops(NodeId origin, bool reverse,
-                            const std::unordered_set<LinkId>& banned,
                             std::vector<std::uint32_t>& dist) const {
-  dist.assign(node_count_, kUnreachable);
+  const std::size_t nodes = topo_->node_count();
+  dist.assign(nodes, kUnreachable);
   std::vector<NodeId> queue;
-  queue.reserve(node_count_);
+  queue.reserve(nodes);
   queue.push_back(origin);
   dist[origin.value()] = 0;
   for (std::size_t head = 0; head < queue.size(); ++head) {
@@ -555,7 +468,7 @@ void RoutingGraph::bfs_hops(NodeId origin, bool reverse,
     const std::uint32_t d = dist[u.value()];
     const auto& links = reverse ? in_links_[u.value()] : topo_->out_links(u);
     for (LinkId l : links) {
-      if (banned.contains(l)) continue;
+      if (banned_.contains(l)) continue;
       const Link& link = topo_->link(l);
       const NodeId next = reverse ? link.src : link.dst;
       if (dist[next.value()] != kUnreachable) continue;
@@ -665,10 +578,9 @@ std::size_t RoutingGraph::pairs_using(LinkId l) const {
 }
 
 void RoutingGraph::encode_counters(sim::StateEncoder& enc) const {
-  // Rebuild-strategy observability: kIncremental/kFull and kLazy/kEager
+  // Rebuild-work observability: runs that query pairs in a different order
   // produce identical tables but different work splits, so these live in
   // their own snapshot section the cross-arm bisection skips.
-  enc.put_u64(counters_.full_rebuilds);
   enc.put_u64(counters_.incremental_rebuilds);
   enc.put_u64(counters_.pairs_recomputed);
   enc.put_u64(counters_.pairs_reused);
@@ -684,7 +596,7 @@ void RoutingGraph::encode_state(sim::StateEncoder& enc) const {
   enc.put_u64(static_cast<std::uint64_t>(k_));
 
   // Per-pair candidate link chains in canonical slot order — not raw pool
-  // ids. Interning order tracks query order in lazy mode, so pool ids would
+  // ids. Interning order tracks query order, so pool ids would
   // make two behaviorally identical runs encode different bytes; the chains
   // themselves are a pure function of (topology, banned set, k).
   // Unmaterialized pairs are computed right here for the same reason: the

@@ -4,29 +4,26 @@
 //
 // Paths are interned in a PathPool: the graph stores PathId handles instead
 // of link-vector copies, a reverse index LinkId → {host pairs using it} lets
-// rebuild() recompute only the pairs a failed/restored link can affect, and
-// the control plane (controller/allocator) passes ids on the per-flow hot
-// path instead of copying/comparing link vectors.
+// rebuild() drop only the pairs a failed/restored link can affect, and the
+// control plane (controller/allocator) passes ids on the per-flow hot path
+// instead of copying/comparing link vectors.
 //
-// Construction comes in two flavors (BuildMode), both provably identical to
-// the classic eager build because a pair's Yen candidate set is a pure
-// function of (topology, banned set, k) — query order cannot change results:
-//  - kEager: every pair computed up front (optionally fanned across a
-//    util::ThreadPool via materialize_all, which interns results in
-//    canonical slot order so PathId assignment matches a serial build).
-//  - kLazy: pairs computed on first paths()/has_paths() query; rebuild()
-//    merely *invalidates* affected materialized pairs instead of recomputing
-//    them. At warehouse scale most host pairs never carry a shuffle flow, so
-//    this removes the cold-build wall entirely.
+// The table is lazy: a pair is computed on its first paths()/has_paths()
+// query, and rebuild() merely *invalidates* the affected materialized pairs.
+// A pair's Yen candidate set is a pure function of (topology, banned set, k),
+// so query order changes only when a pair is computed, never what it holds.
+// At warehouse scale most host pairs never carry a shuffle flow, so this
+// removes the cold-build wall entirely; materialize_all() fills the whole
+// table (optionally across a util::ThreadPool) when a caller needs it.
 //
-// Either way, a pair of *stub* hosts (each wired to the fabric by exactly one
-// uplink and one downlink, both to the same switch) does not run Yen itself:
-// its candidates are the source's uplink, then each candidate of one cached
-// Yen run between the two attachment switches, then the destination's
-// downlink. A stub host is never a transit node, so this is exactly the
-// host-level Yen result — same candidates, same order, same touched links
-// (the argument is in docs/architecture.md). Every host pair on a rack pair
-// shares that one switch-level run.
+// A pair of *stub* hosts (each wired to the fabric by exactly one uplink and
+// one downlink, both to the same switch) does not run Yen itself: its
+// candidates are the source's uplink, then each candidate of one cached Yen
+// run between the two attachment switches, then the destination's downlink.
+// A stub host is never a transit node, so this is exactly the host-level Yen
+// result — same candidates, same order, same touched links (the argument is
+// in docs/architecture.md). Every host pair on a rack pair shares that one
+// switch-level run.
 #pragma once
 
 #include <cassert>
@@ -85,47 +82,31 @@ std::vector<Path> k_shortest_paths(
 /// Append-only intern table for paths. Interning the same link sequence
 /// twice yields the same PathId, and `path(id)` references are stable for
 /// the lifetime of the pool (deque storage never relocates elements), so the
-/// control plane can hold `const Path*` across rebuilds on one topology.
+/// control plane can hold `const Path*` across rebuilds.
 class PathPool {
  public:
   PathId intern(Path path);
 
   [[nodiscard]] const Path& path(PathId id) const {
     assert(id.valid() && id.value() < paths_.size());
-#ifndef NDEBUG
-    // A stale id outlived a clear() (topology switch): resolving it would
-    // silently return some other topology's path. Debug builds abort here;
-    // release keeps the historical unchecked-index behavior.
-    assert(id.debug_generation() == generation_ &&
-           "stale PathId resolved after PathPool::clear (topology switch)");
-#endif
     return paths_[id.value()];
   }
   [[nodiscard]] std::size_t size() const { return paths_.size(); }
-
-  /// Drops every interned path; outstanding ids become invalid (and debug
-  /// builds assert if one is later resolved — see generation()). Only called
-  /// when the routing graph switches to a different topology.
-  void clear();
-
-  /// Bumped by every clear(); ids minted before the bump are stale. Debug
-  /// builds stamp the generation into each returned PathId.
-  [[nodiscard]] std::uint32_t generation() const { return generation_; }
 
  private:
   std::deque<Path> paths_;
   // Hash of the link sequence → pool ids with that hash (collisions resolved
   // by full sequence equality in intern()).
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index_;
-  std::uint32_t generation_ = 0;
 };
 
 /// Non-owning view of one host pair's candidate paths: an id vector in the
 /// routing table plus the pool that resolves them. Indexing returns the
 /// interned `const Path&` (pool storage is stable), so existing callers that
 /// range-for over candidates and keep `&path` work unchanged. The view
-/// itself tracks the live table: after a rebuild it sees the new candidate
-/// set; call `materialize()` to snapshot instead.
+/// itself tracks the live table: after a rebuild that drops the pair it is
+/// empty until the next paths() query recomputes the pair; call
+/// `materialize()` to snapshot instead.
 class PathSet {
  public:
   PathSet(const std::vector<PathId>* ids, const PathPool* pool)
@@ -181,42 +162,26 @@ class PathSet {
   const PathPool* pool_;
 };
 
-/// How rebuild() reacts to a banned-set change on an unchanged topology.
-enum class RebuildMode : std::uint8_t {
-  /// Recompute only host pairs a newly banned/restored link can affect
-  /// (reverse index + BFS hop bound); the default and byte-identical to
-  /// kFull — proven by the differential tests.
-  kIncremental,
-  /// Legacy behavior: re-run Yen for every host pair. Kept as the baseline
-  /// the differential tests and the routing_scaling bench compare against.
-  kFull,
-};
-
-/// When a RoutingGraph computes each host pair's candidates.
-enum class BuildMode : std::uint8_t {
-  /// Classic behavior: every pair Yen-computed at construction / rebuild.
-  kEager,
-  /// Pairs computed on first query; rebuild() invalidates affected
-  /// materialized pairs instead of recomputing them. Identical observable
-  /// results (per-pair Yen is pure in topology + banned set), proven by the
-  /// differential tests in tests/net/test_routing_lazy.cpp.
-  kLazy,
-};
+/// The table is always lazy. The enum remains only because callers outside
+/// this module (bench/e2e/trace.cpp) still name its one enumerator; the
+/// constructor ignores it.
+enum class BuildMode : std::uint8_t { kLazy };
 
 /// Observability for rebuild work (the routing_scaling bench reports the
 /// recomputed/reused split per failure event).
 struct RoutingCounters {
-  std::uint64_t full_rebuilds = 0;
+  /// rebuild() calls that changed the banned set.
   std::uint64_t incremental_rebuilds = 0;
   std::uint64_t pairs_recomputed = 0;
   std::uint64_t pairs_reused = 0;
-  /// rebuild() calls that were no-op deltas (same topology, same banned set)
-  /// and returned without touching any state.
+  /// rebuild() calls that were no-op deltas (same banned set) and returned
+  /// without touching any state.
   std::uint64_t noop_rebuilds = 0;
-  /// Lazy mode: materialized pairs dropped by a rebuild delta (recomputed
-  /// only if queried again).
+  /// Materialized pairs dropped by a rebuild delta (recomputed only if
+  /// queried again).
   std::uint64_t pairs_invalidated = 0;
-  /// Lazy mode: pairs computed on first query (subset of pairs_recomputed).
+  /// Pairs computed one at a time on first query or by encode_state (a
+  /// subset of pairs_recomputed; materialize_all's pairs are the rest).
   std::uint64_t lazy_materializations = 0;
   /// Yen runs between two attachment switches, the shared middle section of
   /// every stub-host pair's candidates. At most (attachment switches)² per
@@ -224,34 +189,32 @@ struct RoutingCounters {
   std::uint64_t attach_pairs_computed = 0;
 };
 
-/// Precomputed k-shortest paths for every host pair. The SDN topology
-/// service rebuilds it when the physical topology changes (link failure);
-/// incremental mode touches only affected pairs.
+/// k-shortest paths for every host pair of one topology, computed on
+/// demand. The SDN topology service rebuilds it when a link fails or is
+/// restored; a rebuild drops only the pairs the banned-set delta can affect.
 class RoutingGraph {
  public:
-  /// kEager computes every pair up front (pass `pool` to fan the per-pair
-  /// Yen runs across worker threads; interning stays on this thread in
-  /// canonical slot order, so the result — including PathId values — is
-  /// byte-identical to a serial build). kLazy defers each pair to its first
-  /// query and ignores `pool`.
+  /// Indexes `topo` (which must outlive the graph) and computes nothing: every
+  /// pair waits for its first query or for materialize_all(). Throws
+  /// std::invalid_argument when k == 0, which would leave every pair without
+  /// candidates. The BuildMode argument is accepted and ignored.
   explicit RoutingGraph(const Topology& topo, std::size_t k,
-                        BuildMode build = BuildMode::kEager,
-                        util::ThreadPool* pool = nullptr);
+                        BuildMode build = BuildMode::kLazy);
 
   /// Equal-candidate path set for an ordered host pair; non-empty for every
-  /// connected pair. In lazy mode this materializes the pair on first use.
+  /// connected pair. Materializes the pair on first use.
   /// Precondition: both are hosts in this topology (asserted
   /// in debug; release returns an empty set — use has_paths()/is_host_pair()
   /// to distinguish "partitioned" from "not a host").
   [[nodiscard]] PathSet paths(NodeId src_host, NodeId dst_host) const;
 
-  /// True iff both nodes are hosts of the current topology (a valid key for
-  /// the table, whether or not it currently has candidates).
+  /// True iff both nodes are hosts of the topology (a valid key for the
+  /// table, whether or not it currently has candidates).
   [[nodiscard]] bool is_host_pair(NodeId src_host, NodeId dst_host) const;
 
   /// True iff the ordered pair is a host pair with at least one cached path
   /// (false means partitioned — or not hosts at all; see is_host_pair()).
-  /// In lazy mode this materializes the pair on first use.
+  /// Materializes the pair on first use.
   [[nodiscard]] bool has_paths(NodeId src_host, NodeId dst_host) const;
 
   /// Computes every not-yet-materialized pair. With a thread pool, the Yen
@@ -263,12 +226,11 @@ class RoutingGraph {
   /// runs serially.
   void materialize_all(util::ThreadPool* pool = nullptr);
 
-  /// Ordered host pairs whose candidates are currently computed. Equals the
-  /// full pair count for an eager graph; grows with queries in lazy mode.
+  /// Ordered host pairs whose candidates are currently computed; grows with
+  /// queries, shrinks when a rebuild invalidates pairs.
   [[nodiscard]] std::size_t pairs_materialized() const {
     return materialized_count_;
   }
-  [[nodiscard]] BuildMode build_mode() const { return build_; }
 
   [[nodiscard]] std::size_t k() const { return k_; }
   [[nodiscard]] const Topology& topology() const { return *topo_; }
@@ -282,28 +244,25 @@ class RoutingGraph {
 
   /// Number of ordered host pairs whose last Yen run *touched* `l` — i.e.
   /// any generated candidate (chosen or not) traversed it. This is the set
-  /// an incremental rebuild recomputes when `l` fails; the bench uses it to
-  /// pick a worst-case victim link.
+  /// a rebuild invalidates when `l` fails; the bench uses it to pick a
+  /// worst-case victim link. Counts materialized pairs only (plus invalidated
+  /// ones, whose stored union stays as the diff witness).
   [[nodiscard]] std::size_t pairs_using(LinkId l) const;
 
-  /// Recomputes the table, excluding `banned_links` (failed links) from
-  /// every path — the controller's topology-update service calls this on
-  /// link-failure/restore events. kIncremental recomputes (lazy: invalidates)
-  /// only pairs the banned-set delta can affect; a different/resized
-  /// topology always forces a full rebuild (and invalidates pool ids). A
-  /// no-op delta (same topology, same banned set) returns immediately,
-  /// bumping only the noop_rebuilds counter.
-  void rebuild(const Topology& topo,
-               const std::unordered_set<LinkId>& banned_links = {},
-               RebuildMode mode = RebuildMode::kIncremental);
+  /// Switches the table to `banned_links` (failed links), which no path may
+  /// use — the controller's topology-update service calls this on
+  /// link-failure/restore events. Drops only the materialized pairs the
+  /// banned-set delta can affect; they recompute on their next query. An
+  /// unchanged banned set returns immediately, bumping only noop_rebuilds.
+  void rebuild(const std::unordered_set<LinkId>& banned_links);
 
   /// Serializes the routing state for snapshots (section version
   /// kStateVersion): per-pair candidate link chains in slot order plus the
   /// banned set (sorted). Chains — not raw pool ids — keep the section
-  /// independent of interning order, which in lazy mode depends on query
-  /// order; every unmaterialized pair is materialized first (pure per-pair
-  /// computation, so this cannot perturb behavior), making lazy, eager, and
-  /// parallel-built graphs byte-identical here.
+  /// independent of interning order, which depends on query order; every
+  /// unmaterialized pair is materialized first (pure per-pair computation,
+  /// so this cannot perturb behavior), making graphs queried in any order,
+  /// or filled in parallel, byte-identical here.
   void encode_state(sim::StateEncoder& enc) const;
 
   /// Leading u32 of the encode_state section; bumped when the routing
@@ -311,10 +270,10 @@ class RoutingGraph {
   /// pool-id dump — see docs/checkpoint.md).
   static constexpr std::uint32_t kStateVersion = 2;
 
-  /// Rebuild-work counters, serialized as their own snapshot section:
-  /// contracted-identical arms (incremental vs. full rebuild) agree on
-  /// encode_state but legitimately differ here, so divergence bisection
-  /// compares behavioral sections only (see Snapshot::describe_divergence).
+  /// Rebuild-work counters, serialized as their own snapshot section: runs
+  /// that query pairs in a different order agree on encode_state but
+  /// legitimately differ here, so divergence bisection compares behavioral
+  /// sections only (see Snapshot::describe_divergence).
   void encode_counters(sim::StateEncoder& enc) const;
 
  private:
@@ -351,9 +310,6 @@ class RoutingGraph {
     return slot / hosts_.size() == slot % hosts_.size();
   }
 
-  void index_topology(const Topology& topo);
-  void rebuild_full(const std::unordered_set<LinkId>& banned);
-  void rebuild_incremental(const std::unordered_set<LinkId>& banned);
   /// Pure Yen run between two nodes into scratch: reads only the topology
   /// and the banned set, writes only `out` — safe to fan across worker
   /// threads.
@@ -377,9 +333,9 @@ class RoutingGraph {
   /// compute_pair + commit_pair for one slot.
   void recompute_pair(std::size_t slot,
                       const std::unordered_set<LinkId>& banned) const;
-  /// Lazy mode: drops a materialized pair's candidates (the next query
-  /// recomputes them under the then-current banned set). Keeps the stored
-  /// touched union as the diff witness for the eventual re-commit.
+  /// Drops a materialized pair's candidates (the next query recomputes them
+  /// under the then-current banned set). Keeps the stored touched union as
+  /// the diff witness for the eventual re-commit.
   void invalidate_pair(std::size_t slot);
   /// Materializes `slot` if it is an unmaterialized off-diagonal pair.
   void ensure_pair(std::size_t slot) const;
@@ -388,26 +344,22 @@ class RoutingGraph {
   /// must be sorted and deduplicated. const: lazy-cache members only.
   void set_pair(std::size_t slot, std::vector<PathId> ids,
                 std::vector<LinkId> touched) const;
-  /// Hop-count BFS from `origin` over non-banned links; `reverse` walks
-  /// links backwards (distance *to* origin). Fills `dist` (kUnreachable for
-  /// disconnected nodes).
+  /// Hop-count BFS from `origin` over links outside banned_; `reverse`
+  /// walks links backwards (distance *to* origin). Fills `dist`
+  /// (kUnreachable for disconnected nodes).
   void bfs_hops(NodeId origin, bool reverse,
-                const std::unordered_set<LinkId>& banned,
                 std::vector<std::uint32_t>& dist) const;
 
   // pythia-lint: allow(snapshot-skip, group) construction-time derivations
-  // of the (fingerprinted) topology: wiring, host maps, reverse adjacency,
-  // stub access links, and sizes rebuild identically in the restored
-  // process. k_ and banned_ ARE encoded.
+  // of the (fingerprinted) topology: wiring, host maps, reverse adjacency
+  // and stub access links rebuild identically in the restored process. k_
+  // and banned_ ARE encoded.
   const Topology* topo_ = nullptr;
   std::size_t k_ = 0;
-  BuildMode build_ = BuildMode::kEager;
   std::vector<NodeId> hosts_;
   std::vector<std::uint32_t> host_slot_;  // node id → host index or kNotHost
   std::vector<std::vector<LinkId>> in_links_;  // reverse adjacency for BFS
   std::unordered_set<LinkId> banned_;          // banned set of last rebuild
-  std::size_t node_count_ = 0;
-  std::size_t link_count_ = 0;
   std::vector<Access> access_;        // per host slot
   std::vector<NodeId> attach_nodes_;  // attachment switch index → node
 

@@ -30,44 +30,9 @@ using NodeId = Id<struct NodeTag>;
 using LinkId = Id<struct LinkTag>;
 using FlowId = Id<struct FlowTag>;
 using CbrId = Id<struct CbrTag>;
-
 /// Index into a PathPool (net/routing.hpp); interned paths are immutable and
-/// ids stay valid across routing-graph rebuilds on the same topology. A
-/// topology *switch* clears the pool and silently invalidates every
-/// outstanding id, so unlike the Id<> instantiations above PathId carries a
-/// debug-only pool-generation stamp: PathPool::path() asserts the stamp
-/// matches the pool's current generation, turning use-after-clear into a
-/// deterministic abort instead of a wrong-path read. Release builds carry no
-/// stamp and behave exactly like a bare 32-bit index.
-class PathId {
- public:
-  constexpr PathId() = default;
-  constexpr explicit PathId(std::uint32_t v) : v_(v) {}
-
-  [[nodiscard]] constexpr std::uint32_t value() const { return v_; }
-  [[nodiscard]] constexpr bool valid() const { return v_ != kInvalid; }
-  /// Equality and ordering use the index only; the debug stamp is metadata.
-  friend constexpr bool operator==(PathId a, PathId b) { return a.v_ == b.v_; }
-  friend constexpr auto operator<=>(PathId a, PathId b) {
-    return a.v_ <=> b.v_;
-  }
-
-  static constexpr std::uint32_t kInvalid =
-      std::numeric_limits<std::uint32_t>::max();
-
-#ifndef NDEBUG
-  [[nodiscard]] constexpr std::uint32_t debug_generation() const {
-    return gen_;
-  }
-  constexpr void debug_set_generation(std::uint32_t gen) { gen_ = gen; }
-#endif
-
- private:
-  std::uint32_t v_ = kInvalid;
-#ifndef NDEBUG
-  std::uint32_t gen_ = 0;  // PathPool generation this id was minted under
-#endif
-};
+/// ids stay valid for the pool's lifetime.
+using PathId = Id<struct PathTag>;
 
 /// Classic 5-tuple; ECMP hashes it, Pythia cannot know dst_port in advance
 /// (paper §IV) which is why it aggregates at server granularity instead.
@@ -94,13 +59,6 @@ inline constexpr std::uint16_t kCollectorPort = 9090;  // Pythia collector
 template <typename Tag>
 struct std::hash<pythia::net::Id<Tag>> {
   std::size_t operator()(pythia::net::Id<Tag> id) const noexcept {
-    return std::hash<std::uint32_t>{}(id.value());
-  }
-};
-
-template <>
-struct std::hash<pythia::net::PathId> {
-  std::size_t operator()(pythia::net::PathId id) const noexcept {
     return std::hash<std::uint32_t>{}(id.value());
   }
 };

@@ -4,25 +4,11 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 #include "sim/snapshot.hpp"
 #include "util/log.hpp"
 
 namespace pythia::sdn {
-
-namespace {
-
-/// k = 0 would leave every host pair without candidates: background
-/// placement silently installs nothing and ECMP would hash modulo zero.
-std::size_t checked_k_paths(const ControllerConfig& cfg) {
-  if (cfg.k_paths == 0) {
-    throw std::invalid_argument("ControllerConfig::k_paths must be >= 1");
-  }
-  return cfg.k_paths;
-}
-
-}  // namespace
 
 Controller::Controller(sim::Simulation& sim, net::Fabric& fabric,
                        const net::Topology& topo, ControllerConfig cfg)
@@ -30,11 +16,11 @@ Controller::Controller(sim::Simulation& sim, net::Fabric& fabric,
       fabric_(&fabric),
       topo_(&topo),
       cfg_(cfg),
-      // Lazy: pairs Yen-compute on first query, so warehouse-scale
-      // topologies don't pay the full cold build at startup. Behaviorally
-      // identical to eager (per-pair results are pure in topology + banned
-      // set); proven byte-identical by tests/net/test_routing_lazy.cpp.
-      routing_(topo, checked_k_paths(cfg), net::BuildMode::kLazy),
+      // Pairs Yen-compute on first query, so warehouse-scale topologies
+      // don't pay a full cold build at startup. The routing suites check
+      // every pair against direct k_shortest_paths calls
+      // (tests/net/routing_oracle.hpp). Throws on k_paths == 0.
+      routing_(topo, cfg.k_paths),
       ecmp_(routing_),
       snapshot_load_bps_(topo.link_count(), 0.0),
       snapshot_shuffle_bps_(topo.link_count(), 0.0),
@@ -507,7 +493,7 @@ void Controller::handle_link_failure(net::LinkId l) {
     if (!failed_links_.insert(d).second) continue;
     fabric_->fail_link(d);
   }
-  routing_.rebuild(*topo_, failed_links_);
+  routing_.rebuild(failed_links_);
   ++topology_rebuilds_;
 
   // Purge forwarding rules (host-pair and rack wildcards) that traverse a
@@ -577,7 +563,7 @@ void Controller::handle_link_restore(net::LinkId l) {
     }
   }
   if (changed) {
-    routing_.rebuild(*topo_, failed_links_);
+    routing_.rebuild(failed_links_);
     ++topology_rebuilds_;
   }
 }

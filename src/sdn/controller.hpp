@@ -29,8 +29,8 @@
 namespace pythia::sdn {
 
 struct ControllerConfig {
-  /// k of the k-shortest-path precomputation; must be >= 1 (the
-  /// Controller constructor throws std::invalid_argument otherwise).
+  /// k of the k-shortest-path table; must be >= 1 (the routing table, and
+  /// so the Controller constructor, throws std::invalid_argument otherwise).
   std::size_t k_paths = 2;
   /// Latency from an install request to the rule taking effect in hardware.
   util::Duration rule_install_latency = util::Duration::millis(4);

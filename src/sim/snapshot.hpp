@@ -130,7 +130,9 @@ class Snapshot {
   // fill's warm start).
   // v6: fabric cohort coalescing was removed: fabric.counters dropped its
   // flush counter, and the scenario fingerprint dropped its config flag.
-  static constexpr std::uint32_t kFormatVersion = 6;
+  // v7: the routing table has one (lazy) build and one rebuild, so
+  // routing.counters dropped its leading u64, the full-rebuild count.
+  static constexpr std::uint32_t kFormatVersion = 7;
 
   // --- identity + cursor (set by the capturing layer) ---
   std::uint64_t root_seed = 0;

@@ -107,13 +107,13 @@ TEST(RoutingBanned, KShortestExcludesBannedLinks) {
 TEST(RoutingBanned, RebuildWithBannedShrinksPathSets) {
   TwoPathFixture f;
   const LinkId inter0 = f.path0->links[1];
-  f.routing.rebuild(f.topo, {inter0});
+  f.routing.rebuild({inter0});
   EXPECT_EQ(f.routing.paths(f.src, f.dst).size(), 1u);
   // Same-rack pairs are unaffected.
   const auto hosts = f.topo.hosts();
   EXPECT_EQ(f.routing.paths(hosts[0], hosts[1]).size(), 1u);
   // Rebuild without bans restores both paths.
-  f.routing.rebuild(f.topo);
+  f.routing.rebuild({});
   EXPECT_EQ(f.routing.paths(f.src, f.dst).size(), 2u);
 }
 

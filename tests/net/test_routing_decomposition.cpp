@@ -1,12 +1,13 @@
-// Independent oracle for the routing table's stub-host decomposition: a pair
-// of stub hosts derives its candidates from one Yen run between the two
-// attachment switches instead of running Yen host to host. The lazy/eager
-// differential suites cannot catch a wrong derivation (both arms share it),
-// so here every ordered host pair is checked against a direct
+// The routing table's stub-host decomposition against the independent
+// oracle (routing_oracle.hpp): a pair of stub hosts derives its candidates
+// from one Yen run between the two attachment switches instead of running
+// Yen host to host, so every ordered host pair is checked against a direct
 // k_shortest_paths call on the hosts themselves — candidates link for link,
 // and the link → pairs reverse index against the oracle's touched sets — on
 // the paper topologies and on random graphs with multi-homed hosts and
-// host↔host links (pairs that must fall back to host-level Yen).
+// host↔host links (pairs that must fall back to host-level Yen). Bans reach
+// the table cold, through incremental rebuilds of a full table, and through
+// a table that only ever saw one query.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "net/routing.hpp"
+#include "net/routing_oracle.hpp"
 #include "net/topology.hpp"
 #include "util/random.hpp"
 #include "util/thread_pool.hpp"
@@ -23,64 +25,10 @@
 namespace pythia::net {
 namespace {
 
+using oracle::expect_matches_oracle;
+using oracle::Oracle;
+using oracle::run_oracle;
 using util::BitsPerSec;
-
-/// Direct host-level Yen for every ordered host pair under one banned set.
-struct Oracle {
-  std::vector<std::vector<Path>> paths;  // slot = src index * H + dst index
-  std::vector<std::size_t> pairs_using;  // link id → pairs touching it
-};
-
-Oracle run_oracle(const Topology& topo, std::size_t k,
-                  const std::unordered_set<LinkId>& banned) {
-  const auto hosts = topo.hosts();
-  Oracle o;
-  o.paths.resize(hosts.size() * hosts.size());
-  o.pairs_using.assign(topo.link_count(), 0);
-  for (std::size_t a = 0; a < hosts.size(); ++a) {
-    for (std::size_t b = 0; b < hosts.size(); ++b) {
-      if (a == b) continue;
-      std::vector<LinkId> touched;
-      o.paths[a * hosts.size() + b] =
-          k_shortest_paths(topo, hosts[a], hosts[b], k, banned, &touched);
-      std::sort(touched.begin(), touched.end());
-      touched.erase(std::unique(touched.begin(), touched.end()),
-                    touched.end());
-      for (LinkId l : touched) ++o.pairs_using[l.value()];
-    }
-  }
-  return o;
-}
-
-/// Every pair's candidates equal the oracle's; with `check_index`, so does
-/// pairs_using(l) for every link (queried after the candidates, so a lazy
-/// graph is fully materialized by then).
-void expect_matches_oracle(const Topology& topo, const RoutingGraph& rg,
-                           const Oracle& o, bool check_index,
-                           const std::string& what) {
-  const auto hosts = topo.hosts();
-  for (std::size_t a = 0; a < hosts.size(); ++a) {
-    for (std::size_t b = 0; b < hosts.size(); ++b) {
-      if (a == b) continue;
-      const auto got = rg.paths(hosts[a], hosts[b]);
-      const auto& want = o.paths[a * hosts.size() + b];
-      ASSERT_EQ(got.size(), want.size())
-          << what << ": pair " << hosts[a].value() << "->"
-          << hosts[b].value();
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        ASSERT_EQ(got[i].links, want[i].links)
-            << what << ": pair " << hosts[a].value() << "->"
-            << hosts[b].value() << " path " << i;
-      }
-    }
-  }
-  if (!check_index) return;
-  for (std::size_t l = 0; l < topo.link_count(); ++l) {
-    ASSERT_EQ(rg.pairs_using(LinkId{static_cast<std::uint32_t>(l)}),
-              o.pairs_using[l])
-        << what << ": link " << l;
-  }
-}
 
 /// First host with exactly one out-link (its uplink) — a stub on every
 /// topology below.
@@ -117,10 +65,13 @@ LinkId busiest_core_link(const Topology& topo, const Oracle& clean) {
   return best;
 }
 
-/// The full scenario list for one topology: a clean build, each single ban
-/// applied to a clean graph, and a core-link fail → restore, in lazy and
-/// eager mode, at k ∈ {1, 2, 4}.
+/// The scenario list for one topology at k ∈ {1, 2, 4}: a clean table; each
+/// ban (an uplink, a downlink, a core cable) applied to an unqueried table,
+/// and to a full clean table whose rebuild must drop exactly the pairs the
+/// ban affects, then restored; and a core-cable fail → restore on a table
+/// that only ever saw one query.
 void check_topology(const Topology& topo, const std::string& name) {
+  const auto hosts = topo.hosts();
   for (const std::size_t k : {1UL, 2UL, 4UL}) {
     const std::string tag = name + " k=" + std::to_string(k);
     const Oracle clean = run_oracle(topo, k, {});
@@ -131,37 +82,36 @@ void check_topology(const Topology& topo, const std::string& name) {
                 {"downlink", {reverse_of(topo, up)}},
                 {"core", {core, reverse_of(topo, core)}}};
 
-    for (const BuildMode mode : {BuildMode::kLazy, BuildMode::kEager}) {
-      const std::string arm =
-          tag + (mode == BuildMode::kLazy ? " lazy" : " eager");
-      {
-        const RoutingGraph rg(topo, k, mode);
-        expect_matches_oracle(topo, rg, clean, true, arm + " clean");
-      }
-      for (const auto& [what, banned] : bans) {
-        RoutingGraph rg(topo, k, mode);
-        rg.rebuild(topo, banned);
-        expect_matches_oracle(topo, rg, run_oracle(topo, k, banned), true,
-                              arm + " banned " + what);
-      }
-      // Fail → restore. An incremental restore keeps a pair it proves
-      // unchanged together with its ban-era touched union (a sound,
-      // documented witness, not the clean run's), so the reverse index is
-      // compared only after the full restore, which recomputes every pair.
-      const auto& core_ban = bans.back().second;
-      for (const RebuildMode restore :
-           {RebuildMode::kIncremental, RebuildMode::kFull}) {
-        RoutingGraph rg(topo, k, mode);
-        (void)rg.paths(topo.hosts().front(), topo.hosts().back());
-        rg.rebuild(topo, core_ban);
-        (void)rg.paths(topo.hosts().front(), topo.hosts().back());
-        rg.rebuild(topo, {}, restore);
-        expect_matches_oracle(
-            topo, rg, clean, restore == RebuildMode::kFull,
-            arm + (restore == RebuildMode::kFull ? " full" : " incremental") +
-                " fail->restore");
-      }
+    {
+      const RoutingGraph rg(topo, k);
+      expect_matches_oracle(rg, clean, true, tag + " clean");
     }
+    for (const auto& [what, banned] : bans) {
+      const Oracle ban = run_oracle(topo, k, banned);
+      {
+        RoutingGraph rg(topo, k);
+        rg.rebuild(banned);
+        expect_matches_oracle(rg, ban, true, tag + " cold ban " + what);
+      }
+      // A pair the ban cannot affect replays its clean run exactly, touched
+      // links included, so after the ban the reverse index must match the
+      // oracle's too. A restore keeps a pair it proves unchanged together
+      // with its ban-era touched union (a sound, documented witness, not the
+      // clean run's), so after it only the candidates are compared.
+      RoutingGraph rg(topo, k);
+      rg.materialize_all();
+      rg.rebuild(banned);
+      expect_matches_oracle(rg, ban, true, tag + " banned " + what);
+      rg.rebuild({});
+      expect_matches_oracle(rg, clean, false, tag + " restored " + what);
+    }
+    const auto& core_ban = bans.back().second;
+    RoutingGraph rg(topo, k);
+    (void)rg.paths(hosts.front(), hosts.back());
+    rg.rebuild(core_ban);
+    (void)rg.paths(hosts.front(), hosts.back());
+    rg.rebuild({});
+    expect_matches_oracle(rg, clean, false, tag + " sparse fail->restore");
   }
 }
 
@@ -251,7 +201,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomMixedTopology,
 
 /// Parallel materialize_all fans the switch-level and non-stub runs across
 /// workers but derives and interns on the calling thread in slot order: the
-/// PathIds must equal a serial build's, clean and under a ban.
+/// PathIds must equal a serial build's, clean and under a ban, and the table
+/// must match the oracle.
 TEST(RoutingDecomposition, ParallelMaterializeMatchesSerialPathIds) {
   util::Xoshiro256 rng(5);
   LeafSpineConfig ls;
@@ -264,15 +215,17 @@ TEST(RoutingDecomposition, ParallelMaterializeMatchesSerialPathIds) {
   for (const Topology& topo : topos) {
     const std::unordered_set<LinkId> ban = {some_uplink(topo)};
     for (const auto& banned : {std::unordered_set<LinkId>{}, ban}) {
-      RoutingGraph serial(topo, 4, BuildMode::kLazy);
-      serial.rebuild(topo, banned);
+      RoutingGraph serial(topo, 4);
+      serial.rebuild(banned);
       serial.materialize_all();
-      RoutingGraph parallel(topo, 4, BuildMode::kLazy);
-      parallel.rebuild(topo, banned);
+      RoutingGraph parallel(topo, 4);
+      parallel.rebuild(banned);
       parallel.materialize_all(&pool);
       EXPECT_EQ(parallel.pool().size(), serial.pool().size());
       EXPECT_EQ(parallel.counters().attach_pairs_computed,
                 serial.counters().attach_pairs_computed);
+      expect_matches_oracle(parallel, run_oracle(topo, 4, banned), true,
+                            "parallel");
       for (NodeId s : topo.hosts()) {
         for (NodeId d : topo.hosts()) {
           if (s == d) continue;
@@ -286,17 +239,6 @@ TEST(RoutingDecomposition, ParallelMaterializeMatchesSerialPathIds) {
           }
         }
       }
-    }
-    // The eager constructor's parallel cold build takes the same route.
-    const RoutingGraph serial(topo, 4);
-    const RoutingGraph parallel(topo, 4, BuildMode::kEager, &pool);
-    EXPECT_EQ(parallel.pool().size(), serial.pool().size());
-    const auto hosts = topo.hosts();
-    const auto ps = serial.paths(hosts.front(), hosts.back());
-    const auto pp = parallel.paths(hosts.front(), hosts.back());
-    ASSERT_EQ(ps.size(), pp.size());
-    for (std::size_t i = 0; i < ps.size(); ++i) {
-      EXPECT_EQ(ps.id(i).value(), pp.id(i).value());
     }
   }
 }
@@ -313,7 +255,7 @@ TEST(RoutingDecomposition, LeafSpine32x8NeedsAtMostSwitchPairRuns) {
   util::ThreadPool pool(4);
   for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
                               &pool}) {
-    RoutingGraph rg(topo, 2, BuildMode::kLazy);
+    RoutingGraph rg(topo, 2);
     rg.materialize_all(p);
     EXPECT_EQ(rg.pairs_materialized(), 65'280u);
     EXPECT_EQ(rg.counters().pairs_recomputed, 65'280u);
@@ -331,7 +273,7 @@ TEST(RoutingDecomposition, RebuildDropsSwitchLevelRuns) {
   cfg.spines = 2;
   const Topology topo = make_leaf_spine(cfg);
   const auto hosts = topo.hosts();
-  RoutingGraph rg(topo, 2, BuildMode::kLazy);
+  RoutingGraph rg(topo, 2);
   const auto before = rg.paths(hosts.front(), hosts.back());
   ASSERT_EQ(before.size(), 2u);
   const LinkId spine_link = before[0].links[1];
@@ -339,11 +281,11 @@ TEST(RoutingDecomposition, RebuildDropsSwitchLevelRuns) {
 
   const std::unordered_set<LinkId> banned = {spine_link,
                                              reverse_of(topo, spine_link)};
-  rg.rebuild(topo, banned);
+  rg.rebuild(banned);
   const auto after = rg.paths(hosts.front(), hosts.back());
   EXPECT_EQ(rg.counters().attach_pairs_computed, runs + 1);
   const Oracle oracle = run_oracle(topo, 2, banned);
-  const auto& want = oracle.paths[hosts.size() - 1];
+  const auto& want = oracle.pair(hosts.front(), hosts.back());
   ASSERT_EQ(after.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(after[i].links, want[i].links);
