@@ -1,6 +1,7 @@
 #include "core/collector.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "core/allocator.hpp"
 #include "core/watchdog.hpp"
@@ -12,16 +13,18 @@ namespace pythia::core {
 
 Collector::Collector(sim::Simulation& sim, Allocator& allocator,
                      CollectorConfig cfg)
-    : sim_(&sim), allocator_(&allocator), cfg_(cfg) {
+    : sim_(&sim),
+      allocator_(&allocator),
+      topo_(&allocator.controller().topology()),
+      cfg_(cfg) {
   if (!cohort_mode()) return;
   std::size_t shard_count = cfg_.shard_count;
   if (shard_count == 0) {
     // One shard per host locality group (fat-tree pod / rack), the layout
     // that maps shards onto the collector replicas a real deployment would
     // run next to each pod.
-    const net::Topology& topo = allocator_->controller().topology();
     std::vector<std::int32_t> groups;
-    for (net::NodeId h : topo.hosts()) groups.push_back(topo.node_group(h));
+    for (net::NodeId h : topo_->hosts()) groups.push_back(topo_->node_group(h));
     std::sort(groups.begin(), groups.end());
     groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
     shard_count = std::max<std::size_t>(1, groups.size());
@@ -138,31 +141,63 @@ std::uint64_t Collector::admission_evicted() const {
   return shards_ == nullptr ? 0 : shards_->evicted();
 }
 
-const std::vector<PredictionPoint>& Collector::predicted_curve(
-    net::NodeId server) const {
-  const auto it = curves_.find(server);
-  return it == curves_.end() ? empty_curve_ : it->second;
+std::uint32_t Collector::row_of(net::NodeId server) {
+  const std::uint32_t h = topo_->host_index(server);
+  assert(h != net::Topology::kNoHost && "collector servers must be hosts");
+  if (rows_.empty() && h != net::Topology::kNoHost) {
+    const std::size_t hosts = topo_->hosts().size();
+    rows_.resize(hosts);
+    pair_seen_.assign(hosts * hosts, 0);
+  }
+  return h;
 }
 
-void Collector::book_update(net::NodeId src, net::NodeId dst,
-                            std::int64_t wire) {
-  auto& total = predicted_totals_[src];
-  total += wire;
-  auto& curve = curves_[src];
-  if (!curve.empty() && curve.back().at == sim_->now()) {
-    curve.back().cumulative = util::Bytes{total};
-  } else {
-    curve.push_back(PredictionPoint{sim_->now(), util::Bytes{total}});
+const Collector::HostRow* Collector::find_row(net::NodeId server) const {
+  const std::uint32_t h = topo_->host_index(server);
+  return h < rows_.size() ? &rows_[h] : nullptr;
+}
+
+const std::vector<PredictionPoint>& Collector::predicted_curve(
+    net::NodeId server) const {
+  const HostRow* row = find_row(server);
+  return row != nullptr && row->source ? row->curve : empty_curve_;
+}
+
+std::size_t Collector::book_update(net::NodeId src_server,
+                                   net::NodeId dst_server, std::int64_t wire) {
+  const std::uint32_t src = row_of(src_server);
+  const std::uint32_t dst = row_of(dst_server);
+  if (src == net::Topology::kNoHost || dst == net::Topology::kNoHost) {
+    return kNoSlot;
   }
-  pair_seen_[std::pair{src.value(), dst.value()}] = true;
-  dst_outstanding_[dst] += wire;
+  HostRow& source = rows_[src];
+  source.source = true;
+  source.predicted_total += wire;
+  auto& curve = source.curve;
+  if (!curve.empty() && curve.back().at == sim_->now()) {
+    curve.back().cumulative = util::Bytes{source.predicted_total};
+  } else {
+    curve.push_back(
+        PredictionPoint{sim_->now(), util::Bytes{source.predicted_total}});
+  }
+  const std::size_t slot = pair_slot(src, dst);
+  pairs_seen_ += pair_seen_[slot] == 0 ? 1 : 0;
+  pair_seen_[slot] = 1;
+  rows_[dst].destination = true;
+  rows_[dst].outstanding += wire;
+  return slot;
 }
 
 void Collector::enqueue_update(net::NodeId src, net::NodeId dst,
                                util::Bytes wire) {
   if (src == dst) return;  // server-local copy, never touches the network
-  book_update(src, dst, wire.count());
-  auto& pending = batch_[std::pair{src.value(), dst.value()}];
+  const std::size_t slot = book_update(src, dst, wire.count());
+  if (slot == kNoSlot) return;
+  if (batch_.empty()) batch_.resize(rows_.size() * rows_.size());
+  PendingUpdate& pending = batch_[slot];
+  if (pending.intents == 0) {
+    batch_slots_.push_back(static_cast<std::uint32_t>(slot));
+  }
   pending.bytes += wire.count();
   pending.intents += 1;
   if (!flush_pending_) {
@@ -173,34 +208,37 @@ void Collector::enqueue_update(net::NodeId src, net::NodeId dst,
 
 void Collector::flush_batch() {
   flush_pending_ = false;
-  if (batch_.empty()) return;
+  if (batch_slots_.empty()) return;
   ++batches_;
 
   // First-fit decreasing. With criticality on, the primary sort key is the
   // destination server's total outstanding predicted volume: aggregates
   // feeding the barrier-critical reducer are packed first and get the best
   // paths (the criterion the paper adds over FlowComb's volumes-only view).
-  std::vector<
-      std::pair<std::pair<std::uint32_t, std::uint32_t>, PendingUpdate>>
-      updates(batch_.begin(), batch_.end());
-  batch_.clear();
-  std::sort(updates.begin(), updates.end(), [this](const auto& a,
-                                                   const auto& b) {
+  // The last key, the slot, is the (src, dst) NodeId order, so this is a
+  // total order and the gathering order of the slots cannot show.
+  std::vector<std::pair<std::uint32_t, PendingUpdate>> updates;
+  updates.reserve(batch_slots_.size());
+  for (const std::uint32_t slot : batch_slots_) {
+    updates.emplace_back(slot, batch_[slot]);
+    batch_[slot] = PendingUpdate{};
+  }
+  batch_slots_.clear();
+  const std::size_t hosts = rows_.size();
+  std::sort(updates.begin(), updates.end(), [&](const auto& a,
+                                                const auto& b) {
     if (cfg_.criticality_aware) {
-      const auto crit = [this](const auto& u) {
-        const auto it = dst_outstanding_.find(net::NodeId{u.first.second});
-        return it == dst_outstanding_.end() ? std::int64_t{0} : it->second;
-      };
-      const std::int64_t ca = crit(a);
-      const std::int64_t cb = crit(b);
+      const std::int64_t ca = rows_[a.first % hosts].outstanding;
+      const std::int64_t cb = rows_[b.first % hosts].outstanding;
       if (ca != cb) return ca > cb;
     }
     if (a.second.bytes != b.second.bytes) return a.second.bytes > b.second.bytes;
     return a.first < b.first;
   });
-  for (const auto& [pair, pending] : updates) {
-    allocator_->add_predicted_volume(net::NodeId{pair.first},
-                                     net::NodeId{pair.second},
+  const std::vector<net::NodeId>& servers = topo_->hosts();
+  for (const auto& [slot, pending] : updates) {
+    allocator_->add_predicted_volume(servers[slot / hosts],
+                                     servers[slot % hosts],
                                      util::Bytes{pending.bytes},
                                      pending.intents);
   }
@@ -209,9 +247,8 @@ void Collector::flush_batch() {
 void Collector::admit_intent(const ShuffleIntent& intent, net::NodeId dst,
                              util::SimTime ttl_base) {
   if (intent.src_server == dst) return;  // server-local copy
-  const net::Topology& topo = allocator_->controller().topology();
   AdmittedIntent a;
-  a.pod = topo.node_group(intent.src_server);
+  a.pod = topo_->node_group(intent.src_server);
   a.priority = intent.priority;
   a.job_serial = intent.job_serial;
   a.src = intent.src_server.value();
@@ -321,28 +358,28 @@ void Collector::fetch_completed(net::NodeId src_server, net::NodeId dst_server,
   // Retire the wire-volume estimate this fetch contributed when predicted.
   const util::Bytes wire = retire_model_.predict_wire_bytes(payload);
   allocator_->retire_volume(src_server, dst_server, wire);
-  auto& dst_total = dst_outstanding_[dst_server];
+  const std::uint32_t d = row_of(dst_server);
+  if (d == net::Topology::kNoHost) return;
+  HostRow& dst = rows_[d];
+  dst.destination = true;
   // Actual wire bytes can exceed what was predicted (the prediction may have
   // been lost in transit, or under-estimated under skew); clamp at zero so
   // the criticality proxy never goes negative, and count the desync.
-  if (dst_total < wire.count()) ++underflows_;
-  dst_total = std::max<std::int64_t>(0, dst_total - wire.count());
+  if (dst.outstanding < wire.count()) ++underflows_;
+  dst.outstanding = std::max<std::int64_t>(0, dst.outstanding - wire.count());
 }
 
 util::Bytes Collector::destination_outstanding(net::NodeId dst) const {
-  const auto it = dst_outstanding_.find(dst);
-  return it == dst_outstanding_.end() ? util::Bytes::zero()
-                                      : util::Bytes{it->second};
+  const HostRow* row = find_row(dst);
+  return row == nullptr ? util::Bytes::zero() : util::Bytes{row->outstanding};
 }
 
 util::Bytes Collector::mean_destination_outstanding() const {
   std::int64_t total = 0;
   std::int64_t live = 0;
-  // pythia-lint: allow(unordered-iter) commutative integer sum/count over
-  // all entries; order-insensitive by construction
-  for (const auto& [_, bytes] : dst_outstanding_) {
-    if (bytes <= 0) continue;
-    total += bytes;
+  for (const HostRow& row : rows_) {
+    if (row.outstanding <= 0) continue;
+    total += row.outstanding;
     ++live;
   }
   return live == 0 ? util::Bytes::zero() : util::Bytes{total / live};
@@ -375,37 +412,39 @@ void Collector::encode_behavior(sim::StateEncoder& enc) const {
   }
   enc.put_time(next_expiry_);
 
-  enc.put_u32(static_cast<std::uint32_t>(pair_seen_.size()));
-  for (const auto& [pair, seen] : pair_seen_) {
-    enc.put_u32(pair.first);
-    enc.put_u32(pair.second);
-    enc.put_bool(seen);
+  // Host index order is ascending NodeId order, so every walk below lists
+  // servers and (src, dst) pairs in ascending NodeId order.
+  const std::vector<net::NodeId>& servers = topo_->hosts();
+  const std::size_t hosts = rows_.size();
+  enc.put_u32(static_cast<std::uint32_t>(pairs_seen_));
+  for (std::size_t slot = 0; slot < pair_seen_.size(); ++slot) {
+    if (pair_seen_[slot] == 0) continue;
+    enc.put_u32(servers[slot / hosts].value());
+    enc.put_u32(servers[slot % hosts].value());
+    enc.put_bool(true);
   }
 
-  auto encode_node_map = [&enc](const auto& map, auto&& encode_value) {
-    std::vector<std::uint32_t> nodes;
-    nodes.reserve(map.size());
-    // Key collection only (the generic param hides the unordered type from
-    // pythia-lint); order is fixed by the sort below.
-    for (const auto& [node, value] : map) nodes.push_back(node.value());
-    std::sort(nodes.begin(), nodes.end());
-    enc.put_u32(static_cast<std::uint32_t>(nodes.size()));
-    for (std::uint32_t n : nodes) {
-      enc.put_u32(n);
-      encode_value(map.at(net::NodeId{n}));
+  auto encode_rows = [&](bool HostRow::*present, auto&& encode_value) {
+    std::uint32_t count = 0;
+    for (const HostRow& row : rows_) count += row.*present ? 1 : 0;
+    enc.put_u32(count);
+    for (std::size_t h = 0; h < hosts; ++h) {
+      if (!(rows_[h].*present)) continue;
+      enc.put_u32(servers[h].value());
+      encode_value(rows_[h]);
     }
   };
-  encode_node_map(dst_outstanding_,
-                  [&enc](std::int64_t v) { enc.put_i64(v); });
-  encode_node_map(curves_, [&enc](const std::vector<PredictionPoint>& curve) {
-    enc.put_u32(static_cast<std::uint32_t>(curve.size()));
-    for (const PredictionPoint& p : curve) {
+  encode_rows(&HostRow::destination,
+              [&enc](const HostRow& row) { enc.put_i64(row.outstanding); });
+  encode_rows(&HostRow::source, [&enc](const HostRow& row) {
+    enc.put_u32(static_cast<std::uint32_t>(row.curve.size()));
+    for (const PredictionPoint& p : row.curve) {
       enc.put_time(p.at);
       enc.put_i64(p.cumulative.count());
     }
   });
-  encode_node_map(predicted_totals_,
-                  [&enc](std::int64_t v) { enc.put_i64(v); });
+  encode_rows(&HostRow::source,
+              [&enc](const HostRow& row) { enc.put_i64(row.predicted_total); });
 
   enc.put_u64(received_);
   enc.put_u64(held_);
@@ -424,12 +463,15 @@ void Collector::encode_state(sim::StateEncoder& enc) const {
   encode_behavior(enc);
 
   enc.put_u8(static_cast<std::uint8_t>(cfg_.pipeline));
-  enc.put_u32(static_cast<std::uint32_t>(batch_.size()));
-  for (const auto& [pair, pending] : batch_) {
-    enc.put_u32(pair.first);
-    enc.put_u32(pair.second);
-    enc.put_i64(pending.bytes);
-    enc.put_u64(pending.intents);
+  std::vector<std::uint32_t> slots = batch_slots_;
+  std::sort(slots.begin(), slots.end());  // (src, dst) NodeId order
+  const std::vector<net::NodeId>& servers = topo_->hosts();
+  enc.put_u32(static_cast<std::uint32_t>(slots.size()));
+  for (const std::uint32_t slot : slots) {
+    enc.put_u32(servers[slot / rows_.size()].value());
+    enc.put_u32(servers[slot % rows_.size()].value());
+    enc.put_i64(batch_[slot].bytes);
+    enc.put_u64(batch_[slot].intents);
   }
   enc.put_bool(flush_pending_);
 

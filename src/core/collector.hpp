@@ -33,12 +33,15 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/intent_shards.hpp"
 #include "core/prediction.hpp"
 #include "sim/simulation.hpp"
+
+namespace pythia::net {
+class Topology;
+}
 
 namespace pythia::sim {
 class StateEncoder;
@@ -162,7 +165,7 @@ class Collector {
   /// outstanding counter is clamped at zero instead of going negative.
   [[nodiscard]] std::uint64_t underflow_events() const { return underflows_; }
   /// Aggregates currently known (src-server, dst-server pairs ever seen).
-  [[nodiscard]] std::size_t aggregate_count() const { return pair_seen_.size(); }
+  [[nodiscard]] std::size_t aggregate_count() const { return pairs_seen_; }
   /// Intents currently parked waiting for a reducer location.
   [[nodiscard]] std::size_t intents_waiting() const;
   /// Intents admitted to shards, not yet drained (cohort pipelines only).
@@ -210,10 +213,34 @@ class Collector {
     std::int64_t bytes = 0;
     std::uint64_t intents = 0;
   };
+  /// One server's bookkeeping. A row is a *source* once an update from the
+  /// server was booked (predicted_total and curve hold its entry) and a
+  /// *destination* once an update to it was booked or a fetch to it
+  /// completed (outstanding holds its entry). Encoders list exactly the
+  /// present rows.
+  struct HostRow {
+    std::int64_t predicted_total = 0;
+    std::int64_t outstanding = 0;
+    std::vector<PredictionPoint> curve;
+    bool source = false;
+    bool destination = false;
+  };
+  /// Dense host index of a server (Topology::host_index), allocating the
+  /// rows on first use. A non-host is a caller bug: debug builds assert,
+  /// release builds get kNoHost and book nothing for it.
+  std::uint32_t row_of(net::NodeId server);
+  [[nodiscard]] const HostRow* find_row(net::NodeId server) const;
+  [[nodiscard]] std::size_t pair_slot(std::uint32_t src,
+                                      std::uint32_t dst) const {
+    return static_cast<std::size_t>(src) * rows_.size() + dst;
+  }
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
   void enqueue_update(net::NodeId src, net::NodeId dst, util::Bytes wire);
   /// The bookkeeping half of enqueue_update (curves, outstanding, pair set);
-  /// shared by all pipelines.
-  void book_update(net::NodeId src, net::NodeId dst, std::int64_t wire);
+  /// shared by all pipelines. Returns the pair's slot, kNoSlot (nothing
+  /// booked) when either server is not a host.
+  std::size_t book_update(net::NodeId src, net::NodeId dst,
+                          std::int64_t wire);
   void flush_batch();
   /// Lazily drops held intents past the TTL; cheap when nothing can expire.
   void purge_expired();
@@ -237,6 +264,7 @@ class Collector {
   // the scenario fingerprint.
   sim::Simulation* sim_;
   Allocator* allocator_;
+  const net::Topology* topo_;
   ControlPlaneWatchdog* watchdog_ = nullptr;
   CohortDrainObserver* observer_ = nullptr;
   CollectorConfig cfg_;
@@ -246,19 +274,23 @@ class Collector {
   /// Earliest possible held-intent expiry; SimTime::max() when none held.
   util::SimTime next_expiry_ = util::SimTime::max();
 
-  /// Batched aggregate additions keyed by (src, dst) server pair (windowed
-  /// pipeline only).
-  std::map<std::pair<std::uint32_t, std::uint32_t>, PendingUpdate> batch_;
+  /// Batched aggregate additions (windowed pipeline only): H×H rows by
+  /// pair_slot, allocated on the first update, plus the slots holding an
+  /// entry in the order they were first touched.
+  std::vector<PendingUpdate> batch_;
+  std::vector<std::uint32_t> batch_slots_;
   bool flush_pending_ = false;
 
   /// Cohort pipelines: the sharded admission queues, drained by the event
   /// queue's cohort hook (installed while shards_ is set).
   std::unique_ptr<ShardedIntentQueue> shards_;
 
-  std::map<std::pair<std::uint32_t, std::uint32_t>, bool> pair_seen_;
-  std::unordered_map<net::NodeId, std::int64_t> dst_outstanding_;
-  std::unordered_map<net::NodeId, std::vector<PredictionPoint>> curves_;
-  std::unordered_map<net::NodeId, std::int64_t> predicted_totals_;
+  /// Per-server rows by host index (ascending NodeId), allocated with
+  /// pair_seen_ on the first booked update or completed fetch.
+  std::vector<HostRow> rows_;
+  /// H×H flags by pair_slot: the (src, dst) pair was ever booked.
+  std::vector<char> pair_seen_;
+  std::size_t pairs_seen_ = 0;
   // pythia-lint: allow(snapshot-skip) immutable empty-sentinel returned for
   // unknown reducers; never written after construction.
   std::vector<PredictionPoint> empty_curve_;

@@ -174,13 +174,10 @@ sim::Snapshot capture_snapshot(Scenario& scenario,
   add_section(snap, "fabric.counters", [&](sim::StateEncoder& enc) {
     scenario.fabric().encode_counters(enc);
   });
-  // Slot-ordered link chains (RoutingGraph::kStateVersion): the encoder
-  // materializes any pair the lazy graph has not computed yet, so graphs
-  // that were queried in different orders capture the same bytes here even
-  // though their pools interned paths in different orders. Encoded before
-  // routing.counters so the forced materialization it performs is already
-  // reflected in the counters section (identically on capture and on the
-  // restored re-capture).
+  // k and the sorted banned set (RoutingGraph::kStateVersion), which name
+  // the table without computing it: graphs queried in different orders, or
+  // not at all, capture the same bytes here, and capturing leaves the lazy
+  // table and routing.counters as they were.
   add_section(snap, "routing", [&](sim::StateEncoder& enc) {
     scenario.controller().routing().encode_state(enc);
   });

@@ -9,13 +9,15 @@ void NetFlowProbe::on_bytes_moved(const Fabric& fabric, FlowId flow,
                                   util::SimTime to) {
   const Flow& f = fabric.flow(flow);
   if (port_filter_ != 0 && f.spec.tuple.src_port != port_filter_) return;
-  auto& total = sourced_[f.spec.src];
-  total += moved.count();
-  auto& curve = curves_[f.spec.src];
-  if (!curve.empty() && curve.back().at == to) {
-    curve.back().cumulative = util::Bytes{total};
+  const std::uint32_t src = f.spec.src.value();
+  if (src >= sources_.size()) sources_.resize(src + 1);
+  Source& s = sources_[src];
+  s.observed = true;
+  s.bytes += moved.count();
+  if (!s.curve.empty() && s.curve.back().at == to) {
+    s.curve.back().cumulative = util::Bytes{s.bytes};
   } else {
-    curve.push_back(VolumePoint{to, util::Bytes{total}});
+    s.curve.push_back(VolumePoint{to, util::Bytes{s.bytes}});
   }
 }
 
@@ -27,22 +29,20 @@ void NetFlowProbe::on_flow_completed(const Fabric& fabric, FlowId flow,
 }
 
 util::Bytes NetFlowProbe::sourced_bytes(NodeId host) const {
-  const auto it = sourced_.find(host);
-  return it == sourced_.end() ? util::Bytes::zero() : util::Bytes{it->second};
+  const Source* s = find(host);
+  return s == nullptr ? util::Bytes::zero() : util::Bytes{s->bytes};
 }
 
 const std::vector<VolumePoint>& NetFlowProbe::curve(NodeId host) const {
-  const auto it = curves_.find(host);
-  return it == curves_.end() ? empty_ : it->second;
+  const Source* s = find(host);
+  return s == nullptr ? empty_ : s->curve;
 }
 
 std::vector<NodeId> NetFlowProbe::observed_sources() const {
   std::vector<NodeId> out;
-  out.reserve(curves_.size());
-  // pythia-lint: allow(unordered-iter) key collection only; sorted on the
-  // next line before anything observes the order
-  for (const auto& [host, _] : curves_) out.push_back(host);
-  std::sort(out.begin(), out.end());
+  for (std::uint32_t n = 0; n < sources_.size(); ++n) {
+    if (sources_[n].observed) out.push_back(NodeId{n});
+  }
   return out;
 }
 

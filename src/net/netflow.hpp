@@ -6,8 +6,6 @@
 // This probe observes fabric settle points and records exactly that.
 #pragma once
 
-#include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "net/fabric.hpp"
@@ -42,7 +40,7 @@ class NetFlowProbe final : public FabricObserver {
   /// one point per settle interval in which the host moved bytes).
   [[nodiscard]] const std::vector<VolumePoint>& curve(NodeId host) const;
 
-  /// Hosts that sourced any matched traffic.
+  /// Hosts that sourced any matched traffic, in ascending NodeId order.
   [[nodiscard]] std::vector<NodeId> observed_sources() const;
 
   [[nodiscard]] std::uint64_t flows_observed() const {
@@ -50,9 +48,21 @@ class NetFlowProbe final : public FabricObserver {
   }
 
  private:
+  /// One source host's matched traffic; `observed` once any settle moved
+  /// its bytes.
+  struct Source {
+    std::int64_t bytes = 0;
+    std::vector<VolumePoint> curve;
+    bool observed = false;
+  };
+  [[nodiscard]] const Source* find(NodeId host) const {
+    return host.value() < sources_.size() ? &sources_[host.value()] : nullptr;
+  }
+
   std::uint16_t port_filter_;
-  std::unordered_map<NodeId, std::int64_t> sourced_;
-  std::unordered_map<NodeId, std::vector<VolumePoint>> curves_;
+  // By NodeId value, grown on demand: the probe sees flows, not the
+  // topology, so it learns the id range as it goes.
+  std::vector<Source> sources_;
   std::uint64_t flows_observed_ = 0;
   std::vector<VolumePoint> empty_;
 };

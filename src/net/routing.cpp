@@ -1,8 +1,9 @@
 #include "net/routing.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <queue>
+#include <iterator>
 #include <stdexcept>
 
 #include "sim/snapshot.hpp"
@@ -11,17 +12,6 @@
 namespace pythia::net {
 
 namespace {
-
-/// Dijkstra state entry; ordering makes the search deterministic: fewer hops
-/// first, then smaller node id.
-struct QueueEntry {
-  std::size_t dist;
-  NodeId node;
-  friend bool operator>(const QueueEntry& a, const QueueEntry& b) {
-    if (a.dist != b.dist) return a.dist > b.dist;
-    return a.node.value() > b.node.value();
-  }
-};
 
 constexpr std::uint32_t kUnreachable =
     std::numeric_limits<std::uint32_t>::max();
@@ -37,156 +27,237 @@ std::uint64_t link_seq_hash(const std::vector<LinkId>& links) {
   return h;
 }
 
-struct LinkSeqHash {
-  std::size_t operator()(const std::vector<LinkId>& links) const noexcept {
-    return static_cast<std::size_t>(link_seq_hash(links));
+/// The members of `set` with ids below `universe`, ascending: a membership
+/// scan, so the result never depends on the hash table's iteration order.
+template <typename IdT>
+std::vector<IdT> sorted_members(const std::unordered_set<IdT>& set,
+                                std::size_t universe) {
+  std::vector<IdT> out;
+  for (std::uint32_t i = 0; i < universe && out.size() < set.size(); ++i) {
+    if (set.contains(IdT{i})) out.push_back(IdT{i});
   }
-};
+  return out;
+}
 
 }  // namespace
+
+void PathSearch::begin(const Topology& topo,
+                       std::span<const LinkId> excluded_links) {
+  if (seen_.size() < topo.node_count()) {
+    seen_.resize(topo.node_count(), 0);
+    parent_.resize(topo.node_count());
+  }
+  if (link_ban_.size() < topo.link_count()) {
+    link_ban_.resize(topo.link_count(), 0);
+  }
+  ban_ = ++epoch_;
+  for (LinkId l : excluded_links) {
+    if (l.value() < topo.link_count()) link_ban_[l.value()] = ban_;
+  }
+}
+
+// Equivalent to the hop-count Dijkstra that pops (hops, node id) in
+// ascending order and relaxes with strict `<`. Every node at hop d is
+// discovered while level d − 1 expands, so the Dijkstra pops level d in
+// ascending id once level d − 1 is done — the order this loop expands it in
+// — and a node's first discovery fixes its parent in both. Stopping at dst's
+// discovery changes nothing: its parent and every parent on its chain are
+// already final.
+bool PathSearch::bfs(const Topology& topo, NodeId src, NodeId dst,
+                     std::uint64_t visit) {
+  seen_[src.value()] = visit;
+  level_.assign(1, src);
+  while (!level_.empty()) {
+    next_.clear();
+    for (const NodeId u : level_) {
+      for (const LinkId l : topo.out_links(u)) {
+        if (link_ban_[l.value()] == ban_) continue;
+        const NodeId v = topo.link(l).dst;
+        if (seen_[v.value()] == visit) continue;
+        seen_[v.value()] = visit;
+        parent_[v.value()] = l;
+        if (v == dst) return true;
+        next_.push_back(v);
+      }
+    }
+    std::sort(next_.begin(), next_.end());
+    level_.swap(next_);
+  }
+  return false;
+}
+
+void PathSearch::append_path(const Topology& topo, NodeId src, NodeId dst,
+                             std::vector<LinkId>& out) {
+  const std::size_t from = out.size();
+  for (NodeId cursor = dst; cursor != src;) {
+    const LinkId l = parent_[cursor.value()];
+    out.push_back(l);
+    cursor = topo.link(l).src;
+  }
+  std::reverse(out.begin() + static_cast<std::ptrdiff_t>(from), out.end());
+}
+
+bool PathSearch::pending(const std::vector<LinkId>& links) const {
+  for (const Candidate& c : cands_) {
+    const auto have = candidate(c);
+    if (std::equal(have.begin(), have.end(), links.begin(), links.end())) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::optional<Path> PathSearch::shortest_path(
+    const Topology& topo, NodeId src, NodeId dst,
+    std::span<const LinkId> excluded_links,
+    std::span<const NodeId> excluded_nodes) {
+  assert(src.valid() && dst.valid());
+  if (src == dst) return Path{};
+  for (NodeId n : excluded_nodes) {
+    if (n == src || n == dst) return std::nullopt;
+  }
+  begin(topo, excluded_links);
+  const std::uint64_t visit = ++epoch_;
+  for (NodeId n : excluded_nodes) {
+    if (n.value() < topo.node_count()) seen_[n.value()] = visit;
+  }
+  if (!bfs(topo, src, dst, visit)) return std::nullopt;
+  Path path;
+  append_path(topo, src, dst, path.links);
+  return path;
+}
+
+std::vector<Path> PathSearch::k_shortest_paths(
+    const Topology& topo, NodeId src, NodeId dst, std::size_t k,
+    std::span<const LinkId> excluded_links,
+    std::vector<LinkId>* touched_links) {
+  std::vector<Path> result;
+  if (k == 0) return result;
+  if (src == dst) {
+    result.emplace_back();
+    return result;
+  }
+  begin(topo, excluded_links);
+  if (!bfs(topo, src, dst, ++epoch_)) return result;
+  append_path(topo, src, dst, result.emplace_back().links);
+  if (touched_links != nullptr) {
+    touched_links->insert(touched_links->end(), result.front().links.begin(),
+                          result.front().links.end());
+  }
+  cand_links_.clear();
+  cands_.clear();
+
+  while (result.size() < k) {
+    const Path& prev = result.back();
+    // Spur from every prefix of the previous path: the root's nodes before
+    // the spur node are banned, and so is the next link of every chosen
+    // path that shares the root.
+    for (std::size_t i = 0; i < prev.links.size(); ++i) {
+      const NodeId spur_node = topo.link(prev.links[i]).src;
+      const auto root_end = prev.links.begin() + static_cast<std::ptrdiff_t>(i);
+      spur_banned_.clear();
+      for (const Path& p : result) {
+        if (p.links.size() > i &&
+            std::equal(prev.links.begin(), root_end, p.links.begin())) {
+          const LinkId l = p.links[i];
+          if (link_ban_[l.value()] != ban_) {
+            link_ban_[l.value()] = ban_;
+            spur_banned_.push_back(l);
+          }
+        }
+      }
+      const std::uint64_t visit = ++epoch_;
+      for (auto it = prev.links.begin(); it != root_end; ++it) {
+        seen_[topo.link(*it).src.value()] = visit;
+      }
+      const bool found = bfs(topo, spur_node, dst, visit);
+      for (LinkId l : spur_banned_) link_ban_[l.value()] = 0;
+      if (!found) continue;
+      total_.assign(prev.links.begin(), root_end);
+      append_path(topo, spur_node, dst, total_);
+      // No chosen path can equal root + spur: one sharing the root has its
+      // next link banned for this spur, and the spur is never empty
+      // (spur_node != dst on a loop-free path). So only pending candidates
+      // can repeat it.
+      if (pending(total_)) continue;
+      if (touched_links != nullptr) {
+        touched_links->insert(touched_links->end(), total_.begin(),
+                              total_.end());
+      }
+      cands_.push_back(Candidate{static_cast<std::uint32_t>(cand_links_.size()),
+                                 static_cast<std::uint32_t>(total_.size())});
+      cand_links_.insert(cand_links_.end(), total_.begin(), total_.end());
+    }
+    if (cands_.empty()) break;
+    // Fewest hops, then smallest link-id sequence. Candidates are distinct,
+    // so the minimum is unique and the store's order does not matter.
+    std::size_t best = 0;
+    for (std::size_t c = 1; c < cands_.size(); ++c) {
+      const auto challenger = candidate(cands_[c]);
+      const auto incumbent = candidate(cands_[best]);
+      if (challenger.size() != incumbent.size()
+              ? challenger.size() < incumbent.size()
+              : std::lexicographical_compare(challenger.begin(),
+                                             challenger.end(),
+                                             incumbent.begin(),
+                                             incumbent.end())) {
+        best = c;
+      }
+    }
+    const auto chosen = candidate(cands_[best]);
+    result.emplace_back().links.assign(chosen.begin(), chosen.end());
+    cands_[best] = cands_.back();
+    cands_.pop_back();
+  }
+  return result;
+}
 
 std::optional<Path> shortest_path(
     const Topology& topo, NodeId src, NodeId dst,
     const std::unordered_set<LinkId>& banned_links,
     const std::unordered_set<NodeId>& banned_nodes) {
-  assert(src.valid() && dst.valid());
-  if (src == dst) return Path{};
-  if (banned_nodes.contains(src) || banned_nodes.contains(dst)) {
-    return std::nullopt;
-  }
-
-  constexpr std::size_t kInf = SIZE_MAX;
-  std::vector<std::size_t> dist(topo.node_count(), kInf);
-  std::vector<LinkId> parent_link(topo.node_count());
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      frontier;
-  dist[src.value()] = 0;
-  frontier.push(QueueEntry{0, src});
-
-  while (!frontier.empty()) {
-    const auto [d, u] = frontier.top();
-    frontier.pop();
-    if (d > dist[u.value()]) continue;
-    if (u == dst) break;
-    for (LinkId l : topo.out_links(u)) {
-      if (banned_links.contains(l)) continue;
-      const Link& link = topo.link(l);
-      if (banned_nodes.contains(link.dst)) continue;
-      const std::size_t nd = d + 1;
-      // Strict < keeps the first (smallest link id, since out_links is in
-      // insertion order and we expand in id order) equal-length parent.
-      if (nd < dist[link.dst.value()]) {
-        dist[link.dst.value()] = nd;
-        parent_link[link.dst.value()] = l;
-        frontier.push(QueueEntry{nd, link.dst});
-      }
-    }
-  }
-
-  if (dist[dst.value()] == kInf) return std::nullopt;
-  Path path;
-  for (NodeId cursor = dst; cursor != src;) {
-    const LinkId l = parent_link[cursor.value()];
-    path.links.push_back(l);
-    cursor = topo.link(l).src;
-  }
-  std::reverse(path.links.begin(), path.links.end());
-  return path;
+  return PathSearch{}.shortest_path(
+      topo, src, dst, sorted_members(banned_links, topo.link_count()),
+      sorted_members(banned_nodes, topo.node_count()));
 }
 
 std::vector<Path> k_shortest_paths(
     const Topology& topo, NodeId src, NodeId dst, std::size_t k,
     const std::unordered_set<LinkId>& banned_links,
     std::vector<LinkId>* touched_links) {
-  std::vector<Path> result;
-  if (k == 0) return result;
-  auto first = shortest_path(topo, src, dst, banned_links);
-  if (!first) return result;
-  if (touched_links != nullptr) {
-    touched_links->insert(touched_links->end(), first->links.begin(),
-                          first->links.end());
+  return PathSearch{}.k_shortest_paths(
+      topo, src, dst, k, sorted_members(banned_links, topo.link_count()),
+      touched_links);
+}
+
+void PathPool::grow() {
+  std::vector<Slot> old = std::move(index_);
+  index_.assign(std::max<std::size_t>(16, old.size() * 2), Slot{});
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(index_.size()));
+  const std::size_t mask = index_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.id == kEmpty) continue;
+    std::size_t i = home(s.hash);
+    while (index_[i].id != kEmpty) i = (i + 1) & mask;
+    index_[i] = s;
   }
-  result.push_back(std::move(*first));
-
-  // Candidate pool ordered by (hops, link-id sequence) for determinism.
-  auto path_less = [](const Path& a, const Path& b) {
-    if (a.hops() != b.hops()) return a.hops() < b.hops();
-    return std::lexicographical_compare(
-        a.links.begin(), a.links.end(), b.links.begin(), b.links.end(),
-        [](LinkId x, LinkId y) { return x.value() < y.value(); });
-  };
-  std::vector<Path> candidates;
-  // Link sequences already in result or candidates — replaces the quadratic
-  // std::find scans over both containers with one hashed lookup.
-  std::unordered_set<std::vector<LinkId>, LinkSeqHash> seen;
-  seen.insert(result.front().links);
-
-  // One scratch banned set shared by every spur computation instead of a
-  // fresh copy of banned_links per spur; spur-specific insertions are rolled
-  // back after each shortest_path call.
-  std::unordered_set<LinkId> spur_banned = banned_links;
-  std::vector<LinkId> spur_added;
-
-  while (result.size() < k) {
-    const Path& prev = result.back();
-    // Spur from every prefix of the previous path. The banned-node set grows
-    // with the prefix (root nodes except the spur node stay banned), so it
-    // is built incrementally instead of from scratch per spur.
-    std::unordered_set<NodeId> banned_nodes;
-    NodeId spur_node = src;
-    for (std::size_t i = 0; i < prev.links.size(); ++i) {
-      if (i > 0) {
-        banned_nodes.insert(spur_node);
-        spur_node = topo.link(prev.links[i - 1]).dst;
-      }
-      const auto root_begin = prev.links.begin();
-      const auto root_end = root_begin + static_cast<std::ptrdiff_t>(i);
-      spur_added.clear();
-      for (const Path& p : result) {
-        if (p.links.size() > i && std::equal(root_begin, root_end,
-                                             p.links.begin())) {
-          if (spur_banned.insert(p.links[i]).second) {
-            spur_added.push_back(p.links[i]);
-          }
-        }
-      }
-
-      auto spur = shortest_path(topo, spur_node, dst, spur_banned,
-                                banned_nodes);
-      for (LinkId l : spur_added) spur_banned.erase(l);
-      if (!spur) continue;
-      Path total;
-      total.links.reserve(i + spur->links.size());
-      total.links.insert(total.links.end(), root_begin, root_end);
-      total.links.insert(total.links.end(), spur->links.begin(),
-                         spur->links.end());
-      if (!seen.insert(total.links).second) continue;
-      if (touched_links != nullptr) {
-        touched_links->insert(touched_links->end(), total.links.begin(),
-                              total.links.end());
-      }
-      candidates.push_back(std::move(total));
-    }
-    if (candidates.empty()) break;
-    auto best = std::min_element(candidates.begin(), candidates.end(),
-                                 path_less);
-    result.push_back(std::move(*best));
-    candidates.erase(best);
-  }
-  return result;
 }
 
 PathId PathPool::intern(Path path) {
+  if ((paths_.size() + 1) * 2 > index_.size()) grow();
   const std::uint64_t h = link_seq_hash(path.links);
-  auto& bucket = index_[h];
-  for (std::uint32_t id : bucket) {
-    if (paths_[id].links == path.links) return PathId{id};
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = home(h);; i = (i + 1) & mask) {
+    Slot& slot = index_[i];
+    if (slot.id == kEmpty) {
+      slot = Slot{h, static_cast<std::uint32_t>(paths_.size())};
+      paths_.push_back(std::move(path));
+      return PathId{slot.id};
+    }
+    if (slot.hash == h && paths_[slot.id].links == path.links) {
+      return PathId{slot.id};
+    }
   }
-  const auto id = static_cast<std::uint32_t>(paths_.size());
-  paths_.push_back(std::move(path));
-  bucket.push_back(id);
-  return PathId{id};
 }
 
 std::vector<Path> PathSet::materialize() const {
@@ -204,12 +275,8 @@ RoutingGraph::RoutingGraph(const Topology& topo, std::size_t k,
         "RoutingGraph needs k >= 1 candidate paths per host pair");
   }
   const std::size_t nodes = topo.node_count();
-  hosts_ = topo.hosts();
-  host_slot_.assign(nodes, kNotHost);
-  for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    host_slot_[hosts_[i].value()] = static_cast<std::uint32_t>(i);
-  }
-  table_.assign(hosts_.size() * hosts_.size(), {});
+  const std::vector<NodeId>& hosts = topo.hosts();
+  table_.assign(hosts.size() * hosts.size(), {});
   pair_links_.assign(table_.size(), {});
   link_pairs_.assign(topo.link_count(), {});
   materialized_.assign(table_.size(), 0);
@@ -219,11 +286,11 @@ RoutingGraph::RoutingGraph(const Topology& topo, std::size_t k,
   }
 
   // Stub hosts: one uplink and one downlink, both to the same switch.
-  access_.assign(hosts_.size(), Access{});
+  access_.assign(hosts.size(), Access{});
   std::vector<std::uint32_t> attach_index(nodes, kNotHost);
-  for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    const auto& out = topo.out_links(hosts_[i]);
-    const auto& in = in_links_[hosts_[i].value()];
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    const auto& out = topo.out_links(hosts[i]);
+    const auto& in = in_links_[hosts[i].value()];
     if (out.size() != 1 || in.size() != 1) continue;
     const NodeId sw = topo.link(out.front()).dst;
     if (topo.link(in.front()).src != sw ||
@@ -246,10 +313,11 @@ RoutingGraph::RoutingGraph(const Topology& topo, std::size_t k,
 //
 //  - Newly banned link m: a pair can only change if m was touched by its
 //    last Yen run (any generated candidate, chosen or not). If no spur
-//    Dijkstra result used m, every Dijkstra in the rerun returns the same
-//    path (removing an edge unused by the returned path cannot change the
-//    deterministic parent selection along it — dists and relative pop order
-//    of the nodes on the path are preserved), so the whole run replays
+//    search result used m, every search in the rerun returns the same path:
+//    removing an edge the returned path does not use changes neither the
+//    hop level of any node on that path nor the ascending-id order in which
+//    the BFS expands each level before it, so each of those nodes is still
+//    first discovered through the same parent link. The whole run replays
 //    byte-identically.
 //  - Restored link l = (u → v): any candidate the rerun generates that did
 //    not exist before implies an s ⇝ u → v ⇝ t walk of the same hop count,
@@ -259,10 +327,11 @@ RoutingGraph::RoutingGraph(const Topology& topo, std::size_t k,
 //    set is unchanged. (Unchosen long candidates may differ; they are also
 //    irrelevant to future deltas for the same hop-bound reason.)
 void RoutingGraph::rebuild(const std::unordered_set<LinkId>& banned_links) {
-  if (banned_links == banned_) {
-    // No-op delta: the table could not change. Return before copying the
-    // banned set or bumping rebuild counters; only the no-op count moves
-    // (pinned by unit test).
+  std::vector<LinkId> next = sorted_members(banned_links, topo_->link_count());
+  if (next == banned_) {
+    // No-op delta: the table could not change. Return before touching any
+    // state or rebuild counter; only the no-op count moves (pinned by unit
+    // test).
     ++counters_.noop_rebuilds;
     return;
   }
@@ -271,26 +340,19 @@ void RoutingGraph::rebuild(const std::unordered_set<LinkId>& banned_links) {
   attach_cache_ = {};
   std::vector<LinkId> added;    // newly failed links
   std::vector<LinkId> removed;  // restored links
-  // pythia-lint: allow(unordered-iter) set difference; `added` is sorted
-  // below before it drives any rebuild decision
-  for (LinkId l : banned_links) {
-    if (!banned_.contains(l)) added.push_back(l);
-  }
-  // pythia-lint: allow(unordered-iter) set difference; `removed` is sorted
-  // below before it drives any rebuild decision
-  for (LinkId l : banned_) {
-    if (!banned_links.contains(l)) removed.push_back(l);
-  }
-  std::sort(added.begin(), added.end());
-  std::sort(removed.begin(), removed.end());
-  banned_ = banned_links;
+  std::set_difference(next.begin(), next.end(), banned_.begin(),
+                      banned_.end(), std::back_inserter(added));
+  std::set_difference(banned_.begin(), banned_.end(), next.begin(),
+                      next.end(), std::back_inserter(removed));
+  banned_ = std::move(next);
 
   std::vector<char> affected(table_.size(), 0);
   for (LinkId l : added) {
     for (std::uint32_t slot : link_pairs_[l.value()]) affected[slot] = 1;
   }
 
-  const std::size_t H = hosts_.size();
+  const std::vector<NodeId>& hosts = this->hosts();
+  const std::size_t H = hosts.size();
   std::vector<std::uint32_t> dist_to_u;
   std::vector<std::uint32_t> dist_from_v;
   for (LinkId l : removed) {
@@ -298,7 +360,7 @@ void RoutingGraph::rebuild(const std::unordered_set<LinkId>& banned_links) {
     bfs_hops(link.src, /*reverse=*/true, dist_to_u);
     bfs_hops(link.dst, /*reverse=*/false, dist_from_v);
     for (std::size_t ai = 0; ai < H; ++ai) {
-      const std::uint32_t du = dist_to_u[hosts_[ai].value()];
+      const std::uint32_t du = dist_to_u[hosts[ai].value()];
       if (du == kUnreachable) continue;
       for (std::size_t bi = 0; bi < H; ++bi) {
         const std::size_t slot = pair_slot(static_cast<std::uint32_t>(ai),
@@ -306,7 +368,7 @@ void RoutingGraph::rebuild(const std::unordered_set<LinkId>& banned_links) {
         // An unmaterialized pair (the diagonal included) has nothing a
         // restored link could stale-ify; it computes on its next query.
         if (affected[slot] != 0 || materialized_[slot] == 0) continue;
-        const std::uint32_t dv = dist_from_v[hosts_[bi].value()];
+        const std::uint32_t dv = dist_from_v[hosts[bi].value()];
         if (dv == kUnreachable) continue;
         const auto& ids = table_[slot];
         if (ids.size() < k_) {
@@ -330,17 +392,17 @@ void RoutingGraph::rebuild(const std::unordered_set<LinkId>& banned_links) {
   counters_.pairs_reused += materialized_count_;
 }
 
-void RoutingGraph::run_yen(NodeId src, NodeId dst,
-                           const std::unordered_set<LinkId>& banned,
+void RoutingGraph::run_yen(NodeId src, NodeId dst, PathSearch& search,
                            PairScratch& out) const {
-  out.found = k_shortest_paths(*topo_, src, dst, k_, banned, &out.touched);
+  out.found = search.k_shortest_paths(*topo_, src, dst, k_, banned_,
+                                      &out.touched);
   std::sort(out.touched.begin(), out.touched.end());
   out.touched.erase(std::unique(out.touched.begin(), out.touched.end()),
                     out.touched.end());
 }
 
 std::size_t RoutingGraph::attach_pair(std::size_t slot) const {
-  const std::size_t H = hosts_.size();
+  const std::size_t H = hosts().size();
   const std::uint32_t a = access_[slot / H].attach;
   const std::uint32_t b = access_[slot % H].attach;
   if (a == kNotHost || b == kNotHost) return kNoAttachPair;
@@ -363,22 +425,20 @@ std::optional<RoutingGraph::PairScratch>& RoutingGraph::attach_entry(
 // back empty and every other search is the switch-level one plus the two
 // access links. Hosts on one switch get the single up+down path because a
 // switch's run to itself yields the one empty chain.
-void RoutingGraph::compute_pair(std::size_t slot,
-                                const std::unordered_set<LinkId>& banned,
-                                PairScratch& out) const {
-  const std::size_t H = hosts_.size();
+void RoutingGraph::compute_pair(std::size_t slot, PairScratch& out) const {
+  const std::size_t H = hosts().size();
   const std::size_t ap = attach_pair(slot);
   if (ap == kNoAttachPair) {
-    run_yen(hosts_[slot / H], hosts_[slot % H], banned, out);
+    run_yen(hosts()[slot / H], hosts()[slot % H], search_, out);
     return;
   }
   const LinkId up = access_[slot / H].up;
   const LinkId down = access_[slot % H].down;
-  if (banned.contains(up) || banned.contains(down)) return;
+  if (banned(up) || banned(down)) return;
   std::optional<PairScratch>& mid = attach_entry(ap);
   if (!mid) {
     const std::size_t A = attach_nodes_.size();
-    run_yen(attach_nodes_[ap / A], attach_nodes_[ap % A], banned,
+    run_yen(attach_nodes_[ap / A], attach_nodes_[ap % A], search_,
             mid.emplace());
     ++counters_.attach_pairs_computed;
   }
@@ -411,10 +471,9 @@ void RoutingGraph::commit_pair(std::size_t slot, PairScratch&& scratch) const {
   ++counters_.pairs_recomputed;
 }
 
-void RoutingGraph::recompute_pair(
-    std::size_t slot, const std::unordered_set<LinkId>& banned) const {
+void RoutingGraph::recompute_pair(std::size_t slot) const {
   PairScratch scratch;
-  compute_pair(slot, banned, scratch);
+  compute_pair(slot, scratch);
   commit_pair(slot, std::move(scratch));
 }
 
@@ -431,7 +490,7 @@ void RoutingGraph::invalidate_pair(std::size_t slot) {
 
 void RoutingGraph::ensure_pair(std::size_t slot) const {
   if (materialized_[slot] != 0 || diagonal(slot)) return;
-  recompute_pair(slot, banned_);
+  recompute_pair(slot);
   ++counters_.lazy_materializations;
 }
 
@@ -468,7 +527,7 @@ void RoutingGraph::bfs_hops(NodeId origin, bool reverse,
     const std::uint32_t d = dist[u.value()];
     const auto& links = reverse ? in_links_[u.value()] : topo_->out_links(u);
     for (LinkId l : links) {
-      if (banned_.contains(l)) continue;
+      if (banned(l)) continue;
       const Link& link = topo_->link(l);
       const NodeId next = reverse ? link.src : link.dst;
       if (dist[next.value()] != kUnreachable) continue;
@@ -496,15 +555,16 @@ void RoutingGraph::materialize_all(util::ThreadPool* pool) {
   std::vector<PairScratch> scratch;
   std::size_t next = 0;  // scratch index of the next non-stub slot
   if (pool != nullptr && pool->thread_count() > 1) {
-    const std::size_t H = hosts_.size();
+    const std::vector<NodeId>& hosts = this->hosts();
+    const std::size_t H = hosts.size();
     const std::size_t A = attach_nodes_.size();
     std::vector<std::pair<NodeId, NodeId>> runs;
     std::vector<std::size_t> attach_runs;  // cache index of runs[i]
     std::vector<char> queued(A * A, 0);
     for (std::uint32_t slot : todo) {
       const std::size_t ap = attach_pair(slot);
-      if (ap == kNoAttachPair || banned_.contains(access_[slot / H].up) ||
-          banned_.contains(access_[slot % H].down) || queued[ap] != 0 ||
+      if (ap == kNoAttachPair || banned(access_[slot / H].up) ||
+          banned(access_[slot % H].down) || queued[ap] != 0 ||
           attach_entry(ap)) {
         continue;
       }
@@ -514,7 +574,7 @@ void RoutingGraph::materialize_all(util::ThreadPool* pool) {
     }
     for (std::uint32_t slot : todo) {
       if (attach_pair(slot) == kNoAttachPair) {
-        runs.emplace_back(hosts_[slot / H], hosts_[slot % H]);
+        runs.emplace_back(hosts[slot / H], hosts[slot % H]);
       }
     }
     scratch.resize(runs.size());
@@ -523,8 +583,9 @@ void RoutingGraph::materialize_all(util::ThreadPool* pool) {
     for (std::size_t begin = 0; begin < runs.size(); begin += chunk) {
       const std::size_t end = std::min(begin + chunk, runs.size());
       pool->submit([this, &runs, &scratch, begin, end] {
+        PathSearch search;  // per task: workers share no search state
         for (std::size_t i = begin; i < end; ++i) {
-          run_yen(runs[i].first, runs[i].second, banned_, scratch[i]);
+          run_yen(runs[i].first, runs[i].second, search, scratch[i]);
         }
       });
     }
@@ -539,15 +600,15 @@ void RoutingGraph::materialize_all(util::ThreadPool* pool) {
     if (next < scratch.size() && attach_pair(slot) == kNoAttachPair) {
       commit_pair(slot, std::move(scratch[next++]));
     } else {
-      recompute_pair(slot, banned_);  // stub pairs derive from the cache
+      recompute_pair(slot);  // stub pairs derive from the cache
     }
   }
   attach_cache_ = {};  // every pair is materialized: no reader is left
 }
 
 PathSet RoutingGraph::paths(NodeId src_host, NodeId dst_host) const {
-  const std::uint32_t a = host_slot(src_host);
-  const std::uint32_t b = host_slot(dst_host);
+  const std::uint32_t a = topo_->host_index(src_host);
+  const std::uint32_t b = topo_->host_index(dst_host);
   assert(a != kNotHost && b != kNotHost &&
          "RoutingGraph::paths endpoints must be hosts of this topology");
   if (a == kNotHost || b == kNotHost) {
@@ -560,12 +621,13 @@ PathSet RoutingGraph::paths(NodeId src_host, NodeId dst_host) const {
 }
 
 bool RoutingGraph::is_host_pair(NodeId src_host, NodeId dst_host) const {
-  return host_slot(src_host) != kNotHost && host_slot(dst_host) != kNotHost;
+  return topo_->host_index(src_host) != kNotHost &&
+         topo_->host_index(dst_host) != kNotHost;
 }
 
 bool RoutingGraph::has_paths(NodeId src_host, NodeId dst_host) const {
-  const std::uint32_t a = host_slot(src_host);
-  const std::uint32_t b = host_slot(dst_host);
+  const std::uint32_t a = topo_->host_index(src_host);
+  const std::uint32_t b = topo_->host_index(dst_host);
   if (a == kNotHost || b == kNotHost) return false;
   const std::size_t slot = pair_slot(a, b);
   ensure_pair(slot);
@@ -592,35 +654,15 @@ void RoutingGraph::encode_counters(sim::StateEncoder& enc) const {
 }
 
 void RoutingGraph::encode_state(sim::StateEncoder& enc) const {
+  // k and the banned set name the table: each pair's candidates are a pure
+  // function of (topology, banned set, k), and the config fingerprint pins
+  // the topology. Encoding the candidates themselves would mean computing
+  // the pairs no query reached yet, which would make a capture cost a cold
+  // build and move routing.counters.
   enc.put_u32(kStateVersion);
   enc.put_u64(static_cast<std::uint64_t>(k_));
-
-  // Per-pair candidate link chains in canonical slot order — not raw pool
-  // ids. Interning order tracks query order, so pool ids would
-  // make two behaviorally identical runs encode different bytes; the chains
-  // themselves are a pure function of (topology, banned set, k).
-  // Unmaterialized pairs are computed right here for the same reason: the
-  // forced work cannot perturb behavior, it only advances the rebuild-work
-  // counters (observability section, excluded from cross-arm comparison).
-  enc.put_u32(static_cast<std::uint32_t>(table_.size()));
-  for (std::size_t slot = 0; slot < table_.size(); ++slot) {
-    ensure_pair(slot);
-    const auto& ids = table_[slot];
-    enc.put_u32(static_cast<std::uint32_t>(ids.size()));
-    for (PathId id : ids) {
-      const Path& p = pool_.path(id);
-      enc.put_u32(static_cast<std::uint32_t>(p.links.size()));
-      for (LinkId l : p.links) enc.put_u32(l.value());
-    }
-  }
-
-  std::vector<std::uint32_t> ban_ids;
-  ban_ids.reserve(banned_.size());
-  // pythia-lint: allow(unordered-iter) key collection only; sorted below
-  for (LinkId l : banned_) ban_ids.push_back(l.value());
-  std::sort(ban_ids.begin(), ban_ids.end());
-  enc.put_u32(static_cast<std::uint32_t>(ban_ids.size()));
-  for (std::uint32_t l : ban_ids) enc.put_u32(l);
+  enc.put_u32(static_cast<std::uint32_t>(banned_.size()));
+  for (LinkId l : banned_) enc.put_u32(l.value());
 }
 
 }  // namespace pythia::net

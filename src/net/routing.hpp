@@ -1,6 +1,16 @@
-// Multi-path routing: hop-count Dijkstra, Yen's k-shortest paths, and the
-// RoutingGraph cache the controller keeps per host pair (paper §IV: computed
-// at startup, recomputed only on topology-change events — off the data path).
+// Multi-path routing: hop-count shortest paths on a level-synchronous BFS,
+// Yen's k-shortest paths, and the RoutingGraph cache the controller keeps
+// per host pair (paper §IV: computed at startup, recomputed only on
+// topology-change events — off the data path).
+//
+// Hops have unit weight, so the BFS returns exactly the path a hop-count
+// Dijkstra with (hops, node id) pop order and strict-`<` relaxation would:
+// it expands each level in ascending node id, follows out-links in insertion
+// order, and lets the first discovery of a node fix its parent. Every search,
+// and so every Yen candidate, its order and its touched links, is a pure
+// function of (topology, banned set, endpoints, k). A PathSearch keeps the
+// search state (epoch-stamped marks, parents, level buffers) across calls,
+// so a warm search allocates only the paths it returns.
 //
 // Paths are interned in a PathPool: the graph stores PathId handles instead
 // of link-vector copies, a reverse index LinkId → {host pairs using it} lets
@@ -26,6 +36,7 @@
 // switch-level run.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -33,7 +44,7 @@
 #include <iterator>
 #include <limits>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -58,22 +69,77 @@ struct Path {
   friend bool operator==(const Path&, const Path&) = default;
 };
 
-/// Shortest path by hop count with deterministic tie-breaking (smaller link
-/// ids win). `banned_links` / `banned_nodes` support Yen's spur computation
-/// and failure simulation. Returns nullopt when disconnected.
+/// Reusable state for hop-count path searches: epoch-stamped banned-link
+/// and visited marks, parent links, the BFS level buffers and Yen's
+/// candidate store, grown to the topology on first use. The caller owns it;
+/// one instance must not be shared between threads.
+class PathSearch {
+ public:
+  /// Shortest path by hop count with deterministic tie-breaking (the parent
+  /// expanded first wins, then the out-link inserted first) that uses no
+  /// link of `excluded_links` and enters no node of `excluded_nodes`. Returns
+  /// nullopt when disconnected, the empty path when src == dst. Excluded ids
+  /// outside the topology are ignored: no path can use them anyway.
+  std::optional<Path> shortest_path(
+      const Topology& topo, NodeId src, NodeId dst,
+      std::span<const LinkId> excluded_links = {},
+      std::span<const NodeId> excluded_nodes = {});
+
+  /// Yen's algorithm: up to `k` loop-free shortest paths in nondecreasing
+  /// hop-count order, ties broken by link-id sequence. No path uses a link
+  /// of `excluded_links` (failed links). When `touched_links` is non-null,
+  /// every link of every candidate path the run generated (chosen or not)
+  /// is appended to it — the routing graph's incremental rebuild keys its
+  /// reverse index on this union, because a banned link that appears only
+  /// in an *unchosen* candidate can still flip the deterministic tie-break
+  /// of a later spur computation.
+  std::vector<Path> k_shortest_paths(
+      const Topology& topo, NodeId src, NodeId dst, std::size_t k,
+      std::span<const LinkId> excluded_links = {},
+      std::vector<LinkId>* touched_links = nullptr);
+
+ private:
+  /// A Yen candidate: `size` links of cand_links_ starting at `begin`.
+  struct Candidate {
+    std::uint32_t begin;
+    std::uint32_t size;
+  };
+
+  /// Sizes the marks to `topo` and stamps `excluded_links` with a fresh ban_.
+  void begin(const Topology& topo, std::span<const LinkId> excluded_links);
+  /// Level-synchronous BFS from src over links not stamped ban_, entering
+  /// no node already stamped `visit` (the caller stamps banned nodes first).
+  /// Stops at the first discovery of dst; true iff dst was reached.
+  bool bfs(const Topology& topo, NodeId src, NodeId dst, std::uint64_t visit);
+  /// Appends the src → dst chain of the last successful bfs() to `out`.
+  void append_path(const Topology& topo, NodeId src, NodeId dst,
+                   std::vector<LinkId>& out);
+  /// True iff `links` equals a pending candidate.
+  [[nodiscard]] bool pending(const std::vector<LinkId>& links) const;
+  [[nodiscard]] std::span<const LinkId> candidate(const Candidate& c) const {
+    return {cand_links_.data() + c.begin, c.size};
+  }
+
+  std::uint64_t epoch_ = 0;  // last stamp handed out; stamps never repeat
+  std::uint64_t ban_ = 0;    // link_ban_ value meaning "banned this call"
+  std::vector<std::uint64_t> link_ban_;  // link id → stamp
+  std::vector<std::uint64_t> seen_;      // node id → stamp of last visit
+  std::vector<LinkId> parent_;           // node id → discovering link
+  std::vector<NodeId> level_;
+  std::vector<NodeId> next_;
+  std::vector<LinkId> spur_banned_;  // links banned for one spur search
+  std::vector<LinkId> total_;        // root + spur of the candidate in hand
+  std::vector<LinkId> cand_links_;
+  std::vector<Candidate> cands_;
+};
+
+/// PathSearch::shortest_path on a one-off PathSearch.
 std::optional<Path> shortest_path(
     const Topology& topo, NodeId src, NodeId dst,
     const std::unordered_set<LinkId>& banned_links = {},
     const std::unordered_set<NodeId>& banned_nodes = {});
 
-/// Yen's algorithm: up to `k` loop-free shortest paths in nondecreasing
-/// hop-count order (deterministic ordering among equal-length paths).
-/// `banned_links` are excluded entirely (failed links). When
-/// `touched_links` is non-null, every link of every candidate path the run
-/// generated (chosen or not) is appended to it — the routing graph's
-/// incremental rebuild keys its reverse index on this union, because a
-/// banned link that appears only in an *unchosen* candidate can still flip
-/// the deterministic tie-break of a later spur computation.
+/// PathSearch::k_shortest_paths on a one-off PathSearch.
 std::vector<Path> k_shortest_paths(
     const Topology& topo, NodeId src, NodeId dst, std::size_t k,
     const std::unordered_set<LinkId>& banned_links = {},
@@ -94,10 +160,26 @@ class PathPool {
   [[nodiscard]] std::size_t size() const { return paths_.size(); }
 
  private:
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::uint32_t id = kEmpty;
+  };
+  static constexpr std::uint32_t kEmpty =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// Doubles the index (16 slots at first) and reinserts every entry.
+  void grow();
+  /// Home slot of a hash: the top bits of hash · 2^64/φ.
+  [[nodiscard]] std::size_t home(std::uint64_t hash) const {
+    return static_cast<std::size_t>((hash * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
   std::deque<Path> paths_;
-  // Hash of the link sequence → pool ids with that hash (collisions resolved
-  // by full sequence equality in intern()).
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index_;
+  // Open-addressing index over paths_: (link-sequence hash, id) slots with
+  // linear probing and a power-of-two capacity kept at most half full.
+  // Collisions are resolved by full sequence equality in intern().
+  std::vector<Slot> index_;
+  unsigned shift_ = 64;  // 64 − log2(index_.size())
 };
 
 /// Non-owning view of one host pair's candidate paths: an id vector in the
@@ -180,8 +262,8 @@ struct RoutingCounters {
   /// Materialized pairs dropped by a rebuild delta (recomputed only if
   /// queried again).
   std::uint64_t pairs_invalidated = 0;
-  /// Pairs computed one at a time on first query or by encode_state (a
-  /// subset of pairs_recomputed; materialize_all's pairs are the rest).
+  /// Pairs computed one at a time on first query (a subset of
+  /// pairs_recomputed; materialize_all's pairs are the rest).
   std::uint64_t lazy_materializations = 0;
   /// Yen runs between two attachment switches, the shared middle section of
   /// every stub-host pair's candidates. At most (attachment switches)² per
@@ -219,11 +301,11 @@ class RoutingGraph {
 
   /// Computes every not-yet-materialized pair. With a thread pool, the Yen
   /// runs (switch-level runs for stub pairs, host-level runs for the rest)
-  /// execute concurrently into private scratch; host pairs are then derived
-  /// and interned on the calling thread in canonical slot order — the PathId
-  /// sequence (part of the determinism contract) is identical to computing
-  /// the same pairs serially. Without one (or with a single-threaded pool),
-  /// runs serially.
+  /// execute concurrently, each pool task on its own PathSearch, into
+  /// private scratch; host pairs are then derived and interned on the
+  /// calling thread in canonical slot order — the PathId sequence (part of
+  /// the determinism contract) is identical to computing the same pairs
+  /// serially. Without one (or with a single-threaded pool), runs serially.
   void materialize_all(util::ThreadPool* pool = nullptr);
 
   /// Ordered host pairs whose candidates are currently computed; grows with
@@ -257,18 +339,18 @@ class RoutingGraph {
   void rebuild(const std::unordered_set<LinkId>& banned_links);
 
   /// Serializes the routing state for snapshots (section version
-  /// kStateVersion): per-pair candidate link chains in slot order plus the
-  /// banned set (sorted). Chains — not raw pool ids — keep the section
-  /// independent of interning order, which depends on query order; every
-  /// unmaterialized pair is materialized first (pure per-pair computation,
-  /// so this cannot perturb behavior), making graphs queried in any order,
-  /// or filled in parallel, byte-identical here.
+  /// kStateVersion): k and the sorted banned set. Every table entry is a
+  /// pure function of (topology, banned set, k) and the config fingerprint
+  /// pins the topology, so these name the table without computing it. The
+  /// bytes do not depend on which pairs were queried, in what order, or on
+  /// how many threads filled them, and encoding reads no cache.
   void encode_state(sim::StateEncoder& enc) const;
 
   /// Leading u32 of the encode_state section; bumped when the routing
   /// section layout changes (v2: slot-order link chains replaced the v1
-  /// pool-id dump — see docs/checkpoint.md).
-  static constexpr std::uint32_t kStateVersion = 2;
+  /// pool-id dump; v3: k and the banned set replaced the chains — see
+  /// docs/checkpoint.md).
+  static constexpr std::uint32_t kStateVersion = 3;
 
   /// Rebuild-work counters, serialized as their own snapshot section: runs
   /// that query pairs in a different order agree on encode_state but
@@ -277,8 +359,7 @@ class RoutingGraph {
   void encode_counters(sim::StateEncoder& enc) const;
 
  private:
-  static constexpr std::uint32_t kNotHost =
-      std::numeric_limits<std::uint32_t>::max();
+  static constexpr std::uint32_t kNotHost = Topology::kNoHost;
 
   static constexpr std::size_t kNoAttachPair =
       std::numeric_limits<std::size_t>::max();
@@ -300,39 +381,39 @@ class RoutingGraph {
     std::uint32_t attach = kNotHost;
   };
 
-  [[nodiscard]] std::uint32_t host_slot(NodeId n) const {
-    return n.value() < host_slot_.size() ? host_slot_[n.value()] : kNotHost;
+  [[nodiscard]] const std::vector<NodeId>& hosts() const {
+    return topo_->hosts();
   }
   [[nodiscard]] std::size_t pair_slot(std::uint32_t a, std::uint32_t b) const {
-    return static_cast<std::size_t>(a) * hosts_.size() + b;
+    return static_cast<std::size_t>(a) * hosts().size() + b;
   }
   [[nodiscard]] bool diagonal(std::size_t slot) const {
-    return slot / hosts_.size() == slot % hosts_.size();
+    return slot / hosts().size() == slot % hosts().size();
+  }
+  [[nodiscard]] bool banned(LinkId l) const {
+    return std::binary_search(banned_.begin(), banned_.end(), l);
   }
 
-  /// Pure Yen run between two nodes into scratch: reads only the topology
-  /// and the banned set, writes only `out` — safe to fan across worker
-  /// threads.
-  void run_yen(NodeId src, NodeId dst,
-               const std::unordered_set<LinkId>& banned,
+  /// Pure Yen run between two nodes under banned_ into scratch: reads only
+  /// the topology and the banned set, writes only `search` and `out` — safe
+  /// to fan across worker threads that each own a PathSearch.
+  void run_yen(NodeId src, NodeId dst, PathSearch& search,
                PairScratch& out) const;
   /// Attachment-cache index a pair of stub hosts derives its candidates
   /// from; kNoAttachPair when either host is not a stub.
   [[nodiscard]] std::size_t attach_pair(std::size_t slot) const;
   /// The attachment-pair cache entry, allocating the table on first use.
   std::optional<PairScratch>& attach_entry(std::size_t ap) const;
-  /// One host pair's candidates under `banned`: host-to-host Yen, or for a
+  /// One host pair's candidates under banned_: host-to-host Yen, or for a
   /// stub pair the composition over the (cached) switch-level run. Not
-  /// thread-safe for stub pairs — it may fill the attachment cache.
-  void compute_pair(std::size_t slot, const std::unordered_set<LinkId>& banned,
-                    PairScratch& out) const;
+  /// thread-safe: it runs on search_ and may fill the attachment cache.
+  void compute_pair(std::size_t slot, PairScratch& out) const;
   /// Interns a scratch result and installs it (PathId assignment happens
   /// here, on the calling thread — never on workers). const because it
   /// mutates only the lazy-cache members below.
   void commit_pair(std::size_t slot, PairScratch&& scratch) const;
   /// compute_pair + commit_pair for one slot.
-  void recompute_pair(std::size_t slot,
-                      const std::unordered_set<LinkId>& banned) const;
+  void recompute_pair(std::size_t slot) const;
   /// Drops a materialized pair's candidates (the next query recomputes them
   /// under the then-current banned set). Keeps the stored touched union as
   /// the diff witness for the eventual re-commit.
@@ -351,28 +432,27 @@ class RoutingGraph {
                 std::vector<std::uint32_t>& dist) const;
 
   // pythia-lint: allow(snapshot-skip, group) construction-time derivations
-  // of the (fingerprinted) topology: wiring, host maps, reverse adjacency
-  // and stub access links rebuild identically in the restored process. k_
-  // and banned_ ARE encoded.
+  // of the (fingerprinted) topology: wiring, reverse adjacency and stub
+  // access links rebuild identically in the restored process. k_ and
+  // banned_ ARE encoded. Host pairs are keyed on the topology's dense host
+  // index (Topology::host_index).
   const Topology* topo_ = nullptr;
   std::size_t k_ = 0;
-  std::vector<NodeId> hosts_;
-  std::vector<std::uint32_t> host_slot_;  // node id → host index or kNotHost
   std::vector<std::vector<LinkId>> in_links_;  // reverse adjacency for BFS
-  std::unordered_set<LinkId> banned_;          // banned set of last rebuild
+  std::vector<LinkId> banned_;  // banned set of last rebuild, sorted
   std::vector<Access> access_;        // per host slot
   std::vector<NodeId> attach_nodes_;  // attachment switch index → node
 
-  // Lazy cache: logically-const queries (paths/has_paths/encode_state)
-  // materialize pairs on demand, so these are mutable. Every materialized
-  // entry equals the pure per-pair Yen result under the current banned set —
-  // query order cannot change what is stored, only when.
-  // pythia-lint: allow(snapshot-skip, group) the touched unions, reverse
-  // index, and materialization flags are re-derived from the encoded pool_
-  // and table_ on restore; by the invariant above their contents are a pure
-  // function of what is stored, never of query order.
+  // Lazy cache: logically-const queries (paths/has_paths) materialize pairs
+  // on demand, so these are mutable. Every materialized entry equals the
+  // pure per-pair Yen result under the current banned set — query order
+  // cannot change what is stored, only when.
+  // pythia-lint: allow(snapshot-skip, group) a cache of the per-pair
+  // function that the encoded k_ and banned_ name; restore replays the run,
+  // which materializes the same pairs in the same order. The work counters
+  // and the materialized count go to encode_counters.
   mutable PathPool pool_;
-  // Dense table: slot = host_slot(src) * H + host_slot(dst).
+  // Dense table: slot = host_index(src) * H + host_index(dst).
   mutable std::vector<std::vector<PathId>> table_;
   // Per-slot sorted union of links touched by the pair's last Yen run.
   mutable std::vector<std::vector<LinkId>> pair_links_;
@@ -389,6 +469,9 @@ class RoutingGraph {
   // pair is materialized); a restored graph recomputes an entry on the next
   // stub-pair query that needs it.
   mutable std::vector<std::optional<PairScratch>> attach_cache_;
+  // pythia-lint: allow(snapshot-skip) search scratch for lazy queries,
+  // fill-before-read on every search; holds no state between them.
+  mutable PathSearch search_;
 };
 
 }  // namespace pythia::net

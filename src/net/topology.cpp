@@ -9,6 +9,9 @@ NodeId Topology::add_host(std::string name, int rack) {
   nodes_.push_back(Node{id, NodeKind::kHost, std::move(name), rack});
   out_.emplace_back();
   node_group_.push_back(kCoreGroup);
+  // Node ids grow with every add, so appending keeps hosts_ ascending.
+  host_index_.push_back(static_cast<std::uint32_t>(hosts_.size()));
+  hosts_.push_back(id);
   return id;
 }
 
@@ -17,6 +20,7 @@ NodeId Topology::add_switch(std::string name, int rack) {
   nodes_.push_back(Node{id, NodeKind::kSwitch, std::move(name), rack});
   out_.emplace_back();
   node_group_.push_back(kCoreGroup);
+  host_index_.push_back(kNoHost);
   return id;
 }
 
@@ -41,14 +45,6 @@ LinkId Topology::add_duplex(NodeId a, NodeId b, util::BitsPerSec capacity) {
   const LinkId forward = add_link(a, b, capacity);
   add_link(b, a, capacity);
   return forward;
-}
-
-std::vector<NodeId> Topology::hosts() const {
-  std::vector<NodeId> out;
-  for (const auto& n : nodes_) {
-    if (n.kind == NodeKind::kHost) out.push_back(n.id);
-  }
-  return out;
 }
 
 std::vector<NodeId> Topology::switches() const {

@@ -5,6 +5,8 @@
 // per-port egress utilizations.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -52,8 +54,20 @@ class Topology {
     return out_[n.value()];
   }
 
-  [[nodiscard]] std::vector<NodeId> hosts() const;
+  /// Every host in ascending NodeId order. A host's position here is its
+  /// dense host index (host_index()).
+  [[nodiscard]] const std::vector<NodeId>& hosts() const { return hosts_; }
   [[nodiscard]] std::vector<NodeId> switches() const;
+
+  /// Sentinel host_index() of a switch or of an id outside the topology.
+  static constexpr std::uint32_t kNoHost =
+      std::numeric_limits<std::uint32_t>::max();
+  /// Dense index of host `n` in [0, hosts().size()): the ascending-NodeId
+  /// rank, so walking the index walks hosts in NodeId order. Per-host and
+  /// per-host-pair tables (routing, collector) key on it.
+  [[nodiscard]] std::uint32_t host_index(NodeId n) const {
+    return n.value() < host_index_.size() ? host_index_[n.value()] : kNoHost;
+  }
 
   /// First link src->dst if one exists.
   [[nodiscard]] std::optional<LinkId> find_link(NodeId src, NodeId dst) const;
@@ -91,6 +105,8 @@ class Topology {
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> out_;
   std::vector<std::int32_t> node_group_;
+  std::vector<NodeId> hosts_;
+  std::vector<std::uint32_t> host_index_;  // node id → host index or kNoHost
 };
 
 /// The paper's testbed: two racks of `servers_per_rack` hosts, one ToR each,

@@ -132,7 +132,9 @@ class Snapshot {
   // flush counter, and the scenario fingerprint dropped its config flag.
   // v7: the routing table has one (lazy) build and one rebuild, so
   // routing.counters dropped its leading u64, the full-rebuild count.
-  static constexpr std::uint32_t kFormatVersion = 7;
+  // v8: the routing section holds k and the sorted banned set instead of
+  // every pair's candidate chains, so a capture computes no routing.
+  static constexpr std::uint32_t kFormatVersion = 8;
 
   // --- identity + cursor (set by the capturing layer) ---
   std::uint64_t root_seed = 0;

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "core/allocator.hpp"
 #include "net/fabric.hpp"
 #include "sdn/controller.hpp"
 #include "sim/simulation.hpp"
+#include "sim/snapshot.hpp"
 
 namespace pythia::core {
 namespace {
@@ -212,6 +218,148 @@ TEST(Collector, MultipleJobsKeepReducerNamespacesApart) {
   f.collector.ingest(f.intent(0, 1'000'000));  // job 0 -> remote
   f.sim.run();
   EXPECT_EQ(f.allocator.allocations(), 1u);
+}
+
+/// The collector keeps its per-server and per-pair state in rows under the
+/// topology's dense host index. On a fat tree each pod adds its switches
+/// before its hosts, so host ids interleave with switch ids and a host's
+/// index is not its NodeId. The behaviour encoding must still list pairs
+/// and servers in ascending NodeId order and list exactly the entries the
+/// run created — among them the zero entry a completed fetch leaves for a
+/// destination nothing was predicted for — and queries must read switches
+/// and never-seen hosts as empty.
+TEST(Collector, DenseRowsEncodeInNodeIdOrder) {
+  net::FatTreeConfig ft;
+  ft.k = 4;
+  const net::Topology topo = net::make_fat_tree(ft);
+  sim::Simulation sim;
+  net::Fabric fabric{sim, topo};
+  sdn::Controller controller{sim, fabric, topo};
+  Allocator allocator{controller};
+  Collector collector{sim, allocator};
+  const std::vector<NodeId>& h = topo.hosts();
+  ASSERT_EQ(h.size(), 16u);
+  ASSERT_GT(h[4].value(), h[3].value() + 1) << "pod 1's switches sit between";
+  const NodeId a_switch = topo.switches().front();
+
+  // Untouched: nothing allocated, every query empty.
+  EXPECT_EQ(collector.destination_outstanding(h[2]), Bytes::zero());
+  EXPECT_TRUE(collector.predicted_curve(h[2]).empty());
+  EXPECT_EQ(collector.mean_destination_outstanding(), Bytes::zero());
+
+  const auto intent = [&](std::size_t reduce, NodeId src, std::int64_t bytes) {
+    ShuffleIntent i;
+    i.job_serial = 0;
+    i.reduce_index = reduce;
+    i.src_server = src;
+    i.predicted_wire_bytes = Bytes{bytes};
+    i.emitted_at = sim.now();
+    return i;
+  };
+  // Reducers land out of NodeId order; the first intent waits for its one.
+  collector.ingest(intent(0, h[13], 3'000));
+  collector.reducer_located(0, 0, h[9]);
+  collector.reducer_located(0, 1, h[2]);
+  collector.reducer_located(0, 2, h[14]);
+  collector.ingest(intent(1, h[13], 5'000));
+  collector.ingest(intent(2, h[0], 7'000));
+  collector.ingest(intent(1, h[6], 11'000));
+  collector.ingest(intent(2, h[6], 13'000));
+  sim.run();
+  // A fetch to a destination nothing was predicted for.
+  collector.fetch_completed(h[5], h[11], Bytes{1'000});
+  collector.job_completed(0);
+
+  sim::StateEncoder enc;
+  collector.encode_behavior(enc);
+  const std::vector<std::uint8_t> bytes = enc.take();
+  sim::StateDecoder dec(bytes);
+  EXPECT_EQ(dec.get_u32(), 0u);  // reducer locations went with the job
+  EXPECT_EQ(dec.get_u32(), 0u);  // nothing held
+  (void)dec.get_time();
+
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs(dec.get_u32());
+  for (auto& [src, dst] : pairs) {
+    src = dec.get_u32();
+    dst = dec.get_u32();
+    EXPECT_TRUE(dec.get_bool());
+  }
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> want_pairs{
+      {h[0].value(), h[14].value()},
+      {h[6].value(), h[2].value()},
+      {h[6].value(), h[14].value()},
+      {h[13].value(), h[2].value()},
+      {h[13].value(), h[9].value()}};
+  EXPECT_EQ(pairs, want_pairs);
+
+  std::vector<std::pair<std::uint32_t, std::int64_t>> outstanding(
+      dec.get_u32());
+  for (auto& [node, value] : outstanding) {
+    node = dec.get_u32();
+    value = dec.get_i64();
+  }
+  const std::vector<std::pair<std::uint32_t, std::int64_t>> want_outstanding{
+      {h[2].value(), 16'000},
+      {h[9].value(), 3'000},
+      {h[11].value(), 0},
+      {h[14].value(), 20'000}};
+  EXPECT_EQ(outstanding, want_outstanding);
+
+  std::vector<std::uint32_t> curve_sources(dec.get_u32());
+  for (std::uint32_t& node : curve_sources) {
+    node = dec.get_u32();
+    const std::uint32_t points = dec.get_u32();
+    for (std::uint32_t p = 0; p < points; ++p) {
+      (void)dec.get_time();
+      (void)dec.get_i64();
+    }
+  }
+  std::vector<std::pair<std::uint32_t, std::int64_t>> totals(dec.get_u32());
+  for (auto& [node, value] : totals) {
+    node = dec.get_u32();
+    value = dec.get_i64();
+  }
+  const std::vector<std::uint32_t> want_sources{h[0].value(), h[6].value(),
+                                                h[13].value()};
+  EXPECT_EQ(curve_sources, want_sources);
+  const std::vector<std::pair<std::uint32_t, std::int64_t>> want_totals{
+      {h[0].value(), 7'000}, {h[6].value(), 24'000}, {h[13].value(), 8'000}};
+  EXPECT_EQ(totals, want_totals);
+
+  EXPECT_EQ(collector.aggregate_count(), 5u);
+  EXPECT_EQ(collector.underflow_events(), 1u);
+  EXPECT_EQ(collector.destination_outstanding(h[2]).count(), 16'000);
+  EXPECT_EQ(collector.destination_outstanding(h[11]), Bytes::zero());
+  EXPECT_EQ(collector.predicted_curve(h[6]).back().cumulative.count(),
+            24'000);
+  EXPECT_TRUE(collector.predicted_curve(h[2]).empty());  // destination only
+  for (const NodeId quiet : {a_switch, h[15], NodeId{}}) {
+    EXPECT_EQ(collector.destination_outstanding(quiet), Bytes::zero())
+        << quiet.value();
+    EXPECT_TRUE(collector.predicted_curve(quiet).empty()) << quiet.value();
+  }
+}
+
+/// The windowed batch gathers pairs in arrival order but encodes and
+/// flushes them in a total order, so two runs that book the same updates
+/// in different orders capture the same bytes.
+TEST(Collector, BatchEncodingIgnoresArrivalOrder) {
+  const auto run = [](bool reversed) {
+    Fixture f;
+    const auto& hosts = f.topo.hosts();
+    std::vector<std::size_t> order{9, 3, 7, 1};
+    if (reversed) std::reverse(order.begin(), order.end());
+    for (std::size_t r = 0; r < order.size(); ++r) {
+      f.collector.reducer_located(0, order[r], hosts[order[r]]);
+    }
+    for (const std::size_t r : order) {
+      f.collector.ingest(f.intent(r, 1'000'000));
+    }
+    sim::StateEncoder enc;
+    f.collector.encode_state(enc);
+    return enc.take();
+  };
+  EXPECT_EQ(run(false), run(true));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -148,29 +149,87 @@ TEST(CheckpointDrill, MidLinkFailureRestoresWithPrologue) {
       << wrong.divergence;
 }
 
-/// The controller's routing graph is lazy; the snapshot routing section
-/// (slot-ordered link chains, forced materialization) must nonetheless
-/// byte-match a fully materialized graph on the same topology — the
-/// contract that makes lazy construction invisible to checkpoint identity.
-TEST(CheckpointIdentity, LazyRoutingSectionMatchesFullTable) {
+/// The routing section is k plus the sorted banned set: it names the table
+/// (a pure function of topology, banned set and k; the fingerprint pins the
+/// topology) without computing it. A mid-run capture of the lazy graph must
+/// write exactly that, equal a fully materialized graph's section, and
+/// compute no pair.
+TEST(CheckpointIdentity, LazyRoutingSectionNamesTheTable) {
   const ScenarioConfig cfg = faulted_config(5);
   const auto job = test_job();
   Scenario scenario(cfg);
   scenario.submit_job(job);
   scenario.run_to_event_count(400);
-  // A real mid-run capture leaves some pairs unmaterialized.
+  const net::RoutingGraph& routing = scenario.controller().routing();
   const std::size_t hosts = scenario.topology().hosts().size();
-  ASSERT_LT(scenario.controller().routing().pairs_materialized(),
-            hosts * (hosts - 1));
+  const std::size_t materialized = routing.pairs_materialized();
+  ASSERT_LT(materialized, hosts * (hosts - 1));
   const sim::Snapshot snap = capture_snapshot(scenario, job, "lazy-vs-full");
-  const auto* routing = snap.section("routing");
-  ASSERT_NE(routing, nullptr);
+  EXPECT_EQ(routing.pairs_materialized(), materialized);
+  const auto* section = snap.section("routing");
+  ASSERT_NE(section, nullptr);
+
+  std::vector<net::LinkId> banned(scenario.controller().failed_links().size());
+  std::partial_sort_copy(scenario.controller().failed_links().begin(),
+                         scenario.controller().failed_links().end(),
+                         banned.begin(), banned.end());
+  sim::StateEncoder want;
+  want.put_u32(net::RoutingGraph::kStateVersion);
+  want.put_u64(cfg.controller.k_paths);
+  want.put_u32(static_cast<std::uint32_t>(banned.size()));
+  for (net::LinkId l : banned) want.put_u32(l.value());
+  EXPECT_EQ(section->bytes, want.take());
 
   net::RoutingGraph full(scenario.topology(), cfg.controller.k_paths);
   full.materialize_all();
   sim::StateEncoder enc;
   full.encode_state(enc);
-  EXPECT_EQ(routing->bytes, enc.take());
+  EXPECT_EQ(section->bytes, enc.take());
+}
+
+/// Capturing is an observation: a lazy run captured at several cuts runs on
+/// exactly like an uncaptured one — the same event trace, the same routing
+/// work, and at the end the same bytes in every section, the .counters
+/// sections included. A 32-server leaf-spine under an 8-reducer sort leaves
+/// most of its 992 host pairs unqueried to the end, so a capture that
+/// computed the table would show.
+TEST(CheckpointIdentity, CaptureLeavesTheRunUntouched) {
+  ScenarioConfig cfg = faulted_config(4);
+  cfg.topology_kind = TopologyKind::kLeafSpine;
+  cfg.leaf_spine.racks = 8;
+  cfg.leaf_spine.servers_per_rack = 4;
+  cfg.leaf_spine.spines = 2;
+  const auto job = workloads::sort_job(util::Bytes{2'000'000'000LL}, 8);
+  const std::uint64_t events = total_events(cfg, job);
+
+  Scenario plain(cfg);
+  plain.submit_job(job);
+  EventTraceRecorder plain_trace(plain);
+  const hadoop::JobResult plain_result = plain.finish();
+
+  Scenario captured(cfg);
+  captured.submit_job(job);
+  EventTraceRecorder captured_trace(captured);
+  const net::RoutingGraph& routing = captured.controller().routing();
+  for (const std::uint64_t cut : {events / 4, events / 2, (3 * events) / 4}) {
+    captured.run_to_event_count(cut);
+    const std::size_t materialized = routing.pairs_materialized();
+    (void)capture_snapshot(captured, job, "neutrality");
+    EXPECT_EQ(routing.pairs_materialized(), materialized) << "cut " << cut;
+  }
+  const hadoop::JobResult captured_result = captured.finish();
+
+  EXPECT_EQ(captured_trace.text(), plain_trace.text());
+  EXPECT_EQ(captured_result.completion_time(), plain_result.completion_time());
+  // Routing work, read before the end captures below encode anything.
+  sim::StateEncoder plain_work;
+  sim::StateEncoder captured_work;
+  plain.controller().routing().encode_counters(plain_work);
+  routing.encode_counters(captured_work);
+  EXPECT_EQ(captured_work.take(), plain_work.take());
+  const sim::Snapshot plain_end = capture_snapshot(plain, job, "end");
+  const sim::Snapshot captured_end = capture_snapshot(captured, job, "end");
+  EXPECT_EQ(sim::Snapshot::describe_divergence(plain_end, captured_end), "");
 }
 
 TEST(CheckpointIdentity, RestoreRefusesForeignUniverse) {

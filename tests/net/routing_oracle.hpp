@@ -1,9 +1,10 @@
-// Independent oracle for net::RoutingGraph: a direct host-level
-// k_shortest_paths call for every ordered host pair under one banned set.
-// The table under test reaches its candidates another way — lazily, through
-// the stub-host decomposition, kept current by incremental rebuilds — so a
-// bug in any of those shows up here as a mismatch rather than being shared
-// by both sides of a comparison.
+// Independent oracle for net::RoutingGraph: a direct host-level call of the
+// reference Yen (yen_reference.hpp: Dijkstra spur searches, hashed dedupe)
+// for every ordered host pair under one banned set. The table under test
+// reaches its candidates another way — a BFS Yen, lazily, through the
+// stub-host decomposition, kept current by incremental rebuilds — so a bug
+// in any of those shows up here as a mismatch rather than being shared by
+// both sides of a comparison.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 
 #include "net/routing.hpp"
 #include "net/topology.hpp"
+#include "net/yen_reference.hpp"
 #include "sim/snapshot.hpp"
 
 namespace pythia::net::oracle {
@@ -47,8 +49,8 @@ inline Oracle run_oracle(const Topology& topo, std::size_t k,
     for (std::size_t b = 0; b < H; ++b) {
       if (a == b) continue;
       std::vector<LinkId> touched;
-      o.paths[a * H + b] =
-          k_shortest_paths(topo, o.hosts[a], o.hosts[b], k, banned, &touched);
+      o.paths[a * H + b] = reference::k_shortest_paths(
+          topo, o.hosts[a], o.hosts[b], k, banned, &touched);
       std::sort(touched.begin(), touched.end());
       touched.erase(std::unique(touched.begin(), touched.end()),
                     touched.end());
@@ -80,22 +82,15 @@ class OracleCache {
   std::map<std::vector<LinkId>, Oracle> cache_;
 };
 
-/// The routing snapshot section RoutingGraph::encode_state must write for
-/// this oracle's table: every slot's candidate chains, then the sorted
-/// banned set (docs/checkpoint.md, "The routing section").
+/// The routing snapshot section RoutingGraph::encode_state must write for a
+/// table of `k` candidates per pair under `banned`: k, then the sorted
+/// banned set (docs/checkpoint.md, "The routing section"). The candidates
+/// are a function of these and the topology, so they are not encoded.
 inline std::vector<std::uint8_t> oracle_state(
-    const Oracle& o, std::size_t k, const std::unordered_set<LinkId>& banned) {
+    std::size_t k, const std::unordered_set<LinkId>& banned) {
   sim::StateEncoder enc;
   enc.put_u32(RoutingGraph::kStateVersion);
   enc.put_u64(k);
-  enc.put_u32(static_cast<std::uint32_t>(o.paths.size()));
-  for (const auto& candidates : o.paths) {
-    enc.put_u32(static_cast<std::uint32_t>(candidates.size()));
-    for (const Path& p : candidates) {
-      enc.put_u32(static_cast<std::uint32_t>(p.links.size()));
-      for (LinkId l : p.links) enc.put_u32(l.value());
-    }
-  }
   std::vector<LinkId> ban(banned.begin(), banned.end());
   std::sort(ban.begin(), ban.end());
   enc.put_u32(static_cast<std::uint32_t>(ban.size()));

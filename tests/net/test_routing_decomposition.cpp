@@ -2,7 +2,7 @@
 // oracle (routing_oracle.hpp): a pair of stub hosts derives its candidates
 // from one Yen run between the two attachment switches instead of running
 // Yen host to host, so every ordered host pair is checked against a direct
-// k_shortest_paths call on the hosts themselves — candidates link for link,
+// reference Yen call on the hosts themselves — candidates link for link,
 // and the link → pairs reverse index against the oracle's touched sets — on
 // the paper topologies and on random graphs with multi-homed hosts and
 // host↔host links (pairs that must fall back to host-level Yen). Bans reach

@@ -1,6 +1,6 @@
 // Incremental routing rebuilds against the independent oracle
 // (routing_oracle.hpp): drive randomized link failure/restore sequences and
-// require every pair the table returns to equal a direct k_shortest_paths
+// require every pair the table returns to equal a direct reference Yen
 // call under the banned set of the moment. This is the proof obligation
 // behind rebuild()'s reverse index and restore hop bound — any divergence
 // here means a rebuild kept a pair whose Yen run a banned/restored link can

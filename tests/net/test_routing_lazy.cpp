@@ -1,8 +1,8 @@
 // The lazy routing table against the independent oracle
 // (routing_oracle.hpp): whatever mix of paths() queries, link fail/restore
 // churn, and snapshot encoding a run performs, every pair it reads must equal
-// a direct k_shortest_paths call under the current banned set, and
-// encode_state must not depend on which pairs were queried. A parallel
+// a direct reference Yen call under the current banned set, and encode_state
+// must neither depend on which pairs were queried nor compute any. A parallel
 // materialize_all must also be *byte*-identical to a serial one, PathId
 // values included (interning order is part of the determinism contract).
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "net/routing.hpp"
 #include "net/routing_oracle.hpp"
 #include "net/topology.hpp"
+#include "net/yen_reference.hpp"
 #include "sim/snapshot.hpp"
 #include "util/random.hpp"
 #include "util/thread_pool.hpp"
@@ -90,8 +91,7 @@ TEST(LazyRouting, EncodeStateIndependentOfCoverage) {
   const auto hosts = topo.hosts();
 
   // Untouched, partially queried, and fully materialized graphs must all
-  // encode the same bytes (encode_state forces materialization in slot
-  // order).
+  // encode the same bytes: k and the banned set, which name the table.
   const RoutingGraph untouched(topo, 4);
   RoutingGraph partial(topo, 4);
   (void)partial.paths(hosts[3], hosts[11]);
@@ -99,12 +99,15 @@ TEST(LazyRouting, EncodeStateIndependentOfCoverage) {
   RoutingGraph complete(topo, 4);
   complete.materialize_all();
 
-  const auto reference = oracle_state(run_oracle(topo, 4, {}), 4, {});
+  const auto reference = oracle_state(4, {});
   EXPECT_EQ(encoded_state(untouched), reference);
   EXPECT_EQ(encoded_state(partial), reference);
   EXPECT_EQ(encoded_state(complete), reference);
-  // Encoding materialized everything as a side effect.
-  EXPECT_EQ(untouched.pairs_materialized(), complete.pairs_materialized());
+  // Encoding is read-only: it computed no pair.
+  EXPECT_EQ(untouched.pairs_materialized(), 0u);
+  EXPECT_EQ(untouched.counters().pairs_recomputed, 0u);
+  EXPECT_EQ(partial.pairs_materialized(), 2u);
+  EXPECT_EQ(partial.counters().pairs_recomputed, 2u);
 }
 
 TEST(LazyRouting, RebuildInvalidatesInsteadOfRecomputing) {
@@ -185,17 +188,17 @@ TEST_P(LazyChurnInterleaving, MatchesOracleUnderRandomOps) {
         lazy.rebuild(banned);
         break;
       }
-      case 1: {  // snapshot capture must not depend on the query history
-        ASSERT_EQ(encoded_state(lazy),
-                  oracle_state(oracles.get(banned), 4, banned))
-            << what;
+      case 1: {  // a capture names the table and computes none of it
+        const std::size_t materialized = lazy.pairs_materialized();
+        ASSERT_EQ(encoded_state(lazy), oracle_state(4, banned)) << what;
+        ASSERT_EQ(lazy.pairs_materialized(), materialized) << what;
         break;
       }
       default: {  // query a random pair
         const NodeId s = hosts[rng.below(hosts.size())];
         NodeId d = s;
         while (d == s) d = hosts[rng.below(hosts.size())];
-        const auto want = k_shortest_paths(topo, s, d, 4, banned);
+        const auto want = reference::k_shortest_paths(topo, s, d, 4, banned);
         ASSERT_EQ(lazy.has_paths(s, d), !want.empty()) << what;
         expect_pair_matches(lazy, s, d, want, what);
         break;
