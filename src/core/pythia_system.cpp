@@ -1,6 +1,8 @@
 #include "core/pythia_system.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 namespace pythia::core {
 
@@ -18,13 +20,26 @@ WatchdogConfig widen_for_pipeline(WatchdogConfig wd,
   return wd;
 }
 
+/// The weight clamp feeds std::clamp, which is undefined for min > max, and
+/// a weight of 0 freezes a flow at rate 0 forever.
+const PythiaConfig& validated(const PythiaConfig& cfg) {
+  if (!std::isfinite(cfg.min_flow_weight) ||
+      !std::isfinite(cfg.max_flow_weight) || cfg.min_flow_weight <= 0.0 ||
+      cfg.min_flow_weight > cfg.max_flow_weight) {
+    throw std::invalid_argument(
+        "PythiaConfig flow weights must be finite with 0 < min_flow_weight "
+        "<= max_flow_weight");
+  }
+  return cfg;
+}
+
 }  // namespace
 
 PythiaSystem::PythiaSystem(sim::Simulation& sim,
                            hadoop::MapReduceEngine& engine,
                            sdn::Controller& controller, PythiaConfig cfg)
     : controller_(&controller),
-      cfg_(cfg),
+      cfg_(validated(cfg)),
       allocator_(std::make_unique<Allocator>(controller, cfg.allocator)),
       collector_(std::make_unique<Collector>(sim, *allocator_,
                                              cfg.collector)),

@@ -23,7 +23,9 @@ struct PythiaConfig {
   /// receiving 5x the data gets ~5x the network capacity (the paper's
   /// Section II intuition, actuated through weighted max-min sharing).
   bool weighted_flows = false;
-  /// Weight clamp range when weighted_flows is on.
+  /// Weight clamp range when weighted_flows is on. The PythiaSystem
+  /// constructor throws std::invalid_argument unless both are finite with
+  /// 0 < min_flow_weight <= max_flow_weight.
   double min_flow_weight = 0.25;
   double max_flow_weight = 8.0;
   /// Control-plane health watchdog (falls back to ECMP when the management

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "sim/snapshot.hpp"
 #include "util/log.hpp"
@@ -16,9 +17,14 @@ namespace {
 constexpr double kDoneEpsilonBytes = 0.5;
 constexpr std::uint32_t kNoPos = std::numeric_limits<std::uint32_t>::max();
 constexpr std::uint32_t kNoLink = std::numeric_limits<std::uint32_t>::max();
-/// Below this many active flows the exact component BFS is always cheap, so
-/// collect_component() never takes the dense whole-fabric fallback.
-constexpr std::size_t kDenseFallbackMinFlows = 16;
+
+/// A weight of 0 would freeze a flow at rate 0 forever, and a non-finite
+/// one poisons every share on its path.
+void check_weight(double weight) {
+  if (!std::isfinite(weight) || weight <= 0.0) {
+    throw std::invalid_argument("flow weight must be finite and positive");
+  }
+}
 
 /// Min-heap order on (eta, slot); slot breaks ties deterministically.
 struct EtaLater {
@@ -45,7 +51,8 @@ Fabric::Fabric(sim::Simulation& sim, const Topology& topo, FabricConfig cfg)
       unfixed_count_(topo.link_count(), 0),
       link_share_(topo.link_count(), 0.0),
       link_touched_(topo.link_count(), 0),
-      link_in_comp_(topo.link_count(), 0),
+      link_affected_(topo.link_count(), 0),
+      link_loaded_(topo.link_count(), 0),
       rec_init_(topo.link_count()),
       last_settle_(sim.now()) {}
 
@@ -59,9 +66,7 @@ std::uint32_t Fabric::acquire_slot() {
   flows_.emplace_back();
   callbacks_.emplace_back();
   active_pos_.push_back(kNoPos);
-  flow_fixed_.push_back(0);
-  flow_in_comp_.push_back(0);
-  rec_freeze_round_.push_back(kNoPos);
+  flow_frozen_.push_back(0);
   eta_stamp_.push_back(0);
   return slot;
 }
@@ -122,12 +127,10 @@ FlowId Fabric::start_flow(FlowSpec spec, FlowCompleteFn on_complete) {
   assert(topo_->validate_path(spec.src, spec.dst, spec.path) &&
          "flow path must connect src to dst");
   assert(spec.size >= util::Bytes::zero());
+  check_weight(spec.weight);
   const std::uint32_t slot = acquire_slot();
   Flow& f = flows_[slot];
   f = Flow{};
-  // A recycled slot must not inherit its predecessor's recorded freeze
-  // round: the new flow never froze in the warm-start record.
-  rec_freeze_round_[slot] = kNoPos;
   f.id = FlowId{slot};
   f.spec = std::move(spec);
   f.started = sim_->now();
@@ -177,7 +180,7 @@ FlowId Fabric::start_flow(FlowSpec spec, FlowCompleteFn on_complete) {
 
 void Fabric::set_flow_weight(FlowId id, double weight) {
   assert(id.value() < flows_.size());
-  assert(weight > 0.0);
+  check_weight(weight);
   Flow& f = flows_[id.value()];
   if (f.completed || f.spec.weight == weight) return;
   settle();
@@ -330,11 +333,12 @@ void Fabric::settle() {
   last_settle_ = now;
 }
 
-void Fabric::set_rate(Flow& f, double rate_bps) {
+bool Fabric::set_rate(Flow& f, double rate_bps) {
   const util::BitsPerSec r{rate_bps};
-  if (f.rate == r) return;  // eta unchanged: absolute deadline is invariant
+  if (f.rate == r) return false;  // eta unchanged: the deadline is invariant
   f.rate = r;
   push_eta(f);
+  return true;
 }
 
 void Fabric::push_eta(Flow& f) {
@@ -370,9 +374,8 @@ void Fabric::recompute_rates() {
     return;
   }
   if (dirty_links_.empty()) return;  // probe-forced accounting point
-  const bool dense = collect_component();
-  fill_component(dense);
-  clear_dirty();  // after the fill: the warm start reads the dirty set
+  fill_incremental();
+  clear_dirty();
 }
 
 void Fabric::after_mutation() {
@@ -397,71 +400,6 @@ void Fabric::refresh_link_sums(std::uint32_t l) const {
   class_rate_bps_[l] = per_class;
 }
 
-bool Fabric::collect_component() {
-  // BFS over the bipartite link/flow graph from the dirty seed: any flow
-  // crossing a touched link, and any link such a flow crosses, can see its
-  // allocation change; everything outside the closure provably cannot.
-  // Link-first: every queued link lists its flows before any flow's path is
-  // walked, so a dense component crosses the half-active bound after few
-  // path walks. Visit order changes neither whether the component holds
-  // more than half the active flows nor a finished BFS's sets (comp_links_
-  // is sorted below; comp_flows_ only seeds flags and a count).
-  comp_links_.clear();
-  comp_flows_.clear();
-  for (std::uint32_t l : dirty_links_) {
-    link_in_comp_[l] = 1;
-    comp_links_.push_back(l);
-  }
-  const bool may_fall_back = active_.size() >= kDenseFallbackMinFlows;
-  bool dense = false;
-  std::size_t link_head = 0;
-  std::size_t flow_head = 0;
-  while (!dense) {
-    if (link_head < comp_links_.size()) {
-      for (FlowId fid : link_flows_[comp_links_[link_head++]]) {
-        const std::uint32_t slot = fid.value();
-        if (flow_in_comp_[slot]) continue;
-        flow_in_comp_[slot] = 1;
-        comp_flows_.push_back(slot);
-        if (may_fall_back && 2 * comp_flows_.size() > active_.size()) {
-          dense = true;
-          break;
-        }
-      }
-    } else if (flow_head < comp_flows_.size()) {
-      for (LinkId l : flows_[comp_flows_[flow_head++]].spec.path) {
-        if (link_in_comp_[l.value()]) continue;
-        link_in_comp_[l.value()] = 1;
-        comp_links_.push_back(l.value());
-      }
-    } else {
-      break;
-    }
-  }
-  for (std::uint32_t l : comp_links_) link_in_comp_[l] = 0;
-  for (std::uint32_t s : comp_flows_) flow_in_comp_[s] = 0;
-  if (dense) {
-    // The component holds more than half the active flows: finishing the
-    // BFS and sorting would cost about as much as the fill. Fill every link
-    // that carries a flow or is dirty instead — a union of whole components,
-    // which fills to the same bits — gathered ascending by one sweep. It
-    // covers fewer than 2x the component's flows.
-    comp_links_.clear();
-    for (std::uint32_t l = 0; l < link_flows_.size(); ++l) {
-      if (!link_flows_[l].empty() || link_dirty_[l]) comp_links_.push_back(l);
-    }
-    comp_flows_.clear();
-    for (FlowId id : active_) comp_flows_.push_back(id.value());
-    ++counters_.full_fills;
-  } else {
-    std::sort(comp_links_.begin(), comp_links_.end());
-    if (comp_links_.size() == link_flows_.size()) ++counters_.full_fills;
-  }
-  counters_.links_touched += comp_links_.size();
-  counters_.flows_touched += comp_flows_.size();
-  return dense;
-}
-
 void Fabric::init_fill_state(std::uint32_t l) {
   residual_[l] = elastic_headroom(l);
   double weight = 0.0;
@@ -470,215 +408,204 @@ void Fabric::init_fill_state(std::uint32_t l) {
   unfixed_count_[l] = static_cast<std::uint32_t>(link_flows_[l].size());
 }
 
-std::uint32_t Fabric::replay_record() {
-  const auto rounds = static_cast<std::uint32_t>(rec_bottleneck_.size());
-  // A clean link's flows, their weights and its headroom are unchanged
-  // since the recording fill, so it starts in the recorded state; a dirty
-  // link is summed cold and rewrites its entry.
-  for (std::uint32_t l : comp_links_) {
-    if (link_dirty_[l]) {
-      init_fill_state(l);
-      rec_init_[l] = fill_state(l);
-    } else {
-      assert(rec_init_[l].link == l && "a clean link the record lacks");
-      set_fill_state(rec_init_[l]);
-    }
+std::uint32_t Fabric::next_fill_epoch() {
+  if (++fill_epoch_ == 0) {
+    // The stamps wrapped: clear them once so no old stamp reads as current.
+    std::fill(link_affected_.begin(), link_affected_.end(), 0);
+    std::fill(link_loaded_.begin(), link_loaded_.end(), 0);
+    std::fill(flow_frozen_.begin(), flow_frozen_.end(), 0);
+    fill_epoch_ = 1;
   }
-  // Stable counting sort of the dirty links' recorded freezes by round, so
-  // each link's freezes within a round keep ascending slot order, the order
-  // the fill applies them. After placement replay_end_[k] ends round k's
-  // bucket (which starts where round k-1's ends).
-  replay_end_.assign(rounds + 1, 0);
-  for (std::uint32_t l : dirty_links_) {
-    for (FlowId fid : link_flows_[l]) {
-      const std::uint32_t r = rec_freeze_round_[fid.value()];
-      if (r < rounds) ++replay_end_[r + 1];
-    }
-  }
-  for (std::uint32_t k = 0; k < rounds; ++k) {
-    replay_end_[k + 1] += replay_end_[k];
-  }
-  replay_events_.resize(replay_end_[rounds]);
-  for (std::uint32_t l : dirty_links_) {
-    for (FlowId fid : link_flows_[l]) {
-      const std::uint32_t r = rec_freeze_round_[fid.value()];
-      if (r < rounds) replay_events_[replay_end_[r]++] = {l, fid.value()};
-    }
-  }
-
-  // The dirty link with unfixed flows and the lowest (share, id); its
-  // shares move only when a replayed freeze lands on a dirty link.
-  std::uint32_t dirty_best = kNoLink;
-  double dirty_best_share = 0.0;
-  bool dirty_moved = true;
-  std::uint32_t event = 0;
-  std::uint32_t k = 0;
-  for (; k < rounds; ++k) {
-    const std::uint32_t bottleneck = rec_bottleneck_[k];
-    const double share = rec_share_[k];
-    if (link_dirty_[bottleneck]) break;
-    if (dirty_moved) {
-      dirty_moved = false;
-      dirty_best = kNoLink;
-      for (std::uint32_t l : dirty_links_) {
-        if (unfixed_count_[l] == 0) continue;
-        const double s = residual_[l] / std::max(unfixed_weight_[l], 1e-12);
-        if (dirty_best == kNoLink || s < dirty_best_share ||
-            (s == dirty_best_share && l < dirty_best)) {
-          dirty_best = l;
-          dirty_best_share = s;
-        }
-      }
-    }
-    // The scan's strict `<` in ascending link order: a dirty link takes the
-    // round from the bottleneck at a lower share, or at an equal one with a
-    // lower id.
-    if (dirty_best != kNoLink &&
-        (dirty_best_share < share ||
-         (dirty_best_share == share && dirty_best < bottleneck))) {
-      break;
-    }
-    // Round k freezes the record's flows at the record's share; apply them
-    // to the dirty links with the fill's arithmetic.
-    const double fill_share = share < 0.0 ? 0.0 : share;
-    for (; event < replay_end_[k]; ++event) {
-      const auto [l, slot] = replay_events_[event];
-      const double weight = flows_[slot].spec.weight;
-      const double rate = fill_share * weight;
-      residual_[l] = std::max(0.0, residual_[l] - rate);
-      unfixed_weight_[l] = std::max(0.0, unfixed_weight_[l] - weight);
-      assert(unfixed_count_[l] > 0);
-      --unfixed_count_[l];
-      dirty_moved = true;
-    }
-    // The round touched exactly the links the record logged for it: clean
-    // ones take the logged state, dirty ones rewrite it in place.
-    for (std::uint32_t i = rec_log_off_[k]; i < rec_log_off_[k + 1]; ++i) {
-      LinkFillState& entry = rec_log_[i];
-      if (link_dirty_[entry.link]) {
-        entry = fill_state(entry.link);
-      } else {
-        set_fill_state(entry);
-      }
-    }
-  }
-  rec_bottleneck_.resize(k);
-  rec_share_.resize(k);
-  rec_log_.resize(rec_log_off_[k]);
-  rec_log_off_.resize(k + 1);
-  return k;
+  return fill_epoch_;
 }
 
-void Fabric::fill_component(bool dense) {
-  // A dense fill right after another dense fill resumes at the first round
-  // its dirty links can affect; any other fill starts cold. Only a dense
-  // fill leaves a record for the next one.
-  std::uint32_t round = 0;
-  if (dense && rec_valid_) {
-    round = replay_record();
-  } else {
-    for (std::uint32_t l : comp_links_) {
-      init_fill_state(l);
-      if (dense) rec_init_[l] = fill_state(l);
-    }
-    if (dense) {
-      rec_bottleneck_.clear();
-      rec_share_.clear();
-      rec_log_.clear();
-      rec_log_off_.assign(1, 0);
-    }
+bool Fabric::join_affected(std::uint32_t l, bool cold) {
+  if (link_affected_[l] == fill_epoch_) return false;
+  link_affected_[l] = fill_epoch_;
+  if (cold) {
+    init_fill_state(l);
+    rec_init_[l] = fill_state(l);
+  } else if (link_loaded_[l] != fill_epoch_) {
+    // No replayed round touched it yet: it is where the record started it.
+    assert(rec_init_[l].link == l && "a clean link the record lacks");
+    set_fill_state(rec_init_[l]);
   }
-  rec_valid_ = dense;
-  counters_.reused_rounds += round;
-  for (std::uint32_t l : comp_links_) {
-    link_sums_stale_[l] = 1;  // re-summed on read (refresh_link_sums)
-    link_share_[l] = residual_[l] / std::max(unfixed_weight_[l], 1e-12);
-  }
-  // Flows the replayed rounds froze keep their rates: only a fill sets a
-  // rate, and the recording fill gave them exactly these.
-  std::size_t remaining_flows = 0;
-  for (std::uint32_t slot : comp_flows_) {
-    const bool fixed = rec_freeze_round_[slot] < round;
-    flow_fixed_[slot] = fixed ? 1 : 0;
-    if (!fixed) ++remaining_flows;
-  }
+  link_loaded_[l] = fill_epoch_;
+  link_share_[l] = residual_[l] / std::max(unfixed_weight_[l], 1e-12);
+  if (unfixed_count_[l] > 0) affected_.push_back(l);
+  ++counters_.links_touched;
+  return true;
+}
 
+void Fabric::freeze_on(std::uint32_t l, double rate, double weight) {
+  residual_[l] = std::max(0.0, residual_[l] - rate);
+  unfixed_weight_[l] = std::max(0.0, unfixed_weight_[l] - weight);
+  assert(unfixed_count_[l] > 0);
+  --unfixed_count_[l];
+}
+
+bool Fabric::replay_round(std::size_t k) {
+  const std::uint32_t epoch = fill_epoch_;
+  const RecordRound& r = rec_.rounds[k];
+  const std::uint32_t frozen_begin = k == 0 ? 0 : rec_.rounds[k - 1].frozen_end;
+  const std::uint32_t log_begin = k == 0 ? 0 : rec_.rounds[k - 1].log_end;
+  ++counters_.reused_rounds;
+  // The round touched exactly its logged links; its freezes move only the
+  // affected ones, in ascending slot order with the fill's arithmetic.
+  bool lands = false;
+  for (std::uint32_t i = log_begin; i < r.log_end && !lands; ++i) {
+    lands = link_affected_[rec_.log[i].link] == epoch;
+  }
+  const double share = r.share < 0.0 ? 0.0 : r.share;
+  for (std::uint32_t i = frozen_begin; i < r.frozen_end; ++i) {
+    const std::uint32_t slot = rec_.frozen[i];
+    flow_frozen_[slot] = epoch;
+    if (!lands) continue;
+    const Flow& f = flows_[slot];
+    const double rate = share * f.spec.weight;
+    for (LinkId l : f.spec.path) {
+      if (link_affected_[l.value()] == epoch) {
+        freeze_on(l.value(), rate, f.spec.weight);
+      }
+    }
+  }
+  next_rec_.frozen.insert(next_rec_.frozen.end(),
+                          rec_.frozen.begin() + frozen_begin,
+                          rec_.frozen.begin() + r.frozen_end);
+  for (std::uint32_t i = log_begin; i < r.log_end; ++i) {
+    const LinkFillState& entry = rec_.log[i];
+    if (link_affected_[entry.link] == epoch) {
+      link_share_[entry.link] =
+          residual_[entry.link] / std::max(unfixed_weight_[entry.link], 1e-12);
+      next_rec_.log.push_back(fill_state(entry.link));
+    } else {
+      set_fill_state(entry);
+      link_loaded_[entry.link] = epoch;
+      next_rec_.log.push_back(entry);
+    }
+  }
+  next_rec_.end_round(r.bottleneck, r.share);
+  return lands;
+}
+
+void Fabric::live_round(std::uint32_t bottleneck, double scanned) {
+  const std::uint32_t epoch = fill_epoch_;
+  ++counters_.fill_rounds;
+  const double share = scanned < 0.0 ? 0.0 : scanned;
+  // Freeze every unfixed flow crossing the bottleneck (ascending by id, the
+  // order the full fill visits them). Every link they cross joins A.
+  for (FlowId fid : link_flows_[bottleneck]) {
+    const std::uint32_t slot = fid.value();
+    if (flow_frozen_[slot] == epoch) continue;
+    Flow& f = flows_[slot];
+    const double rate = share * f.spec.weight;
+    const bool moved = set_rate(f, rate);
+    flow_frozen_[slot] = epoch;
+    next_rec_.frozen.push_back(slot);
+    ++counters_.flows_touched;
+    for (LinkId l : f.spec.path) {
+      const std::uint32_t lv = l.value();
+      join_affected(lv, false);
+      freeze_on(lv, rate, f.spec.weight);
+      if (moved) link_sums_stale_[lv] = 1;  // re-summed on read
+      if (!link_touched_[lv]) {
+        link_touched_[lv] = 1;
+        touched_links_.push_back(lv);
+      }
+    }
+  }
+  // One share refresh per touched link per round: nothing reads
+  // link_share_ until the next scan, and the value depends only on the
+  // final residual and weight.
+  for (std::uint32_t lv : touched_links_) {
+    link_touched_[lv] = 0;
+    link_share_[lv] = residual_[lv] / std::max(unfixed_weight_[lv], 1e-12);
+    next_rec_.log.push_back(fill_state(lv));
+  }
+  touched_links_.clear();
+  next_rec_.end_round(bottleneck, scanned);
+}
+
+void Fabric::fill_incremental() {
   // Weighted progressive filling: repeatedly saturate the link with the
   // smallest fair share per unit weight, freeze its flows at weight x share,
   // and subtract them everywhere. Weight 1 on every flow degenerates to the
-  // classic max-min allocation. Candidate links that empty out are compacted
-  // away (in order) so later rounds scan only still-contended links.
-  cand_links_ = comp_links_;
-  for (; remaining_flows > 0; ++round) {
-    ++counters_.fill_rounds;
-    double best_share = std::numeric_limits<double>::infinity();
-    std::uint32_t best_link = kNoLink;
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < cand_links_.size(); ++i) {
-      const std::uint32_t l = cand_links_[i];
-      // The integer count is the authoritative emptiness test: the weight
-      // sum accumulates floating-point residue as flows freeze.
-      if (unfixed_count_[l] == 0) continue;
-      cand_links_[out++] = l;
-      const double share = link_share_[l];  // cached, refreshed on freeze
-      if (share < best_share) {
-        best_share = share;
-        best_link = l;
+  // classic max-min allocation. Rounds the change cannot reach come from
+  // the record (see file header).
+  const std::uint32_t epoch = next_fill_epoch();
+  affected_.clear();
+  next_rec_.clear();
+  for (std::uint32_t l : dirty_links_) {
+    join_affected(l, true);
+    link_sums_stale_[l] = 1;  // its flows, or their rates, moved
+  }
+  if (!rec_valid_) {
+    ++counters_.full_fills;
+    for (std::uint32_t l = 0; l < link_flows_.size(); ++l) {
+      if (!link_flows_[l].empty()) join_affected(l, true);
+    }
+    rec_.clear();
+    rec_valid_ = true;
+  }
+
+  // A's lowest (share, id) link with unfixed flows, re-derived (and A's
+  // emptied links dropped) only after A moved.
+  std::uint32_t best = kNoLink;
+  double best_share = 0.0;
+  bool moved = true;
+  const std::size_t rounds = rec_.rounds.size();
+  std::size_t k = 0;
+  while (true) {
+    for (; k < rounds && link_affected_[rec_.rounds[k].bottleneck] == epoch;
+         ++k) {
+      // Superseded: the links it touched join A as they stand.
+      const std::uint32_t begin = k == 0 ? 0 : rec_.rounds[k - 1].log_end;
+      for (std::uint32_t i = begin; i < rec_.rounds[k].log_end; ++i) {
+        moved = join_affected(rec_.log[i].link, false) || moved;
       }
     }
-    cand_links_.resize(out);
-    assert(best_link != kNoLink);
-    if (dense) {
-      rec_bottleneck_.push_back(best_link);
-      rec_share_.push_back(best_share);
-    }
-    if (best_share < 0.0) best_share = 0.0;
-
-    // Freeze every unfixed flow crossing the bottleneck (ascending by id —
-    // the same order the full fill visits them).
-    for (FlowId fid : link_flows_[best_link]) {
-      const std::uint32_t slot = fid.value();
-      if (flow_fixed_[slot]) continue;
-      Flow& f = flows_[slot];
-      const double rate = best_share * f.spec.weight;
-      set_rate(f, rate);
-      flow_fixed_[slot] = 1;
-      rec_freeze_round_[slot] = round;
-      --remaining_flows;
-      for (LinkId l : f.spec.path) {
-        const std::uint32_t lv = l.value();
-        residual_[lv] = std::max(0.0, residual_[lv] - rate);
-        unfixed_weight_[lv] =
-            std::max(0.0, unfixed_weight_[lv] - f.spec.weight);
-        assert(unfixed_count_[lv] > 0);
-        --unfixed_count_[lv];
-        if (!link_touched_[lv]) {
-          link_touched_[lv] = 1;
-          touched_links_.push_back(lv);
+    if (moved) {
+      moved = false;
+      best = kNoLink;
+      std::size_t out = 0;
+      for (const std::uint32_t l : affected_) {
+        // The integer count is the authoritative emptiness test: the weight
+        // sum accumulates floating-point residue as flows freeze.
+        if (unfixed_count_[l] == 0) continue;
+        affected_[out++] = l;
+        const double s = link_share_[l];
+        if (best == kNoLink || s < best_share ||
+            (s == best_share && l < best)) {
+          best = l;
+          best_share = s;
         }
       }
+      affected_.resize(out);
     }
-
-    // One share refresh per touched link per round: nothing reads
-    // link_share_ until the next scan, and the value depends only on the
-    // final residual and weight.
-    for (std::uint32_t lv : touched_links_) {
-      link_touched_[lv] = 0;
-      link_share_[lv] = residual_[lv] / std::max(unfixed_weight_[lv], 1e-12);
-      if (dense) rec_log_.push_back(fill_state(lv));
+    if (k < rounds) {
+      // The scan's strict `<` in ascending link order: the recorded round
+      // keeps its place below a lower share, or an equal one at a higher id.
+      const RecordRound& r = rec_.rounds[k];
+      if (best == kNoLink || r.share < best_share ||
+          (r.share == best_share && r.bottleneck < best)) {
+        moved = replay_round(k++);
+        continue;
+      }
+    } else if (best == kNoLink) {
+      break;
     }
-    touched_links_.clear();
-    if (dense) {
-      rec_log_off_.push_back(static_cast<std::uint32_t>(rec_log_.size()));
-    }
+    live_round(best, best_share);
+    moved = true;
   }
+  std::swap(rec_, next_rec_);
 }
 
 void Fabric::fill_full() {
   // The original O(rounds × links × flows) progressive fill, preserved as
   // the baseline. Flows are visited in ascending id order at every step so
-  // the floating-point operation sequence matches fill_component() exactly
-  // (the differential tests rely on bit-identical allocations).
+  // the floating-point operation sequence matches fill_incremental()
+  // exactly (the differential tests rely on bit-identical allocations).
+  const std::uint32_t epoch = next_fill_epoch();
   counters_.links_touched += link_flows_.size();
   counters_.flows_touched += active_.size();
   ++counters_.full_fills;
@@ -696,7 +623,6 @@ void Fabric::fill_full() {
   }
   for (FlowId id : sorted_active_) {
     const Flow& f = flows_[id.value()];
-    flow_fixed_[id.value()] = 0;
     for (LinkId l : f.spec.path) {
       unfixed_weight_[l.value()] += f.spec.weight;
       ++unfixed_count_[l.value()];
@@ -721,7 +647,7 @@ void Fabric::fill_full() {
 
     for (FlowId id : sorted_active_) {
       const std::uint32_t slot = id.value();
-      if (flow_fixed_[slot]) continue;
+      if (flow_frozen_[slot] == epoch) continue;
       Flow& f = flows_[slot];
       const bool crosses =
           std::any_of(f.spec.path.begin(), f.spec.path.end(),
@@ -729,15 +655,9 @@ void Fabric::fill_full() {
       if (!crosses) continue;
       const double rate = best_share * f.spec.weight;
       set_rate(f, rate);
-      flow_fixed_[slot] = 1;
+      flow_frozen_[slot] = epoch;
       --remaining_flows;
-      for (LinkId l : f.spec.path) {
-        residual_[l.value()] = std::max(0.0, residual_[l.value()] - rate);
-        unfixed_weight_[l.value()] =
-            std::max(0.0, unfixed_weight_[l.value()] - f.spec.weight);
-        assert(unfixed_count_[l.value()] > 0);
-        --unfixed_count_[l.value()];
-      }
+      for (LinkId l : f.spec.path) freeze_on(l.value(), rate, f.spec.weight);
     }
   }
 
@@ -803,8 +723,11 @@ void Fabric::on_completion_event() {
   ++counters_.completion_events;
   const std::int64_t now_ns = sim_->now().ns();
   // Collect finished flows first: callbacks may start new flows, which
-  // mutates active_ and triggers nested recomputes.
-  std::vector<FlowId> done;
+  // mutates active_ and triggers nested recomputes. The buffer is borrowed
+  // for the call, so a nested call gets its own and nothing allocates in
+  // the steady state.
+  std::vector<FlowId> done = std::move(done_buffer_);
+  done.clear();
   while (!eta_heap_.empty()) {
     const EtaEntry top = eta_heap_.front();
     if (top.stamp != eta_stamp_[top.slot]) {
@@ -839,6 +762,7 @@ void Fabric::on_completion_event() {
   // Slots recycle only after the whole batch has run its callbacks, so a
   // callback-started flow can never shadow a not-yet-notified sibling.
   for (FlowId id : done) release_slot(id.value());
+  done_buffer_ = std::move(done);
 }
 
 void Fabric::settle_and_recompute() {

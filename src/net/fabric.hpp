@@ -13,50 +13,48 @@
 //  * kFullRecompute reruns the fill over every link and flow on each change
 //    (the original O(rounds × links × flows) algorithm, kept as the
 //    differential-testing and benchmarking oracle);
-//  * kIncremental (default) tracks the links dirtied by each change and
-//    refills only the connected component of links/flows reachable from
-//    them through shared links — flows in untouched components keep their
-//    rates, which are bit-identical to what a full fill would recompute.
-//    Two shortcuts keep those bits:
-//    - Dense fallback. Once the BFS has gathered more than half the active
-//      flows (with at least 16 active), it stops and fills every link that
-//      carries a flow or is dirty, gathered ascending in one sweep: a union
-//      of whole components. Each fill round freezes the flows of the
-//      lowest-id link at the minimum share; that link lies in one
-//      component and its freezes move residuals only there, so every
-//      component sees the bottlenecks and arithmetic it would see alone.
-//      The fallback fills fewer than 2x the component's flows.
-//    - Rate sums on read. A fill marks its links stale instead of
-//      re-summing them; link_elastic_rate, link_class_rate,
-//      link_utilization and encode_state re-sum a stale link over its
-//      flows in ascending id from zero, the additions the eager end-of-fill
-//      sum made. The rates are still the fill's: a later rate change comes
-//      from a fill, which marks the link again.
-//    - Warm start. A dense fill (the fallback, over every busy link)
-//      records each round's bottleneck b_k and share s_k, each flow's
-//      freeze round, each link's initial (residual, unfixed weight, unfixed
-//      count), and a log of every touched link's triple after each round.
-//      The next fill, if it is dense too, replays that record: with D the
-//      dirty links it consumes, it stops at the first round k* where b_k
-//      is in D, or a D link with unfixed flows has a share below s_k (or
-//      equal to it with a lower id than b_k — the scan's strict `<` in
-//      ascending link order). Before that, round k's recorded freezes are
-//      applied to the D links in ascending slot order with the fill's own
-//      arithmetic. Clean links then take their state from the log prefix,
-//      flows frozen before k* stay fixed at their rates, and the ordinary
-//      loop runs from k*. Exact, by induction on k: if the rounds before k
-//      matched and b_k is clean, every clean link enters round k in the
-//      record's state, b_k carries the record's flows and unfixed set, and
-//      no D link outranks (s_k, b_k), so round k picks b_k at s_k and
-//      freezes the same flows at the same rate bits. A removed, rerouted or
-//      reweighted flow dirties every link it crosses, as do CBR and up/down
-//      changes, so no round that froze such a flow is replayed and no new
-//      flow freezes before k*. The prefix touches the same links as the
-//      record, so D links' log entries are rewritten in place and the log
-//      is truncated at k*; the replay costs O(busy links + active flows +
-//      flows on D links + prefix log entries + recorded rounds), with no
-//      comparison sort and no log copy. Any component fill drops the
-//      record, and a restored fabric rebuilds it by replay.
+//  * kIncremental (default) runs one warm whole-fabric fill per change whose
+//    work follows the links the change reaches. It keeps the result's bits:
+//    - Rate sums on read. A fill marks stale the links a change dirtied and
+//      the paths of flows whose rate moved, instead of re-summing them;
+//      link_elastic_rate, link_class_rate, link_utilization and
+//      encode_state re-sum a stale link over its flows in ascending id from
+//      zero, the additions the eager end-of-fill sum made.
+//    - The record. Every fill records, per round, its bottleneck b_k and
+//      share s_k as scanned, the slots it froze (ascending), and the
+//      (residual, unfixed weight, unfixed count) of each link it touched,
+//      taken after the round; plus each link's initial state. The first
+//      fill of a fabric has no record: every busy link is affected and
+//      every round runs live.
+//    - The walk. The affected set A starts as the dirty links D, each summed
+//      cold. The record is walked in round order. If b_k is in A, round k is
+//      superseded: it is not applied, and every link it touched joins A in
+//      its current state (its last replayed log entry, or else its initial
+//      state). Otherwise, if (s_k, b_k) is below the lowest (share, id) A
+//      link with unfixed flows (the lower id wins a tie: the scan's strict
+//      `<` in ascending link order), round k is replayed: its flows keep
+//      their rate bits (no set_rate, no ETA push), its freezes are applied
+//      only to the A links on their paths with the fill's arithmetic in
+//      ascending slot order, and clean links take the logged state. Else a
+//      live round freezes that A link's unfixed flows in ascending id, and
+//      every link they cross joins A. Live rounds continue after the record
+//      ends until no A link has unfixed flows. Membership of A and "fixed
+//      this fill" are epoch stamps, so a fill clears no O(links + flows)
+//      flags, and the lowest A link is re-derived only after A moved.
+//    - Exact, by induction over the merged round sequence. A clean link's
+//      flows, weights and headroom are unchanged since the recording fill,
+//      and every round that touched it so far was replayed, so it holds the
+//      record's state. A clean b_k carries the record's unfixed flows: a
+//      flow frozen live, or by a superseded round, would have put every link
+//      it crosses into A, b_k included. No clean link outranks (s_k, b_k),
+//      because none did in the record, and no A link does, because the walk
+//      compared them; so round k picks b_k at s_k and freezes the same flows
+//      at the same rate bits. Once the record ends every clean link's flows
+//      are fixed, so the lowest A link is the fill's bottleneck. A removed,
+//      rerouted or reweighted flow dirties every link it crosses, as do CBR
+//      and up/down changes, so no round that froze such a flow, or a flow
+//      that used to hold a recycled slot, is ever replayed.
+//    A restored fabric rebuilds the record by replay from t = 0.
 #pragma once
 
 #include <array>
@@ -126,9 +124,9 @@ using FlowCompleteFn = std::function<void(FlowId, util::SimTime)>;
 
 /// Which progressive-fill driver recomputes rates on fabric changes.
 enum class RateEngine {
-  /// Dirty-set incremental: refill only the connected component of
-  /// links/flows affected by the change, or every busy link once the
-  /// component holds more than half the active flows. Default.
+  /// Warm whole-fabric fill: replays every recorded round the change
+  /// cannot reach and runs live rounds only on the links it reaches
+  /// (see file header). Default.
   kIncremental,
   /// Legacy full fill over all links and flows on every change. Kept as the
   /// oracle for differential tests and the scaling bench.
@@ -142,22 +140,26 @@ struct FabricConfig {
 /// Hot-path counters for perf-trajectory tracking across PRs.
 struct FabricCounters {
   std::uint64_t recomputes = 0;        // progressive fills run
-  /// Fills that took the whole-fabric path: every kFullRecompute fill, a
-  /// component that spans every link, and kIncremental's dense fallback
-  /// (a component holding more than half the active flows).
+  /// Fills with no record: every kFullRecompute fill and kIncremental's
+  /// first fill.
   std::uint64_t full_fills = 0;
-  std::uint64_t links_touched = 0;     // Σ links revisited per fill
-  std::uint64_t flows_touched = 0;     // Σ flows revisited per fill
+  /// Σ links per fill: every link under kFullRecompute, the affected set A
+  /// under kIncremental.
+  std::uint64_t links_touched = 0;
+  /// Σ flows per fill: every active flow under kFullRecompute, the flows
+  /// frozen by live rounds under kIncremental.
+  std::uint64_t flows_touched = 0;
   std::uint64_t completion_events = 0; // completion events fired
   std::uint64_t settles = 0;           // non-empty settle intervals
   /// Always 0: every recompute runs eagerly. Kept, and still encoded,
   /// because the end-to-end benchmark reports it as the per-layer metric
   /// `fabric.deferred_recomputes`.
   std::uint64_t deferred_recomputes = 0;
-  /// Progressive-fill rounds run (every engine); one bottleneck per round.
+  /// Progressive-fill rounds run live (every engine); one bottleneck per
+  /// round.
   std::uint64_t fill_rounds = 0;
-  /// Rounds kIncremental's dense warm start took from the previous dense
-  /// fill's record instead of running them.
+  /// Rounds kIncremental replayed from the previous fill's record instead
+  /// of running them; fill_rounds + reused_rounds is the cold round count.
   std::uint64_t reused_rounds = 0;
 };
 
@@ -170,6 +172,7 @@ class Fabric {
 
   /// Starts an elastic flow; `on_complete` fires (via the event queue) when
   /// the last byte is delivered. The path must connect spec.src to spec.dst.
+  /// Throws std::invalid_argument unless spec.weight is finite and positive.
   /// FlowIds are recycled once a flow has completed and its callbacks have
   /// run, so ids are transient handles, not stable history keys.
   FlowId start_flow(FlowSpec spec, FlowCompleteFn on_complete = {});
@@ -181,6 +184,7 @@ class Fabric {
   void reroute_flow(FlowId id, std::vector<LinkId> new_path);
 
   /// Adjusts a flow's max-min weight mid-flight; no-op once completed.
+  /// Throws std::invalid_argument unless `weight` is finite and positive.
   void set_flow_weight(FlowId id, double weight);
 
   /// Starts a fixed-rate stream on `path` (UDP-like: holds its rate
@@ -289,18 +293,16 @@ class Fabric {
   /// Residual capacity a link offers elastic flows (shared by both fills so
   /// the arithmetic is bit-identical).
   [[nodiscard]] double elastic_headroom(std::uint32_t l) const;
-  void set_rate(Flow& f, double rate_bps);
+  /// Returns whether the rate moved (and so pushed a new ETA).
+  bool set_rate(Flow& f, double rate_bps);
   void push_eta(Flow& f);
   void compact_eta_heap();
-  /// Gathers the component of links/flows reachable from the dirty set into
-  /// comp_links_/comp_flows_, or every busy or dirty link and every active
-  /// flow once the component holds more than half the active flows (a dense
-  /// fill; returns true).
-  bool collect_component();
-  /// Progressive fill restricted to comp_links_/comp_flows_ using the
-  /// per-link flow index; marks the filled links' rate sums stale. A dense
-  /// fill warm-starts from the previous dense fill's record and keeps one.
-  void fill_component(bool dense);
+  /// The warm fill (see file header): walks the previous fill's record
+  /// against the affected set, runs live rounds on it, records this fill
+  /// and marks the rate sums it moved stale.
+  void fill_incremental();
+  /// A starts-fresh stamp for the fill stamps below.
+  std::uint32_t next_fill_epoch();
   /// One link's fill state: residual headroom, unfixed weight and count.
   struct LinkFillState {
     std::uint32_t link;
@@ -318,10 +320,43 @@ class Fabric {
   }
   /// A fill's starting state for link l: headroom and its flows' weights.
   void init_fill_state(std::uint32_t l);
-  /// Warm start: brings every component link to its state after the
-  /// record's leading rounds that the dirty links cannot affect, rewrites
-  /// and truncates the record to them, and returns their count.
-  std::uint32_t replay_record();
+  /// Adds link l to this fill's affected set A: cold (summed afresh, its
+  /// new initial state) for a dirty link or one the record lacks, else in
+  /// its current state. Returns false if it was already in A.
+  bool join_affected(std::uint32_t l, bool cold);
+  /// The fill's arithmetic for one freeze at `rate` on link l (shared by
+  /// both fills so the bits match).
+  void freeze_on(std::uint32_t l, double rate, double weight);
+  /// Replays record round k (see file header); returns whether its freezes
+  /// moved an A link.
+  bool replay_round(std::size_t k);
+  /// Freezes the unfixed flows of `bottleneck` at `scanned` (clamped at 0)
+  /// and records the round.
+  void live_round(std::uint32_t bottleneck, double scanned);
+  /// One record round: where its slots and log entries end.
+  struct RecordRound {
+    std::uint32_t bottleneck;
+    double share;  // as scanned, before the clamp
+    std::uint32_t frozen_end;
+    std::uint32_t log_end;
+  };
+  /// One fill's rounds; round k's slots and log entries start where round
+  /// k-1's end.
+  struct FillRecord {
+    std::vector<RecordRound> rounds;
+    std::vector<std::uint32_t> frozen;  // slots, ascending within a round
+    std::vector<LinkFillState> log;     // touched links, after the round
+    void clear() {
+      rounds.clear();
+      frozen.clear();
+      log.clear();
+    }
+    void end_round(std::uint32_t bottleneck, double share) {
+      rounds.push_back({bottleneck, share,
+                        static_cast<std::uint32_t>(frozen.size()),
+                        static_cast<std::uint32_t>(log.size())});
+    }
+  };
   /// Re-sums a link's elastic and per-class rates if a fill marked it stale.
   void refresh_link_sums(std::uint32_t l) const;
   /// Legacy progressive fill over every link and active flow.
@@ -368,47 +403,39 @@ class Fabric {
 
   // Scratch buffers reused across fills (no per-recompute allocation).
   // pythia-lint: allow(snapshot-skip, group) fill scratch: every recompute
-  // rewrites these before reading them, so restored runs never observe the
+  // rewrites these before reading them (a stamp counts only if it equals
+  // the current fill's epoch), so restored runs never observe the
   // pre-snapshot contents.
   std::vector<double> residual_;
   std::vector<double> unfixed_weight_;
   std::vector<std::uint32_t> unfixed_count_;
-  // Cached residual_/max(unfixed_weight_, eps) per link, refreshed once per
-  // round for the links a freeze touched, so the bottleneck scan compares
-  // instead of dividing. Each cached value is the exact division the inline
-  // expression would produce (same operands), which keeps bottleneck
-  // selection bit-identical to fill_full()'s. fill_component() rebuilds the
-  // cache on entry, so fill_full() need not maintain it.
+  // Cached residual_/max(unfixed_weight_, eps) per affected link, refreshed
+  // once per round for the links a freeze touched, so the bottleneck scan
+  // compares instead of dividing. Each cached value is the exact division
+  // the inline expression would produce (same operands), which keeps
+  // bottleneck selection bit-identical to fill_full()'s, which does not
+  // maintain it.
   std::vector<double> link_share_;
   // Per-round dedup of freeze-time share refreshes: one division per
   // touched link per round instead of one per (flow, link) path step.
   std::vector<char> link_touched_;
   std::vector<std::uint32_t> touched_links_;
-  std::vector<char> link_in_comp_;
-  std::vector<char> flow_fixed_;        // slot-indexed
-  std::vector<char> flow_in_comp_;      // slot-indexed
-  std::vector<std::uint32_t> comp_links_;
-  std::vector<std::uint32_t> cand_links_;
-  std::vector<std::uint32_t> comp_flows_;
   std::vector<FlowId> sorted_active_;   // fill_full scratch
+  // Fill stamps: equal to fill_epoch_ means "this fill".
+  std::uint32_t fill_epoch_ = 0;
+  std::vector<std::uint32_t> link_affected_;  // link is in A
+  std::vector<std::uint32_t> link_loaded_;    // residual_ etc. are current
+  std::vector<std::uint32_t> flow_frozen_;    // slot-indexed: rate is fixed
+  std::vector<std::uint32_t> affected_;       // A's links with unfixed flows
 
-  // Warm-start record of the last fill, kept only while that fill was
-  // dense (kIncremental; see file header), plus the replay's scratch.
+  // The record of the last kIncremental fill (see file header); the fill
+  // reads rec_ and writes next_rec_, then swaps them.
   // pythia-lint: allow(snapshot-skip, group) derived from the fill
   // sequence: restore replays from t = 0, so the record rebuilds exactly.
   bool rec_valid_ = false;
-  std::vector<std::uint32_t> rec_bottleneck_;    // per round
-  std::vector<double> rec_share_;                // per round, as scanned
-  std::vector<std::uint32_t> rec_freeze_round_;  // slot-indexed
-  std::vector<LinkFillState> rec_init_;          // link-indexed
-  std::vector<LinkFillState> rec_log_;           // touched links per round
-  std::vector<std::uint32_t> rec_log_off_;       // round k: [off[k], off[k+1])
-  struct ReplayEvent {
-    std::uint32_t link;
-    std::uint32_t slot;
-  };
-  std::vector<ReplayEvent> replay_events_;       // D-link freezes by round
-  std::vector<std::uint32_t> replay_end_;        // per round, into the above
+  FillRecord rec_;
+  FillRecord next_rec_;
+  std::vector<LinkFillState> rec_init_;  // link-indexed
 
   // Lazy min-heap of flow completion instants; stale entries are skipped by
   // stamp comparison, so a rate change is O(log n) instead of an O(flows)
@@ -423,10 +450,12 @@ class Fabric {
   // pythia-lint: allow(snapshot-skip, group) completion_event_ is
   // re-scheduled from the encoded scheduled_eta_ns_ during restore, and
   // observers re-register themselves when the owning system is rebuilt.
-  // last_settle_ IS encoded.
+  // done_buffer_ is scratch that on_completion_event borrows and clears
+  // before use. last_settle_ IS encoded.
   util::SimTime last_settle_ = util::SimTime::zero();
   sim::EventHandle completion_event_;
   std::vector<FabricObserver*> observers_;
+  std::vector<FlowId> done_buffer_;
 
   std::uint64_t flows_started_ = 0;
   std::uint64_t flows_completed_ = 0;

@@ -496,22 +496,46 @@ void RoutingGraph::ensure_pair(std::size_t slot) const {
 
 void RoutingGraph::set_pair(std::size_t slot, std::vector<PathId> ids,
                             std::vector<LinkId> touched) const {
-  const std::vector<LinkId>& old_links = pair_links_[slot];
+  // Both lists are sorted by link, so one merge walk diffs them. A link the
+  // pair leaves drops the slot by swap-and-pop; the slot moved into its
+  // place finds the link in its own sorted list by binary search and takes
+  // the new position. No reader depends on a reverse list's order.
+  std::vector<PairLink>& old_links = pair_links_[slot];
+  std::vector<PairLink> next;
+  next.reserve(touched.size());
   const auto slot32 = static_cast<std::uint32_t>(slot);
-  for (LinkId l : old_links) {
-    if (!std::binary_search(touched.begin(), touched.end(), l)) {
-      std::erase(link_pairs_[l.value()], slot32);
-    }
-  }
+  auto old_it = old_links.begin();
   for (LinkId l : touched) {
-    if (!std::binary_search(old_links.begin(), old_links.end(), l)) {
-      link_pairs_[l.value()].push_back(slot32);
+    for (; old_it != old_links.end() && old_it->link < l; ++old_it) {
+      drop_pair_link(*old_it);
+    }
+    if (old_it != old_links.end() && old_it->link == l) {
+      next.push_back(*old_it++);
+    } else {
+      auto& pairs = link_pairs_[l.value()];
+      next.push_back({l, static_cast<std::uint32_t>(pairs.size())});
+      pairs.push_back(slot32);
     }
   }
+  for (; old_it != old_links.end(); ++old_it) drop_pair_link(*old_it);
   // Assigning in place keeps the inner vector object (and therefore any
   // outstanding PathSet view of this pair) valid.
   table_[slot] = std::move(ids);
-  pair_links_[slot] = std::move(touched);
+  old_links = std::move(next);
+}
+
+void RoutingGraph::drop_pair_link(PairLink entry) const {
+  auto& pairs = link_pairs_[entry.link.value()];
+  const std::uint32_t moved = pairs.back();
+  pairs[entry.pos] = moved;
+  pairs.pop_back();
+  if (entry.pos == pairs.size()) return;  // it was the last one
+  auto& links = pair_links_[moved];
+  const auto it = std::lower_bound(
+      links.begin(), links.end(), entry.link,
+      [](const PairLink& p, LinkId l) { return p.link < l; });
+  assert(it != links.end() && it->link == entry.link);
+  it->pos = entry.pos;
 }
 
 void RoutingGraph::bfs_hops(NodeId origin, bool reverse,

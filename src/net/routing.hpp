@@ -425,6 +425,14 @@ class RoutingGraph {
   /// must be sorted and deduplicated. const: lazy-cache members only.
   void set_pair(std::size_t slot, std::vector<PathId> ids,
                 std::vector<LinkId> touched) const;
+  /// A link a pair's last Yen run touched, and the pair's position in the
+  /// link's reverse list.
+  struct PairLink {
+    LinkId link;
+    std::uint32_t pos;
+  };
+  /// Removes one pair from a link's reverse list by swap-and-pop.
+  void drop_pair_link(PairLink entry) const;
   /// Hop-count BFS from `origin` over links outside banned_; `reverse`
   /// walks links backwards (distance *to* origin). Fills `dist`
   /// (kUnreachable for disconnected nodes).
@@ -454,9 +462,10 @@ class RoutingGraph {
   mutable PathPool pool_;
   // Dense table: slot = host_index(src) * H + host_index(dst).
   mutable std::vector<std::vector<PathId>> table_;
-  // Per-slot sorted union of links touched by the pair's last Yen run.
-  mutable std::vector<std::vector<LinkId>> pair_links_;
-  // Reverse index: link id → slots whose last Yen run touched it.
+  // Per-slot union of links touched by the pair's last Yen run, sorted by
+  // link, each with the slot's position in that link's reverse list.
+  mutable std::vector<std::vector<PairLink>> pair_links_;
+  // Reverse index: link id → slots whose last Yen run touched it, unordered.
   mutable std::vector<std::vector<std::uint32_t>> link_pairs_;
   // Per-slot flag: candidates computed and current (off-diagonal only).
   mutable std::vector<char> materialized_;

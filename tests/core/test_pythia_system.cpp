@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <utility>
+
 #include "net/netflow.hpp"
 #include "test_fixtures.hpp"
 
@@ -21,6 +25,34 @@ TEST(PythiaSystem, InstrumentationTracksEveryMapAndReducer) {
   EXPECT_EQ(pythia.instrumentation().intents_emitted(), 10u);
   EXPECT_EQ(pythia.collector().intents_received(), 10u * 4u);
   EXPECT_GT(pythia.instrumentation().control_bytes_sent().count(), 0);
+}
+
+TEST(PythiaSystem, RejectsBadFlowWeightClamp) {
+  // std::clamp is undefined for min > max, and a weight of 0 starves a flow.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<double, double> bad[] = {
+      {4.0, 2.0}, {0.0, 8.0}, {-1.0, 8.0}, {nan, 8.0}, {0.25, inf},
+      {0.25, nan}};
+  for (const auto& [lo, hi] : bad) {
+    TestCluster cluster;
+    PythiaConfig cfg;
+    cfg.weighted_flows = true;
+    cfg.min_flow_weight = lo;
+    cfg.max_flow_weight = hi;
+    EXPECT_THROW(
+        PythiaSystem(*cluster.sim, *cluster.engine, *cluster.controller, cfg),
+        std::invalid_argument)
+        << lo << ", " << hi;
+  }
+  TestCluster cluster;
+  PythiaConfig cfg;
+  cfg.weighted_flows = true;
+  cfg.min_flow_weight = 2.0;
+  cfg.max_flow_weight = 2.0;
+  PythiaSystem pythia(*cluster.sim, *cluster.engine, *cluster.controller, cfg);
+  cluster.run(small_job(4, 2));
+  EXPECT_GT(pythia.instrumentation().intents_emitted(), 0u);
 }
 
 TEST(PythiaSystem, EarlyIntentsAreHeldForReducers) {

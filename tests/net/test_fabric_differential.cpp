@@ -3,9 +3,11 @@
 // and the observable outcomes must match bit-for-bit: completion order and
 // instants, every sampled rate's IEEE-754 bits, and the full encode_state()
 // image at mid-run cuts. The engines share the progressive-fill arithmetic
-// by construction, so any divergence is a bug in kIncremental's component
-// tracking, dense fallback or warm start — exactly the machinery this suite
-// exists to catch.
+// by construction, so any divergence is a bug in kIncremental's record
+// walk — exactly the machinery this suite exists to catch. A bug both
+// engines share would pass that comparison, so the incremental arm also
+// checks the max-min certificate (net/maxmin_certificate.hpp) after every
+// event.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "net/fabric.hpp"
+#include "net/maxmin_certificate.hpp"
 #include "net/routing.hpp"
 #include "sim/simulation.hpp"
 #include "sim/snapshot.hpp"
@@ -162,9 +165,26 @@ ChurnResult run_churn(const Arm& arm, std::uint64_t seed,
     }
   });
 
+  // Runs one event at a time up to `until`; the incremental arm checks the
+  // certificate after each.
+  int events = 0;
+  auto run_to = [&](SimTime until) {
+    while (true) {
+      const auto pending = sim.queue().pending_events();
+      if (pending.empty() || pending.front().at > until) break;
+      sim.run(1);
+      ++events;
+      if (arm.engine == RateEngine::kIncremental) {
+        certificate::expect_maxmin(
+            fabric, std::string(arm.name) + ", event " + std::to_string(events));
+      }
+    }
+  };
+
   // Freeze at fixed instants and capture the behavioral state image plus
   // every active rate's bit pattern.
   for (const double cut_s : {0.45, 0.75, 1.3}) {
+    run_to(SimTime::from_seconds(cut_s));
     sim.run_until(SimTime::from_seconds(cut_s));
     sim::StateEncoder enc;
     fabric.encode_state(enc);
@@ -176,7 +196,7 @@ ChurnResult run_churn(const Arm& arm, std::uint64_t seed,
     out.cut_rates.push_back(std::move(rates));
   }
 
-  sim.run();
+  run_to(SimTime::max());
   return out;
 }
 
@@ -219,8 +239,9 @@ TEST_P(FabricDifferential, AllEnginesBitIdentical) {
 }
 
 // Pod-local traffic (small components), core-coupled traffic (components
-// that span pods) and the mixed regime each stress different paths through
-// collect_component().
+// that span pods) and the mixed regime each stress the record walk
+// differently: few affected links against many replayed rounds, or the
+// reverse.
 INSTANTIATE_TEST_SUITE_P(
     Seeds, FabricDifferential,
     ::testing::Values(ChurnParam{1, 0.5}, ChurnParam{7, 0.5},

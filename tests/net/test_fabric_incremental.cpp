@@ -3,12 +3,13 @@
 // the observable outcomes (flow completion instants, sampled rates, delivered
 // bytes) must match bit-for-bit. Both engines share the progressive-fill
 // arithmetic and canonical orderings, so any divergence is a bug in the
-// dirty-set component tracking. DenseComponentOracle runs the two fabrics in
-// lockstep through a churn that crosses the dense-component fallback bound
-// both ways and also compares every link's rate sums after every event.
-// WarmStartOracle does the same through a churn aimed at the dense fill's
-// warm start, and checks every warm start's reused rounds against a
-// reference progressive fill.
+// record walk. DenseComponentOracle runs the two fabrics in lockstep through
+// a churn whose components merge and split, and compares every link's rate
+// sums after every event. WarmStartOracle does the same through a churn
+// aimed at the record walk, and checks every fill's replayed and live rounds
+// against reference progressive fills. Both also check the max-min
+// certificate (net/maxmin_certificate.hpp) after every event, which a bug
+// shared with kFullRecompute still fails.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +25,7 @@
 
 #include "experiments/scenario.hpp"
 #include "net/fabric.hpp"
+#include "net/maxmin_certificate.hpp"
 #include "net/routing.hpp"
 #include "sim/simulation.hpp"
 #include "util/random.hpp"
@@ -263,10 +265,8 @@ bool expect_same_fabric(const Fabric& inc, const Fabric& full,
 /// What the dense-component churn saw on the incremental arm.
 struct DenseChurnCoverage {
   int events = 0;
-  int exact_fills_before_dense = 0;  // exact BFS fills, >= 16 active flows
-  int dense_fills = 0;               // fills that took the dense fallback
-  int exact_fills_after_dense = 0;   // the same, since the last dense fill
-  int emptied_in_dense = 0;          // links emptied by a dense-fill event
+  int warm_fills = 0;  // fills that replayed recorded rounds
+  int emptied = 0;     // links a fill emptied
 };
 
 /// Schedules the dense-component churn on one fabric. Two flows per host to
@@ -379,8 +379,10 @@ DenseChurnCoverage run_dense_churn_lockstep(std::uint64_t seed) {
     EXPECT_EQ(sim_inc.now(), sim_full.now()) << where;
     if (!expect_same_fabric(inc, full, log_inc, log_full, where)) break;
 
+    certificate::expect_maxmin(inc, where);
+
     const FabricCounters& after = inc.counters();
-    const bool dense = after.full_fills > before.full_fills;
+    const bool filled = after.links_touched > before.links_touched;
     for (std::uint32_t l = 0; l < topo.link_count(); ++l) {
       const LinkId link{l};
       const bool now_busy = !inc.flows_crossing(link).empty();
@@ -388,25 +390,11 @@ DenseChurnCoverage run_dense_churn_lockstep(std::uint64_t seed) {
         // The link's last flow just left: its sum must read exactly +0.0.
         EXPECT_EQ(bits(inc.link_elastic_rate(link).bps()), bits(0.0))
             << where << ", link " << l;
-        if (dense) ++cov.emptied_in_dense;
+        if (filled) ++cov.emptied;
       }
       busy[l] = now_busy ? 1 : 0;
     }
-
-    if (after.recomputes == before.recomputes ||
-        after.flows_touched == before.flows_touched) {
-      continue;  // no fill ran, or it had no flows to place
-    }
-    if (dense) {
-      ++cov.dense_fills;
-      cov.exact_fills_after_dense = 0;
-    } else if (inc.active_flow_count() >= 16) {
-      if (cov.dense_fills == 0) {
-        ++cov.exact_fills_before_dense;
-      } else {
-        ++cov.exact_fills_after_dense;
-      }
-    }
+    if (after.reused_rounds > before.reused_rounds) ++cov.warm_fills;
   }
   EXPECT_EQ(log_inc.size(), inc.flows_started());
   return cov;
@@ -416,12 +404,11 @@ class DenseComponentOracle : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DenseComponentOracle, EveryEventMatchesFullRecompute) {
   const DenseChurnCoverage cov = run_dense_churn_lockstep(GetParam());
-  // The churn must cross the half-active bound in both directions and empty
-  // a link inside a dense fill, or the comparisons above prove nothing new.
-  EXPECT_GT(cov.exact_fills_before_dense, 0);
-  EXPECT_GT(cov.dense_fills, 0);
-  EXPECT_GT(cov.exact_fills_after_dense, 0);
-  EXPECT_GT(cov.emptied_in_dense, 0);
+  // The churn must replay recorded rounds and empty a link inside a fill,
+  // or the comparisons above prove nothing new.
+  EXPECT_GT(cov.events, 0);
+  EXPECT_GT(cov.warm_fills, 0);
+  EXPECT_GT(cov.emptied, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DenseComponentOracle,
@@ -486,16 +473,18 @@ std::vector<char> dirtied_links(const FillInput& before,
 /// One round of a reference progressive fill.
 struct RefRound {
   std::uint32_t bottleneck = 0;
-  double share = 0.0;                 // as scanned, before the clamp
-  std::vector<std::uint32_t> frozen;  // ascending flow ids
-  bool dirty_tie_above = false;  // a dirty link ties `share` at a higher id
+  double share = 0.0;                  // as scanned, before the clamp
+  std::vector<std::uint32_t> frozen;   // ascending flow ids
+  std::vector<std::uint32_t> touched;  // links the freezes crossed, sorted
+  /// Every link's share before the round; +inf for a link with no unfixed
+  /// flows.
+  std::vector<double> link_shares;
 };
 
 /// An independent weighted progressive fill over every link and flow, in
 /// the operation order the fabric's fills share (ascending flow ids, first
 /// lowest share in ascending link order), recording each round.
-std::vector<RefRound> reference_fill(const FillInput& in,
-                                     const std::vector<char>& dirty) {
+std::vector<RefRound> reference_fill(const FillInput& in) {
   const std::size_t links = in.headroom.size();
   std::vector<double> residual = in.headroom;
   std::vector<double> weight(links, 0.0);
@@ -506,27 +495,22 @@ std::vector<RefRound> reference_fill(const FillInput& in,
       ++count[l.value()];
     }
   }
-  auto share_of = [&](std::size_t l) {
-    return residual[l] / std::max(weight[l], 1e-12);
-  };
   std::set<std::uint32_t> fixed;
   std::vector<RefRound> rounds;
   while (fixed.size() < in.flows.size()) {
     RefRound round;
     round.share = std::numeric_limits<double>::infinity();
+    round.link_shares.assign(links, std::numeric_limits<double>::infinity());
     for (std::size_t l = 0; l < links; ++l) {
       if (count[l] == 0) continue;
-      if (share_of(l) < round.share) {
-        round.share = share_of(l);
+      round.link_shares[l] = residual[l] / std::max(weight[l], 1e-12);
+      if (round.link_shares[l] < round.share) {
+        round.share = round.link_shares[l];
         round.bottleneck = static_cast<std::uint32_t>(l);
       }
     }
-    for (std::size_t l = round.bottleneck + 1; l < links; ++l) {
-      if (dirty[l] && count[l] > 0 && share_of(l) == round.share) {
-        round.dirty_tie_above = true;
-      }
-    }
     const double share = round.share < 0.0 ? 0.0 : round.share;
+    std::set<std::uint32_t> touched;
     for (const auto& [id, f] : in.flows) {
       if (fixed.contains(id)) continue;
       const bool crosses =
@@ -542,8 +526,10 @@ std::vector<RefRound> reference_fill(const FillInput& in,
         residual[lv] = std::max(0.0, residual[lv] - rate);
         weight[lv] = std::max(0.0, weight[lv] - f.weight);
         --count[lv];
+        touched.insert(lv);
       }
     }
+    round.touched.assign(touched.begin(), touched.end());
     rounds.push_back(std::move(round));
   }
   return rounds;
@@ -554,16 +540,85 @@ bool same_round(const RefRound& a, const RefRound& b) {
          a.frozen == b.frozen;
 }
 
-/// How the warm starts of a churn ended, and which mutations they absorbed.
+/// One fill's rounds as the record walk must classify them, derived from
+/// reference fills alone: `record` holds the previous fill's rounds, `now`
+/// this fill's, and `dirty` the links the change dirtied.
+struct WalkModel {
+  int replayed = 0;
+  int live = 0;
+  int superseded = 0;
+  std::size_t live_flows = 0;  // flows the live rounds froze
+  std::size_t affected = 0;    // |A| at the end
+  int replay_after_live = 0;   // a replay after a live round
+  int replay_on_affected = 0;  // a replay whose freezes cross A
+  int tie_replay_won = 0;      // equal shares, the recorded id lower
+  int tie_live_won = 0;        // equal shares, the A link's id lower
+};
+
+WalkModel model_walk(const std::vector<RefRound>& record,
+                     const std::vector<RefRound>& now,
+                     const std::vector<char>& dirty, const std::string& where) {
+  WalkModel m;
+  std::vector<char> affected = dirty;
+  auto join = [&affected](const RefRound& r) {
+    for (std::uint32_t l : r.touched) affected[l] = 1;
+  };
+  std::size_t k = 0;
+  auto supersede = [&] {
+    for (; k < record.size() && affected[record[k].bottleneck]; ++k) {
+      join(record[k]);
+      ++m.superseded;
+    }
+  };
+  for (std::size_t i = 0; i < now.size(); ++i) {
+    supersede();
+    // A's lowest (share, id) link with unfixed flows before round i.
+    std::uint32_t low = 0;
+    double low_share = std::numeric_limits<double>::infinity();
+    for (std::uint32_t l = 0; l < affected.size(); ++l) {
+      if (affected[l] && now[i].link_shares[l] < low_share) {
+        low = l;
+        low_share = now[i].link_shares[l];
+      }
+    }
+    const bool tie = k < record.size() && low_share == record[k].share;
+    if (k < record.size() && same_round(record[k], now[i])) {
+      m.tie_replay_won += tie;
+      m.replay_after_live += m.live > 0;
+      m.replay_on_affected +=
+          std::any_of(record[k].touched.begin(), record[k].touched.end(),
+                      [&affected](std::uint32_t l) { return affected[l]; });
+      ++m.replayed;
+      ++k;
+    } else {
+      EXPECT_TRUE(affected[now[i].bottleneck])
+          << where << ": round " << i << " ran outside the affected set";
+      EXPECT_EQ(now[i].bottleneck, low) << where << ", round " << i;
+      m.tie_live_won += tie;
+      join(now[i]);
+      ++m.live;
+      m.live_flows += now[i].frozen.size();
+    }
+  }
+  supersede();
+  EXPECT_EQ(k, record.size())
+      << where << ": a recorded round was neither replayed nor superseded";
+  m.affected = static_cast<std::size_t>(
+      std::count(affected.begin(), affected.end(), 1));
+  return m;
+}
+
+/// What the record walks of a churn covered, and which mutations fed a fill
+/// that replayed rounds.
 struct WarmStartCoverage {
-  int warm_fills = 0;         // dense fills right after a dense fill
-  int cold_after_component = 0;  // dense fills right after a component fill
+  int warm_fills = 0;  // fills that replayed at least one round
   int reused_rounds = 0;
-  int exit_dirty_bottleneck = 0;
-  int exit_undercut = 0;      // a dirty link below the recorded share
-  int exit_tie_lower_id = 0;  // a dirty link at it, with a lower id
-  int passed_tie_higher_id = 0;  // one at it with a higher id: no exit
-  int full_reuse = 0;            // every recorded round replayed
+  int superseded = 0;
+  int replay_after_live = 0;
+  int replay_on_affected = 0;
+  int tie_replay_won = 0;
+  int tie_live_won = 0;
+  int full_reuse = 0;  // every recorded round replayed
   int reroutes = 0;
   int reweights = 0;
   int cbr_starts = 0;
@@ -586,12 +641,10 @@ enum class ChurnOp {
 
 /// Schedules the warm-start churn on one fabric: long flows with weights
 /// {1, 2, 3} over equal-capacity links (so shares tie exactly), then one
-/// mutation every 20 ms. Host 23 stays idle, so no exact component fill
-/// spans every link and `full_fills` counts dense fills only; hosts 5 and
-/// 11 only ever carry "quiet" flows that join the dense component through
-/// lightly loaded links; hosts 21 and 22 only exchange isolated rack-local
-/// flows, whose fills are component fills. Decisions read the fabric, so
-/// both lockstep arms make the same ones.
+/// mutation every 20 ms. Hosts 5 and 11 only ever carry "quiet" flows that
+/// join the busy links through lightly loaded ones; hosts 21 and 22 only
+/// exchange isolated rack-local flows, which every other round outlives.
+/// Decisions read the fabric, so both lockstep arms make the same ones.
 void schedule_warm_churn(sim::Simulation& sim, Fabric& fabric,
                          const RoutingGraph& routing, std::uint64_t seed,
                          CompletionLog& log) {
@@ -704,11 +757,11 @@ void schedule_warm_churn(sim::Simulation& sim, Fabric& fabric,
 
 /// Runs the warm-start churn on an incremental and a full-recompute fabric
 /// in lockstep. After every event it compares completions, every flow's
-/// rate bits and every link's elastic, per-class and utilization bits.
-/// After every dense fill it checks the fill's rounds against a reference
-/// fill: a warm start must reuse exactly the recorded rounds before the
-/// first one whose bottleneck is dirty or that the current state no longer
-/// repeats, and every other dense fill must start cold.
+/// rate bits and every link's elastic, per-class and utilization bits, and
+/// checks the max-min certificate. After every fill it checks the fill's
+/// rates and round count against a reference fill, and its replayed and
+/// live rounds, |A| and live freezes against the walk the reference fills
+/// of this and the previous fill imply.
 void run_warm_churn_lockstep(std::uint64_t seed, WarmStartCoverage& cov) {
   LeafSpineConfig cfg;
   cfg.racks = 4;
@@ -726,9 +779,8 @@ void run_warm_churn_lockstep(std::uint64_t seed, WarmStartCoverage& cov) {
   schedule_warm_churn(sim_inc, inc, routing, seed, log_inc);
   schedule_warm_churn(sim_full, full, routing, seed, log_full);
 
-  enum class LastFill { kNone, kComponent, kDense };
-  LastFill last = LastFill::kNone;
-  std::vector<RefRound> record;  // reference rounds of the last dense fill
+  bool have_record = false;
+  std::vector<RefRound> record;  // reference rounds of the last fill
   std::set<std::uint32_t> used_slots;
   FillInput before = fill_input(inc);
   for (int event = 1;; ++event) {
@@ -741,6 +793,7 @@ void run_warm_churn_lockstep(std::uint64_t seed, WarmStartCoverage& cov) {
         "seed " + std::to_string(seed) + ", event " + std::to_string(event);
     EXPECT_EQ(sim_inc.now(), sim_full.now()) << where;
     if (!expect_same_fabric(inc, full, log_inc, log_full, where)) return;
+    certificate::expect_maxmin(inc, where);
 
     const FabricCounters& c1 = inc.counters();
     const FillInput after = fill_input(inc);
@@ -759,14 +812,8 @@ void run_warm_churn_lockstep(std::uint64_t seed, WarmStartCoverage& cov) {
       recycled = recycled || used_slots.contains(id);
       used_slots.insert(id);
     }
-    if (c1.full_fills == c0.full_fills) {
-      EXPECT_EQ(reused, 0u) << where;  // component fills never replay
-      last = LastFill::kComponent;
-      before = after;
-      continue;
-    }
 
-    const std::vector<RefRound> now = reference_fill(after, dirty);
+    const std::vector<RefRound> now = reference_fill(after);
     for (const RefRound& round : now) {
       for (std::uint32_t id : round.frozen) {
         const double share = round.share < 0.0 ? 0.0 : round.share;
@@ -776,39 +823,45 @@ void run_warm_churn_lockstep(std::uint64_t seed, WarmStartCoverage& cov) {
       }
     }
     EXPECT_EQ(ran + reused, now.size()) << where;
-    if (last != LastFill::kDense) {
-      EXPECT_EQ(reused, 0u) << where << ": a cold dense fill reused rounds";
-      if (last == LastFill::kComponent) ++cov.cold_after_component;
+    if (c1.full_fills != c0.full_fills) {
+      // Only the first fill has no record; it runs every round live.
+      EXPECT_FALSE(have_record) << where;
+      EXPECT_EQ(reused, 0u) << where;
     } else {
+      ASSERT_TRUE(have_record) << where;
+      // At least the rounds before the first one the change reaches, and
+      // at most the recorded rounds that recur unchanged.
+      std::size_t prefix = 0;
+      while (prefix < record.size() && prefix < now.size() &&
+             !dirty[record[prefix].bottleneck] &&
+             same_round(record[prefix], now[prefix])) {
+        ++prefix;
+      }
+      const auto recurring = static_cast<std::size_t>(std::count_if(
+          record.begin(), record.end(), [&now](const RefRound& r) {
+            return std::any_of(now.begin(), now.end(),
+                               [&r](const RefRound& n) {
+                                 return same_round(r, n);
+                               });
+          }));
+      EXPECT_LE(prefix, reused) << where;
+      EXPECT_LE(reused, recurring) << where;
+
+      const WalkModel m = model_walk(record, now, dirty, where);
+      EXPECT_EQ(reused, static_cast<std::uint64_t>(m.replayed)) << where;
+      EXPECT_EQ(ran, static_cast<std::uint64_t>(m.live)) << where;
+      EXPECT_EQ(c1.flows_touched - c0.flows_touched, m.live_flows) << where;
+      EXPECT_EQ(c1.links_touched - c0.links_touched, m.affected) << where;
+      cov.superseded += m.superseded;
+      cov.replay_after_live += m.replay_after_live;
+      cov.replay_on_affected += m.replay_on_affected;
+      cov.tie_replay_won += m.tie_replay_won;
+      cov.tie_live_won += m.tie_live_won;
+    }
+    if (reused > 0) {
       ++cov.warm_fills;
-      std::size_t k = 0;
-      while (k < record.size() && k < now.size() &&
-             !dirty[record[k].bottleneck] && same_round(record[k], now[k])) {
-        ++k;
-      }
-      EXPECT_EQ(reused, k) << where << " (recorded " << record.size()
-                           << " rounds, now " << now.size() << ")";
       cov.reused_rounds += static_cast<int>(reused);
-      if (k == record.size()) {
-        ++cov.full_reuse;
-      } else if (dirty[record[k].bottleneck]) {
-        ++cov.exit_dirty_bottleneck;
-      } else if (k < now.size() && dirty[now[k].bottleneck]) {
-        if (now[k].share < record[k].share) {
-          ++cov.exit_undercut;
-        } else {
-          EXPECT_EQ(bits(now[k].share), bits(record[k].share)) << where;
-          EXPECT_LT(now[k].bottleneck, record[k].bottleneck) << where;
-          ++cov.exit_tie_lower_id;
-        }
-      } else {
-        ADD_FAILURE() << where << ": round " << k
-                      << " diverged with a clean bottleneck";
-      }
-      if (std::any_of(now.begin(), now.begin() + static_cast<std::ptrdiff_t>(k),
-                      [](const RefRound& r) { return r.dirty_tie_above; })) {
-        ++cov.passed_tie_higher_id;
-      }
+      cov.full_reuse += reused == record.size();
       // One mutation per event: count the fills each kind fed.
       bool cbr_start = false;
       bool cbr_stop = false;
@@ -836,7 +889,7 @@ void run_warm_churn_lockstep(std::uint64_t seed, WarmStartCoverage& cov) {
       cov.reweights += reweight;
       cov.recycled_slots += recycled;
     }
-    last = LastFill::kDense;
+    have_record = true;
     record = now;
     before = after;
   }
@@ -848,14 +901,16 @@ TEST(WarmStartOracle, EveryEventMatchesFullRecompute) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 5u, 8u}) {
     run_warm_churn_lockstep(seed, cov);
   }
-  // Every exit of the replay, and every kind of mutation, must have been
-  // exercised between two dense fills, or the comparisons prove nothing.
+  // Every branch of the walk, and every kind of mutation feeding a fill that
+  // replayed rounds, must have been exercised, or the comparisons prove
+  // nothing.
   EXPECT_GT(cov.warm_fills, 0);
   EXPECT_GT(cov.reused_rounds, 0);
-  EXPECT_GT(cov.exit_dirty_bottleneck, 0);
-  EXPECT_GT(cov.exit_undercut, 0);
-  EXPECT_GT(cov.exit_tie_lower_id, 0);
-  EXPECT_GT(cov.passed_tie_higher_id, 0);
+  EXPECT_GT(cov.superseded, 0);
+  EXPECT_GT(cov.replay_after_live, 0);
+  EXPECT_GT(cov.replay_on_affected, 0);
+  EXPECT_GT(cov.tie_replay_won, 0);
+  EXPECT_GT(cov.tie_live_won, 0);
   EXPECT_GT(cov.full_reuse, 0);
   EXPECT_GT(cov.reroutes, 0);
   EXPECT_GT(cov.reweights, 0);
@@ -864,14 +919,13 @@ TEST(WarmStartOracle, EveryEventMatchesFullRecompute) {
   EXPECT_GT(cov.link_fails, 0);
   EXPECT_GT(cov.link_restores, 0);
   EXPECT_GT(cov.recycled_slots, 0);
-  EXPECT_GT(cov.cold_after_component, 0);
 }
 
-TEST(IncrementalCounters, DenseComponentTouchesEveryBusyLink) {
+TEST(IncrementalCounters, AffectedSetIsWhatTheChangeReaches) {
   // Eight cross-rack flows share rack 0's spine uplink; eight rack-local
-  // flows in rack 2 form eight one-flow components. A ninth cross-rack start
-  // joins a component holding 9 of 17 active flows, so the fill takes the
-  // dense fallback and touches every busy link and every active flow.
+  // flows in rack 2 each own their two links. A ninth cross-rack start
+  // reaches the uplink, so the round that froze the cross flows is
+  // superseded and they refreeze live; the rack-local rounds all replay.
   LeafSpineConfig cfg;
   cfg.racks = 3;
   cfg.servers_per_rack = 8;
@@ -887,40 +941,50 @@ TEST(IncrementalCounters, DenseComponentTouchesEveryBusyLink) {
     spec.dst = dst;
     spec.size = Bytes{10'000'000'000};
     spec.path = routing.paths(src, dst)[0].links;
-    fabric.start_flow(spec);
+    return fabric.start_flow(spec);
   };
-  for (std::size_t i = 0; i < 8; ++i) start(hosts[i], hosts[8 + i]);
+  std::vector<FlowId> cross;
+  for (std::size_t i = 0; i < 8; ++i) cross.push_back(start(hosts[i], hosts[8 + i]));
+  std::vector<FlowId> local;
   for (std::size_t i = 0; i < 8; ++i) {
     const auto before = fabric.counters();
-    start(hosts[16 + i], hosts[16 + (i + 1) % 8]);
+    local.push_back(start(hosts[16 + i], hosts[16 + (i + 1) % 8]));
     const auto after = fabric.counters();
-    // Each rack-local start stays an exact one-flow component.
+    // Each rack-local start freezes only itself live, on its own two links.
     EXPECT_EQ(after.flows_touched - before.flows_touched, 1u);
+    EXPECT_EQ(after.links_touched - before.links_touched, 2u);
     EXPECT_EQ(after.full_fills, before.full_fills);
   }
   ASSERT_EQ(fabric.active_flow_count(), 16u);
+  std::vector<std::uint64_t> local_rates;
+  for (FlowId id : local) local_rates.push_back(bits(fabric.flow(id).rate.bps()));
 
   const auto before = fabric.counters();
-  start(hosts[0], hosts[9]);
+  cross.push_back(start(hosts[0], hosts[9]));
   const auto after = fabric.counters();
-  std::size_t busy_links = 0;
-  for (std::uint32_t l = 0; l < topo.link_count(); ++l) {
-    if (!fabric.flows_crossing(LinkId{l}).empty()) ++busy_links;
+  std::set<std::uint32_t> cross_links;
+  for (FlowId id : cross) {
+    for (LinkId l : fabric.flow_path(id)) cross_links.insert(l.value());
   }
-  EXPECT_EQ(after.links_touched - before.links_touched, busy_links);
-  EXPECT_EQ(after.flows_touched - before.flows_touched, 17u);
-  EXPECT_EQ(after.full_fills - before.full_fills, 1u);
-  EXPECT_LT(busy_links, topo.link_count());  // not a whole-fabric BFS
+  EXPECT_EQ(after.links_touched - before.links_touched, cross_links.size());
+  EXPECT_EQ(after.flows_touched - before.flows_touched, cross.size());
+  EXPECT_EQ(after.fill_rounds - before.fill_rounds, 1u);
+  EXPECT_EQ(after.reused_rounds - before.reused_rounds, local.size());
+  EXPECT_EQ(after.full_fills, before.full_fills);
+  for (std::size_t i = 0; i < local.size(); ++i) {
+    EXPECT_EQ(bits(fabric.flow(local[i]).rate.bps()), local_rates[i]);
+  }
 }
 
 TEST(IncrementalCounters, WarmStartReusesUnaffectedRounds) {
   // Sixteen cross-rack flows, one per host pair, over 10 Gb/s host links
-  // and a spine that never binds: one dense component whose fill runs
-  // sixteen rounds, round k freezing flow k on its uplink (all shares tie,
-  // so the lowest link id wins). Halving flow k's weight doubles the share
-  // of its own links only, so a warm start replays rounds 0..k-1 and runs
-  // the rest. An isolated rack-local start in between is a component fill,
-  // which drops the record: the next dense fill starts cold.
+  // and a spine that never binds: one fill of sixteen rounds, round k
+  // freezing flow k on its uplink (all shares tie, so the lowest link id
+  // wins). Halving flow k's weight doubles the share of its own host links
+  // only: round k is superseded, every other recorded round replays (those
+  // after it land on the shared spine links), and one live round refreezes
+  // flow k last. An isolated rack-local start replays every recorded round
+  // around its own live one.
   LeafSpineConfig cfg;
   cfg.racks = 2;
   cfg.servers_per_rack = 18;
@@ -947,9 +1011,10 @@ TEST(IncrementalCounters, WarmStartReusesUnaffectedRounds) {
     cross.push_back(start(hosts[i], hosts[18 + i]));
   }
   struct Step {
-    std::uint64_t dense_fills;
+    std::uint64_t full_fills;
     std::uint64_t reused;
     std::uint64_t ran;
+    std::uint64_t flows_live;
     std::uint64_t oracle_ran;
   };
   auto step = [&](auto mutate) {
@@ -965,6 +1030,7 @@ TEST(IncrementalCounters, WarmStartReusesUnaffectedRounds) {
     return Step{a1.full_fills - a0.full_fills,
                 a1.reused_rounds - a0.reused_rounds,
                 a1.fill_rounds - a0.fill_rounds,
+                a1.flows_touched - a0.flows_touched,
                 b1.fill_rounds - b0.fill_rounds};
   };
   auto halve = [&](std::size_t k) {
@@ -975,30 +1041,28 @@ TEST(IncrementalCounters, WarmStartReusesUnaffectedRounds) {
   };
 
   const Step late = halve(15);
-  EXPECT_EQ(late.dense_fills, 1u);
+  EXPECT_EQ(late.full_fills, 0u);
   EXPECT_EQ(late.oracle_ran, 16u);
   EXPECT_EQ(late.reused, 15u);
   EXPECT_EQ(late.ran, 1u);
+  EXPECT_EQ(late.flows_live, 1u);
 
   const Step isolated = step([&] { start(hosts[16], hosts[17]); });
-  EXPECT_EQ(isolated.dense_fills, 0u);
-  EXPECT_EQ(isolated.reused, 0u);
+  EXPECT_EQ(isolated.oracle_ran, 17u);
+  EXPECT_EQ(isolated.reused, 16u);
+  EXPECT_EQ(isolated.ran, 1u);
+  EXPECT_EQ(isolated.flows_live, 1u);
 
-  const Step cold = halve(14);
-  EXPECT_EQ(cold.dense_fills, 1u);
-  EXPECT_EQ(cold.oracle_ran, 17u);
-  EXPECT_EQ(cold.reused, 0u);
-  EXPECT_EQ(cold.ran, 17u);
-
-  const Step warm = halve(13);
-  EXPECT_EQ(warm.dense_fills, 1u);
-  EXPECT_EQ(warm.reused, 13u);
-  EXPECT_EQ(warm.reused + warm.ran, warm.oracle_ran);
+  const Step early = halve(3);
+  EXPECT_EQ(early.oracle_ran, 17u);
+  EXPECT_EQ(early.reused, 16u);
+  EXPECT_EQ(early.ran, 1u);
+  EXPECT_EQ(early.flows_live, 1u);
 }
 
 TEST(IncrementalCounters, DisjointComponentsStayUntouched) {
-  // Two flows in different racks share no link; starting the second must not
-  // revisit the first one's links.
+  // Two flows in different racks share no link; starting the second must
+  // replay the first one's round and freeze only the second live.
   LeafSpineConfig cfg;
   cfg.racks = 2;
   cfg.servers_per_rack = 4;
@@ -1018,8 +1082,9 @@ TEST(IncrementalCounters, DisjointComponentsStayUntouched) {
   f1.dst = hosts[1];
   f1.size = Bytes{1'000'000'000};
   f1.path = intra_rack(hosts[0], hosts[1]);
-  fabric.start_flow(f1);
+  const FlowId first = fabric.start_flow(f1);
   const auto after_first = fabric.counters();
+  const std::uint64_t first_rate = bits(fabric.flow(first).rate.bps());
 
   FlowSpec f2;
   f2.src = hosts[4];  // other rack
@@ -1029,11 +1094,14 @@ TEST(IncrementalCounters, DisjointComponentsStayUntouched) {
   fabric.start_flow(f2);
   const auto after_second = fabric.counters();
 
-  // The second start dirtied exactly its own two links, and the component
-  // closure contains exactly one flow.
+  // The second start affected exactly its own two links and froze only its
+  // own flow live; the first flow's one round replayed.
   EXPECT_EQ(after_second.links_touched - after_first.links_touched, 2u);
   EXPECT_EQ(after_second.flows_touched - after_first.flows_touched, 1u);
+  EXPECT_EQ(after_second.fill_rounds - after_first.fill_rounds, 1u);
+  EXPECT_EQ(after_second.reused_rounds - after_first.reused_rounds, 1u);
   EXPECT_EQ(after_second.full_fills, after_first.full_fills);
+  EXPECT_EQ(bits(fabric.flow(first).rate.bps()), first_rate);
 }
 
 TEST(IncrementalCounters, CleanRecomputeIsFree) {

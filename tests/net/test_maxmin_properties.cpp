@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "net/fabric.hpp"
+#include "net/maxmin_certificate.hpp"
 #include "net/routing.hpp"
 #include "sim/simulation.hpp"
 #include "util/random.hpp"
@@ -89,57 +90,12 @@ TEST_P(MaxMinProperty, AllocationIsMaxMinFair) {
     flows.push_back(fabric.start_flow(spec));
   }
 
-  // Property 1: every rate is nonnegative.
-  for (FlowId f : flows) {
-    EXPECT_GE(fabric.flow(f).rate.bps(), 0.0);
-  }
-
-  // Property 2: no link carries more elastic traffic than its residual
-  // capacity (capacity minus CBR, floored at zero).
-  constexpr double kEps = 1e-3;  // absolute bps tolerance
-  for (const auto& link : topo.links()) {
-    const double residual = fabric.link_residual_capacity(link.id).bps();
-    EXPECT_LE(fabric.link_elastic_rate(link.id).bps(), residual + kEps)
-        << "link " << link.id.value();
-  }
-
-  // Property 3 (weighted max-min): every flow has a bottleneck link — a
-  // link on its path that is saturated and on which no other flow has a
-  // strictly larger *weight-normalized* rate. (Weight 1 everywhere makes
-  // this the standard max-min characterization.)
-  for (FlowId f : flows) {
-    const auto& flow = fabric.flow(f);
-    bool has_bottleneck = false;
-    for (LinkId l : flow.spec.path) {
-      const double residual = fabric.link_residual_capacity(l).bps();
-      const double used = fabric.link_elastic_rate(l).bps();
-      const bool saturated = used >= residual - 1.0;  // 1 bps slack
-      if (!saturated) continue;
-      bool is_max_on_link = true;
-      const double norm = flow.rate.bps() / flow.spec.weight;
-      for (FlowId g : flows) {
-        if (g == f) continue;
-        const auto& other = fabric.flow(g);
-        const bool crosses = std::find(other.spec.path.begin(),
-                                       other.spec.path.end(),
-                                       l) != other.spec.path.end();
-        if (crosses &&
-            other.rate.bps() / other.spec.weight > norm + kEps) {
-          is_max_on_link = false;
-          break;
-        }
-      }
-      if (is_max_on_link) {
-        has_bottleneck = true;
-        break;
-      }
-    }
-    // Starved flows (zero residual somewhere on the path) trivially satisfy
-    // max-min; otherwise a bottleneck must exist.
-    if (flow.rate.bps() > kEps) {
-      EXPECT_TRUE(has_bottleneck) << "flow " << f.value();
-    }
-  }
+  // Properties 1-3: every rate is nonnegative, no link carries more
+  // elastic traffic than its residual capacity (capacity minus CBR, floored
+  // at zero), and every flow has a bottleneck link, saturated and with no
+  // other flow at a strictly larger weight-normalized rate
+  // (net/maxmin_certificate.hpp).
+  certificate::expect_maxmin(fabric, "seed " + std::to_string(p.seed));
 
   // Property 4: determinism — rebuilding the identical scenario yields
   // identical rates.

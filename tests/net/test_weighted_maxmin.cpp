@@ -1,6 +1,9 @@
 // Weighted max-min fairness in the fluid fabric.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "net/fabric.hpp"
 #include "net/routing.hpp"
 #include "sim/simulation.hpp"
@@ -49,6 +52,39 @@ TEST(WeightedMaxMin, RatesProportionalToWeights) {
   // 8 Gbps split 3:1.
   EXPECT_NEAR(fabric.flow(heavy).rate.bps(), 6e9, 1.0);
   EXPECT_NEAR(fabric.flow(light).rate.bps(), 2e9, 1.0);
+}
+
+TEST(WeightedMaxMin, StartFlowRejectsBadWeights) {
+  // A weight of 0 would freeze the flow at rate 0 forever; a non-finite one
+  // poisons every share on its path. Neither may reach the fabric.
+  Chain c;
+  sim::Simulation sim;
+  Fabric fabric(sim, c.topo);
+  for (const double w : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(fabric.start_flow(c.flow(kGB, w, 1)), std::invalid_argument)
+        << "weight " << w;
+  }
+  EXPECT_EQ(fabric.flows_started(), 0u);
+  EXPECT_EQ(fabric.active_flow_count(), 0u);
+  const FlowId ok = fabric.start_flow(c.flow(kGB, 1.0, 1));
+  EXPECT_NEAR(fabric.flow(ok).rate.bps(), 8e9, 1.0);
+}
+
+TEST(WeightedMaxMin, SetFlowWeightRejectsBadWeights) {
+  Chain c;
+  sim::Simulation sim;
+  Fabric fabric(sim, c.topo);
+  const FlowId a = fabric.start_flow(c.flow(100 * kGB, 1.0, 1));
+  const FlowId b = fabric.start_flow(c.flow(100 * kGB, 1.0, 2));
+  for (const double w : {0.0, -2.0, -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(fabric.set_flow_weight(a, w), std::invalid_argument)
+        << "weight " << w;
+  }
+  EXPECT_EQ(fabric.flow(a).spec.weight, 1.0);
+  EXPECT_NEAR(fabric.flow(a).rate.bps(), 4e9, 1.0);
+  EXPECT_NEAR(fabric.flow(b).rate.bps(), 4e9, 1.0);
 }
 
 TEST(WeightedMaxMin, UnitWeightsAreClassicMaxMin) {
