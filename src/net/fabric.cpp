@@ -52,7 +52,7 @@ Fabric::Fabric(sim::Simulation& sim, const Topology& topo, FabricConfig cfg)
       link_share_(topo.link_count(), 0.0),
       link_touched_(topo.link_count(), 0),
       link_affected_(topo.link_count(), 0),
-      link_loaded_(topo.link_count(), 0),
+      link_replayed_(topo.link_count(), 0),
       rec_init_(topo.link_count()),
       last_settle_(sim.now()) {}
 
@@ -412,7 +412,7 @@ std::uint32_t Fabric::next_fill_epoch() {
   if (++fill_epoch_ == 0) {
     // The stamps wrapped: clear them once so no old stamp reads as current.
     std::fill(link_affected_.begin(), link_affected_.end(), 0);
-    std::fill(link_loaded_.begin(), link_loaded_.end(), 0);
+    std::fill(link_replayed_.begin(), link_replayed_.end(), 0);
     std::fill(flow_frozen_.begin(), flow_frozen_.end(), 0);
     fill_epoch_ = 1;
   }
@@ -425,12 +425,14 @@ bool Fabric::join_affected(std::uint32_t l, bool cold) {
   if (cold) {
     init_fill_state(l);
     rec_init_[l] = fill_state(l);
-  } else if (link_loaded_[l] != fill_epoch_) {
+  } else if (const std::uint64_t last = link_replayed_[l];
+             last >> 32 == fill_epoch_) {
+    set_fill_state(next_rec_.log[static_cast<std::uint32_t>(last)]);
+  } else {
     // No replayed round touched it yet: it is where the record started it.
     assert(rec_init_[l].link == l && "a clean link the record lacks");
     set_fill_state(rec_init_[l]);
   }
-  link_loaded_[l] = fill_epoch_;
   link_share_[l] = residual_[l] / std::max(unfixed_weight_[l], 1e-12);
   if (unfixed_count_[l] > 0) affected_.push_back(l);
   ++counters_.links_touched;
@@ -444,24 +446,62 @@ void Fabric::freeze_on(std::uint32_t l, double rate, double weight) {
   --unfixed_count_[l];
 }
 
-bool Fabric::replay_round(std::size_t k) {
+void Fabric::consider(Lowest& low, std::uint32_t l) const {
+  if (low.stale || unfixed_count_[l] == 0) return;
+  const double s = link_share_[l];
+  if (low.link == kNoLink || s < low.share ||
+      (s == low.share && l < low.link)) {
+    low.link = l;
+    low.share = s;
+  }
+}
+
+void Fabric::rescan(Lowest& low) {
+  low = {kNoLink, 0.0, false};
+  std::size_t out = 0;
+  for (const std::uint32_t l : affected_) {
+    // The integer count is the authoritative emptiness test: the weight sum
+    // accumulates floating-point residue as flows freeze.
+    if (unfixed_count_[l] == 0) continue;
+    affected_[out++] = l;
+    consider(low, l);
+  }
+  affected_.resize(out);
+}
+
+void Fabric::replay_round(std::size_t k, Lowest& low) {
   const std::uint32_t epoch = fill_epoch_;
   const RecordRound& r = rec_.rounds[k];
   const std::uint32_t frozen_begin = k == 0 ? 0 : rec_.rounds[k - 1].frozen_end;
   const std::uint32_t log_begin = k == 0 ? 0 : rec_.rounds[k - 1].log_end;
   ++counters_.reused_rounds;
-  // The round touched exactly its logged links; its freezes move only the
-  // affected ones, in ascending slot order with the fill's arithmetic.
-  bool lands = false;
-  for (std::uint32_t i = log_begin; i < r.log_end && !lands; ++i) {
-    lands = link_affected_[rec_.log[i].link] == epoch;
+  next_rec_.frozen.insert(next_rec_.frozen.end(),
+                          rec_.frozen.begin() + frozen_begin,
+                          rec_.frozen.begin() + r.frozen_end);
+  for (std::uint32_t i = frozen_begin; i < r.frozen_end; ++i) {
+    flow_frozen_[rec_.frozen[i]] = epoch;
   }
+  // The round touched exactly its logged links. Clean ones take the logged
+  // state, which their copy in the next record now holds.
+  const auto base = static_cast<std::uint32_t>(next_rec_.log.size());
+  next_rec_.log.insert(next_rec_.log.end(), rec_.log.begin() + log_begin,
+                       rec_.log.begin() + r.log_end);
+  bool lands = false;
+  for (std::uint32_t i = base; i < next_rec_.log.size(); ++i) {
+    const std::uint32_t l = next_rec_.log[i].link;
+    if (link_affected_[l] == epoch) {
+      lands = true;
+    } else {
+      link_replayed_[l] = std::uint64_t{epoch} << 32 | i;
+    }
+  }
+  next_rec_.end_round(r.bottleneck, r.share);
+  if (!lands) return;
+  // Its freezes move the affected links on their paths, in ascending slot
+  // order with the fill's arithmetic; their log entries take the result.
   const double share = r.share < 0.0 ? 0.0 : r.share;
   for (std::uint32_t i = frozen_begin; i < r.frozen_end; ++i) {
-    const std::uint32_t slot = rec_.frozen[i];
-    flow_frozen_[slot] = epoch;
-    if (!lands) continue;
-    const Flow& f = flows_[slot];
+    const Flow& f = flows_[rec_.frozen[i]];
     const double rate = share * f.spec.weight;
     for (LinkId l : f.spec.path) {
       if (link_affected_[l.value()] == epoch) {
@@ -469,23 +509,17 @@ bool Fabric::replay_round(std::size_t k) {
       }
     }
   }
-  next_rec_.frozen.insert(next_rec_.frozen.end(),
-                          rec_.frozen.begin() + frozen_begin,
-                          rec_.frozen.begin() + r.frozen_end);
-  for (std::uint32_t i = log_begin; i < r.log_end; ++i) {
-    const LinkFillState& entry = rec_.log[i];
-    if (link_affected_[entry.link] == epoch) {
-      link_share_[entry.link] =
-          residual_[entry.link] / std::max(unfixed_weight_[entry.link], 1e-12);
-      next_rec_.log.push_back(fill_state(entry.link));
+  for (std::uint32_t i = base; i < next_rec_.log.size(); ++i) {
+    const std::uint32_t l = next_rec_.log[i].link;
+    if (link_affected_[l] != epoch) continue;
+    next_rec_.log[i] = fill_state(l);
+    link_share_[l] = residual_[l] / std::max(unfixed_weight_[l], 1e-12);
+    if (l == low.link) {
+      low.stale = true;  // the lowest link moved: only a rescan finds it
     } else {
-      set_fill_state(entry);
-      link_loaded_[entry.link] = epoch;
-      next_rec_.log.push_back(entry);
+      consider(low, l);
     }
   }
-  next_rec_.end_round(r.bottleneck, r.share);
-  return lands;
 }
 
 void Fabric::live_round(std::uint32_t bottleneck, double scanned) {
@@ -548,11 +582,8 @@ void Fabric::fill_incremental() {
     rec_valid_ = true;
   }
 
-  // A's lowest (share, id) link with unfixed flows, re-derived (and A's
-  // emptied links dropped) only after A moved.
-  std::uint32_t best = kNoLink;
-  double best_share = 0.0;
-  bool moved = true;
+  Lowest low;
+  rescan(low);
   const std::size_t rounds = rec_.rounds.size();
   std::size_t k = 0;
   while (true) {
@@ -561,41 +592,25 @@ void Fabric::fill_incremental() {
       // Superseded: the links it touched join A as they stand.
       const std::uint32_t begin = k == 0 ? 0 : rec_.rounds[k - 1].log_end;
       for (std::uint32_t i = begin; i < rec_.rounds[k].log_end; ++i) {
-        moved = join_affected(rec_.log[i].link, false) || moved;
+        const std::uint32_t l = rec_.log[i].link;
+        if (join_affected(l, false)) consider(low, l);
       }
     }
-    if (moved) {
-      moved = false;
-      best = kNoLink;
-      std::size_t out = 0;
-      for (const std::uint32_t l : affected_) {
-        // The integer count is the authoritative emptiness test: the weight
-        // sum accumulates floating-point residue as flows freeze.
-        if (unfixed_count_[l] == 0) continue;
-        affected_[out++] = l;
-        const double s = link_share_[l];
-        if (best == kNoLink || s < best_share ||
-            (s == best_share && l < best)) {
-          best = l;
-          best_share = s;
-        }
-      }
-      affected_.resize(out);
-    }
+    if (low.stale) rescan(low);
     if (k < rounds) {
       // The scan's strict `<` in ascending link order: the recorded round
       // keeps its place below a lower share, or an equal one at a higher id.
       const RecordRound& r = rec_.rounds[k];
-      if (best == kNoLink || r.share < best_share ||
-          (r.share == best_share && r.bottleneck < best)) {
-        moved = replay_round(k++);
+      if (low.link == kNoLink || r.share < low.share ||
+          (r.share == low.share && r.bottleneck < low.link)) {
+        replay_round(k++, low);
         continue;
       }
-    } else if (best == kNoLink) {
+    } else if (low.link == kNoLink) {
       break;
     }
-    live_round(best, best_share);
-    moved = true;
+    live_round(low.link, low.share);
+    rescan(low);
   }
   std::swap(rec_, next_rec_);
 }

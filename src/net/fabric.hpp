@@ -38,9 +38,11 @@
 //      ascending slot order, and clean links take the logged state. Else a
 //      live round freezes that A link's unfixed flows in ascending id, and
 //      every link they cross joins A. Live rounds continue after the record
-//      ends until no A link has unfixed flows. Membership of A and "fixed
-//      this fill" are epoch stamps, so a fill clears no O(links + flows)
-//      flags, and the lowest A link is re-derived only after A moved.
+//      ends until no A link has unfixed flows. Membership of A, a clean
+//      link's last replayed entry and "fixed this fill" are epoch stamps, so
+//      a fill clears no O(links + flows) flags. The lowest A link is kept
+//      as links join and freezes move them, and A is rescanned only after a
+//      freeze moved that link itself.
 //    - Exact, by induction over the merged round sequence. A clean link's
 //      flows, weights and headroom are unchanged since the recording fill,
 //      and every round that touched it so far was replayed, so it holds the
@@ -327,9 +329,20 @@ class Fabric {
   /// The fill's arithmetic for one freeze at `rate` on link l (shared by
   /// both fills so the bits match).
   void freeze_on(std::uint32_t l, double rate, double weight);
-  /// Replays record round k (see file header); returns whether its freezes
-  /// moved an A link.
-  bool replay_round(std::size_t k);
+  /// A's lowest (share, id) link with unfixed flows (kNoLink if none), as
+  /// the walk keeps it: `stale` once a freeze moved that link itself.
+  struct Lowest {
+    std::uint32_t link;
+    double share;
+    bool stale;
+  };
+  /// Lowers `low` to A link l if l ranks below it (no-op while stale).
+  void consider(Lowest& low, std::uint32_t l) const;
+  /// Re-derives `low` over A, dropping A's emptied links from affected_.
+  void rescan(Lowest& low);
+  /// Replays record round k (see file header) and updates `low` for the A
+  /// links its freezes moved.
+  void replay_round(std::size_t k, Lowest& low);
   /// Freezes the unfixed flows of `bottleneck` at `scanned` (clamped at 0)
   /// and records the round.
   void live_round(std::uint32_t bottleneck, double scanned);
@@ -424,7 +437,9 @@ class Fabric {
   // Fill stamps: equal to fill_epoch_ means "this fill".
   std::uint32_t fill_epoch_ = 0;
   std::vector<std::uint32_t> link_affected_;  // link is in A
-  std::vector<std::uint32_t> link_loaded_;    // residual_ etc. are current
+  // A clean link's last replayed log entry this fill: epoch << 32 | its
+  // index in next_rec_.log.
+  std::vector<std::uint64_t> link_replayed_;
   std::vector<std::uint32_t> flow_frozen_;    // slot-indexed: rate is fixed
   std::vector<std::uint32_t> affected_;       // A's links with unfixed flows
 
