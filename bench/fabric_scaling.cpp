@@ -141,8 +141,8 @@ struct CellResult {
   std::uint64_t events = 0;
   std::uint64_t recomputes = 0;
   std::uint64_t links_touched = 0;
-  std::uint64_t fill_rounds = 0;    // progressive-fill rounds run
-  std::uint64_t reused_rounds = 0;  // rounds a warm start replayed instead
+  std::uint64_t fill_rounds = 0;    // progressive-fill rounds run live
+  std::uint64_t reused_rounds = 0;  // rounds replayed from the last fill
   double ramp_ms = 0.0;
   double window_ms = 0.0;
   long rss_kb = 0;

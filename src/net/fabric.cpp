@@ -457,16 +457,24 @@ void Fabric::consider(Lowest& low, std::uint32_t l) const {
 }
 
 void Fabric::rescan(Lowest& low) {
-  low = {kNoLink, 0.0, false};
+  // Locals, not `low`: the scan runs after every live round, and stores
+  // through a reference the compiler cannot keep in registers.
+  std::uint32_t best = kNoLink;
+  double best_share = std::numeric_limits<double>::infinity();
   std::size_t out = 0;
   for (const std::uint32_t l : affected_) {
     // The integer count is the authoritative emptiness test: the weight sum
     // accumulates floating-point residue as flows freeze.
     if (unfixed_count_[l] == 0) continue;
     affected_[out++] = l;
-    consider(low, l);
+    const double s = link_share_[l];
+    if (s < best_share || (s == best_share && l < best)) {
+      best = l;
+      best_share = s;
+    }
   }
   affected_.resize(out);
+  low = {best, best_share, false};
 }
 
 void Fabric::replay_round(std::size_t k, Lowest& low) {

@@ -303,7 +303,7 @@ class Fabric {
   /// against the affected set, runs live rounds on it, records this fill
   /// and marks the rate sums it moved stale.
   void fill_incremental();
-  /// A starts-fresh stamp for the fill stamps below.
+  /// Advances fill_epoch_ for a new fill, clearing the stamps on wrap.
   std::uint32_t next_fill_epoch();
   /// One link's fill state: residual headroom, unfixed weight and count.
   struct LinkFillState {

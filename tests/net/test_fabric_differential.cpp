@@ -175,8 +175,9 @@ ChurnResult run_churn(const Arm& arm, std::uint64_t seed,
       sim.run(1);
       ++events;
       if (arm.engine == RateEngine::kIncremental) {
-        certificate::expect_maxmin(
-            fabric, std::string(arm.name) + ", event " + std::to_string(events));
+        certificate::expect_maxmin(fabric, std::string(arm.name) +
+                                               ", event " +
+                                               std::to_string(events));
       }
     }
   };

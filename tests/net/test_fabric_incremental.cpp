@@ -944,7 +944,9 @@ TEST(IncrementalCounters, AffectedSetIsWhatTheChangeReaches) {
     return fabric.start_flow(spec);
   };
   std::vector<FlowId> cross;
-  for (std::size_t i = 0; i < 8; ++i) cross.push_back(start(hosts[i], hosts[8 + i]));
+  for (std::size_t i = 0; i < 8; ++i) {
+    cross.push_back(start(hosts[i], hosts[8 + i]));
+  }
   std::vector<FlowId> local;
   for (std::size_t i = 0; i < 8; ++i) {
     const auto before = fabric.counters();
@@ -957,7 +959,9 @@ TEST(IncrementalCounters, AffectedSetIsWhatTheChangeReaches) {
   }
   ASSERT_EQ(fabric.active_flow_count(), 16u);
   std::vector<std::uint64_t> local_rates;
-  for (FlowId id : local) local_rates.push_back(bits(fabric.flow(id).rate.bps()));
+  for (FlowId id : local) {
+    local_rates.push_back(bits(fabric.flow(id).rate.bps()));
+  }
 
   const auto before = fabric.counters();
   cross.push_back(start(hosts[0], hosts[9]));
