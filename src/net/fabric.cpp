@@ -586,7 +586,6 @@ void Fabric::fill_incremental() {
     for (std::uint32_t l = 0; l < link_flows_.size(); ++l) {
       if (!link_flows_[l].empty()) join_affected(l, true);
     }
-    rec_.clear();
     rec_valid_ = true;
   }
 

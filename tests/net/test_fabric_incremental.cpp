@@ -345,7 +345,8 @@ void schedule_dense_churn(sim::Simulation& sim, Fabric& fabric,
 /// Runs the dense-component churn on an incremental and a full-recompute
 /// fabric in lockstep, one event at a time, and after every event compares
 /// completions, every active flow's rate bits, and every link's elastic,
-/// per-class and utilization bits. Returns what the incremental arm covered.
+/// per-class and utilization bits, and checks the max-min certificate on
+/// the incremental arm. Returns what the incremental arm covered.
 DenseChurnCoverage run_dense_churn_lockstep(std::uint64_t seed) {
   LeafSpineConfig cfg;
   cfg.racks = 4;
