@@ -17,6 +17,7 @@ namespace {
 constexpr double kDoneEpsilonBytes = 0.5;
 constexpr std::uint32_t kNoPos = std::numeric_limits<std::uint32_t>::max();
 constexpr std::uint32_t kNoLink = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint32_t kNoRound = std::numeric_limits<std::uint32_t>::max();
 
 /// A weight of 0 would freeze a flow at rate 0 forever, and a non-finite
 /// one poisons every share on its path.
@@ -24,6 +25,12 @@ void check_weight(double weight) {
   if (!std::isfinite(weight) || weight <= 0.0) {
     throw std::invalid_argument("flow weight must be finite and positive");
   }
+}
+
+/// The bottleneck scan's order: lower share first, the lower id on a tie.
+bool ranks_below(double share_a, std::uint32_t a, double share_b,
+                 std::uint32_t b) {
+  return share_a < share_b || (share_a == share_b && a < b);
 }
 
 /// Min-heap order on (eta, slot); slot breaks ties deterministically.
@@ -52,7 +59,8 @@ Fabric::Fabric(sim::Simulation& sim, const Topology& topo, FabricConfig cfg)
       link_share_(topo.link_count(), 0.0),
       link_touched_(topo.link_count(), 0),
       link_affected_(topo.link_count(), 0),
-      link_replayed_(topo.link_count(), 0),
+      affected_pos_(topo.link_count(), 0),
+      link_log_(topo.link_count()),
       rec_init_(topo.link_count()),
       last_settle_(sim.now()) {}
 
@@ -60,6 +68,7 @@ std::uint32_t Fabric::acquire_slot() {
   if (!free_slots_.empty()) {
     const std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
+    flow_round_[slot] = kNoRound;  // the old flow's round id may be reused
     return slot;
   }
   const auto slot = static_cast<std::uint32_t>(flows_.size());
@@ -67,6 +76,7 @@ std::uint32_t Fabric::acquire_slot() {
   callbacks_.emplace_back();
   active_pos_.push_back(kNoPos);
   flow_frozen_.push_back(0);
+  flow_round_.push_back(kNoRound);
   eta_stamp_.push_back(0);
   return slot;
 }
@@ -412,104 +422,138 @@ std::uint32_t Fabric::next_fill_epoch() {
   if (++fill_epoch_ == 0) {
     // The stamps wrapped: clear them once so no old stamp reads as current.
     std::fill(link_affected_.begin(), link_affected_.end(), 0);
-    std::fill(link_replayed_.begin(), link_replayed_.end(), 0);
     std::fill(flow_frozen_.begin(), flow_frozen_.end(), 0);
+    std::fill(round_replayed_.begin(), round_replayed_.end(), 0);
+    std::fill(round_lands_.begin(), round_lands_.end(), 0);
     fill_epoch_ = 1;
   }
   return fill_epoch_;
 }
 
+std::uint32_t Fabric::acquire_round() {
+  if (free_rounds_.empty()) {
+    const auto id = static_cast<std::uint32_t>(rounds_.size());
+    rounds_.emplace_back();
+    round_replayed_.push_back(0);
+    round_lands_.push_back(0);
+    return id;
+  }
+  const std::uint32_t id = free_rounds_.back();
+  free_rounds_.pop_back();
+  rounds_[id].links.clear();
+  rounds_[id].frozen.clear();
+  return id;
+}
+
 bool Fabric::join_affected(std::uint32_t l, bool cold) {
-  if (link_affected_[l] == fill_epoch_) return false;
-  link_affected_[l] = fill_epoch_;
+  const std::uint32_t epoch = fill_epoch_;
+  if (link_affected_[l] == epoch) return false;
+  link_affected_[l] = epoch;
+  // Its log's replayed entries are a prefix: a clean link that a superseded
+  // round touched would already be in A. The rounds past them touch A from
+  // now on; they rewrite their entries if they replay.
+  std::vector<LinkFillState>& log = link_log_[l];
+  std::size_t kept = log.size();
+  for (; kept > 0 && round_replayed_[log[kept - 1].round] != epoch; --kept) {
+    round_lands_[log[kept - 1].round] = epoch;
+  }
+  log.resize(kept);
   if (cold) {
+    // Dirty links join before any round replays, so the whole log is cut.
     init_fill_state(l);
-    rec_init_[l] = fill_state(l);
-  } else if (const std::uint64_t last = link_replayed_[l];
-             last >> 32 == fill_epoch_) {
-    set_fill_state(next_rec_.log[static_cast<std::uint32_t>(last)]);
+    rec_init_[l] = fill_state(l, kNoRound);
   } else {
-    // No replayed round touched it yet: it is where the record started it.
-    assert(rec_init_[l].link == l && "a clean link the record lacks");
-    set_fill_state(rec_init_[l]);
+    // A clean link stands where its last replayed round left it, or where
+    // the record started it (a cold join tags that state kNoRound).
+    assert((kept > 0 || rec_init_[l].round == kNoRound) &&
+           "a clean link the record lacks");
+    set_fill_state(l, kept > 0 ? log.back() : rec_init_[l]);
   }
   link_share_[l] = residual_[l] / std::max(unfixed_weight_[l], 1e-12);
-  if (unfixed_count_[l] > 0) affected_.push_back(l);
+  if (unfixed_count_[l] > 0) {
+    affected_pos_[l] = static_cast<std::uint32_t>(affected_.size());
+    affected_.push_back(l);
+    affected_share_.push_back(link_share_[l]);
+    consider(l);
+  }
   ++counters_.links_touched;
   return true;
 }
 
-void Fabric::freeze_on(std::uint32_t l, double rate, double weight) {
-  residual_[l] = std::max(0.0, residual_[l] - rate);
-  unfixed_weight_[l] = std::max(0.0, unfixed_weight_[l] - weight);
-  assert(unfixed_count_[l] > 0);
-  --unfixed_count_[l];
-}
-
-void Fabric::consider(Lowest& low, std::uint32_t l) const {
-  if (low.stale || unfixed_count_[l] == 0) return;
-  const double s = link_share_[l];
-  if (low.link == kNoLink || s < low.share ||
-      (s == low.share && l < low.link)) {
-    low.link = l;
-    low.share = s;
+void Fabric::consider(std::uint32_t l) {
+  if (low_.stale) return;
+  if (low_.link == kNoLink ||
+      ranks_below(link_share_[l], l, low_.share, low_.link)) {
+    low_ = {l, link_share_[l], false};
   }
 }
 
-void Fabric::rescan(Lowest& low) {
-  // Locals, not `low`: the scan runs after every live round, and stores
-  // through a reference the compiler cannot keep in registers.
+void Fabric::reshare(std::uint32_t l) {
+  link_share_[l] = residual_[l] / std::max(unfixed_weight_[l], 1e-12);
+  // The integer count is the authoritative emptiness test: the weight sum
+  // accumulates floating-point residue as flows freeze. An emptied link's
+  // entry turns NaN, which compares below or equal to nothing, until
+  // lowest() compacts the list.
+  const bool emptied = unfixed_count_[l] == 0;
+  assert(affected_[affected_pos_[l]] == l && "only A links with flows move");
+  affected_share_[affected_pos_[l]] =
+      emptied ? std::numeric_limits<double>::quiet_NaN() : link_share_[l];
+  affected_emptied_ += emptied ? 1 : 0;
+  if (l == low_.link) {
+    low_.stale = true;  // the lowest link moved: only a scan finds the next
+  } else if (!emptied) {
+    consider(l);
+  }
+}
+
+std::uint32_t Fabric::lowest() {
+  if (!low_.stale) return low_.link;
+  if (2 * affected_emptied_ > affected_.size()) {
+    std::size_t out = 0;
+    for (const std::uint32_t l : affected_) {
+      if (unfixed_count_[l] == 0) continue;
+      affected_pos_[l] = static_cast<std::uint32_t>(out);
+      affected_share_[out] = link_share_[l];
+      affected_[out++] = l;
+    }
+    affected_.resize(out);
+    affected_share_.resize(out);
+    affected_emptied_ = 0;
+  }
+  // Locals, not low_: the scan runs after every live round, and stores
+  // through `this` the compiler cannot keep in registers.
   std::uint32_t best = kNoLink;
   double best_share = std::numeric_limits<double>::infinity();
-  std::size_t out = 0;
-  for (const std::uint32_t l : affected_) {
-    // The integer count is the authoritative emptiness test: the weight sum
-    // accumulates floating-point residue as flows freeze.
-    if (unfixed_count_[l] == 0) continue;
-    affected_[out++] = l;
-    const double s = link_share_[l];
-    if (s < best_share || (s == best_share && l < best)) {
-      best = l;
-      best_share = s;
+  for (std::size_t i = 0; i < affected_.size(); ++i) {
+    const double share = affected_share_[i];
+    if (share < best_share || (share == best_share && affected_[i] < best)) {
+      best = affected_[i];
+      best_share = share;
     }
   }
-  affected_.resize(out);
-  low = {best, best_share, false};
+  low_ = {best, best_share, false};
+  return best;
 }
 
-void Fabric::replay_round(std::size_t k, Lowest& low) {
+bool Fabric::fixed(std::uint32_t slot) const {
+  if (flow_frozen_[slot] == fill_epoch_) return true;
+  const std::uint32_t round = flow_round_[slot];
+  return round != kNoRound && round_replayed_[round] == fill_epoch_;
+}
+
+void Fabric::replay_round(const RecordStep& step) {
   const std::uint32_t epoch = fill_epoch_;
-  const RecordRound& r = rec_.rounds[k];
-  const std::uint32_t frozen_begin = k == 0 ? 0 : rec_.rounds[k - 1].frozen_end;
-  const std::uint32_t log_begin = k == 0 ? 0 : rec_.rounds[k - 1].log_end;
   ++counters_.reused_rounds;
-  next_rec_.frozen.insert(next_rec_.frozen.end(),
-                          rec_.frozen.begin() + frozen_begin,
-                          rec_.frozen.begin() + r.frozen_end);
-  for (std::uint32_t i = frozen_begin; i < r.frozen_end; ++i) {
-    flow_frozen_[rec_.frozen[i]] = epoch;
-  }
-  // The round touched exactly its logged links. Clean ones take the logged
-  // state, which their copy in the next record now holds.
-  const auto base = static_cast<std::uint32_t>(next_rec_.log.size());
-  next_rec_.log.insert(next_rec_.log.end(), rec_.log.begin() + log_begin,
-                       rec_.log.begin() + r.log_end);
-  bool lands = false;
-  for (std::uint32_t i = base; i < next_rec_.log.size(); ++i) {
-    const std::uint32_t l = next_rec_.log[i].link;
-    if (link_affected_[l] == epoch) {
-      lands = true;
-    } else {
-      link_replayed_[l] = std::uint64_t{epoch} << 32 | i;
-    }
-  }
-  next_rec_.end_round(r.bottleneck, r.share);
-  if (!lands) return;
-  // Its freezes move the affected links on their paths, in ascending slot
-  // order with the fill's arithmetic; their log entries take the result.
-  const double share = r.share < 0.0 ? 0.0 : r.share;
-  for (std::uint32_t i = frozen_begin; i < r.frozen_end; ++i) {
-    const Flow& f = flows_[rec_.frozen[i]];
+  // Its flows are now fixed, and its clean links' log entries current.
+  round_replayed_[step.round] = epoch;
+  next_rec_.push_back(step);
+  if (round_lands_[step.round] != epoch) return;
+  // Its freezes move the A links it touched, each in ascending slot order
+  // with the fill's arithmetic; their logs take the result.
+  const Round& round = rounds_[step.round];
+  const double share = step.share < 0.0 ? 0.0 : step.share;
+  for (const std::uint32_t slot : round.frozen) {
+    const Flow& f = flows_[slot];
     const double rate = share * f.spec.weight;
     for (LinkId l : f.spec.path) {
       if (link_affected_[l.value()] == epoch) {
@@ -517,55 +561,50 @@ void Fabric::replay_round(std::size_t k, Lowest& low) {
       }
     }
   }
-  for (std::uint32_t i = base; i < next_rec_.log.size(); ++i) {
-    const std::uint32_t l = next_rec_.log[i].link;
+  for (const std::uint32_t l : round.links) {
     if (link_affected_[l] != epoch) continue;
-    next_rec_.log[i] = fill_state(l);
-    link_share_[l] = residual_[l] / std::max(unfixed_weight_[l], 1e-12);
-    if (l == low.link) {
-      low.stale = true;  // the lowest link moved: only a rescan finds it
-    } else {
-      consider(low, l);
-    }
+    link_log_[l].push_back(fill_state(l, step.round));
+    reshare(l);
   }
 }
 
 void Fabric::live_round(std::uint32_t bottleneck, double scanned) {
   const std::uint32_t epoch = fill_epoch_;
   ++counters_.fill_rounds;
+  const std::uint32_t id = acquire_round();
+  Round& round = rounds_[id];
   const double share = scanned < 0.0 ? 0.0 : scanned;
   // Freeze every unfixed flow crossing the bottleneck (ascending by id, the
   // order the full fill visits them). Every link they cross joins A.
   for (FlowId fid : link_flows_[bottleneck]) {
     const std::uint32_t slot = fid.value();
-    if (flow_frozen_[slot] == epoch) continue;
+    if (fixed(slot)) continue;
     Flow& f = flows_[slot];
     const double rate = share * f.spec.weight;
     const bool moved = set_rate(f, rate);
     flow_frozen_[slot] = epoch;
-    next_rec_.frozen.push_back(slot);
+    flow_round_[slot] = id;
+    round.frozen.push_back(slot);
     ++counters_.flows_touched;
     for (LinkId l : f.spec.path) {
       const std::uint32_t lv = l.value();
-      join_affected(lv, false);
+      if (link_affected_[lv] != epoch) join_affected(lv, false);
       freeze_on(lv, rate, f.spec.weight);
       if (moved) link_sums_stale_[lv] = 1;  // re-summed on read
       if (!link_touched_[lv]) {
         link_touched_[lv] = 1;
-        touched_links_.push_back(lv);
+        round.links.push_back(lv);
       }
     }
   }
-  // One share refresh per touched link per round: nothing reads
-  // link_share_ until the next scan, and the value depends only on the
-  // final residual and weight.
-  for (std::uint32_t lv : touched_links_) {
+  // One share refresh and log entry per touched link: the value depends
+  // only on the final residual and weight.
+  for (const std::uint32_t lv : round.links) {
     link_touched_[lv] = 0;
-    link_share_[lv] = residual_[lv] / std::max(unfixed_weight_[lv], 1e-12);
-    next_rec_.log.push_back(fill_state(lv));
+    link_log_[lv].push_back(fill_state(lv, id));
+    reshare(lv);
   }
-  touched_links_.clear();
-  next_rec_.end_round(bottleneck, scanned);
+  next_rec_.push_back({id, bottleneck, scanned});
 }
 
 void Fabric::fill_incremental() {
@@ -576,49 +615,51 @@ void Fabric::fill_incremental() {
   // the record (see file header).
   const std::uint32_t epoch = next_fill_epoch();
   affected_.clear();
+  affected_share_.clear();
+  affected_emptied_ = 0;
+  low_ = {kNoLink, 0.0, false};
   next_rec_.clear();
+  if (!rec_valid_) {
+    // The first fill: every busy link is dirty, and every round runs live.
+    ++counters_.full_fills;
+    rec_valid_ = true;
+  }
   for (std::uint32_t l : dirty_links_) {
     join_affected(l, true);
     link_sums_stale_[l] = 1;  // its flows, or their rates, moved
   }
-  if (!rec_valid_) {
-    ++counters_.full_fills;
-    for (std::uint32_t l = 0; l < link_flows_.size(); ++l) {
-      if (!link_flows_[l].empty()) join_affected(l, true);
-    }
-    rec_valid_ = true;
-  }
 
-  Lowest low;
-  rescan(low);
-  const std::size_t rounds = rec_.rounds.size();
+  const std::size_t steps = rec_.size();
   std::size_t k = 0;
   while (true) {
-    for (; k < rounds && link_affected_[rec_.rounds[k].bottleneck] == epoch;
-         ++k) {
-      // Superseded: the links it touched join A as they stand.
-      const std::uint32_t begin = k == 0 ? 0 : rec_.rounds[k - 1].log_end;
-      for (std::uint32_t i = begin; i < rec_.rounds[k].log_end; ++i) {
-        const std::uint32_t l = rec_.log[i].link;
-        if (join_affected(l, false)) consider(low, l);
+    for (; k < steps && link_affected_[rec_[k].bottleneck] == epoch; ++k) {
+      // Superseded: the links it touched join A as they stand, and its id
+      // is freed once the fill ends.
+      const std::uint32_t id = rec_[k].round;
+      for (const std::uint32_t l : rounds_[id].links) {
+        if (link_affected_[l] != epoch) join_affected(l, false);
       }
+      superseded_.push_back(id);
     }
-    if (low.stale) rescan(low);
-    if (k < rounds) {
+    const std::uint32_t low = lowest();
+    if (k < steps) {
       // The scan's strict `<` in ascending link order: the recorded round
       // keeps its place below a lower share, or an equal one at a higher id.
-      const RecordRound& r = rec_.rounds[k];
-      if (low.link == kNoLink || r.share < low.share ||
-          (r.share == low.share && r.bottleneck < low.link)) {
-        replay_round(k++, low);
+      const RecordStep& step = rec_[k];
+      if (low == kNoLink ||
+          ranks_below(step.share, step.bottleneck, link_share_[low], low)) {
+        replay_round(step);
+        ++k;
         continue;
       }
-    } else if (low.link == kNoLink) {
+    } else if (low == kNoLink) {
       break;
     }
-    live_round(low.link, low.share);
-    rescan(low);
+    live_round(low, link_share_[low]);
   }
+  free_rounds_.insert(free_rounds_.end(), superseded_.begin(),
+                      superseded_.end());
+  superseded_.clear();
   std::swap(rec_, next_rec_);
 }
 

@@ -21,11 +21,13 @@
 //      encode_state re-sum a stale link over its flows in ascending id from
 //      zero, the additions the eager end-of-fill sum made.
 //    - The record. Every fill records, per round, its bottleneck b_k and
-//      share s_k as scanned, the slots it froze (ascending), and the
-//      (residual, unfixed weight, unfixed count) of each link it touched,
-//      taken after the round; plus each link's initial state. The first
-//      fill of a fabric has no record: every busy link is affected and
-//      every round runs live.
+//      share s_k as scanned, the slots it froze (ascending) and the links
+//      it touched; per link, its (residual, unfixed weight, unfixed count)
+//      after each round that touched it, in round order, and its initial
+//      state. Rounds keep their ids and contents across fills: a fill
+//      writes only the new step list, the logs of the links it affects and
+//      the rounds it runs live. The first fill of a fabric has no record:
+//      every busy link is dirty, and every round runs live.
 //    - The walk. The affected set A starts as the dirty links D, each summed
 //      cold. The record is walked in round order. If b_k is in A, round k is
 //      superseded: it is not applied, and every link it touched joins A in
@@ -38,11 +40,18 @@
 //      ascending slot order, and clean links take the logged state. Else a
 //      live round freezes that A link's unfixed flows in ascending id, and
 //      every link they cross joins A. Live rounds continue after the record
-//      ends until no A link has unfixed flows. Membership of A, a clean
-//      link's last replayed entry and "fixed this fill" are epoch stamps, so
-//      a fill clears no O(links + flows) flags. The lowest A link is kept
-//      as links join and freezes move them, and A is rescanned only after a
-//      freeze moved that link itself.
+//      ends until no A link has unfixed flows.
+//    - The cost. Membership of A, "replayed this fill", "fixed this fill"
+//      and "lands on A" are epoch stamps, so a fill clears no O(links +
+//      flows) flags. A replayed round stamps itself, which fixes its flows
+//      and makes its log entries current for its clean links, so it costs
+//      O(1) unless it touched an A link: a link joining A cuts its log back
+//      to the replayed entries and stamps the rounds it cut off as landing.
+//      A superseded round's id is reused only after its fill, when no log
+//      or active flow names it, and a started flow has no round, so a stale
+//      id never reads as replayed. The lowest A link is kept as links join
+//      and freezes move them, and A is rescanned only after a freeze moved
+//      that link itself.
 //    - Exact, by induction over the merged round sequence. A clean link's
 //      flows, weights and headroom are unchanged since the recording fill,
 //      and every round that touched it so far was replayed, so it holds the
@@ -59,7 +68,9 @@
 //    A restored fabric rebuilds the record by replay from t = 0.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cassert>
 #include <functional>
 #include <span>
 #include <vector>
@@ -305,71 +316,69 @@ class Fabric {
   void fill_incremental();
   /// Advances fill_epoch_ for a new fill, clearing the stamps on wrap.
   std::uint32_t next_fill_epoch();
-  /// One link's fill state: residual headroom, unfixed weight and count.
+  /// A free round id for a live round, its slots and links emptied.
+  std::uint32_t acquire_round();
+  /// One link's fill state: residual headroom, unfixed weight and count; in
+  /// a link's log, tagged with the record round that left it.
   struct LinkFillState {
-    std::uint32_t link;
+    std::uint32_t round;
     std::uint32_t count;
     double residual;
     double weight;
   };
-  [[nodiscard]] LinkFillState fill_state(std::uint32_t l) const {
-    return {l, unfixed_count_[l], residual_[l], unfixed_weight_[l]};
+  [[nodiscard]] LinkFillState fill_state(std::uint32_t l,
+                                         std::uint32_t round) const {
+    return {round, unfixed_count_[l], residual_[l], unfixed_weight_[l]};
   }
-  void set_fill_state(const LinkFillState& s) {
-    residual_[s.link] = s.residual;
-    unfixed_weight_[s.link] = s.weight;
-    unfixed_count_[s.link] = s.count;
+  void set_fill_state(std::uint32_t l, const LinkFillState& s) {
+    residual_[l] = s.residual;
+    unfixed_weight_[l] = s.weight;
+    unfixed_count_[l] = s.count;
   }
   /// A fill's starting state for link l: headroom and its flows' weights.
   void init_fill_state(std::uint32_t l);
   /// Adds link l to this fill's affected set A: cold (summed afresh, its
-  /// new initial state) for a dirty link or one the record lacks, else in
-  /// its current state. Returns false if it was already in A.
+  /// new initial state) for a dirty link, else in its current state. Cuts
+  /// l's log back to its replayed entries and marks the record rounds it
+  /// cut off as landing on A. Returns false if l was already in A.
   bool join_affected(std::uint32_t l, bool cold);
   /// The fill's arithmetic for one freeze at `rate` on link l (shared by
-  /// both fills so the bits match).
-  void freeze_on(std::uint32_t l, double rate, double weight);
-  /// A's lowest (share, id) link with unfixed flows (kNoLink if none), as
-  /// the walk keeps it: `stale` once a freeze moved that link itself.
-  struct Lowest {
-    std::uint32_t link;
+  /// both fills so the bits match). Defined here so that the per-(flow,
+  /// link) loops inline it.
+  void freeze_on(std::uint32_t l, double rate, double weight) {
+    residual_[l] = std::max(0.0, residual_[l] - rate);
+    unfixed_weight_[l] = std::max(0.0, unfixed_weight_[l] - weight);
+    assert(unfixed_count_[l] > 0);
+    --unfixed_count_[l];
+  }
+  /// Lowers low_ to A link l if l ranks below it (no-op while stale).
+  void consider(std::uint32_t l);
+  /// Recomputes A link l's share after its state moved and updates low_.
+  void reshare(std::uint32_t l);
+  /// A's lowest (share, id) link with unfixed flows, kNoLink if none:
+  /// low_, rescanned over A once a freeze moved that link itself.
+  std::uint32_t lowest();
+  /// One step of the record, in round order: the round's id in rounds_, and
+  /// its bottleneck and share as scanned (before the clamp).
+  struct RecordStep {
+    std::uint32_t round;
+    std::uint32_t bottleneck;
     double share;
-    bool stale;
   };
-  /// Lowers `low` to A link l if l ranks below it (no-op while stale).
-  void consider(Lowest& low, std::uint32_t l) const;
-  /// Re-derives `low` over A, dropping A's emptied links from affected_.
-  void rescan(Lowest& low);
-  /// Replays record round k (see file header) and updates `low` for the A
-  /// links its freezes moved.
-  void replay_round(std::size_t k, Lowest& low);
+  /// Replays a record step (see file header); O(1) unless the round lands
+  /// on A.
+  void replay_round(const RecordStep& step);
   /// Freezes the unfixed flows of `bottleneck` at `scanned` (clamped at 0)
   /// and records the round.
   void live_round(std::uint32_t bottleneck, double scanned);
-  /// One record round: where its slots and log entries end.
-  struct RecordRound {
-    std::uint32_t bottleneck;
-    double share;  // as scanned, before the clamp
-    std::uint32_t frozen_end;
-    std::uint32_t log_end;
+  /// One recorded round, kept in place while later fills replay it.
+  struct Round {
+    std::vector<std::uint32_t> links;   // links it touched
+    std::vector<std::uint32_t> frozen;  // slots, ascending
   };
-  /// One fill's rounds; round k's slots and log entries start where round
-  /// k-1's end.
-  struct FillRecord {
-    std::vector<RecordRound> rounds;
-    std::vector<std::uint32_t> frozen;  // slots, ascending within a round
-    std::vector<LinkFillState> log;     // touched links, after the round
-    void clear() {
-      rounds.clear();
-      frozen.clear();
-      log.clear();
-    }
-    void end_round(std::uint32_t bottleneck, double share) {
-      rounds.push_back({bottleneck, share,
-                        static_cast<std::uint32_t>(frozen.size()),
-                        static_cast<std::uint32_t>(log.size())});
-    }
-  };
+  /// Whether the flow in `slot` is fixed this fill: frozen live, or frozen
+  /// by a replayed round.
+  [[nodiscard]] bool fixed(std::uint32_t slot) const;
   /// Re-sums a link's elastic and per-class rates if a fill marked it stale.
   void refresh_link_sums(std::uint32_t l) const;
   /// Legacy progressive fill over every link and active flow.
@@ -423,34 +432,54 @@ class Fabric {
   std::vector<double> unfixed_weight_;
   std::vector<std::uint32_t> unfixed_count_;
   // Cached residual_/max(unfixed_weight_, eps) per affected link, refreshed
-  // once per round for the links a freeze touched, so the bottleneck scan
-  // compares instead of dividing. Each cached value is the exact division
-  // the inline expression would produce (same operands), which keeps
-  // bottleneck selection bit-identical to fill_full()'s, which does not
-  // maintain it.
+  // once per round for the links a freeze touched, so picking the
+  // bottleneck compares instead of dividing. Each cached value is the exact
+  // division the inline expression would produce (same operands), which
+  // keeps bottleneck selection bit-identical to fill_full()'s, which does
+  // not maintain it.
   std::vector<double> link_share_;
-  // Per-round dedup of freeze-time share refreshes: one division per
-  // touched link per round instead of one per (flow, link) path step.
+  // Per-round dedup of the links a live round touched: one share refresh
+  // and one log entry per link instead of one per (flow, link) path step.
   std::vector<char> link_touched_;
-  std::vector<std::uint32_t> touched_links_;
   std::vector<FlowId> sorted_active_;   // fill_full scratch
   // Fill stamps: equal to fill_epoch_ means "this fill".
   std::uint32_t fill_epoch_ = 0;
-  std::vector<std::uint32_t> link_affected_;  // link is in A
-  // A clean link's last replayed log entry this fill: epoch << 32 | its
-  // index in next_rec_.log.
-  std::vector<std::uint64_t> link_replayed_;
-  std::vector<std::uint32_t> flow_frozen_;    // slot-indexed: rate is fixed
-  std::vector<std::uint32_t> affected_;       // A's links with unfixed flows
+  std::vector<std::uint32_t> link_affected_;   // link is in A
+  std::vector<std::uint32_t> flow_frozen_;     // slot: frozen by a live round
+  std::vector<std::uint32_t> round_replayed_;  // round id: replayed
+  std::vector<std::uint32_t> round_lands_;     // round id: touches A
+  std::vector<std::uint32_t> superseded_;      // round ids freed at fill end
+  // A's links with unfixed flows, in join order, with their shares side by
+  // side so a scan reads one contiguous array; emptied links stay (share
+  // NaN) until they are the majority. low_ is the lowest (share, id) one
+  // as the walk keeps it: `stale` once a freeze moved that link itself.
+  std::vector<std::uint32_t> affected_;
+  std::vector<double> affected_share_;
+  std::vector<std::uint32_t> affected_pos_;  // link-indexed
+  std::size_t affected_emptied_ = 0;
+  struct Lowest {
+    std::uint32_t link;
+    double share;
+    bool stale;
+  };
+  Lowest low_{};
 
-  // The record of the last kIncremental fill (see file header); the fill
-  // reads rec_ and writes next_rec_, then swaps them.
+  // The record of the last kIncremental fill (see file header). Rounds keep
+  // their ids and contents across fills: the fill reads rec_ and writes
+  // next_rec_ (step lists, swapped at the end), touches only the logs of A
+  // links, and frees the rounds it superseded.
   // pythia-lint: allow(snapshot-skip, group) derived from the fill
   // sequence: restore replays from t = 0, so the record rebuilds exactly.
   bool rec_valid_ = false;
-  FillRecord rec_;
-  FillRecord next_rec_;
-  std::vector<LinkFillState> rec_init_;  // link-indexed
+  std::vector<RecordStep> rec_;
+  std::vector<RecordStep> next_rec_;
+  std::vector<Round> rounds_;
+  std::vector<std::uint32_t> free_rounds_;
+  std::vector<std::uint32_t> flow_round_;  // slot-indexed: round that froze it
+  // Link-indexed: the link's state after each round that touched it, in
+  // round order, and its state before the first.
+  std::vector<std::vector<LinkFillState>> link_log_;
+  std::vector<LinkFillState> rec_init_;
 
   // Lazy min-heap of flow completion instants; stale entries are skipped by
   // stamp comparison, so a rate change is O(log n) instead of an O(flows)

@@ -8,11 +8,19 @@
 //    Weight 1 everywhere makes this the standard max-min characterization.
 //    Starved flows (zero residual somewhere on the path) satisfy it
 //    trivially.
+// Each link's load and flows come from the active flows' own paths and
+// rates, not from the fabric's link index or its per-link rate sums, which
+// the incremental fill itself reads; the fabric's reported sums are checked
+// against them. A flow the fabric dropped from its active set escapes the
+// certificate, so callers that know their flow set compare it with
+// active_flows() too.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "net/fabric.hpp"
 
@@ -27,35 +35,40 @@ inline constexpr double kSaturationSlackBps = 1.0;
 /// `fabric`; `where` prefixes each failure message.
 inline void expect_maxmin(const Fabric& fabric, const std::string& where) {
   const Topology& topo = fabric.topology();
-  for (std::uint32_t l = 0; l < topo.link_count(); ++l) {
-    const LinkId link{l};
-    EXPECT_LE(fabric.link_elastic_rate(link).bps(),
-              fabric.link_residual_capacity(link).bps() + kRateEps)
-        << where << ": link " << l << " over capacity";
-  }
-  for (FlowId f : fabric.active_flows()) {
+  const std::vector<FlowId> active = fabric.active_flows();
+  // Per link: the elastic load and the largest weight-normalized rate of
+  // the flows whose paths cross it.
+  std::vector<double> used(topo.link_count(), 0.0);
+  std::vector<double> max_norm(topo.link_count(), 0.0);
+  for (FlowId f : active) {
     const Flow& flow = fabric.flow(f);
     EXPECT_GE(flow.rate.bps(), 0.0) << where << ": flow " << f.value();
+    const double norm = flow.rate.bps() / flow.spec.weight;
+    for (LinkId l : flow.spec.path) {
+      used[l.value()] += flow.rate.bps();
+      max_norm[l.value()] = std::max(max_norm[l.value()], norm);
+    }
+  }
+  for (std::uint32_t l = 0; l < topo.link_count(); ++l) {
+    const LinkId link{l};
+    const double residual = fabric.link_residual_capacity(link).bps();
+    EXPECT_LE(used[l], residual + kRateEps)
+        << where << ": link " << l << " over capacity";
+    EXPECT_NEAR(fabric.link_elastic_rate(link).bps(), used[l], kRateEps)
+        << where << ": link " << l << " reports another elastic rate";
+  }
+  for (FlowId f : active) {
+    const Flow& flow = fabric.flow(f);
     if (flow.rate.bps() <= kRateEps) continue;
     const double norm = flow.rate.bps() / flow.spec.weight;
-    bool has_bottleneck = false;
-    for (LinkId l : flow.spec.path) {
-      const double residual = fabric.link_residual_capacity(l).bps();
-      const double used = fabric.link_elastic_rate(l).bps();
-      if (used < residual - kSaturationSlackBps) continue;
-      bool is_max_on_link = true;
-      for (FlowId g : fabric.flows_crossing(l)) {
-        const Flow& other = fabric.flow(g);
-        if (g != f && other.rate.bps() / other.spec.weight > norm + kRateEps) {
-          is_max_on_link = false;
-          break;
-        }
-      }
-      if (is_max_on_link) {
-        has_bottleneck = true;
-        break;
-      }
-    }
+    // No other flow on l above norm is the same as no flow at all above
+    // it, since the flow itself is at norm.
+    const bool has_bottleneck = std::any_of(
+        flow.spec.path.begin(), flow.spec.path.end(), [&](LinkId l) {
+          const double residual = fabric.link_residual_capacity(l).bps();
+          return used[l.value()] >= residual - kSaturationSlackBps &&
+                 max_norm[l.value()] <= norm + kRateEps;
+        });
     EXPECT_TRUE(has_bottleneck)
         << where << ": flow " << f.value() << " at " << flow.rate.bps()
         << " bps has no saturated link on which it is maximal";

@@ -4,6 +4,7 @@
 // a (weighted) max-min fair allocation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -94,7 +95,12 @@ TEST_P(MaxMinProperty, AllocationIsMaxMinFair) {
   // elastic traffic than its residual capacity (capacity minus CBR, floored
   // at zero), and every flow has a bottleneck link, saturated and with no
   // other flow at a strictly larger weight-normalized rate
-  // (net/maxmin_certificate.hpp).
+  // (net/maxmin_certificate.hpp). The certificate covers the fabric's
+  // active set, so first check that it holds every flow started here (all
+  // are long-lived).
+  std::vector<FlowId> started = flows;
+  std::sort(started.begin(), started.end());
+  EXPECT_EQ(fabric.active_flows(), started);
   certificate::expect_maxmin(fabric, "seed " + std::to_string(p.seed));
 
   // Property 4: determinism — rebuilding the identical scenario yields
