@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_cli.hpp"
 #include "net/fabric.hpp"
 #include "net/topology.hpp"
 #include "sim/simulation.hpp"
@@ -260,36 +261,44 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_fabric.json";
+  // --one k:flows:engine runs a single arm once (no JSON) — the loop for
+  // profiling one cell under gprof/perf without sweeping the whole grid.
+  benchcli::FlagReader flags(
+      argc, argv,
+      "[--smoke] [--out FILE] [--json-out FILE] "
+      "[--one K:FLOWS:incremental|full]\n");
+  benchcli::Args args;
   std::string one;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-    // --json-out: shared artifact-redirect flag (see bench_cli.hpp); wins
-    // over --out so CI can point every bench somewhere collision-free.
-    if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-    // --one k:flows:engine runs a single arm once (no JSON) — the loop for
-    // profiling one cell under gprof/perf without sweeping the whole grid.
-    if (std::strcmp(argv[i], "--one") == 0 && i + 1 < argc) one = argv[++i];
+  while (flags.next()) {
+    if (benchcli::take_shared(flags, args)) continue;
+    if (!flags.is("--one")) flags.reject();
+    one = flags.value();
   }
+  const bool smoke = args.smoke;
+  const std::string out_path = args.json_path("BENCH_fabric.json");
   if (!one.empty()) {
-    std::size_t k = 8;
-    std::size_t flows = 5000;
-    char engine_c = 'i';
-    std::sscanf(one.c_str(), "%zu:%zu:%c", &k, &flows, &engine_c);
-    const RateEngine engine = engine_c == 'f' ? RateEngine::kFullRecompute
-                                              : RateEngine::kIncremental;
+    std::size_t k = 0;
+    std::size_t flows = 0;
+    char engine[16] = {};
+    int used = 0;
+    const bool parsed =
+        std::sscanf(one.c_str(), "%zu:%zu:%15[a-z]%n", &k, &flows, engine,
+                    &used) == 3 &&
+        static_cast<std::size_t>(used) == one.size();
+    const bool full = std::strcmp(engine, "full") == 0;
+    if (!parsed || k < 2 || k % 2 != 0 || flows == 0 ||
+        (!full && std::strcmp(engine, "incremental") != 0)) {
+      flags.fail("--one wants K:FLOWS:incremental|full with an even K >= 2 "
+                 "and FLOWS >= 1, not " + one);
+    }
+    const RateEngine arm =
+        full ? RateEngine::kFullRecompute : RateEngine::kIncremental;
     net::FatTreeConfig cfg;
     cfg.k = k;
     const Topology topo = net::make_fat_tree(cfg);
-    const CellResult r = run_cell(topo, engine, flows, 200, 7);
-    std::printf("k%zu flows=%zu engine=%c: %.0f ns/event (%llu events)\n", k,
-                flows, engine_c, r.wall_ns_per_event,
+    const CellResult r = run_cell(topo, arm, flows, 200, 7);
+    std::printf("k%zu flows=%zu engine=%s: %.0f ns/event (%llu events)\n", k,
+                flows, engine, r.wall_ns_per_event,
                 static_cast<unsigned long long>(r.events));
     return 0;
   }

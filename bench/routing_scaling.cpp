@@ -24,13 +24,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "bench_cli.hpp"
 #include "core/allocator.hpp"
 #include "net/fabric.hpp"
 #include "net/routing.hpp"
@@ -359,19 +359,14 @@ void emit_victim(std::FILE* out, const char* name, const VictimResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_routing.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-    // --json-out: shared artifact-redirect flag (see bench_cli.hpp); wins
-    // over --out so CI can point every bench somewhere collision-free.
-    if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
+  benchcli::FlagReader flags(argc, argv,
+                             "[--smoke] [--out FILE] [--json-out FILE]\n");
+  benchcli::Args args;
+  while (flags.next()) {
+    if (!benchcli::take_shared(flags, args)) flags.reject();
   }
+  const bool smoke = args.smoke;
+  const std::string out_path = args.json_path("BENCH_routing.json");
 
   // k=16 at canonical density would be 1024 hosts / ~1M pairs; one host per
   // edge switch keeps the initial Yen pass tractable while preserving the

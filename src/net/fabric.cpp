@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "sim/snapshot.hpp"
 #include "util/log.hpp"
@@ -18,6 +20,8 @@ constexpr double kDoneEpsilonBytes = 0.5;
 constexpr std::uint32_t kNoPos = std::numeric_limits<std::uint32_t>::max();
 constexpr std::uint32_t kNoLink = std::numeric_limits<std::uint32_t>::max();
 constexpr std::uint32_t kNoRound = std::numeric_limits<std::uint32_t>::max();
+/// The completion instant of a starved flow.
+constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
 
 /// A weight of 0 would freeze a flow at rate 0 forever, and a non-finite
 /// one poisons every share on its path.
@@ -33,13 +37,15 @@ bool ranks_below(double share_a, std::uint32_t a, double share_b,
   return share_a < share_b || (share_a == share_b && a < b);
 }
 
-/// Min-heap order on (eta, slot); slot breaks ties deterministically.
-struct EtaLater {
-  bool operator()(const auto& a, const auto& b) const {
-    if (a.eta_ns != b.eta_ns) return a.eta_ns > b.eta_ns;
-    return a.slot > b.slot;
-  }
-};
+/// Whole bytes reported to observers once a flow of `size` has `remaining`
+/// left: floor(delivered), and exactly `size` once it is done. Monotone in
+/// `remaining` and 0 at the start, so a settle reports the difference of two
+/// of these and observer totals never drift from the delivered volume.
+std::int64_t whole_bytes_delivered(util::Bytes size, double remaining) {
+  return remaining <= kDoneEpsilonBytes
+             ? size.count()
+             : static_cast<std::int64_t>(size.as_double() - remaining);
+}
 }  // namespace
 
 Fabric::Fabric(sim::Simulation& sim, const Topology& topo, FabricConfig cfg)
@@ -77,14 +83,12 @@ std::uint32_t Fabric::acquire_slot() {
   active_pos_.push_back(kNoPos);
   flow_frozen_.push_back(0);
   flow_round_.push_back(kNoRound);
-  eta_stamp_.push_back(0);
   return slot;
 }
 
 void Fabric::release_slot(std::uint32_t slot) {
   // The completed Flow record stays readable until the slot is reused.
   callbacks_[slot] = nullptr;
-  ++eta_stamp_[slot];
   free_slots_.push_back(slot);
 }
 
@@ -113,15 +117,6 @@ void Fabric::mark_dirty(LinkId l) {
   dirty_links_.push_back(l.value());
 }
 
-void Fabric::mark_all_dirty() {
-  for (std::uint32_t l = 0; l < link_dirty_.size(); ++l) {
-    if (!link_dirty_[l]) {
-      link_dirty_[l] = 1;
-      dirty_links_.push_back(l);
-    }
-  }
-}
-
 void Fabric::clear_dirty() {
   for (std::uint32_t l : dirty_links_) link_dirty_[l] = 0;
   dirty_links_.clear();
@@ -144,18 +139,16 @@ FlowId Fabric::start_flow(FlowSpec spec, FlowCompleteFn on_complete) {
   f.id = FlowId{slot};
   f.spec = std::move(spec);
   f.started = sim_->now();
-  f.remaining_bytes = f.spec.size.as_double();
   const FlowId id = f.id;
   ++flows_started_;
   callbacks_[slot] = std::move(on_complete);
 
-  if (f.remaining_bytes <= kDoneEpsilonBytes) {
+  if (f.spec.size.as_double() <= kDoneEpsilonBytes) {
     // Zero-byte flow: complete immediately (still async via the queue so that
     // callers never re-enter themselves synchronously). The start event fires
     // first so observers that pair start/complete state stay consistent.
     f.completed = true;
     f.completed_at = sim_->now();
-    f.reported_bytes = f.spec.size.count();
     ++flows_completed_;
     bytes_delivered_ += f.spec.size;
     for (auto* obs : observers_) {
@@ -177,6 +170,9 @@ FlowId Fabric::start_flow(FlowSpec spec, FlowCompleteFn on_complete) {
   assert(!f.spec.path.empty() && "a non-local flow needs a link path");
   active_pos_[slot] = static_cast<std::uint32_t>(active_.size());
   active_.push_back(id);
+  remaining_.push_back(f.spec.size.as_double());
+  rate_bytes_.push_back(0.0);
+  eta_ns_.push_back(kNever);
   for (LinkId l : f.spec.path) {
     insert_link_flow(l, id);
     mark_dirty(l);
@@ -319,22 +315,22 @@ void Fabric::settle() {
   }
   ++counters_.settles;
   const double secs = dt.seconds();
-  for (FlowId id : active_) {
-    Flow& f = flows_[id.value()];
-    const double moved =
-        std::min(f.remaining_bytes, f.rate.bytes_per_sec() * secs);
-    if (moved > 0.0) f.remaining_bytes -= moved;
-    // Report integer bytes with a carried fractional residue: observers see
-    // floor(delivered) cumulatively and exactly spec.size once the flow is
-    // done, so probe totals never drift from the delivered volume.
-    const std::int64_t target =
-        f.remaining_bytes <= kDoneEpsilonBytes
-            ? f.spec.size.count()
-            : static_cast<std::int64_t>(f.spec.size.as_double() -
-                                        f.remaining_bytes);
-    const std::int64_t whole = target - f.reported_bytes;
-    if (whole > 0) {
-      f.reported_bytes = target;
+  if (observers_.empty()) {  // then only the two columns are read
+    for (std::size_t i = 0; i < remaining_.size(); ++i) {
+      const double moved = std::min(remaining_[i], rate_bytes_[i] * secs);
+      if (moved > 0.0) remaining_[i] -= moved;
+    }
+  } else {
+    for (std::size_t i = 0; i < remaining_.size(); ++i) {
+      const double moved = std::min(remaining_[i], rate_bytes_[i] * secs);
+      if (!(moved > 0.0)) continue;
+      const FlowId id = active_[i];
+      const util::Bytes size = flows_[id.value()].spec.size;
+      const std::int64_t before = whole_bytes_delivered(size, remaining_[i]);
+      remaining_[i] -= moved;
+      const std::int64_t whole =
+          whole_bytes_delivered(size, remaining_[i]) - before;
+      if (whole <= 0) continue;
       for (auto* obs : observers_) {
         obs->on_bytes_moved(*this, id, util::Bytes{whole}, last_settle_, now);
       }
@@ -347,33 +343,24 @@ bool Fabric::set_rate(Flow& f, double rate_bps) {
   const util::BitsPerSec r{rate_bps};
   if (f.rate == r) return false;  // eta unchanged: the deadline is invariant
   f.rate = r;
-  push_eta(f);
+  const std::uint32_t pos = active_pos_[f.id.value()];
+  rate_bytes_[pos] = r.bytes_per_sec();
+  arm(pos);
   return true;
 }
 
-void Fabric::push_eta(Flow& f) {
-  const std::uint32_t slot = f.id.value();
-  const std::uint64_t stamp = ++eta_stamp_[slot];
-  if (f.rate.bps() <= 0.0) return;  // starved: re-examined on the next change
+void Fabric::arm(std::uint32_t pos) {
+  if (rate_bytes_[pos] <= 0.0) {
+    eta_ns_[pos] = kNever;  // starved: re-examined on the next change
+    return;
+  }
   // Ceil to the next nanosecond so the settled remainder at the event is
   // never still above the epsilon. Deadlines anchor at last_settle_, the
   // instant the remaining volume was settled to (rates change only right
   // after a settle, so it equals now()).
-  const double secs = f.remaining_bytes / f.rate.bytes_per_sec();
-  const auto eta_ns =
+  const double secs = remaining_[pos] / rate_bytes_[pos];
+  eta_ns_[pos] =
       last_settle_.ns() + static_cast<std::int64_t>(std::ceil(secs * 1e9));
-  eta_heap_.push_back(EtaEntry{eta_ns, slot, stamp});
-  std::push_heap(eta_heap_.begin(), eta_heap_.end(), EtaLater{});
-  if (eta_heap_.size() > 64 && eta_heap_.size() > 8 * active_.size()) {
-    compact_eta_heap();
-  }
-}
-
-void Fabric::compact_eta_heap() {
-  std::erase_if(eta_heap_, [this](const EtaEntry& e) {
-    return e.stamp != eta_stamp_[e.slot];
-  });
-  std::make_heap(eta_heap_.begin(), eta_heap_.end(), EtaLater{});
 }
 
 void Fabric::recompute_rates() {
@@ -597,6 +584,10 @@ void Fabric::live_round(std::uint32_t bottleneck, double scanned) {
       }
     }
   }
+  if (round.frozen.empty()) {  // its index disagrees with a flow's path
+    throw std::logic_error("fabric fill: live round on link " +
+                           std::to_string(bottleneck) + " froze no flow");
+  }
   // One share refresh and log entry per touched link: the value depends
   // only on the final residual and weight.
   for (const std::uint32_t lv : round.links) {
@@ -735,17 +726,13 @@ void Fabric::fill_full() {
 }
 
 void Fabric::schedule_next_completion() {
-  while (!eta_heap_.empty() &&
-         eta_heap_.front().stamp != eta_stamp_[eta_heap_.front().slot]) {
-    std::pop_heap(eta_heap_.begin(), eta_heap_.end(), EtaLater{});
-    eta_heap_.pop_back();
-  }
-  if (eta_heap_.empty()) {
+  std::int64_t eta = kNever;
+  for (const std::int64_t e : eta_ns_) eta = std::min(eta, e);
+  if (eta == kNever) {  // no flow moves
     completion_event_.cancel();
     scheduled_eta_ns_ = -1;
     return;
   }
-  const std::int64_t eta = eta_heap_.front().eta_ns;
   if (eta == scheduled_eta_ns_ && completion_event_.valid() &&
       !completion_event_.cancelled()) {
     return;  // already armed for this instant
@@ -760,18 +747,22 @@ void Fabric::complete_flow(std::uint32_t slot) {
   Flow& f = flows_[slot];
   const std::uint32_t pos = active_pos_[slot];
   assert(pos != kNoPos);
-  active_[pos] = active_.back();
   active_pos_[active_.back().value()] = pos;
-  active_.pop_back();
+  const auto swap_pop = [pos](auto& column) {
+    column[pos] = column.back();
+    column.pop_back();
+  };
+  swap_pop(active_);
+  swap_pop(remaining_);
+  swap_pop(rate_bytes_);
+  swap_pop(eta_ns_);
   active_pos_[slot] = kNoPos;
   for (LinkId l : f.spec.path) {
     remove_link_flow(l, f.id);
     mark_dirty(l);
   }
-  ++eta_stamp_[slot];
   f.completed = true;
   f.completed_at = sim_->now();
-  f.remaining_bytes = 0.0;
   f.rate = util::BitsPerSec::zero();
   ++flows_completed_;
   bytes_delivered_ += f.spec.size;
@@ -791,24 +782,26 @@ void Fabric::on_completion_event() {
   // the steady state.
   std::vector<FlowId> done = std::move(done_buffer_);
   done.clear();
-  while (!eta_heap_.empty()) {
-    const EtaEntry top = eta_heap_.front();
-    if (top.stamp != eta_stamp_[top.slot]) {
-      std::pop_heap(eta_heap_.begin(), eta_heap_.end(), EtaLater{});
-      eta_heap_.pop_back();
-      continue;
-    }
-    if (top.eta_ns > now_ns) break;
-    std::pop_heap(eta_heap_.begin(), eta_heap_.end(), EtaLater{});
-    eta_heap_.pop_back();
-    Flow& f = flows_[top.slot];
-    if (f.remaining_bytes > kDoneEpsilonBytes) {
-      push_eta(f);  // defensive: deadline drifted, re-arm
-      continue;
-    }
-    done.push_back(f.id);
-    complete_flow(top.slot);
+  for (std::size_t i = 0; i < eta_ns_.size(); ++i) {
+    if (eta_ns_[i] <= now_ns) done.push_back(active_[i]);
   }
+  // In (instant, id) order: each completion swap-pops active_, whose order
+  // is the order later settles report bytes in.
+  std::sort(done.begin(), done.end(), [this](FlowId a, FlowId b) {
+    return std::pair{eta_ns_[active_pos_[a.value()]], a.value()} <
+           std::pair{eta_ns_[active_pos_[b.value()]], b.value()};
+  });
+  std::size_t finished = 0;
+  for (const FlowId id : done) {
+    const std::uint32_t pos = active_pos_[id.value()];
+    if (remaining_[pos] > kDoneEpsilonBytes) {
+      arm(pos);  // defensive: deadline drifted, re-arm
+      continue;
+    }
+    complete_flow(id.value());
+    done[finished++] = id;
+  }
+  done.resize(finished);
   recompute_rates();
   schedule_next_completion();
   // Observer + user callbacks run after the fabric is consistent.
@@ -860,6 +853,7 @@ void Fabric::encode_state(sim::StateEncoder& enc) const {
   enc.put_u32(static_cast<std::uint32_t>(active.size()));
   for (FlowId id : active) {
     const Flow& f = flows_[id.value()];
+    const double remaining = remaining_[active_pos_[id.value()]];
     enc.put_u32(id.value());
     enc.put_u32(f.spec.src.value());
     enc.put_u32(f.spec.dst.value());
@@ -874,9 +868,9 @@ void Fabric::encode_state(sim::StateEncoder& enc) const {
     enc.put_u32(static_cast<std::uint32_t>(f.spec.path.size()));
     for (LinkId l : f.spec.path) enc.put_u32(l.value());
     enc.put_time(f.started);
-    enc.put_f64(f.remaining_bytes);
+    enc.put_f64(remaining);
     enc.put_f64(f.rate.bps());
-    enc.put_i64(f.reported_bytes);
+    enc.put_i64(whole_bytes_delivered(f.spec.size, remaining));
   }
 
   enc.put_u32(static_cast<std::uint32_t>(cbrs_.size()));

@@ -9,6 +9,10 @@
 // settled against simulated time before every recompute, so byte accounting
 // is exact.
 //
+// Completions come from a min-scan of the active flows' instants, kept in
+// a dense column beside their remainders and rates (see the members): every
+// mutation settles every active flow anyway, so each event stays O(active).
+//
 // Two rate engines share the same progressive-fill arithmetic:
 //  * kFullRecompute reruns the fill over every link and flow on each change
 //    (the original O(rounds × links × flows) algorithm, kept as the
@@ -35,7 +39,7 @@
 //      state). Otherwise, if (s_k, b_k) is below the lowest (share, id) A
 //      link with unfixed flows (the lower id wins a tie: the scan's strict
 //      `<` in ascending link order), round k is replayed: its flows keep
-//      their rate bits (no set_rate, no ETA push), its freezes are applied
+//      their rate bits and instants (no set_rate), its freezes are applied
 //      only to the A links on their paths with the fill's arithmetic in
 //      ascending slot order, and clean links take the logged state. Else a
 //      live round freezes that A link's unfixed flows in ascending id, and
@@ -123,14 +127,9 @@ struct Flow {
   FlowId id;
   FlowSpec spec;
   util::SimTime started;
-  double remaining_bytes = 0.0;  // settled remaining volume
-  util::BitsPerSec rate;         // current max-min share
+  util::BitsPerSec rate;  // current max-min share
   bool completed = false;
   util::SimTime completed_at;
-  /// Integer bytes already reported to observers; the fractional residue
-  /// (spec.size - remaining - reported) is carried so cumulative observer
-  /// totals equal spec.size exactly at completion.
-  std::int64_t reported_bytes = 0;
 };
 
 using FlowCompleteFn = std::function<void(FlowId, util::SimTime)>;
@@ -237,6 +236,11 @@ class Fabric {
   [[nodiscard]] util::BitsPerSec link_residual_capacity(LinkId l) const;
 
   [[nodiscard]] const Flow& flow(FlowId id) const;
+  /// Settled remaining volume of `id` as of the last settle (every mutation
+  /// and completion event settles); 0 once the flow has completed.
+  [[nodiscard]] double remaining_bytes(FlowId id) const {
+    return flow_active(id) ? remaining_[active_pos_[id.value()]] : 0.0;
+  }
   /// Current path of `id` as a view of its spec.path.
   [[nodiscard]] std::span<const LinkId> flow_path(FlowId id) const;
   [[nodiscard]] bool flow_active(FlowId id) const;
@@ -270,8 +274,8 @@ class Fabric {
   /// Serializes the fabric's logical state for snapshots: counters, every
   /// active flow (sorted by id) with its exact settled remaining volume and
   /// rate bits, CBR streams, and per-link up/load/rate state. Physical
-  /// scratch (slot free lists, dirty sets, ETA heap layout) is excluded —
-  /// it is reconstructed by replay and never observable.
+  /// scratch (slot free lists, dirty sets, the active set's order) is
+  /// excluded — it is reconstructed by replay and never observable.
   void encode_state(sim::StateEncoder& enc) const;
 
   /// Rate-engine work counters, serialized as their own snapshot section:
@@ -281,12 +285,6 @@ class Fabric {
   void encode_counters(sim::StateEncoder& enc) const;
 
  private:
-  struct EtaEntry {
-    std::int64_t eta_ns;
-    std::uint32_t slot;
-    std::uint64_t stamp;
-  };
-
   void settle();
   void recompute_rates();
   void after_mutation();
@@ -301,15 +299,15 @@ class Fabric {
   void insert_link_flow(LinkId l, FlowId id);
   void remove_link_flow(LinkId l, FlowId id);
   void mark_dirty(LinkId l);
-  void mark_all_dirty();
   void clear_dirty();
   /// Residual capacity a link offers elastic flows (shared by both fills so
   /// the arithmetic is bit-identical).
   [[nodiscard]] double elastic_headroom(std::uint32_t l) const;
-  /// Returns whether the rate moved (and so pushed a new ETA).
+  /// Returns whether the rate moved (and so re-armed the flow's instant).
   bool set_rate(Flow& f, double rate_bps);
-  void push_eta(Flow& f);
-  void compact_eta_heap();
+  /// Sets active_[pos]'s completion instant from its settled remainder and
+  /// rate: kNever while starved.
+  void arm(std::uint32_t pos);
   /// The warm fill (see file header): walks the previous fill's record
   /// against the affected set, runs live rounds on it, records this fill
   /// and marks the rate sums it moved stale.
@@ -392,12 +390,21 @@ class Fabric {
 
   // pythia-lint: allow(snapshot-skip, group) slot bookkeeping rebuilt by
   // restore replay: encode_state writes the live flows, and re-admitting
-  // them through start_flow() recreates slots, callbacks, and link indexes.
+  // them through start_flow() recreates slots, callbacks, link indexes,
+  // rates and completion instants.
   std::vector<Flow> flows_;                  // slot-indexed; slots recycled
   std::vector<FlowCompleteFn> callbacks_;    // parallel to flows_
   std::vector<std::uint32_t> free_slots_;    // completed slots ready for reuse
   std::vector<FlowId> active_;               // unordered; O(1) erase
   std::vector<std::uint32_t> active_pos_;    // slot -> index in active_
+  // Columns parallel to active_ and swap-popped with it, so a settle reads
+  // two arrays: settled remaining bytes, rate in bytes/s (Flow::rate / 8,
+  // the factor every product with a time takes) and the completion instant
+  // in ns (INT64_MAX while starved), written only when the rate moves or a
+  // due flow with bytes left re-arms.
+  std::vector<double> remaining_;
+  std::vector<double> rate_bytes_;
+  std::vector<std::int64_t> eta_ns_;
   std::vector<std::vector<FlowId>> link_flows_;  // per link, ascending by id
 
   std::vector<double> cbr_load_bps_;  // per link
@@ -481,21 +488,14 @@ class Fabric {
   std::vector<std::vector<LinkFillState>> link_log_;
   std::vector<LinkFillState> rec_init_;
 
-  // Lazy min-heap of flow completion instants; stale entries are skipped by
-  // stamp comparison, so a rate change is O(log n) instead of an O(flows)
-  // rescan per event.
-  // pythia-lint: allow(snapshot-skip, group) lazy completion cache: restore
-  // replay re-pushes an entry per re-admitted flow, and stale entries are
-  // skipped by stamp anyway. scheduled_eta_ns_ IS encoded.
-  std::vector<EtaEntry> eta_heap_;
-  std::vector<std::uint64_t> eta_stamp_;  // slot-indexed
+  // The instant completion_event_ is armed for, -1 if none.
   std::int64_t scheduled_eta_ns_ = -1;
 
   // pythia-lint: allow(snapshot-skip, group) completion_event_ is
   // re-scheduled from the encoded scheduled_eta_ns_ during restore, and
   // observers re-register themselves when the owning system is rebuilt.
   // done_buffer_ is scratch that on_completion_event borrows and clears
-  // before use. last_settle_ IS encoded.
+  // before it gathers the due flows. last_settle_ IS encoded.
   util::SimTime last_settle_ = util::SimTime::zero();
   sim::EventHandle completion_event_;
   std::vector<FabricObserver*> observers_;

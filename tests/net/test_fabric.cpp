@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "net/routing.hpp"
 #include "sim/simulation.hpp"
 
@@ -313,6 +318,155 @@ TEST(Fabric, CompletionCallbackCanStartNewFlow) {
   sim.run();
   EXPECT_NEAR(second_done, 2.0, 1e-6);
   EXPECT_EQ(fabric.flows_completed(), 2u);
+}
+
+// --- the completion path, checked against hand arithmetic ---
+
+/// `n` host pairs, each joined by its own 8 Gb/s (1 GB/s) link.
+struct DisjointLinks {
+  Topology topo;
+  std::vector<NodeId> src, dst;
+  std::vector<LinkId> link;
+
+  explicit DisjointLinks(int n) {
+    for (int i = 0; i < n; ++i) {
+      src.push_back(topo.add_host("s" + std::to_string(i), 0));
+      dst.push_back(topo.add_host("d" + std::to_string(i), 1));
+      link.push_back(topo.add_link(src.back(), dst.back(), BitsPerSec{8e9}));
+    }
+  }
+
+  [[nodiscard]] FlowSpec flow(int i, std::int64_t bytes) const {
+    FlowSpec spec;
+    spec.src = src[i];
+    spec.dst = dst[i];
+    spec.size = Bytes{bytes};
+    spec.path = {link[i]};
+    spec.tuple = FiveTuple{1, 2, 3, static_cast<std::uint16_t>(i), 6};
+    return spec;
+  }
+};
+
+TEST(Fabric, EqualFlowsFinishInOneEventInIdOrder) {
+  // A short flow on link 0 leaves first, and its swap-pop moves the last
+  // started flow to the front of the active set. The four 1 GB flows, each
+  // alone on its link at 1 GB/s, then finish at exactly 1 s in one
+  // completion event, calling back in ascending id order.
+  DisjointLinks net(5);
+  sim::Simulation sim;
+  Fabric fabric(sim, net.topo);
+  std::vector<std::pair<FlowId, SimTime>> done;
+  auto record = [&](FlowId id, SimTime at) { done.emplace_back(id, at); };
+  fabric.start_flow(net.flow(0, kGB / 2), record);
+  std::vector<FlowId> ids;
+  for (int i = 1; i < 5; ++i) {
+    ids.push_back(fabric.start_flow(net.flow(i, kGB), record));
+  }
+  sim.run();
+
+  ASSERT_EQ(done.size(), 5u);
+  EXPECT_EQ(done[0].second, SimTime{kGB / 2});  // 0.5 GB at 1 GB/s
+  for (std::size_t i = 1; i < done.size(); ++i) {
+    EXPECT_EQ(done[i].first, ids[i - 1]);
+    EXPECT_EQ(done[i].second, SimTime{kGB});  // 1 s, in ns
+  }
+  EXPECT_EQ(fabric.counters().completion_events, 2u);
+}
+
+TEST(Fabric, StarvedFlowWaitsThenFinishesOnTheCeiledInstant) {
+  // 1 GB + 7 B at 3 Gb/s; the link dies at 0.3 s and comes back at 2 s.
+  // The wait after the restore is no whole number of nanoseconds.
+  Chain c(3e9);
+  sim::Simulation sim;
+  Fabric fabric(sim, c.topo);
+  const std::int64_t size = kGB + 7;
+  SimTime done;
+  const FlowId f = fabric.start_flow(make_flow(c, size),
+                                     [&](FlowId, SimTime at) { done = at; });
+  const double rate_bytes = 3e9 / 8.0;
+  const double left = static_cast<double>(size) - rate_bytes * 0.3;
+  sim.at(SimTime::from_seconds(0.3),
+         [&] { fabric.fail_link(c.forward.links[0]); });
+  sim.run_until(SimTime::from_seconds(0.3));
+  EXPECT_EQ(fabric.flow(f).rate.bps(), 0.0);
+  EXPECT_EQ(fabric.remaining_bytes(f), left);
+  // Starved: nothing is armed, so nothing is pending in the queue.
+  ASSERT_EQ(sim.queue().pending(), 0u);
+
+  const SimTime restore = SimTime::from_seconds(2.0);
+  sim.at(restore, [&] { fabric.restore_link(c.forward.links[0]); });
+  sim.run_until(restore);
+  EXPECT_TRUE(fabric.flow_active(f));
+  EXPECT_EQ(fabric.remaining_bytes(f), left);
+  sim.run();
+  const double wait_ns = left / rate_bytes * 1e9;
+  ASSERT_NE(wait_ns, std::ceil(wait_ns));
+  EXPECT_EQ(done.ns(),
+            restore.ns() + static_cast<std::int64_t>(std::ceil(wait_ns)));
+}
+
+TEST(Fabric, RemainingBytesIsTheSettledRemainder) {
+  // A (1 GB) and B (0.5 GB) share 1 GB/s until B leaves at 1 s.
+  Chain c;
+  sim::Simulation sim;
+  Fabric fabric(sim, c.topo);
+  const FlowId a = fabric.start_flow(make_flow(c, kGB, 1));
+  const FlowId b = fabric.start_flow(make_flow(c, kGB / 2, 2));
+  const double half = 8e9 / 8.0 / 2.0;
+  std::vector<double> seen;
+  auto probe = [&](double at_s) {
+    sim.at(SimTime::from_seconds(at_s), [&] {
+      seen.push_back(fabric.remaining_bytes(a));  // as of the last settle
+      fabric.settle_and_recompute();
+      seen.push_back(fabric.remaining_bytes(a));
+    });
+  };
+  probe(0.2);
+  probe(1.2);
+  sim.run();
+
+  ASSERT_EQ(seen.size(), 4u);
+  EXPECT_EQ(seen[0], static_cast<double>(kGB));  // nothing settled since 0
+  EXPECT_EQ(seen[1], static_cast<double>(kGB) - half * 0.2);
+  // B's completion at 1 s settled A, which then runs alone at 1 GB/s.
+  const double at_one = seen[1] - half * 0.8;
+  EXPECT_EQ(seen[2], at_one);
+  EXPECT_EQ(seen[3], at_one - 2.0 * half * 0.2);
+  EXPECT_EQ(fabric.remaining_bytes(a), 0.0);
+  EXPECT_EQ(fabric.remaining_bytes(b), 0.0);
+}
+
+TEST(Fabric, LateObserverSeesOnlyTheBytesAfterItJoined) {
+  // 1 GB + 123 B at 1 GB/s; an observer joins right after a settle at
+  // 0.3 s. Observers count whole delivered bytes, floor(size - remaining).
+  Chain c;
+  sim::Simulation sim;
+  Fabric fabric(sim, c.topo);
+  const std::int64_t size = kGB + 123;
+  const FlowId f = fabric.start_flow(make_flow(c, size));
+  CountingObserver late;
+  auto whole = [&](double remaining) {
+    return static_cast<std::int64_t>(static_cast<double>(size) - remaining);
+  };
+  std::int64_t before = 0;
+  std::int64_t mid = 0;
+  sim.at(SimTime::from_seconds(0.3), [&] {
+    fabric.settle_and_recompute();
+    before = whole(fabric.remaining_bytes(f));
+    fabric.add_observer(&late);
+  });
+  sim.at(SimTime::from_seconds(0.7), [&] {
+    fabric.settle_and_recompute();
+    mid = whole(fabric.remaining_bytes(f));
+    EXPECT_EQ(late.moved, mid - before);
+  });
+  sim.run();
+
+  EXPECT_GT(before, 0);
+  EXPECT_GT(mid, before);
+  EXPECT_EQ(late.moved, size - before);
+  EXPECT_EQ(late.started, 0);
+  EXPECT_EQ(late.completed, 1);
 }
 
 }  // namespace
