@@ -10,9 +10,10 @@
 // land intents in the same simulation instant — the event cohorts the
 // sharded pipeline drains in one batch.
 //
-// The driver produces a deterministic, pre-sorted event list; scheduling it
-// against a Collector is a separate step so benches can replay the exact
-// same storm into differently configured pipelines.
+// The driver produces a deterministic event list in time order, written in
+// that order as the jobs are generated rather than sorted afterwards.
+// Scheduling it against a Collector is a separate step so benches can
+// replay the exact same storm into differently configured pipelines.
 #pragma once
 
 #include <cstdint>
@@ -33,14 +34,16 @@ namespace pythia::workloads {
 struct OpenArrivalConfig {
   /// Jobs in the storm.
   std::size_t jobs = 32;
-  /// Mean inter-arrival gap (Poisson process). Scale this down (and jobs
-  /// up) to sweep arrival rate.
+  /// Mean inter-arrival gap (Poisson process); zero starts every job at
+  /// t = 0, a negative gap is rejected. Scale this down (and jobs up) to
+  /// sweep arrival rate.
   util::Duration mean_interarrival = util::Duration::millis(40);
   /// Arrival quantum: every event time is rounded down to a tick multiple,
   /// so concurrent jobs collide into shared event cohorts.
   util::Duration tick = util::Duration::millis(10);
-  /// Tenants; job j belongs to tenant j % tenants with scheduling priority
-  /// tenants - tenant (tenant 0 is the highest-priority one).
+  /// Tenants (at least one); job j belongs to tenant j % tenants with
+  /// scheduling priority tenants - tenant (tenant 0 is the highest-priority
+  /// one).
   std::size_t tenants = 4;
 
   /// Job-class mix: Sort-like (few large flows), Nutch-like (many small
@@ -86,8 +89,13 @@ struct StormEvent {
   net::NodeId server;             // kReducerLocated only
 };
 
-/// Deterministic storm for a seed over `topo`'s hosts; events sorted by
-/// (time, generation order) so scheduling preserves per-instant order.
+/// Deterministic storm for a seed over `topo`'s hosts, in the order a
+/// stable sort of the jobs' events by time would give: time never
+/// decreases; within an instant, jobs come in index order, and a job's
+/// reducer locations come before its intents. Scheduling in this order
+/// preserves it per instant. Throws std::invalid_argument, before any
+/// random draw, when `cfg.tenants` is 0 or `cfg.mean_interarrival` is
+/// negative.
 [[nodiscard]] std::vector<StormEvent> generate_storm(
     const OpenArrivalConfig& cfg, const net::Topology& topo,
     std::uint64_t seed);
