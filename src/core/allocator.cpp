@@ -12,7 +12,28 @@ namespace pythia::core {
 Allocator::Allocator(sdn::Controller& controller, AllocatorConfig cfg)
     : controller_(&controller),
       cfg_(cfg),
-      link_outstanding_(controller.topology().link_count(), 0) {}
+      link_outstanding_(controller.topology().link_count(), 0) {
+  const net::Topology& topo = controller.topology();
+  const std::vector<net::NodeId>& hosts = topo.hosts();
+  width_ = hosts.size();
+  if (cfg_.aggregation == Aggregation::kRackPair) {
+    // Ranked by the rack's bits in aggregate_key, so walking rows walks keys.
+    std::vector<std::uint32_t> racks;
+    racks.reserve(hosts.size());
+    for (net::NodeId h : hosts) {
+      racks.push_back(static_cast<std::uint32_t>(topo.node(h).rack));
+    }
+    rack_rank_ = racks;
+    std::sort(racks.begin(), racks.end());
+    racks.erase(std::unique(racks.begin(), racks.end()), racks.end());
+    for (std::uint32_t& r : rack_rank_) {
+      r = static_cast<std::uint32_t>(
+          std::lower_bound(racks.begin(), racks.end(), r) - racks.begin());
+    }
+    width_ = racks.size();
+  }
+  rows_.assign(width_ * width_, kNoAggregate);
+}
 
 util::Bytes Allocator::link_outstanding(net::LinkId l) const {
   return util::Bytes{link_outstanding_[l.value()]};
@@ -32,19 +53,38 @@ std::uint64_t Allocator::aggregate_key(net::NodeId src, net::NodeId dst) const {
   return (static_cast<std::uint64_t>(src.value()) << 32) | dst.value();
 }
 
+std::size_t Allocator::row_of(net::NodeId src, net::NodeId dst) const {
+  const net::Topology& topo = controller_->topology();
+  std::uint32_t a = topo.host_index(src);
+  std::uint32_t b = topo.host_index(dst);
+  if (a == net::Topology::kNoHost || b == net::Topology::kNoHost) {
+    return rows_.size();
+  }
+  if (!rack_rank_.empty()) {
+    a = rack_rank_[a];
+    b = rack_rank_[b];
+  }
+  return static_cast<std::size_t>(a) * width_ + b;
+}
+
+const Allocator::Aggregate* Allocator::find(net::NodeId src,
+                                            net::NodeId dst) const {
+  const std::size_t row = row_of(src, dst);
+  if (row == rows_.size() || rows_[row] == kNoAggregate) return nullptr;
+  return &aggregates_[rows_[row]];
+}
+
 util::Bytes Allocator::pair_outstanding(net::NodeId src,
                                         net::NodeId dst) const {
-  const auto it = aggregates_.find(aggregate_key(src, dst));
-  return it == aggregates_.end() ? util::Bytes::zero()
-                                 : util::Bytes{it->second.outstanding};
+  const Aggregate* agg = find(src, dst);
+  return agg == nullptr ? util::Bytes::zero() : util::Bytes{agg->outstanding};
 }
 
 bool Allocator::pair_coalescable(net::NodeId src_server,
                                  net::NodeId dst_server) const {
   if (suspended_) return true;
-  const auto it = aggregates_.find(aggregate_key(src_server, dst_server));
-  return it != aggregates_.end() && it->second.installed &&
-         it->second.outstanding > 0;
+  const Aggregate* agg = find(src_server, dst_server);
+  return agg != nullptr && agg->installed && agg->outstanding > 0;
 }
 
 net::PathId Allocator::effective_path(net::PathId chosen) {
@@ -56,7 +96,7 @@ net::PathId Allocator::effective_path(net::PathId chosen) {
   if (path.links.size() < 3) return chosen;
   net::Path chain;
   chain.links.assign(path.links.begin() + 1, path.links.end() - 1);
-  return controller_->intern_path(std::move(chain));
+  return controller_->intern_path(chain);
 }
 
 bool Allocator::install(net::NodeId src, net::NodeId dst, net::PathId chosen,
@@ -129,7 +169,14 @@ void Allocator::add_predicted_volume(net::NodeId src_server,
                                      util::Bytes wire_bytes,
                                      std::uint64_t intent_count) {
   assert(wire_bytes >= util::Bytes::zero());
-  Aggregate& agg = aggregates_[aggregate_key(src_server, dst_server)];
+  const std::size_t row = row_of(src_server, dst_server);
+  assert(row < rows_.size() && "aggregate endpoints must be hosts");
+  if (row == rows_.size()) return;
+  if (rows_[row] == kNoAggregate) {
+    rows_[row] = static_cast<std::uint32_t>(aggregates_.size());
+    aggregates_.emplace_back();
+  }
+  Aggregate& agg = aggregates_[rows_[row]];
   agg.src = src_server;
   agg.dst = dst_server;
 
@@ -178,9 +225,7 @@ void Allocator::add_predicted_volume(net::NodeId src_server,
 void Allocator::suspend() {
   if (suspended_) return;
   suspended_ = true;
-  // pythia-lint: allow(unordered-iter) independent per-entry flag clear;
-  // visit order cannot affect the resulting state
-  for (auto& [_, agg] : aggregates_) agg.installed = false;
+  for (Aggregate& agg : aggregates_) agg.installed = false;
   std::fill(link_outstanding_.begin(), link_outstanding_.end(), 0);
 }
 
@@ -189,19 +234,20 @@ void Allocator::resume() {
   suspended_ = false;
   // Re-allocate every live aggregate, largest first (the same FFD order the
   // collector uses), against the network as it looks right now.
-  std::vector<std::pair<std::uint64_t, Aggregate*>> live;
-  // pythia-lint: allow(unordered-iter) collection only; `live` is sorted
-  // just below with a total-order key tie-break before any allocation
-  for (auto& [key, agg] : aggregates_) {
-    if (agg.outstanding > 0) live.emplace_back(key, &agg);
+  std::vector<std::pair<std::size_t, Aggregate*>> live;
+  for (std::size_t row = 0; row < rows_.size(); ++row) {
+    if (rows_[row] == kNoAggregate) continue;
+    Aggregate& agg = aggregates_[rows_[row]];
+    if (agg.outstanding > 0) live.emplace_back(row, &agg);
   }
+  // Ties go to the lower row, which is the lower key.
   std::sort(live.begin(), live.end(), [](const auto& a, const auto& b) {
     if (a.second->outstanding != b.second->outstanding) {
       return a.second->outstanding > b.second->outstanding;
     }
     return a.first < b.first;
   });
-  for (auto& [key, agg] : live) {
+  for (auto& [row, agg] : live) {
     const net::PathId chosen =
         choose_path(agg->src, agg->dst, util::Bytes{agg->outstanding});
     if (!chosen.valid()) continue;
@@ -219,9 +265,11 @@ void Allocator::resume() {
 
 void Allocator::retire_volume(net::NodeId src_server, net::NodeId dst_server,
                               util::Bytes wire_bytes) {
-  const auto it = aggregates_.find(aggregate_key(src_server, dst_server));
-  if (it == aggregates_.end()) return;  // transfer was never predicted
-  Aggregate& agg = it->second;
+  const std::size_t row = row_of(src_server, dst_server);
+  if (row == rows_.size() || rows_[row] == kNoAggregate) {
+    return;  // transfer was never predicted
+  }
+  Aggregate& agg = aggregates_[rows_[row]];
   const std::int64_t retired =
       std::min<std::int64_t>(agg.outstanding, wire_bytes.count());
   if (retired <= 0) return;
@@ -230,15 +278,13 @@ void Allocator::retire_volume(net::NodeId src_server, net::NodeId dst_server,
 }
 
 void Allocator::encode_state(sim::StateEncoder& enc) const {
-  std::vector<std::uint64_t> keys;
-  keys.reserve(aggregates_.size());
-  // pythia-lint: allow(unordered-iter) key collection only; sorted below
-  for (const auto& [key, agg] : aggregates_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  enc.put_u32(static_cast<std::uint32_t>(keys.size()));
-  for (std::uint64_t key : keys) {
-    const Aggregate& agg = aggregates_.at(key);
-    enc.put_u64(key);
+  enc.put_u32(static_cast<std::uint32_t>(aggregates_.size()));
+  for (const std::uint32_t index : rows_) {
+    if (index == kNoAggregate) continue;
+    const Aggregate& agg = aggregates_[index];
+    // Every pair of a row shares its key; in rack mode agg.src/dst is the
+    // last pair seen, which names the row's rack pair.
+    enc.put_u64(aggregate_key(agg.src, agg.dst));
     enc.put_i64(agg.outstanding);
     enc.put_bool(agg.installed);
     // Valid-flag + link chain instead of the raw pool id: interning order

@@ -15,7 +15,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
 #include "net/routing.hpp"
@@ -114,9 +114,9 @@ class Allocator {
   [[nodiscard]] net::PathId choose_path(net::NodeId src, net::NodeId dst,
                                         util::Bytes volume) const;
 
-  /// Serializes allocator state for snapshots: every aggregate (sorted by
-  /// key) with its packing assignment, per-link outstanding volume, the
-  /// suspension flag, and counters.
+  /// Serializes allocator state for snapshots: every aggregate (in key
+  /// order, which is row order) with its packing assignment, per-link
+  /// outstanding volume, the suspension flag, and counters.
   void encode_state(sim::StateEncoder& enc) const;
 
  private:
@@ -132,9 +132,18 @@ class Allocator {
     net::NodeId src;
     net::NodeId dst;
   };
-  /// Host-pair key in server mode; rack-pair key (tagged) in rack mode.
+  static constexpr std::uint32_t kNoAggregate =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// Snapshot key: host-pair key in server mode; rack-pair key (tagged) in
+  /// rack mode. Row order is key order.
   [[nodiscard]] std::uint64_t aggregate_key(net::NodeId src,
                                             net::NodeId dst) const;
+  /// Row of a pair (see rows_), or rows_.size() when either end is not a
+  /// host.
+  [[nodiscard]] std::size_t row_of(net::NodeId src, net::NodeId dst) const;
+  /// The pair's aggregate, or nullptr when it has none.
+  [[nodiscard]] const Aggregate* find(net::NodeId src, net::NodeId dst) const;
   void pack_onto(net::PathId path, std::int64_t bytes);
   [[nodiscard]] bool install(net::NodeId src, net::NodeId dst,
                              net::PathId chosen, util::Bytes volume_hint,
@@ -147,7 +156,18 @@ class Allocator {
   // pythia-lint: allow(snapshot-skip) config identity covered by the
   // scenario fingerprint; restore constructs with the same AllocatorConfig.
   AllocatorConfig cfg_;
-  std::unordered_map<std::uint64_t, Aggregate> aggregates_;
+  // pythia-lint: allow(snapshot-skip, group) the row layout, derived from
+  // the (fingerprinted) topology and config: rows are host pairs in server
+  // mode and rack pairs in rack mode, row = a · width_ + b.
+  std::size_t width_ = 0;
+  // Rack mode: host index → dense rack rank, ascending in the rack's key
+  // bits (a host without a rack, -1, ranks last).
+  std::vector<std::uint32_t> rack_rank_;
+
+  // Dense rows: the pair's index into aggregates_, or kNoAggregate.
+  std::vector<std::uint32_t> rows_;
+  // Every aggregate ever created, in creation order; never erased.
+  std::vector<Aggregate> aggregates_;
   std::vector<std::int64_t> link_outstanding_;
   bool suspended_ = false;
   std::uint64_t allocations_ = 0;

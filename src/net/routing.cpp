@@ -18,7 +18,7 @@ constexpr std::uint32_t kUnreachable =
 
 /// FNV-1a over a link-id sequence; collisions are resolved by full sequence
 /// equality wherever this is used.
-std::uint64_t link_seq_hash(const std::vector<LinkId>& links) {
+std::uint64_t link_seq_hash(std::span<const LinkId> links) {
   std::uint64_t h = 1469598103934665603ull;
   for (LinkId l : links) {
     h ^= l.value();
@@ -131,35 +131,52 @@ std::vector<Path> PathSearch::k_shortest_paths(
     const Topology& topo, NodeId src, NodeId dst, std::size_t k,
     std::span<const LinkId> excluded_links,
     std::vector<LinkId>* touched_links) {
-  std::vector<Path> result;
-  if (k == 0) return result;
+  PathList found;
+  k_shortest_paths(topo, src, dst, k, excluded_links, found, touched_links);
+  std::vector<Path> result(found.size());
+  for (std::size_t i = 0; i < found.size(); ++i) {
+    result[i].links.assign(found[i].begin(), found[i].end());
+  }
+  return result;
+}
+
+void PathSearch::k_shortest_paths(const Topology& topo, NodeId src,
+                                  NodeId dst, std::size_t k,
+                                  std::span<const LinkId> excluded_links,
+                                  PathList& out,
+                                  std::vector<LinkId>* touched_links) {
+  out.clear();
+  if (k == 0) return;
   if (src == dst) {
-    result.emplace_back();
-    return result;
+    out.push({});
+    return;
   }
   begin(topo, excluded_links);
-  if (!bfs(topo, src, dst, ++epoch_)) return result;
-  append_path(topo, src, dst, result.emplace_back().links);
+  if (!bfs(topo, src, dst, ++epoch_)) return;
+  append_path(topo, src, dst, out.links);
+  out.ends.push_back(static_cast<std::uint32_t>(out.links.size()));
   if (touched_links != nullptr) {
-    touched_links->insert(touched_links->end(), result.front().links.begin(),
-                          result.front().links.end());
+    touched_links->insert(touched_links->end(), out.links.begin(),
+                          out.links.end());
   }
   cand_links_.clear();
   cands_.clear();
 
-  while (result.size() < k) {
-    const Path& prev = result.back();
+  while (out.size() < k) {
+    // `out` does not grow until the spur searches are done, so this view of
+    // the previous path stays valid through them.
+    const std::span<const LinkId> prev = out[out.size() - 1];
     // Spur from every prefix of the previous path: the root's nodes before
     // the spur node are banned, and so is the next link of every chosen
     // path that shares the root.
-    for (std::size_t i = 0; i < prev.links.size(); ++i) {
-      const NodeId spur_node = topo.link(prev.links[i]).src;
-      const auto root_end = prev.links.begin() + static_cast<std::ptrdiff_t>(i);
+    for (std::size_t i = 0; i < prev.size(); ++i) {
+      const NodeId spur_node = topo.link(prev[i]).src;
+      const std::span<const LinkId> root = prev.first(i);
       spur_banned_.clear();
-      for (const Path& p : result) {
-        if (p.links.size() > i &&
-            std::equal(prev.links.begin(), root_end, p.links.begin())) {
-          const LinkId l = p.links[i];
+      for (std::size_t c = 0; c < out.size(); ++c) {
+        const std::span<const LinkId> p = out[c];
+        if (p.size() > i && std::equal(root.begin(), root.end(), p.begin())) {
+          const LinkId l = p[i];
           if (link_ban_[l.value()] != ban_) {
             link_ban_[l.value()] = ban_;
             spur_banned_.push_back(l);
@@ -167,13 +184,11 @@ std::vector<Path> PathSearch::k_shortest_paths(
         }
       }
       const std::uint64_t visit = ++epoch_;
-      for (auto it = prev.links.begin(); it != root_end; ++it) {
-        seen_[topo.link(*it).src.value()] = visit;
-      }
+      for (const LinkId l : root) seen_[topo.link(l).src.value()] = visit;
       const bool found = bfs(topo, spur_node, dst, visit);
       for (LinkId l : spur_banned_) link_ban_[l.value()] = 0;
       if (!found) continue;
-      total_.assign(prev.links.begin(), root_end);
+      total_.assign(root.begin(), root.end());
       append_path(topo, spur_node, dst, total_);
       // No chosen path can equal root + spur: one sharing the root has its
       // next link banned for this spur, and the spur is never empty
@@ -204,12 +219,10 @@ std::vector<Path> PathSearch::k_shortest_paths(
         best = c;
       }
     }
-    const auto chosen = candidate(cands_[best]);
-    result.emplace_back().links.assign(chosen.begin(), chosen.end());
+    out.push(candidate(cands_[best]));
     cands_[best] = cands_.back();
     cands_.pop_back();
   }
-  return result;
 }
 
 std::optional<Path> shortest_path(
@@ -243,18 +256,18 @@ void PathPool::grow() {
   }
 }
 
-PathId PathPool::intern(Path path) {
+PathId PathPool::intern(std::span<const LinkId> links) {
   if ((paths_.size() + 1) * 2 > index_.size()) grow();
-  const std::uint64_t h = link_seq_hash(path.links);
+  const std::uint64_t h = link_seq_hash(links);
   const std::size_t mask = index_.size() - 1;
   for (std::size_t i = home(h);; i = (i + 1) & mask) {
     Slot& slot = index_[i];
     if (slot.id == kEmpty) {
       slot = Slot{h, static_cast<std::uint32_t>(paths_.size())};
-      paths_.push_back(std::move(path));
+      paths_.push_back(Path{{links.begin(), links.end()}});
       return PathId{slot.id};
     }
-    if (slot.hash == h && paths_[slot.id].links == path.links) {
+    if (slot.hash == h && std::ranges::equal(paths_[slot.id].links, links)) {
       return PathId{slot.id};
     }
   }
@@ -262,8 +275,8 @@ PathId PathPool::intern(Path path) {
 
 std::vector<Path> PathSet::materialize() const {
   std::vector<Path> out;
-  out.reserve(ids_->size());
-  for (PathId id : *ids_) out.push_back(pool_->path(id));
+  out.reserve(size());
+  for (PathId id : ids()) out.push_back(pool_->path(id));
   return out;
 }
 
@@ -276,10 +289,9 @@ RoutingGraph::RoutingGraph(const Topology& topo, std::size_t k,
   }
   const std::size_t nodes = topo.node_count();
   const std::vector<NodeId>& hosts = topo.hosts();
-  table_.assign(hosts.size() * hosts.size(), {});
-  pair_links_.assign(table_.size(), {});
-  link_pairs_.assign(topo.link_count(), {});
-  materialized_.assign(table_.size(), 0);
+  rows_.resize(hosts.size() * hosts.size());
+  link_pairs_.resize(topo.link_count());
+  materialized_.resize(rows_.size(), 0);
   in_links_.assign(nodes, {});
   for (const Link& l : topo.links()) {
     in_links_[l.dst.value()].push_back(l.id);
@@ -346,7 +358,7 @@ void RoutingGraph::rebuild(const std::unordered_set<LinkId>& banned_links) {
                       next.end(), std::back_inserter(removed));
   banned_ = std::move(next);
 
-  std::vector<char> affected(table_.size(), 0);
+  std::vector<char> affected(rows_.size(), 0);
   for (LinkId l : added) {
     for (std::uint32_t slot : link_pairs_[l.value()]) affected[slot] = 1;
   }
@@ -370,15 +382,16 @@ void RoutingGraph::rebuild(const std::unordered_set<LinkId>& banned_links) {
         if (affected[slot] != 0 || materialized_[slot] == 0) continue;
         const std::uint32_t dv = dist_from_v[hosts[bi].value()];
         if (dv == kUnreachable) continue;
-        const auto& ids = table_[slot];
-        if (ids.size() < k_) {
+        const Extent ids = rows_[slot].paths;
+        if (ids.size < k_) {
           // Starved or partitioned pair: the restored link may add paths.
           affected[slot] = 1;
           continue;
         }
         const std::size_t lb =
             static_cast<std::size_t>(du) + 1 + static_cast<std::size_t>(dv);
-        if (lb <= pool_.path(ids.back()).hops()) affected[slot] = 1;
+        const PathId last = path_arena_[ids.at + ids.size - 1];
+        if (lb <= pool_.path(last).hops()) affected[slot] = 1;
       }
     }
   }
@@ -386,16 +399,18 @@ void RoutingGraph::rebuild(const std::unordered_set<LinkId>& banned_links) {
   // Affected pairs are dropped, not recomputed — the next query (if any
   // ever comes) recomputes under the then-current banned set. Surviving
   // materialized pairs are the reuse win.
-  for (std::size_t slot = 0; slot < table_.size(); ++slot) {
+  for (std::size_t slot = 0; slot < rows_.size(); ++slot) {
     if (affected[slot] != 0) invalidate_pair(slot);
   }
   counters_.pairs_reused += materialized_count_;
+  compact_arenas();
 }
 
 void RoutingGraph::run_yen(NodeId src, NodeId dst, PathSearch& search,
                            PairScratch& out) const {
-  out.found = search.k_shortest_paths(*topo_, src, dst, k_, banned_,
-                                      &out.touched);
+  out.touched.clear();
+  search.k_shortest_paths(*topo_, src, dst, k_, banned_, out.found,
+                          &out.touched);
   std::sort(out.touched.begin(), out.touched.end());
   out.touched.erase(std::unique(out.touched.begin(), out.touched.end()),
                     out.touched.end());
@@ -432,6 +447,8 @@ void RoutingGraph::compute_pair(std::size_t slot, PairScratch& out) const {
     run_yen(hosts()[slot / H], hosts()[slot % H], search_, out);
     return;
   }
+  out.found.clear();
+  out.touched.clear();
   const LinkId up = access_[slot / H].up;
   const LinkId down = access_[slot % H].down;
   if (banned(up) || banned(down)) return;
@@ -443,15 +460,14 @@ void RoutingGraph::compute_pair(std::size_t slot, PairScratch& out) const {
     ++counters_.attach_pairs_computed;
   }
   if (mid->found.empty()) return;
-  out.found.reserve(mid->found.size());
-  for (const Path& p : mid->found) {
-    Path& full = out.found.emplace_back();
-    full.links.reserve(p.links.size() + 2);
-    full.links.push_back(up);
-    full.links.insert(full.links.end(), p.links.begin(), p.links.end());
-    full.links.push_back(down);
+  for (std::size_t i = 0; i < mid->found.size(); ++i) {
+    const std::span<const LinkId> p = mid->found[i];
+    out.found.links.push_back(up);
+    out.found.links.insert(out.found.links.end(), p.begin(), p.end());
+    out.found.links.push_back(down);
+    out.found.ends.push_back(
+        static_cast<std::uint32_t>(out.found.links.size()));
   }
-  out.touched.reserve(mid->touched.size() + 2);
   out.touched.assign(mid->touched.begin(), mid->touched.end());
   for (const LinkId l : {up, down}) {
     out.touched.insert(
@@ -459,11 +475,18 @@ void RoutingGraph::compute_pair(std::size_t slot, PairScratch& out) const {
   }
 }
 
-void RoutingGraph::commit_pair(std::size_t slot, PairScratch&& scratch) const {
-  std::vector<PathId> ids;
-  ids.reserve(scratch.found.size());
-  for (Path& p : scratch.found) ids.push_back(pool_.intern(std::move(p)));
-  set_pair(slot, std::move(ids), std::move(scratch.touched));
+void RoutingGraph::commit_pair(std::size_t slot,
+                               const PairScratch& scratch) const {
+  // An unmaterialized pair holds no candidates (an invalidated pair's are
+  // already dead), so the new ones go to the arena's end.
+  Extent& ids = rows_[slot].paths;
+  assert(ids.size == 0);
+  ids.at = static_cast<std::uint32_t>(path_arena_.size());
+  ids.size = static_cast<std::uint32_t>(scratch.found.size());
+  for (std::size_t i = 0; i < scratch.found.size(); ++i) {
+    path_arena_.push_back(pool_.intern(scratch.found[i]));
+  }
+  set_pair_links(slot, scratch.touched);
   if (materialized_[slot] == 0) {
     materialized_[slot] = 1;
     ++materialized_count_;
@@ -472,17 +495,17 @@ void RoutingGraph::commit_pair(std::size_t slot, PairScratch&& scratch) const {
 }
 
 void RoutingGraph::recompute_pair(std::size_t slot) const {
-  PairScratch scratch;
-  compute_pair(slot, scratch);
-  commit_pair(slot, std::move(scratch));
+  compute_pair(slot, scratch_);
+  commit_pair(slot, scratch_);
 }
 
 void RoutingGraph::invalidate_pair(std::size_t slot) {
   if (materialized_[slot] == 0) return;
-  // The candidate list goes; the stored touched union stays as the diff
-  // witness set_pair needs when the pair is eventually recomputed (and as a
+  // The candidates go; the stored touched union stays as the diff witness
+  // set_pair_links needs when the pair is eventually recomputed (and as a
   // conservative reverse-index entry for future added-link scans).
-  table_[slot].clear();
+  path_dead_ += rows_[slot].paths.size;
+  rows_[slot].paths.size = 0;
   materialized_[slot] = 0;
   --materialized_count_;
   ++counters_.pairs_invalidated;
@@ -494,15 +517,17 @@ void RoutingGraph::ensure_pair(std::size_t slot) const {
   ++counters_.lazy_materializations;
 }
 
-void RoutingGraph::set_pair(std::size_t slot, std::vector<PathId> ids,
-                            std::vector<LinkId> touched) const {
+void RoutingGraph::set_pair_links(std::size_t slot,
+                                  std::span<const LinkId> touched) const {
   // Both lists are sorted by link, so one merge walk diffs them. A link the
   // pair leaves drops the slot by swap-and-pop; the slot moved into its
   // place finds the link in its own sorted list by binary search and takes
-  // the new position. No reader depends on a reverse list's order.
-  std::vector<PairLink>& old_links = pair_links_[slot];
-  std::vector<PairLink> next;
-  next.reserve(touched.size());
+  // the new position. No reader depends on a reverse list's order. The new
+  // list is built in scratch: writing it over the old one during the walk
+  // would overwrite entries not yet read.
+  const std::span<const PairLink> old_links = pair_links(slot);
+  std::vector<PairLink>& next = links_scratch_;
+  next.clear();
   const auto slot32 = static_cast<std::uint32_t>(slot);
   auto old_it = old_links.begin();
   for (LinkId l : touched) {
@@ -518,10 +543,20 @@ void RoutingGraph::set_pair(std::size_t slot, std::vector<PathId> ids,
     }
   }
   for (; old_it != old_links.end(); ++old_it) drop_pair_link(*old_it);
-  // Assigning in place keeps the inner vector object (and therefore any
-  // outstanding PathSet view of this pair) valid.
-  table_[slot] = std::move(ids);
-  old_links = std::move(next);
+  // A union that fits the slot's room is rewritten in place; a longer one
+  // moves to the arena's end and abandons the old room.
+  PairRow& row = rows_[slot];
+  const auto n = static_cast<std::uint32_t>(next.size());
+  if (n > row.link_room) {
+    link_dead_ += row.links.size;
+    row.links.at = static_cast<std::uint32_t>(link_arena_.size());
+    row.link_room = n;
+    link_arena_.insert(link_arena_.end(), next.begin(), next.end());
+  } else {
+    link_dead_ = link_dead_ + row.links.size - n;
+    std::copy(next.begin(), next.end(), link_arena_.begin() + row.links.at);
+  }
+  row.links.size = n;
 }
 
 void RoutingGraph::drop_pair_link(PairLink entry) const {
@@ -530,12 +565,38 @@ void RoutingGraph::drop_pair_link(PairLink entry) const {
   pairs[entry.pos] = moved;
   pairs.pop_back();
   if (entry.pos == pairs.size()) return;  // it was the last one
-  auto& links = pair_links_[moved];
+  const std::span<PairLink> links = pair_links(moved);
   const auto it = std::lower_bound(
       links.begin(), links.end(), entry.link,
       [](const PairLink& p, LinkId l) { return p.link < l; });
   assert(it != links.end() && it->link == entry.link);
   it->pos = entry.pos;
+}
+
+void RoutingGraph::compact_arenas() {
+  if (path_dead_ * 2 > path_arena_.size()) {
+    std::vector<PathId> packed;
+    packed.reserve(path_arena_.size() - path_dead_);
+    for (PairRow& row : rows_) {
+      const auto from = path_arena_.begin() + row.paths.at;
+      row.paths.at = static_cast<std::uint32_t>(packed.size());
+      packed.insert(packed.end(), from, from + row.paths.size);
+    }
+    path_arena_ = std::move(packed);
+    path_dead_ = 0;
+  }
+  if (link_dead_ * 2 > link_arena_.size()) {
+    std::vector<PairLink> packed;
+    packed.reserve(link_arena_.size() - link_dead_);
+    for (PairRow& row : rows_) {
+      const auto from = link_arena_.begin() + row.links.at;
+      row.links.at = static_cast<std::uint32_t>(packed.size());
+      row.link_room = row.links.size;
+      packed.insert(packed.end(), from, from + row.links.size);
+    }
+    link_arena_ = std::move(packed);
+    link_dead_ = 0;
+  }
 }
 
 void RoutingGraph::bfs_hops(NodeId origin, bool reverse,
@@ -563,7 +624,7 @@ void RoutingGraph::bfs_hops(NodeId origin, bool reverse,
 
 void RoutingGraph::materialize_all(util::ThreadPool* pool) {
   std::vector<std::uint32_t> todo;  // unmaterialized slots, canonical order
-  for (std::size_t slot = 0; slot < table_.size(); ++slot) {
+  for (std::size_t slot = 0; slot < rows_.size(); ++slot) {
     if (materialized_[slot] == 0 && !diagonal(slot)) {
       todo.push_back(static_cast<std::uint32_t>(slot));
     }
@@ -622,7 +683,7 @@ void RoutingGraph::materialize_all(util::ThreadPool* pool) {
   }
   for (std::uint32_t slot : todo) {
     if (next < scratch.size() && attach_pair(slot) == kNoAttachPair) {
-      commit_pair(slot, std::move(scratch[next++]));
+      commit_pair(slot, scratch[next++]);
     } else {
       recompute_pair(slot);  // stub pairs derive from the cache
     }
@@ -636,12 +697,12 @@ PathSet RoutingGraph::paths(NodeId src_host, NodeId dst_host) const {
   assert(a != kNotHost && b != kNotHost &&
          "RoutingGraph::paths endpoints must be hosts of this topology");
   if (a == kNotHost || b == kNotHost) {
-    static const std::vector<PathId> kNoIds;
-    return {&kNoIds, &pool_};
+    static const Extent kNoPaths;
+    return {&path_arena_, &kNoPaths, &pool_};
   }
   const std::size_t slot = pair_slot(a, b);
   ensure_pair(slot);
-  return {&table_[slot], &pool_};
+  return {&path_arena_, &rows_[slot].paths, &pool_};
 }
 
 bool RoutingGraph::is_host_pair(NodeId src_host, NodeId dst_host) const {
@@ -655,7 +716,7 @@ bool RoutingGraph::has_paths(NodeId src_host, NodeId dst_host) const {
   if (a == kNotHost || b == kNotHost) return false;
   const std::size_t slot = pair_slot(a, b);
   ensure_pair(slot);
-  return !table_[slot].empty();
+  return rows_[slot].paths.size != 0;
 }
 
 std::size_t RoutingGraph::pairs_using(LinkId l) const {

@@ -16,7 +16,9 @@
 // of link-vector copies, a reverse index LinkId → {host pairs using it} lets
 // rebuild() drop only the pairs a failed/restored link can affect, and the
 // control plane (controller/allocator) passes ids on the per-flow hot path
-// instead of copying/comparing link vectors.
+// instead of copying/comparing link vectors. No host pair owns a heap
+// object: each slot of the dense pair table is an offset and a count into
+// one shared arena of candidate ids and one of touched links.
 //
 // The table is lazy: a pair is computed on its first paths()/has_paths()
 // query, and rebuild() merely *invalidates* the affected materialized pairs.
@@ -69,6 +71,29 @@ struct Path {
   friend bool operator==(const Path&, const Path&) = default;
 };
 
+/// Paths stored back to back: path i is links[ends[i − 1], ends[i]), the
+/// first starting at 0. A list reused across searches allocates only when it
+/// outgrows every earlier one.
+struct PathList {
+  std::vector<LinkId> links;
+  std::vector<std::uint32_t> ends;
+
+  [[nodiscard]] std::size_t size() const { return ends.size(); }
+  [[nodiscard]] bool empty() const { return ends.empty(); }
+  [[nodiscard]] std::span<const LinkId> operator[](std::size_t i) const {
+    const std::uint32_t begin = i == 0 ? 0 : ends[i - 1];
+    return {links.data() + begin, ends[i] - begin};
+  }
+  void push(std::span<const LinkId> path) {
+    links.insert(links.end(), path.begin(), path.end());
+    ends.push_back(static_cast<std::uint32_t>(links.size()));
+  }
+  void clear() {
+    links.clear();
+    ends.clear();
+  }
+};
+
 /// Reusable state for hop-count path searches: epoch-stamped banned-link
 /// and visited marks, parent links, the BFS level buffers and Yen's
 /// candidate store, grown to the topology on first use. The caller owns it;
@@ -97,6 +122,13 @@ class PathSearch {
       const Topology& topo, NodeId src, NodeId dst, std::size_t k,
       std::span<const LinkId> excluded_links = {},
       std::vector<LinkId>* touched_links = nullptr);
+
+  /// The same search writing the chosen paths, in order, into `out` (cleared
+  /// first): a warm search on a reused list allocates nothing.
+  void k_shortest_paths(const Topology& topo, NodeId src, NodeId dst,
+                        std::size_t k, std::span<const LinkId> excluded_links,
+                        PathList& out,
+                        std::vector<LinkId>* touched_links = nullptr);
 
  private:
   /// A Yen candidate: `size` links of cand_links_ starting at `begin`.
@@ -151,7 +183,9 @@ std::vector<Path> k_shortest_paths(
 /// control plane can hold `const Path*` across rebuilds.
 class PathPool {
  public:
-  PathId intern(Path path);
+  /// Interns a link sequence, copying it only when it is new to the pool.
+  PathId intern(std::span<const LinkId> links);
+  PathId intern(const Path& path) { return intern(std::span(path.links)); }
 
   [[nodiscard]] const Path& path(PathId id) const {
     assert(id.valid() && id.value() < paths_.size());
@@ -182,25 +216,38 @@ class PathPool {
   unsigned shift_ = 64;  // 64 − log2(index_.size())
 };
 
-/// Non-owning view of one host pair's candidate paths: an id vector in the
-/// routing table plus the pool that resolves them. Indexing returns the
-/// interned `const Path&` (pool storage is stable), so existing callers that
-/// range-for over candidates and keep `&path` work unchanged. The view
-/// itself tracks the live table: after a rebuild that drops the pair it is
-/// empty until the next paths() query recomputes the pair; call
-/// `materialize()` to snapshot instead.
+/// A run of `size` consecutive arena entries starting at `at`.
+struct Extent {
+  std::uint32_t at = 0;
+  std::uint32_t size = 0;
+};
+
+/// Non-owning view of one host pair's candidate paths: the pair's extent in
+/// the routing table's id arena plus the pool that resolves the ids.
+/// Indexing returns the interned `const Path&` (pool storage is stable), so
+/// callers that range-for over candidates and keep `&path` work unchanged.
+/// Every access reads the extent's offset and count afresh, so the view
+/// tracks the live table: other pairs' first touches may move the arena, and
+/// after a rebuild that drops the pair the view is empty until the next
+/// paths() query recomputes it. Call `materialize()` to snapshot instead.
 class PathSet {
  public:
-  PathSet(const std::vector<PathId>* ids, const PathPool* pool)
-      : ids_(ids), pool_(pool) {}
+  PathSet(const std::vector<PathId>* arena, const Extent* extent,
+          const PathPool* pool)
+      : arena_(arena), extent_(extent), pool_(pool) {}
 
-  [[nodiscard]] std::size_t size() const { return ids_->size(); }
-  [[nodiscard]] bool empty() const { return ids_->empty(); }
+  [[nodiscard]] std::size_t size() const { return extent_->size; }
+  [[nodiscard]] bool empty() const { return extent_->size == 0; }
   [[nodiscard]] const Path& operator[](std::size_t i) const {
-    return pool_->path((*ids_)[i]);
+    return pool_->path(id(i));
   }
-  [[nodiscard]] PathId id(std::size_t i) const { return (*ids_)[i]; }
-  [[nodiscard]] const std::vector<PathId>& ids() const { return *ids_; }
+  [[nodiscard]] PathId id(std::size_t i) const {
+    assert(i < extent_->size);
+    return (*arena_)[extent_->at + i];
+  }
+  [[nodiscard]] std::span<const PathId> ids() const {
+    return {arena_->data() + extent_->at, extent_->size};
+  }
   [[nodiscard]] const PathPool& pool() const { return *pool_; }
 
   /// Deep copy of the current candidates; survives later rebuilds that
@@ -237,10 +284,11 @@ class PathSet {
   };
 
   [[nodiscard]] const_iterator begin() const { return {this, 0}; }
-  [[nodiscard]] const_iterator end() const { return {this, ids_->size()}; }
+  [[nodiscard]] const_iterator end() const { return {this, size()}; }
 
  private:
-  const std::vector<PathId>* ids_;
+  const std::vector<PathId>* arena_;
+  const Extent* extent_;
   const PathPool* pool_;
 };
 
@@ -321,7 +369,7 @@ class RoutingGraph {
 
   /// Interns an externally built path (e.g. composed rack chains) into the
   /// shared pool so the rest of the control plane can pass ids around.
-  PathId intern(Path path) { return pool_.intern(std::move(path)); }
+  PathId intern(const Path& path) { return pool_.intern(path); }
   [[nodiscard]] const Path& path(PathId id) const { return pool_.path(id); }
 
   /// Number of ordered host pairs whose last Yen run *touched* `l` — i.e.
@@ -364,11 +412,11 @@ class RoutingGraph {
   static constexpr std::size_t kNoAttachPair =
       std::numeric_limits<std::size_t>::max();
 
-  /// One Yen result before interning: private scratch a worker thread can
-  /// fill without touching shared graph state. `touched` is sorted and
+  /// One Yen result before interning: scratch a worker thread can fill
+  /// without touching shared graph state. `touched` is sorted and
   /// deduplicated.
   struct PairScratch {
-    std::vector<Path> found;
+    PathList found;
     std::vector<LinkId> touched;
   };
 
@@ -379,6 +427,22 @@ class RoutingGraph {
     LinkId up;
     LinkId down;
     std::uint32_t attach = kNotHost;
+  };
+
+  /// A link a pair's last Yen run touched, and the pair's position in the
+  /// link's reverse list.
+  struct PairLink {
+    LinkId link;
+    std::uint32_t pos;
+  };
+
+  /// One host pair's slot: its candidates in path_arena_, its touched links
+  /// in link_arena_, and the link entries a recompute may rewrite in place
+  /// (`link_room` ≥ links.size).
+  struct PairRow {
+    Extent paths;
+    Extent links;
+    std::uint32_t link_room = 0;
   };
 
   [[nodiscard]] const std::vector<NodeId>& hosts() const {
@@ -393,6 +457,10 @@ class RoutingGraph {
   [[nodiscard]] bool banned(LinkId l) const {
     return std::binary_search(banned_.begin(), banned_.end(), l);
   }
+  [[nodiscard]] std::span<PairLink> pair_links(std::size_t slot) const {
+    const Extent e = rows_[slot].links;
+    return {link_arena_.data() + e.at, e.size};
+  }
 
   /// Pure Yen run between two nodes under banned_ into scratch: reads only
   /// the topology and the banned set, writes only `search` and `out` — safe
@@ -404,15 +472,17 @@ class RoutingGraph {
   [[nodiscard]] std::size_t attach_pair(std::size_t slot) const;
   /// The attachment-pair cache entry, allocating the table on first use.
   std::optional<PairScratch>& attach_entry(std::size_t ap) const;
-  /// One host pair's candidates under banned_: host-to-host Yen, or for a
-  /// stub pair the composition over the (cached) switch-level run. Not
-  /// thread-safe: it runs on search_ and may fill the attachment cache.
+  /// One host pair's candidates under banned_ into `out` (cleared first):
+  /// host-to-host Yen, or for a stub pair the composition over the (cached)
+  /// switch-level run. Not thread-safe: it runs on search_ and may fill the
+  /// attachment cache.
   void compute_pair(std::size_t slot, PairScratch& out) const;
-  /// Interns a scratch result and installs it (PathId assignment happens
-  /// here, on the calling thread — never on workers). const because it
-  /// mutates only the lazy-cache members below.
-  void commit_pair(std::size_t slot, PairScratch&& scratch) const;
-  /// compute_pair + commit_pair for one slot.
+  /// Interns a scratch result and installs it as the slot's candidates and
+  /// touched links (PathId assignment happens here, on the calling thread —
+  /// never on workers). const because it mutates only the lazy-cache
+  /// members below.
+  void commit_pair(std::size_t slot, const PairScratch& scratch) const;
+  /// compute_pair + commit_pair for one slot, through scratch_.
   void recompute_pair(std::size_t slot) const;
   /// Drops a materialized pair's candidates (the next query recomputes them
   /// under the then-current banned set). Keeps the stored touched union as
@@ -420,19 +490,15 @@ class RoutingGraph {
   void invalidate_pair(std::size_t slot);
   /// Materializes `slot` if it is an unmaterialized off-diagonal pair.
   void ensure_pair(std::size_t slot) const;
-  /// Replaces a pair's candidates and touched-link union, updating the
-  /// link → pairs reverse index by diffing old and new unions. `touched`
-  /// must be sorted and deduplicated. const: lazy-cache members only.
-  void set_pair(std::size_t slot, std::vector<PathId> ids,
-                std::vector<LinkId> touched) const;
-  /// A link a pair's last Yen run touched, and the pair's position in the
-  /// link's reverse list.
-  struct PairLink {
-    LinkId link;
-    std::uint32_t pos;
-  };
+  /// Replaces a pair's touched-link union, updating the link → pairs reverse
+  /// index by diffing old and new unions. `touched` must be sorted and
+  /// deduplicated. const: lazy-cache members only.
+  void set_pair_links(std::size_t slot, std::span<const LinkId> touched) const;
   /// Removes one pair from a link's reverse list by swap-and-pop.
   void drop_pair_link(PairLink entry) const;
+  /// Rewrites each arena whose dead entries outnumber its live ones with
+  /// only the live extents, in slot order.
+  void compact_arenas();
   /// Hop-count BFS from `origin` over links outside banned_; `reverse`
   /// walks links backwards (distance *to* origin). Fills `dist`
   /// (kUnreachable for disconnected nodes).
@@ -461,10 +527,15 @@ class RoutingGraph {
   // and the materialized count go to encode_counters.
   mutable PathPool pool_;
   // Dense table: slot = host_index(src) * H + host_index(dst).
-  mutable std::vector<std::vector<PathId>> table_;
-  // Per-slot union of links touched by the pair's last Yen run, sorted by
-  // link, each with the slot's position in that link's reverse list.
-  mutable std::vector<std::vector<PairLink>> pair_links_;
+  mutable std::vector<PairRow> rows_;
+  // Candidate ids of every slot, each slot's run in candidate order.
+  mutable std::vector<PathId> path_arena_;
+  // Touched-link union of every slot's last Yen run, each slot's run sorted
+  // by link, with the slot's position in that link's reverse list.
+  mutable std::vector<PairLink> link_arena_;
+  // Arena entries outside every live extent (an abandoned or shrunk run).
+  mutable std::size_t path_dead_ = 0;
+  mutable std::size_t link_dead_ = 0;
   // Reverse index: link id → slots whose last Yen run touched it, unordered.
   mutable std::vector<std::vector<std::uint32_t>> link_pairs_;
   // Per-slot flag: candidates computed and current (off-diagonal only).
@@ -478,9 +549,12 @@ class RoutingGraph {
   // pair is materialized); a restored graph recomputes an entry on the next
   // stub-pair query that needs it.
   mutable std::vector<std::optional<PairScratch>> attach_cache_;
-  // pythia-lint: allow(snapshot-skip) search scratch for lazy queries,
-  // fill-before-read on every search; holds no state between them.
+  // pythia-lint: allow(snapshot-skip, group) search and first-touch scratch
+  // for lazy queries, fill-before-read on every use; they hold no state
+  // between queries.
   mutable PathSearch search_;
+  mutable PairScratch scratch_;
+  mutable std::vector<PairLink> links_scratch_;
 };
 
 }  // namespace pythia::net

@@ -4,27 +4,107 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "sim/snapshot.hpp"
 #include "util/log.hpp"
 
 namespace pythia::sdn {
 
+namespace {
+
+[[noreturn]] void reject_field(const char* field, const char* why) {
+  throw std::invalid_argument(std::string("ControllerConfig::") + field +
+                              " " + why);
+}
+
+/// `cfg`, once every field is one the event loop can run: the durations
+/// schedule events after now(), and the longest retry wait stays far from
+/// overflowing the clock.
+const ControllerConfig& validated(const ControllerConfig& cfg) {
+  const std::pair<const char*, util::Duration> durations[] = {
+      {"rule_install_latency", cfg.rule_install_latency},
+      {"link_stats_period", cfg.link_stats_period},
+      {"retry_backoff", cfg.retry_backoff},
+      {"install_timeout", cfg.install_timeout},
+  };
+  for (const auto& [field, d] : durations) {
+    if (d < util::Duration::zero()) reject_field(field, "must not be negative");
+  }
+  if (!(cfg.install_reject_probability >= 0.0 &&
+        cfg.install_reject_probability <= 1.0)) {
+    reject_field("install_reject_probability", "must be in [0, 1]");
+  }
+  // Retry n waits retry_backoff · 2^(n−1), so the waits of all
+  // max_install_retries retries sum to retry_backoff · (2^r − 1). Summed
+  // here term by term, each bounded before it is added or doubled; a doubling
+  // factor past 2^62 would not fit the int64 it is computed in.
+  const std::int64_t budget = util::Duration::max().ns() / 2;
+  std::int64_t total = 0;
+  std::int64_t wait = cfg.retry_backoff.ns();
+  for (std::size_t n = 0; n < cfg.max_install_retries; ++n) {
+    if (n > 62 || wait > budget - total) {
+      reject_field("max_install_retries",
+                   "with retry_backoff: total backoff retry_backoff * "
+                   "(2^max_install_retries - 1) exceeds half of "
+                   "Duration::max()");
+    }
+    total += wait;
+    wait *= 2;
+  }
+  return cfg;
+}
+
+}  // namespace
+
 Controller::Controller(sim::Simulation& sim, net::Fabric& fabric,
                        const net::Topology& topo, ControllerConfig cfg)
-    : sim_(&sim),
+    : cfg_(validated(cfg)),
+      sim_(&sim),
       fabric_(&fabric),
       topo_(&topo),
-      cfg_(cfg),
       // Pairs Yen-compute on first query, so warehouse-scale topologies
       // don't pay a full cold build at startup. The routing suites check
       // every pair against direct k_shortest_paths calls
       // (tests/net/routing_oracle.hpp). Throws on k_paths == 0.
       routing_(topo, cfg.k_paths),
       ecmp_(routing_),
+      rule_rows_(topo.hosts().size() * topo.hosts().size(), kNoRule),
+      table_occupancy_(topo.node_count(), 0),
+      table_listed_(topo.node_count(), 0),
       snapshot_load_bps_(topo.link_count(), 0.0),
       snapshot_shuffle_bps_(topo.link_count(), 0.0),
-      flow_mod_channel_(sim, "sdn.flow_mod", cfg.flow_mod_channel) {}
+      flow_mod_channel_(sim, "sdn.flow_mod", cfg.flow_mod_channel) {
+  for (const net::Node& n : topo.nodes()) {
+    racks_ = std::max(racks_, static_cast<std::size_t>(n.rack + 1));
+  }
+}
+
+std::uint32_t Controller::pair_row(net::NodeId a, net::NodeId b) const {
+  const std::uint32_t ai = topo_->host_index(a);
+  const std::uint32_t bi = topo_->host_index(b);
+  if (ai == net::Topology::kNoHost || bi == net::Topology::kNoHost) {
+    return kNoRule;
+  }
+  return static_cast<std::uint32_t>(ai * topo_->hosts().size() + bi);
+}
+
+std::uint64_t Controller::row_key(std::uint32_t row) const {
+  const std::vector<net::NodeId>& hosts = topo_->hosts();
+  return pair_key(hosts[row / hosts.size()], hosts[row % hosts.size()]);
+}
+
+Controller::PendingRule* Controller::rule_at(std::uint32_t row) {
+  const std::uint32_t index = rule_rows_[row];
+  return index == kNoRule ? nullptr : &rules_[index];
+}
+
+const Controller::PendingRule* Controller::rule_at(std::uint32_t row) const {
+  const std::uint32_t index = rule_rows_[row];
+  return index == kNoRule ? nullptr : &rules_[index];
+}
 
 void Controller::refresh_snapshot_if_stale() const {
   const util::SimTime now = sim_->now();
@@ -89,7 +169,15 @@ const net::Path& Controller::resolve(net::NodeId src_host,
 void Controller::install_rack_path(int src_rack, int dst_rack,
                                    net::Path chain) {
   assert(src_rack >= 0 && dst_rack >= 0 && src_rack != dst_rack);
-  const std::uint64_t key = rack_key(src_rack, dst_rack);
+  assert(static_cast<std::size_t>(std::max(src_rack, dst_rack)) < racks_ &&
+         "rack rules join racks of the topology");
+  if (std::min(src_rack, dst_rack) < 0 ||
+      std::max(src_rack, dst_rack) >= static_cast<int>(racks_)) {
+    return;
+  }
+  const std::size_t row =
+      static_cast<std::size_t>(src_rack) * racks_ +
+      static_cast<std::size_t>(dst_rack);
   const util::SimTime now = sim_->now();
 
   for (net::LinkId l : chain.links) {
@@ -110,17 +198,18 @@ void Controller::install_rack_path(int src_rack, int dst_rack,
   }
   flow_mods_ += std::max<std::uint64_t>(mods, 1);
   ++rules_installed_;
-  rack_rules_[key] = std::move(pending);
+  if (rack_rules_.empty()) rack_rules_.resize(racks_ * racks_);
+  rack_rules_[row] = std::move(pending);
   rack_path_cache_.clear();  // composed paths may change
 
   sim_->after(cfg_.rule_install_latency,
-              [this, key] { activate_rack_rule(key); });
+              [this, row] { activate_rack_rule(row); });
 }
 
-void Controller::activate_rack_rule(std::uint64_t key) {
-  auto it = rack_rules_.find(key);
-  if (it == rack_rules_.end()) return;
-  PendingRackRule& pending = it->second;
+void Controller::activate_rack_rule(std::size_t row) {
+  std::optional<PendingRackRule>& rule = rack_rules_[row];
+  if (!rule) return;
+  PendingRackRule& pending = *rule;
   if (sim_->now() < pending.active_at) return;  // superseded install
   pending.active = true;
   rack_path_cache_.clear();
@@ -143,9 +232,14 @@ void Controller::activate_rack_rule(std::uint64_t key) {
 
 const net::Path* Controller::active_rack_chain(int src_rack,
                                                int dst_rack) const {
-  const auto it = rack_rules_.find(rack_key(src_rack, dst_rack));
-  if (it == rack_rules_.end() || !it->second.active) return nullptr;
-  return &it->second.chain;
+  if (src_rack < 0 || dst_rack < 0 || rack_rules_.empty() ||
+      std::max(src_rack, dst_rack) >= static_cast<int>(racks_)) {
+    return nullptr;
+  }
+  const auto& rule = rack_rules_[static_cast<std::size_t>(src_rack) * racks_ +
+                                 static_cast<std::size_t>(dst_rack)];
+  if (!rule || !rule->active) return nullptr;
+  return &rule->chain;
 }
 
 const net::Path* Controller::compose_rack_path(net::NodeId src_host,
@@ -189,19 +283,31 @@ std::uint64_t Controller::switch_hops(const net::Path& path) const {
   return hops;
 }
 
-Controller::RuleMap::iterator Controller::erase_rule(RuleMap::iterator it) {
-  for (net::LinkId l : it->second.rule.path->links) {
+void Controller::erase_rule(std::size_t index) {
+  PendingRule& gone = rules_[index];
+  for (net::LinkId l : gone.rule.path->links) {
     const net::NodeId sw = topo_->link(l).src;
     if (topo_->node(sw).kind != net::NodeKind::kSwitch) continue;
-    const auto occ = table_occupancy_.find(sw.value());
-    if (occ != table_occupancy_.end() && occ->second > 0) --occ->second;
+    std::size_t& occupancy = table_occupancy_[sw.value()];
+    if (occupancy > 0) --occupancy;
   }
-  return rules_.erase(it);
+  rule_rows_[gone.row] = kNoRule;
+  if (index + 1 != rules_.size()) {
+    gone = std::move(rules_.back());
+    rule_rows_[gone.row] = static_cast<std::uint32_t>(index);
+  }
+  rules_.pop_back();
 }
 
 std::size_t Controller::table_occupancy(net::NodeId switch_node) const {
-  const auto it = table_occupancy_.find(switch_node.value());
-  return it == table_occupancy_.end() ? 0 : it->second;
+  return switch_node.value() < table_occupancy_.size()
+             ? table_occupancy_[switch_node.value()]
+             : 0;
+}
+
+std::size_t& Controller::list_table(net::NodeId sw) {
+  table_listed_[sw.value()] = 1;
+  return table_occupancy_[sw.value()];
 }
 
 bool Controller::admit_to_tables(const net::Path& path,
@@ -210,27 +316,29 @@ bool Controller::admit_to_tables(const net::Path& path,
   for (net::LinkId l : path.links) {
     const net::NodeId sw = topo_->link(l).src;
     if (topo_->node(sw).kind != net::NodeKind::kSwitch) continue;
-    while (table_occupancy_[sw.value()] >= cfg_.flow_table_capacity) {
+    while (list_table(sw) >= cfg_.flow_table_capacity) {
       // Evict the smallest-volume rule holding an entry on this switch — but
-      // only if the newcomer is strictly larger; otherwise refuse it.
-      auto victim = rules_.end();
-      // pythia-lint: allow(unordered-iter) min scan with a total-order key
-      // tie-break; the victim is unique whatever the visit order
-      for (auto it = rules_.begin(); it != rules_.end(); ++it) {
-        const auto& links = it->second.rule.path->links;
+      // only if the newcomer is strictly larger; otherwise refuse it. Ties go
+      // to the lower row, which is the lower pair key, so the victim is
+      // unique whatever order rules_ is in.
+      std::size_t victim = rules_.size();
+      for (std::size_t i = 0; i < rules_.size(); ++i) {
+        const PendingRule& r = rules_[i];
+        const auto& links = r.rule.path->links;
         const bool occupies =
             std::any_of(links.begin(), links.end(), [&](net::LinkId rl) {
               return topo_->link(rl).src == sw;
             });
         if (!occupies) continue;
-        if (victim == rules_.end() ||
-            it->second.volume_hint < victim->second.volume_hint ||
-            (it->second.volume_hint == victim->second.volume_hint &&
-             it->first < victim->first)) {
-          victim = it;
+        if (victim == rules_.size() ||
+            r.volume_hint < rules_[victim].volume_hint ||
+            (r.volume_hint == rules_[victim].volume_hint &&
+             r.row < rules_[victim].row)) {
+          victim = i;
         }
       }
-      if (victim == rules_.end() || victim->second.volume_hint >= volume_hint) {
+      if (victim == rules_.size() ||
+          rules_[victim].volume_hint >= volume_hint) {
         ++table_rejects_;
         return false;
       }
@@ -241,12 +349,12 @@ bool Controller::admit_to_tables(const net::Path& path,
       // it, in insertion order) happens exactly as the serial arm did it —
       // erasing an unattempted rule would drop its counters and RNG draws.
       if (batch_open_) {
-        const std::uint64_t vkey = victim->first;
+        const std::uint32_t vrow = rules_[victim].row;
         if (std::any_of(batch_pending_.begin(), batch_pending_.end(),
-                        [vkey](const auto& p) { return p.first == vkey; })) {
+                        [vrow](const auto& p) { return p.first == vrow; })) {
           flush_install_batch();
-          victim = rules_.find(vkey);
-          if (victim == rules_.end()) continue;  // flushed away; rescan
+          victim = rule_rows_[vrow];
+          if (victim == kNoRule) continue;  // flushed away; rescan
         }
       }
       erase_rule(victim);
@@ -256,11 +364,11 @@ bool Controller::admit_to_tables(const net::Path& path,
 }
 
 bool Controller::install_path(net::NodeId src_host, net::NodeId dst_host,
-                              net::Path path, util::Bytes volume_hint) {
+                              const net::Path& path, util::Bytes volume_hint) {
   // Interning is idempotent: a path already known to the pool (the common
   // case — candidates come from the routing table) resolves to its id
   // without copying.
-  return install_path_id(src_host, dst_host, routing_.intern(std::move(path)),
+  return install_path_id(src_host, dst_host, routing_.intern(path),
                          volume_hint);
 }
 
@@ -270,12 +378,14 @@ bool Controller::install_path_id(net::NodeId src_host, net::NodeId dst_host,
                                  std::uint64_t intent_weight) {
   const net::Path& path = routing_.path(path_id);
   assert(topo_->validate_path(src_host, dst_host, path.links));
+  const std::uint32_t row = pair_row(src_host, dst_host);
+  assert(row != kNoRule && "rules join two hosts");
+  if (row == kNoRule) return false;
   // Refuse rules over failed links: the requester is working from stale
   // state; traffic stays on ECMP over the rebuilt routing graph instead.
   for (net::LinkId l : path.links) {
     if (failed_links_.contains(l)) return false;
   }
-  const std::uint64_t key = pair_key(src_host, dst_host);
   const util::SimTime now = sim_->now();
 
   // A re-install supersedes any previous rule for the pair (and releases its
@@ -285,12 +395,10 @@ bool Controller::install_path_id(net::NodeId src_host, net::NodeId dst_host,
   // and skipping the old attempt would shift every later RNG draw.
   if (batch_open_ &&
       std::any_of(batch_pending_.begin(), batch_pending_.end(),
-                  [key](const auto& p) { return p.first == key; })) {
+                  [row](const auto& p) { return p.first == row; })) {
     flush_install_batch();
   }
-  if (auto existing = rules_.find(key); existing != rules_.end()) {
-    erase_rule(existing);
-  }
+  if (rule_rows_[row] != kNoRule) erase_rule(rule_rows_[row]);
   if (!admit_to_tables(path, volume_hint)) {
     table_reject_intents_ += intent_weight;
     return false;
@@ -303,19 +411,19 @@ bool Controller::install_path_id(net::NodeId src_host, net::NodeId dst_host,
   pending.volume_hint = volume_hint;
   pending.epoch = ++install_epoch_;
   pending.intent_weight = intent_weight;
+  pending.row = row;
   for (net::LinkId l : path.links) {
     const net::NodeId sw = topo_->link(l).src;
-    if (topo_->node(sw).kind == net::NodeKind::kSwitch) {
-      ++table_occupancy_[sw.value()];
-    }
+    if (topo_->node(sw).kind == net::NodeKind::kSwitch) ++list_table(sw);
   }
   ++rules_installed_;
   const std::uint64_t epoch = pending.epoch;
-  rules_[key] = std::move(pending);
+  rule_rows_[row] = static_cast<std::uint32_t>(rules_.size());
+  rules_.push_back(pending);
   if (batch_open_) {
-    batch_pending_.emplace_back(key, epoch);
+    batch_pending_.emplace_back(row, epoch);
   } else {
-    attempt_install(key);
+    attempt_install(row);
   }
   return true;
 }
@@ -327,12 +435,12 @@ void Controller::begin_install_batch() {
 
 void Controller::flush_install_batch() {
   for (std::size_t i = 0; i < batch_pending_.size(); ++i) {
-    const auto [key, epoch] = batch_pending_[i];
-    const auto it = rules_.find(key);
+    const auto [row, epoch] = batch_pending_[i];
+    const PendingRule* rule = rule_at(row);
     // Superseded or removed while deferred: its replacement carries its own
     // batch entry (or was installed unbatched after a flush).
-    if (it == rules_.end() || it->second.epoch != epoch) continue;
-    attempt_install(key);
+    if (rule == nullptr || rule->epoch != epoch) continue;
+    attempt_install(row);
   }
   batch_pending_.clear();
 }
@@ -343,76 +451,74 @@ void Controller::commit_install_batch() {
   batch_open_ = false;
 }
 
-void Controller::attempt_install(std::uint64_t key) {
-  auto it = rules_.find(key);
-  if (it == rules_.end()) return;
-  PendingRule& pending = it->second;
-  const std::uint64_t epoch = pending.epoch;
-  const std::size_t attempt = pending.attempt;
+void Controller::attempt_install(std::uint32_t row) {
+  PendingRule* pending = rule_at(row);
+  if (pending == nullptr) return;
+  const std::uint64_t epoch = pending->epoch;
+  const std::size_t attempt = pending->attempt;
   ++install_attempts_;
-  install_attempt_intents_ += pending.intent_weight;
+  install_attempt_intents_ += pending->intent_weight;
 
   if (cfg_.install_reject_probability > 0.0 &&
       sim_->rng("sdn.install").uniform01() < cfg_.install_reject_probability) {
     ++install_rejects_;
-    install_reject_intents_ += pending.intent_weight;
-    fail_attempt(key);
+    install_reject_intents_ += pending->intent_weight;
+    fail_attempt(row);
     return;
   }
 
   // One flow-mod per switch hop, re-sent on every attempt.
-  flow_mods_ += std::max<std::uint64_t>(switch_hops(*pending.rule.path), 1);
-  flow_mod_channel_.send([this, key, epoch, attempt] {
-    auto cur = rules_.find(key);
-    if (cur == rules_.end() || cur->second.epoch != epoch ||
-        cur->second.attempt != attempt || cur->second.confirmed) {
+  flow_mods_ += std::max<std::uint64_t>(switch_hops(*pending->rule.path), 1);
+  flow_mod_channel_.send([this, row, epoch, attempt] {
+    PendingRule* cur = rule_at(row);
+    if (cur == nullptr || cur->epoch != epoch || cur->attempt != attempt ||
+        cur->confirmed) {
       return;  // superseded, removed, or a duplicate delivery
     }
-    cur->second.confirmed = true;
-    cur->second.rule.active_at = sim_->now() + cfg_.rule_install_latency;
+    cur->confirmed = true;
+    cur->rule.active_at = sim_->now() + cfg_.rule_install_latency;
     sim_->after(cfg_.rule_install_latency,
-                [this, key, epoch] { activate_rule(key, epoch); });
+                [this, row, epoch] { activate_rule(row, epoch); });
   });
 
   if (!flow_mod_channel_.transparent()) {
     // Lost-flow-mod detection: if the switch has not confirmed by the
     // timeout, declare the message lost and retry. (Skipped entirely for a
     // transparent channel so fault-free runs schedule no extra events.)
-    sim_->after(cfg_.install_timeout, [this, key, epoch, attempt] {
-      auto cur = rules_.find(key);
-      if (cur == rules_.end() || cur->second.epoch != epoch ||
-          cur->second.attempt != attempt || cur->second.confirmed) {
+    sim_->after(cfg_.install_timeout, [this, row, epoch, attempt] {
+      const PendingRule* cur = rule_at(row);
+      if (cur == nullptr || cur->epoch != epoch || cur->attempt != attempt ||
+          cur->confirmed) {
         return;
       }
       ++install_timeouts_;
-      install_timeout_intents_ += cur->second.intent_weight;
-      fail_attempt(key);
+      install_timeout_intents_ += cur->intent_weight;
+      fail_attempt(row);
     });
   }
 }
 
-void Controller::fail_attempt(std::uint64_t key) {
-  auto it = rules_.find(key);
-  if (it == rules_.end()) return;
-  PendingRule& pending = it->second;
-  if (pending.attempt >= cfg_.max_install_retries) {
+void Controller::fail_attempt(std::uint32_t row) {
+  PendingRule* pending = rule_at(row);
+  if (pending == nullptr) return;
+  if (pending->attempt >= cfg_.max_install_retries) {
     ++installs_abandoned_;
-    erase_rule(it);  // the aggregate stays on ECMP
+    erase_rule(rule_rows_[row]);  // the aggregate stays on ECMP
     return;
   }
-  ++pending.attempt;
+  ++pending->attempt;
   ++install_retries_;
   const util::Duration backoff =
-      cfg_.retry_backoff * (std::int64_t{1} << (pending.attempt - 1));
-  const std::uint64_t epoch = pending.epoch;
-  const std::size_t attempt = pending.attempt;
-  sim_->after(backoff, [this, key, epoch, attempt] {
-    auto cur = rules_.find(key);
-    if (cur == rules_.end() || cur->second.epoch != epoch ||
-        cur->second.attempt != attempt || cur->second.confirmed) {
+      cfg_.retry_backoff * (std::int64_t{1} << (pending->attempt - 1));
+  const std::uint64_t epoch = pending->epoch;
+  const std::size_t attempt = pending->attempt;
+  sim_->after(backoff, [this, row, epoch, attempt] {
+    const PendingRule* cur = rule_at(row);
+    if (cur == nullptr || cur->epoch != epoch || cur->attempt != attempt ||
+        cur->confirmed) {
       return;
     }
-    attempt_install(key);
+    attempt_install(row);
   });
 }
 
@@ -426,53 +532,58 @@ std::size_t Controller::clear_host_rules() {
     for (net::FlowId fid : fabric_->active_flows()) {
       const net::Flow& f = fabric_->flow(fid);
       if (f.spec.cls != net::FlowClass::kShuffle) continue;
-      const auto it = rules_.find(pair_key(f.spec.src, f.spec.dst));
-      if (it == rules_.end() || !it->second.active) continue;
-      if (f.spec.path != it->second.rule.path->links) continue;
+      const PathRule* rule = active_rule(f.spec.src, f.spec.dst);
+      if (rule == nullptr || f.spec.path != rule->path->links) continue;
       const net::Path& p = ecmp_.select(f.spec.src, f.spec.dst, f.spec.tuple);
       if (f.spec.path != p.links) fabric_->reroute_flow(fid, p.links);
     }
   }
+  for (const PendingRule& r : rules_) rule_rows_[r.row] = kNoRule;
   rules_.clear();
-  table_occupancy_.clear();
+  std::fill(table_occupancy_.begin(), table_occupancy_.end(), 0);
+  std::fill(table_listed_.begin(), table_listed_.end(), 0);
   return cleared;
 }
 
-void Controller::activate_rule(std::uint64_t key, std::uint64_t epoch) {
-  auto it = rules_.find(key);
-  if (it == rules_.end()) return;  // removed while pending
-  PendingRule& pending = it->second;
-  if (pending.epoch != epoch) return;             // superseded install
-  if (sim_->now() < pending.rule.active_at) return;
-  pending.active = true;
+void Controller::activate_rule(std::uint32_t row, std::uint64_t epoch) {
+  PendingRule* pending = rule_at(row);
+  if (pending == nullptr) return;  // removed while pending
+  if (pending->epoch != epoch) return;  // superseded install
+  if (sim_->now() < pending->rule.active_at) return;
+  pending->active = true;
+  // Copied: the reroutes below must not hold a reference into the rule
+  // slab, which moves on any install or removal.
+  const PathRule rule = pending->rule;
 
   if (cfg_.reroute_active_flows_on_install) {
     // Move in-flight flows of this aggregate onto the rule's path.
     for (net::FlowId fid : fabric_->active_flows()) {
       const net::Flow& f = fabric_->flow(fid);
-      if (f.spec.src == pending.rule.src_host &&
-          f.spec.dst == pending.rule.dst_host &&
+      if (f.spec.src == rule.src_host && f.spec.dst == rule.dst_host &&
           f.spec.cls == net::FlowClass::kShuffle &&
-          f.spec.path != pending.rule.path->links) {
-        fabric_->reroute_flow(fid, pending.rule.path->links);
+          f.spec.path != rule.path->links) {
+        fabric_->reroute_flow(fid, rule.path->links);
       }
     }
   }
   PYTHIA_LOG(kDebug, "sdn") << "rule active for pair ("
-                            << pending.rule.src_host.value() << " -> "
-                            << pending.rule.dst_host.value() << ")";
+                            << rule.src_host.value() << " -> "
+                            << rule.dst_host.value() << ")";
 }
 
 const PathRule* Controller::active_rule(net::NodeId src_host,
                                         net::NodeId dst_host) const {
-  const auto it = rules_.find(pair_key(src_host, dst_host));
-  if (it == rules_.end() || !it->second.active) return nullptr;
-  return &it->second.rule;
+  const std::uint32_t row = pair_row(src_host, dst_host);
+  const PendingRule* rule = row == kNoRule ? nullptr : rule_at(row);
+  if (rule == nullptr || !rule->active) return nullptr;
+  return &rule->rule;
 }
 
 void Controller::remove_rule(net::NodeId src_host, net::NodeId dst_host) {
-  const auto it = rules_.find(pair_key(src_host, dst_host));
-  if (it != rules_.end()) erase_rule(it);
+  const std::uint32_t row = pair_row(src_host, dst_host);
+  if (row != kNoRule && rule_rows_[row] != kNoRule) {
+    erase_rule(rule_rows_[row]);
+  }
 }
 
 namespace {
@@ -498,26 +609,22 @@ void Controller::handle_link_failure(net::LinkId l) {
 
   // Purge forwarding rules (host-pair and rack wildcards) that traverse a
   // dead link; traffic falls back to ECMP over the rebuilt path set until an
-  // app reinstalls.
-  // pythia-lint: allow(unordered-iter) pure filter: each rule's fate depends
-  // only on failed_links_, so the surviving set is order-independent
-  for (auto it = rules_.begin(); it != rules_.end();) {
-    const auto& path = it->second.rule.path->links;
-    const bool dead = std::any_of(path.begin(), path.end(),
-                                  [this](net::LinkId pl) {
-                                    return failed_links_.contains(pl);
-                                  });
-    it = dead ? erase_rule(it) : ++it;
+  // app reinstalls. Each rule's fate depends only on failed_links_.
+  const auto dead = [this](const net::Path& path) {
+    return std::any_of(path.links.begin(), path.links.end(),
+                       [this](net::LinkId pl) {
+                         return failed_links_.contains(pl);
+                       });
+  };
+  for (std::size_t i = 0; i < rules_.size();) {
+    if (dead(*rules_[i].rule.path)) {
+      erase_rule(i);  // moves the last rule into i
+    } else {
+      ++i;
+    }
   }
-  // pythia-lint: allow(unordered-iter) pure filter, same argument as the
-  // host-pair purge above
-  for (auto it = rack_rules_.begin(); it != rack_rules_.end();) {
-    const auto& chain = it->second.chain.links;
-    const bool dead = std::any_of(chain.begin(), chain.end(),
-                                  [this](net::LinkId pl) {
-                                    return failed_links_.contains(pl);
-                                  });
-    it = dead ? rack_rules_.erase(it) : ++it;
+  for (std::optional<PendingRackRule>& rule : rack_rules_) {
+    if (rule && dead(rule->chain)) rule.reset();
   }
   rack_path_cache_.clear();
 
@@ -569,15 +676,13 @@ void Controller::handle_link_restore(net::LinkId l) {
 }
 
 void Controller::encode_state(sim::StateEncoder& enc) const {
-  std::vector<std::uint64_t> keys;
-  keys.reserve(rules_.size());
-  // pythia-lint: allow(unordered-iter) key collection only; sorted below
-  for (const auto& [key, rule] : rules_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  enc.put_u32(static_cast<std::uint32_t>(keys.size()));
-  for (std::uint64_t key : keys) {
-    const PendingRule& pr = rules_.at(key);
-    enc.put_u64(key);
+  // Rows walk host pairs, switches and rack pairs in ascending id, the order
+  // the encoded keys sort in.
+  enc.put_u32(static_cast<std::uint32_t>(rules_.size()));
+  for (const std::uint32_t index : rule_rows_) {
+    if (index == kNoRule) continue;
+    const PendingRule& pr = rules_[index];
+    enc.put_u64(pair_key(pr.rule.src_host, pr.rule.dst_host));
     // The rule's path as its link chain, not the raw pool id: interning
     // order (and therefore id values) tracks query order in the lazy
     // routing graph, while the chain is pure behavior.
@@ -593,39 +698,34 @@ void Controller::encode_state(sim::StateEncoder& enc) const {
     enc.put_u64(pr.intent_weight);
   }
 
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> occupancy;
-  occupancy.reserve(table_occupancy_.size());
-  // pythia-lint: allow(unordered-iter) pair collection only; sorted below
-  for (const auto& [sw, n] : table_occupancy_) occupancy.emplace_back(sw, n);
-  std::sort(occupancy.begin(), occupancy.end());
-  enc.put_u32(static_cast<std::uint32_t>(occupancy.size()));
-  for (const auto& [sw, n] : occupancy) {
+  enc.put_u32(static_cast<std::uint32_t>(
+      std::count(table_listed_.begin(), table_listed_.end(), 1)));
+  for (std::uint32_t sw = 0; sw < table_listed_.size(); ++sw) {
+    if (table_listed_[sw] == 0) continue;
     enc.put_u32(sw);
-    enc.put_u64(n);
+    enc.put_u64(table_occupancy_[sw]);
   }
 
-  std::vector<std::uint64_t> rack_keys;
-  rack_keys.reserve(rack_rules_.size());
-  // pythia-lint: allow(unordered-iter) key collection only; sorted below
-  for (const auto& [key, rule] : rack_rules_) rack_keys.push_back(key);
-  std::sort(rack_keys.begin(), rack_keys.end());
-  enc.put_u32(static_cast<std::uint32_t>(rack_keys.size()));
-  for (std::uint64_t key : rack_keys) {
-    const PendingRackRule& rr = rack_rules_.at(key);
-    enc.put_u64(key);
-    enc.put_u32(static_cast<std::uint32_t>(rr.chain.links.size()));
-    for (net::LinkId l : rr.chain.links) enc.put_u32(l.value());
-    enc.put_time(rr.active_at);
-    enc.put_bool(rr.active);
+  const auto installed = [](const std::optional<PendingRackRule>& r) {
+    return r.has_value();
+  };
+  enc.put_u32(static_cast<std::uint32_t>(
+      std::count_if(rack_rules_.begin(), rack_rules_.end(), installed)));
+  for (const std::optional<PendingRackRule>& rr : rack_rules_) {
+    if (!rr) continue;
+    enc.put_u64(rack_key(rr->src_rack, rr->dst_rack));
+    enc.put_u32(static_cast<std::uint32_t>(rr->chain.links.size()));
+    for (net::LinkId l : rr->chain.links) enc.put_u32(l.value());
+    enc.put_time(rr->active_at);
+    enc.put_bool(rr->active);
   }
 
-  std::vector<std::uint32_t> failed;
-  failed.reserve(failed_links_.size());
-  // pythia-lint: allow(unordered-iter) key collection only; sorted below
-  for (net::LinkId l : failed_links_) failed.push_back(l.value());
-  std::sort(failed.begin(), failed.end());
-  enc.put_u32(static_cast<std::uint32_t>(failed.size()));
-  for (std::uint32_t l : failed) enc.put_u32(l);
+  // A membership scan over link ids, so the order never depends on the
+  // hash set's.
+  enc.put_u32(static_cast<std::uint32_t>(failed_links_.size()));
+  for (std::uint32_t l = 0; l < topo_->link_count(); ++l) {
+    if (failed_links_.contains(net::LinkId{l})) enc.put_u32(l);
+  }
 
   // Sample-and-hold link-load snapshot: refreshed lazily from queries, so
   // it is genuine state (two runs that queried at different times hold
@@ -657,8 +757,8 @@ void Controller::encode_state(sim::StateEncoder& enc) const {
   // anywhere completeness).
   enc.put_bool(batch_open_);
   enc.put_u32(static_cast<std::uint32_t>(batch_pending_.size()));
-  for (const auto& [key, epoch] : batch_pending_) {
-    enc.put_u64(key);
+  for (const auto& [row, epoch] : batch_pending_) {
+    enc.put_u64(row_key(row));
     enc.put_u64(epoch);
   }
 

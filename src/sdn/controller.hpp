@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -28,6 +29,12 @@
 
 namespace pythia::sdn {
 
+/// The Controller constructor throws std::invalid_argument naming the field,
+/// before it builds any member, when a value would break the event loop: a
+/// negative duration, a reject probability outside [0, 1], or a retry
+/// budget whose total backoff, retry_backoff × (2^max_install_retries − 1),
+/// exceeds half of Duration::max() (the last retry would overflow the
+/// clock).
 struct ControllerConfig {
   /// k of the k-shortest-path table; must be >= 1 (the routing table, and
   /// so the Controller constructor, throws std::invalid_argument otherwise).
@@ -126,10 +133,12 @@ class Controller {
   /// controller retries with exponential backoff up to `max_install_retries`
   /// times before abandoning the rule to ECMP.
   /// Returns false when the request is refused synchronously (path over a
-  /// failed link, or no admissible flow-table entry) — the caller's traffic
+  /// failed link, or no admissible flow-table entry; endpoints that are not
+  /// hosts are a caller bug, asserted and refused) — the caller's traffic
   /// stays on ECMP and it must not account the path as taken. A true return
   /// means the install is in flight; it can still fail asynchronously.
-  bool install_path(net::NodeId src_host, net::NodeId dst_host, net::Path path,
+  bool install_path(net::NodeId src_host, net::NodeId dst_host,
+                    const net::Path& path,
                     util::Bytes volume_hint = util::Bytes::zero());
 
   /// Id-based install: the fast path for callers that already hold an
@@ -165,8 +174,8 @@ class Controller {
 
   /// Interns an externally composed path (e.g. a rack chain with access
   /// links) into the routing pool so it can be passed by id.
-  [[nodiscard]] net::PathId intern_path(net::Path path) {
-    return routing_.intern(std::move(path));
+  [[nodiscard]] net::PathId intern_path(const net::Path& path) {
+    return routing_.intern(path);
   }
   /// Resolves an interned id to its path (stable reference).
   [[nodiscard]] const net::Path& path(net::PathId id) const {
@@ -194,7 +203,8 @@ class Controller {
   // switch covers every server pair between the racks) ---
 
   /// Installs an inter-rack chain (ToR-to-ToR link sequence) for all traffic
-  /// from `src_rack` to `dst_rack`. Subject to the same install latency.
+  /// from `src_rack` to `dst_rack`, two distinct racks of the topology's
+  /// nodes. Subject to the same install latency.
   void install_rack_path(int src_rack, int dst_rack, net::Path chain);
   /// Active chain for a rack pair, if any.
   [[nodiscard]] const net::Path* active_rack_chain(int src_rack,
@@ -284,25 +294,34 @@ class Controller {
   }
 
   /// Serializes the controller's logical state for snapshots: host-pair and
-  /// rack rules (sorted by key) with their install/retry progress, table
-  /// occupancy, failed links, the link-load snapshot, all counters, and the
-  /// flow-mod fault channel's state.
+  /// rack rules (in key order, which is row order) with their install/retry
+  /// progress, table occupancy, failed links, the link-load snapshot, all
+  /// counters, and the flow-mod fault channel's state.
   void encode_state(sim::StateEncoder& enc) const;
 
  private:
+  static constexpr std::uint32_t kNoRule =
+      std::numeric_limits<std::uint32_t>::max();
+
   [[nodiscard]] static std::uint64_t pair_key(net::NodeId a, net::NodeId b) {
     return (static_cast<std::uint64_t>(a.value()) << 32) | b.value();
   }
+  /// Host-pair row host_index(a) · H + host_index(b) (H hosts), or kNoRule
+  /// when either end is not a host.
+  [[nodiscard]] std::uint32_t pair_row(net::NodeId a, net::NodeId b) const;
+  /// pair_key of the pair a row stands for.
+  [[nodiscard]] std::uint64_t row_key(std::uint32_t row) const;
   void refresh_snapshot_if_stale() const;
-  void activate_rule(std::uint64_t key, std::uint64_t epoch);
+  void activate_rule(std::uint32_t row, std::uint64_t epoch);
 
   // pythia-lint: allow(snapshot-skip, group) wiring and config identity,
   // re-created from the fingerprinted scenario; routing_ snapshots itself
   // (its own encode_state section) and ecmp_ is a stateless view of it.
+  // cfg_ comes first: the constructor validates it before building anything.
+  ControllerConfig cfg_;
   sim::Simulation* sim_;
   net::Fabric* fabric_;
   const net::Topology* topo_;
-  ControllerConfig cfg_;
   net::RoutingGraph routing_;
   net::EcmpSelector ecmp_;
 
@@ -311,6 +330,8 @@ class Controller {
     bool active = false;
     /// Flow-mod acknowledged by the switch (activation latency running).
     bool confirmed = false;
+    /// The pair's row in rule_rows_.
+    std::uint32_t row = 0;
     util::Bytes volume_hint;
     std::size_t attempt = 0;
     /// Monotone install generation; stale channel/timer callbacks carry the
@@ -319,26 +340,39 @@ class Controller {
     /// Shuffle intents riding on this rule (per-intent outcome weighting).
     std::uint64_t intent_weight = 1;
   };
-  using RuleMap = std::unordered_map<std::uint64_t, PendingRule>;
-  RuleMap rules_;
+  // Host-pair rules: rule_rows_[pair_row(src, dst)] indexes the pair's live
+  // rule in rules_, or is kNoRule. rules_ holds only live rules (erasing
+  // one moves the last into its place), in no particular order.
+  std::vector<std::uint32_t> rule_rows_;
+  std::vector<PendingRule> rules_;
 
+  /// The live rule of a row, or nullptr.
+  [[nodiscard]] PendingRule* rule_at(std::uint32_t row);
+  [[nodiscard]] const PendingRule* rule_at(std::uint32_t row) const;
   /// Number of switch hops on a host-pair path (= flow-mods per attempt and
   /// table entries the rule occupies).
   [[nodiscard]] std::uint64_t switch_hops(const net::Path& path) const;
-  /// Frees a switch entry per hop, then erases; all rule removal funnels
-  /// through here so `table_occupancy_` never drifts.
-  RuleMap::iterator erase_rule(RuleMap::iterator it);
+  /// Frees a switch entry per hop, then erases rules_[index]; all rule
+  /// removal funnels through here so the table occupancy never drifts.
+  void erase_rule(std::size_t index);
   /// Makes room on every switch along `path` (evicting smaller rules) or
   /// refuses; no-op when flow_table_capacity == 0.
   [[nodiscard]] bool admit_to_tables(const net::Path& path,
                                      util::Bytes volume_hint);
-  void attempt_install(std::uint64_t key);
-  /// Backoff-retries the keyed rule, or abandons it after max retries.
-  void fail_attempt(std::uint64_t key);
+  /// The switch's table entry, listed from now on.
+  std::size_t& list_table(net::NodeId sw);
+  void attempt_install(std::uint32_t row);
+  /// Backoff-retries the row's rule, or abandons it after max retries.
+  void fail_attempt(std::uint32_t row);
   /// Issues deferred batch attempts in insertion order; leaves the batch
   /// open (commit closes it; a mid-batch supersede flushes through here).
   void flush_install_batch();
-  std::unordered_map<std::uint32_t, std::size_t> table_occupancy_;
+  // Host-pair rule entries per node. A switch is listed once an install or,
+  // with a table capacity, an admission check first reaches it, and stays
+  // listed (even at zero entries) until clear_host_rules(); the snapshot
+  // encodes exactly the listed switches.
+  std::vector<std::size_t> table_occupancy_;
+  std::vector<char> table_listed_;
 
   struct PendingRackRule {
     int src_rack = -1;
@@ -351,11 +385,16 @@ class Controller {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
            static_cast<std::uint32_t>(b);
   }
-  void activate_rack_rule(std::uint64_t key);
+  void activate_rack_rule(std::size_t row);
   /// Composes host access links around a rack chain; cached per host pair.
   [[nodiscard]] const net::Path* compose_rack_path(net::NodeId src_host,
                                                    net::NodeId dst_host) const;
-  std::unordered_map<std::uint64_t, PendingRackRule> rack_rules_;
+  // pythia-lint: allow(snapshot-skip) the rack-pair row width, one more
+  // than the topology's largest rack (fingerprinted); the rows are encoded.
+  std::size_t racks_ = 0;
+  // Rack rules: row src_rack · racks_ + dst_rack; allocated by the first
+  // install_rack_path.
+  std::vector<std::optional<PendingRackRule>> rack_rules_;
   // pythia-lint: allow(snapshot-skip) memoization of compose_rack_path():
   // every entry is a pure function of the routing graph, so a cold cache
   // after restore recomputes byte-identical paths.
@@ -387,9 +426,9 @@ class Controller {
   std::uint64_t install_timeout_intents_ = 0;
   std::uint64_t table_reject_intents_ = 0;
 
-  /// Open install batch: deferred (key, epoch) attempts in insertion order.
+  /// Open install batch: deferred (row, epoch) attempts in insertion order.
   bool batch_open_ = false;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> batch_pending_;
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> batch_pending_;
 };
 
 }  // namespace pythia::sdn

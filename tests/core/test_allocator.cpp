@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "net/fabric.hpp"
 #include "sdn/controller.hpp"
 #include "sim/simulation.hpp"
+#include "sim/snapshot.hpp"
 
 namespace pythia::core {
 namespace {
@@ -194,6 +198,96 @@ TEST(Allocator, GrowingAggregateKeepsItsPath) {
   EXPECT_EQ(f.controller.active_rule(f.s0, f.d0)->path->links, first->links);
   EXPECT_EQ(alloc.pair_outstanding(f.s0, f.d0).count(), 3'000'000);
   EXPECT_EQ(alloc.reallocations(), 0u);
+}
+
+/// FNV-1a over the allocator's and then the controller's encode_state.
+std::uint64_t state_hash(const Allocator& alloc) {
+  sim::StateEncoder enc;
+  alloc.encode_state(enc);
+  alloc.controller().encode_state(enc);
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::uint8_t b : enc.bytes()) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// One scripted run of the allocator in `mode`, hashed after every step.
+std::vector<std::uint64_t> scripted_hashes(Aggregation mode) {
+  Fixture f;
+  AllocatorConfig cfg;
+  cfg.aggregation = mode;
+  Allocator alloc(f.controller, cfg);
+  const auto& h = f.topo.hosts();
+  std::vector<std::uint64_t> got;
+  const auto step = [&] {
+    got.push_back(state_hash(alloc));
+    f.sim.run();
+    got.push_back(state_hash(alloc));
+  };
+  // Two cross-rack aggregates (one rack pair in rack mode), a same-rack
+  // one, growth, a drain and its reallocation.
+  alloc.add_predicted_volume(h[0], h[5], Bytes{1'000'000});
+  step();
+  alloc.add_predicted_volume(h[1], h[6], Bytes{2'000'000}, 3);
+  step();
+  alloc.add_predicted_volume(h[0], h[1], Bytes{500'000});
+  step();
+  alloc.add_predicted_volume(h[0], h[5], Bytes{1'000'000});
+  step();
+  alloc.retire_volume(h[1], h[6], Bytes{2'000'000});
+  alloc.retire_volume(h[3], h[2], Bytes{1});  // never predicted: no-op
+  step();
+  alloc.add_predicted_volume(h[1], h[6], Bytes{3'000'000});
+  step();
+  // The reverse direction, a zero-volume aggregate and an intra-rack pair
+  // on the other rack.
+  alloc.add_predicted_volume(h[7], h[2], Bytes{4'000'000});
+  alloc.add_predicted_volume(h[8], h[3], Bytes{0});
+  alloc.add_predicted_volume(h[9], h[5], Bytes{700'000});
+  step();
+  // Watchdog fallback: volume tracked, nothing installed; then resume.
+  alloc.suspend();
+  alloc.add_predicted_volume(h[2], h[7], Bytes{900'000}, 2);
+  f.controller.clear_host_rules();
+  step();
+  alloc.resume();
+  step();
+  alloc.retire_volume(h[0], h[5], Bytes{10'000'000});
+  step();
+  return got;
+}
+
+// Pins the allocator's snapshot bytes (and the controller's, which holds its
+// rules) over a scripted sequence in both aggregation modes. The hashes were
+// recorded on the map-based aggregate table the rows replaced.
+TEST(AllocatorEncoding, ServerModeSequenceKeepsEncodeBytes) {
+  const std::vector<std::uint64_t> expected = {
+      0xd2e6b355c790b773ull, 0x518a9e687a85902cull, 0x72ea92849a81368eull,
+      0x7e2beb0a44e42d7dull, 0x0c4a8b716d4f381cull, 0x0c2568ef63fbffa3ull,
+      0x67026a3ea4ff02e1ull, 0x67026a3ea4ff02e1ull, 0x1ea82c958341c813ull,
+      0x1ea82c958341c813ull, 0xf572fd580a4f54ceull, 0xfa468a3fddfba479ull,
+      0xf495c460ab6476eeull, 0x825b9fd1cca99c39ull, 0xe4f96818682466c3ull,
+      0xe4f96818682466c3ull, 0xe22a0535a6499825ull, 0xf20c56d943e8fb8dull,
+      0x28947f75e665d7edull, 0x28947f75e665d7edull,
+  };
+  const auto got = scripted_hashes(Aggregation::kServerPair);
+  EXPECT_EQ(got, expected);
+}
+
+TEST(AllocatorEncoding, RackModeSequenceKeepsEncodeBytes) {
+  const std::vector<std::uint64_t> expected = {
+      0x2a3421e70d0c2b76ull, 0x9977dab9b11350f3ull, 0x0c202f5efa732a7full,
+      0x0c202f5efa732a7full, 0x585a7f9aaf28b78eull, 0xe6c930e43dd9a1afull,
+      0x5fcb5343adb646baull, 0x5fcb5343adb646baull, 0x5ad4cb85d75b1eebull,
+      0x5ad4cb85d75b1eebull, 0xe1972d384aba777cull, 0xe1972d384aba777cull,
+      0xddadb47f8fcdb7b8ull, 0x0f1d288ad7820ebaull, 0xcb3b818174134d0bull,
+      0xcb3b818174134d0bull, 0x592b82d3ceec5a3aull, 0xa4a357ed103b97f0ull,
+      0x6cfbb3a107ef12d4ull, 0x6cfbb3a107ef12d4ull,
+  };
+  const auto got = scripted_hashes(Aggregation::kRackPair);
+  EXPECT_EQ(got, expected);
 }
 
 }  // namespace

@@ -132,6 +132,60 @@ TEST(LazyRouting, RebuildInvalidatesInsteadOfRecomputing) {
                         "after failure");
 }
 
+// A PathSet reads its pair's extent on every access: it keeps reading the
+// right candidates while other pairs' first touches grow (and move) the id
+// arena and while rebuilds compact it, shows the pair empty once a rebuild
+// drops it, and shows the recomputed candidates after the next query.
+TEST(LazyRouting, PathSetTracksTheLiveTable) {
+  const Topology topo = small_fat_tree();
+  RoutingGraph lazy(topo, 4);
+  const auto hosts = topo.hosts();
+  const NodeId src = hosts.front();
+  const NodeId dst = hosts.back();
+  const PathSet view = lazy.paths(src, dst);
+  const std::vector<Path> first = view.materialize();
+  ASSERT_EQ(first.size(), 4u);
+
+  lazy.materialize_all();  // every other pair lands after this one
+  ASSERT_EQ(view.materialize(), first);
+  std::size_t i = 0;
+  for (const Path& p : view) EXPECT_EQ(p, first[i++]);
+
+  const auto cables = [&] {
+    std::vector<LinkId> out;
+    for (const Link& l : topo.links()) {
+      if (topo.node(l.src).kind == NodeKind::kSwitch &&
+          topo.node(l.dst).kind == NodeKind::kSwitch) {
+        out.push_back(l.id);
+      }
+    }
+    return out;
+  }();
+  std::unordered_set<LinkId> banned{first[0].links[1]};
+  lazy.rebuild(banned);
+  EXPECT_TRUE(view.empty());
+  expect_pair_matches(lazy, src, dst, run_oracle(topo, 4, banned).pair(src, dst),
+                      "requeried");
+  EXPECT_EQ(view.materialize(), lazy.paths(src, dst).materialize());
+  EXPECT_NE(view[0], first[0]);  // the first candidate crossed the cable
+
+  // Fail and restore cables with the whole table read in between, so dead
+  // arena entries pile up and rebuilds compact both arenas.
+  util::Xoshiro256 rng(11);
+  for (int step = 0; step < 12; ++step) {
+    const LinkId l = cables[rng.below(cables.size())];
+    if (!banned.erase(l)) banned.insert(l);
+    lazy.rebuild(banned);
+    lazy.materialize_all();
+    const Oracle o = run_oracle(topo, 4, banned);
+    expect_pair_matches(lazy, src, dst, o.pair(src, dst), "churn");
+    ASSERT_EQ(view.size(), o.pair(src, dst).size());
+    for (std::size_t c = 0; c < view.size(); ++c) {
+      EXPECT_EQ(view[c].links, o.pair(src, dst)[c].links);
+    }
+  }
+}
+
 /// A rebuild with an unchanged banned set touches nothing but the noop
 /// counter.
 TEST(LazyRouting, NoopRebuildBumpsOnlyNoopCounter) {
