@@ -1,26 +1,25 @@
 // Controller fast-path scaling sweep: prediction-to-install latency under
-// open-arrival multi-tenant intent storms, serial reference vs the sharded,
-// batched cohort pipeline. Writes BENCH_controller.json (intents/sec,
+// open-arrival multi-tenant intent storms, serial reference vs the batched
+// cohort pipeline. Writes BENCH_controller.json (intents/sec,
 // median/p99 per-intent latency, drain wall time, amortization factor, and
 // an all_identical verdict CI gates on) across a 1x -> 10x arrival-rate
 // sweep. `--smoke` runs a reduced sweep for CI.
 //
 // Protocol per rate point: one storm (workloads::generate_storm, fixed seed)
-// is replayed verbatim into three independently built stacks —
+// is replayed verbatim into two independently built stacks —
 //
-//   serial        kCohortSerial,  1 shard   (the per-intent reference)
-//   batched_1     kCohortBatched, 1 shard   (coalescing + batch install)
-//   batched_pods  kCohortBatched, auto shards (one per fat-tree pod)
+//   serial   kCohortSerial   (the per-intent reference)
+//   batched  kCohortBatched  (coalescing + batch install)
 //
 // Per-intent latency is wall time from the cohort drain's start to the
 // allocator submission covering that intent (CohortDrainObserver); the
-// batched arms charge every intent of a coalesced run the run's single
+// batched arm charges every intent of a coalesced run the run's single
 // submission time, which is exactly the amortization being measured. The
 // rate sweep scales jobs up and mean inter-arrival down together, so sim
 // duration stays roughly fixed while offered intents/sec grows ~rate^2.
 //
 // Identity gate: after each arm finishes, the collector's behavior image
-// plus the allocator and controller state images are hashed; all three arms
+// plus the allocator and controller state images are hashed; both arms
 // must agree at every rate or the bench exits nonzero. This is the
 // "byte-identical to the serial reference" proof run on every CI push.
 #include <algorithm>
@@ -119,15 +118,13 @@ struct ArmResult {
 
 ArmResult run_arm(const net::Topology& topo,
                   const std::vector<workloads::StormEvent>& events,
-                  core::IntentPipeline pipeline, std::size_t shard_count,
-                  std::uint64_t seed) {
+                  core::IntentPipeline pipeline, std::uint64_t seed) {
   sim::Simulation sim(seed);
   net::Fabric fabric(sim, topo);
   sdn::Controller controller(sim, fabric, topo);
   core::Allocator allocator(controller);
   core::CollectorConfig ccfg;
   ccfg.pipeline = pipeline;
-  ccfg.shard_count = shard_count;
   core::Collector collector(sim, allocator, ccfg);
   TimingObserver obs;
   collector.set_drain_observer(&obs);
@@ -167,13 +164,12 @@ ArmResult run_arm(const net::Topology& topo,
 /// construction — determinism is what the pipeline guarantees.
 ArmResult run_arm_median(const net::Topology& topo,
                          const std::vector<workloads::StormEvent>& events,
-                         core::IntentPipeline pipeline,
-                         std::size_t shard_count, std::uint64_t seed,
+                         core::IntentPipeline pipeline, std::uint64_t seed,
                          int reps) {
   std::vector<ArmResult> runs;
   runs.reserve(static_cast<std::size_t>(reps));
   for (int i = 0; i < reps; ++i) {
-    runs.push_back(run_arm(topo, events, pipeline, shard_count, seed));
+    runs.push_back(run_arm(topo, events, pipeline, seed));
   }
   std::sort(runs.begin(), runs.end(),
             [](const ArmResult& a, const ArmResult& b) {
@@ -250,14 +246,11 @@ int main(int argc, char** argv) {
     const std::size_t intents = workloads::storm_intent_count(events);
 
     const ArmResult serial = run_arm_median(
-        topo, events, core::IntentPipeline::kCohortSerial, 1, kSeed, reps);
-    const ArmResult batched1 = run_arm_median(
-        topo, events, core::IntentPipeline::kCohortBatched, 1, kSeed, reps);
-    const ArmResult batched_pods = run_arm_median(
-        topo, events, core::IntentPipeline::kCohortBatched, 0, kSeed, reps);
+        topo, events, core::IntentPipeline::kCohortSerial, kSeed, reps);
+    const ArmResult batched = run_arm_median(
+        topo, events, core::IntentPipeline::kCohortBatched, kSeed, reps);
 
-    const bool identical = serial.checksum == batched1.checksum &&
-                           serial.checksum == batched_pods.checksum;
+    const bool identical = serial.checksum == batched.checksum;
     all_identical = all_identical && identical;
 
     const double intents_per_sec =
@@ -269,25 +262,25 @@ int main(int argc, char** argv) {
     // reference spends per pass of the batched pipeline. Deterministic —
     // it counts calls, not wall time.
     const double amortization =
-        batched_pods.allocator_calls > 0
+        batched.allocator_calls > 0
             ? static_cast<double>(serial.allocator_calls) /
-                  static_cast<double>(batched_pods.allocator_calls)
+                  static_cast<double>(batched.allocator_calls)
             : 0.0;
-    const double drain_speedup = batched_pods.drain_ms > 0.0
-                                     ? serial.drain_ms / batched_pods.drain_ms
+    const double drain_speedup = batched.drain_ms > 0.0
+                                     ? serial.drain_ms / batched.drain_ms
                                      : 0.0;
     if (i == 0) {
       p99_serial_first = serial.p99_us;
-      p99_batched_first = batched_pods.p99_us;
+      p99_batched_first = batched.p99_us;
     }
     p99_serial_last = serial.p99_us;
-    p99_batched_last = batched_pods.p99_us;
+    p99_batched_last = batched.p99_us;
     amortization_last = amortization;
 
     std::printf("%-5zu %8zu %10.0f | %10.2f %10.2f | %9.2fms %9.2fms | "
                 "%6.1fx %5s\n",
                 rate, intents, intents_per_sec, serial.p99_us,
-                batched_pods.p99_us, serial.drain_ms, batched_pods.drain_ms,
+                batched.p99_us, serial.drain_ms, batched.drain_ms,
                 amortization, identical ? "yes" : "NO");
     std::fflush(stdout);
 
@@ -298,8 +291,7 @@ int main(int argc, char** argv) {
                   rate, wcfg.jobs, intents, intents_per_sec);
     cells_json += (cells_json.empty() ? "" : ",\n") + std::string(buf);
     cells_json += arm_json("serial", serial) + ",\n";
-    cells_json += arm_json("batched_1shard", batched1) + ",\n";
-    cells_json += arm_json("batched_pods", batched_pods) + ",\n";
+    cells_json += arm_json("batched", batched) + ",\n";
     std::snprintf(buf, sizeof buf,
                   "      \"amortization\": %.2f, \"drain_speedup\": %.2f, "
                   "\"identical\": %s}",

@@ -1,10 +1,9 @@
-// Fabric hot-path scaling sweep: wall-time per flow event on fat-tree
-// k=4/8 at 100 → 5 000 concurrent flows, for the production rate engine
-// (dirty-set incremental) against its oracle (legacy full recompute).
-// Writes BENCH_fabric.json (recompute counts, links touched, fill rounds run
-// and reused, ramp and window times, per-cell RSS, per-arm behavior
-// checksums and an all_identical verdict CI gates on) to track the perf
-// trajectory across PRs. `--smoke` runs a tiny sweep for CI.
+// Fabric hot-path scaling sweep: wall-time per flow event of the fabric's
+// warm fill on fat-tree k=4/8 at 100 → 5 000 concurrent flows. Writes
+// BENCH_fabric.json (recompute counts, links touched, fill rounds run and
+// reused, ramp and window times, per-cell RSS, behavior checksums and an
+// all_identical verdict CI gates on) to track the perf trajectory across
+// PRs. `--smoke` runs a tiny sweep for CI.
 //
 // Protocol per cell: ramp N long-lived flows to steady state, then time a
 // window of M additional flow arrivals grouped into shuffle waves — bursts
@@ -14,11 +13,14 @@
 // window divided by arrivals. Flows are never drained (teardown is
 // untimed), so the window isolates per-event cost.
 //
-// Both arms run eager throughout: the ramp pays one progressive fill per
-// started flow (untimed but reported as ramp_ms), and the window pays one
-// recompute per arrival. End-of-window behavior checksums are compared
-// across the arms, so the speedup never trades away the bit-identical
-// contract.
+// The ramp pays one progressive fill per started flow (untimed but reported
+// as ramp_ms), and the window pays one recompute per arrival. After the
+// window, untimed, every active flow's rate and every link's sums are
+// compared bit for bit with a reference progressive fill of the same state
+// (tests/net/maxmin_oracle.hpp); a cell is `identical` when they all match,
+// so a speedup never trades away the rates.
+#include <malloc.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -29,6 +31,7 @@
 
 #include "bench_cli.hpp"
 #include "net/fabric.hpp"
+#include "net/maxmin_oracle.hpp"
 #include "net/topology.hpp"
 #include "sim/simulation.hpp"
 #include "sim/snapshot.hpp"
@@ -38,11 +41,9 @@ namespace {
 
 using namespace pythia;
 using net::Fabric;
-using net::FabricConfig;
 using net::FlowSpec;
 using net::LinkId;
 using net::NodeId;
-using net::RateEngine;
 using net::Topology;
 using util::Bytes;
 using util::SimTime;
@@ -148,20 +149,23 @@ struct CellResult {
   double window_ms = 0.0;
   long rss_kb = 0;
   /// FNV-1a over the fabric's behavioral state image at the end of the
-  /// window (counters excluded — engines legitimately differ there). Equal
-  /// checksums across arms certify the run the numbers came from really
-  /// allocated identical rates.
+  /// window (counters excluded: they count work, not behaviour).
   std::uint64_t behavior_checksum = 0;
+  /// The end-of-window disagreements with the reference fill; empty when
+  /// every bit matches or the check did not run.
+  std::vector<std::string> oracle_mismatches;
 };
 
 /// Arrivals per wave: every wave schedules this many simultaneous
 /// starts, like one mapper wave fanning out to reducers.
 constexpr int kWaveSize = 25;
 
-CellResult run_cell(const Topology& topo, RateEngine engine,
-                    std::size_t concurrent, int churn, std::uint64_t seed) {
+/// `check_oracle`: compare the end of the window with the reference fill
+/// (untimed; the sweep does, the --one profiling loop does not).
+CellResult run_cell(const Topology& topo, std::size_t concurrent, int churn,
+                    std::uint64_t seed, bool check_oracle) {
   sim::Simulation sim(seed);
-  Fabric fabric(sim, topo, FabricConfig{.rate_engine = engine});
+  Fabric fabric(sim, topo);
   util::Xoshiro256 rng(seed);
   const auto hosts = topo.hosts();
 
@@ -225,10 +229,15 @@ CellResult run_cell(const Topology& topo, RateEngine engine,
                   .count() /
               1000.0;
   r.window_ms = wall_ns / 1e6;
-  r.rss_kb = current_rss_kb();  // fabric still live: the cell's footprint
+  // Free heap pages go back first, so an earlier cell's garbage (oracle
+  // checks included) does not read as this cell's: the fabric is still
+  // live, this is the cell's footprint.
+  malloc_trim(0);
+  r.rss_kb = current_rss_kb();
   sim::StateEncoder enc;
   fabric.encode_state(enc);
   r.behavior_checksum = fnv1a(enc.bytes());
+  if (check_oracle) r.oracle_mismatches = net::maxmin::mismatches(fabric);
   return r;
   // The N long flows are dropped untimed with the fabric.
 }
@@ -238,13 +247,12 @@ CellResult run_cell(const Topology& topo, RateEngine engine,
 /// with the median window time is reported.
 constexpr int kReps = 3;
 
-CellResult run_cell_median(const Topology& topo, RateEngine engine,
-                           std::size_t concurrent, int churn,
-                           std::uint64_t seed) {
+CellResult run_cell_median(const Topology& topo, std::size_t concurrent,
+                           int churn, std::uint64_t seed) {
   std::vector<CellResult> runs;
   runs.reserve(kReps);
   for (int i = 0; i < kReps; ++i) {
-    runs.push_back(run_cell(topo, engine, concurrent, churn, seed));
+    runs.push_back(run_cell(topo, concurrent, churn, seed, true));
   }
   std::sort(runs.begin(), runs.end(),
             [](const CellResult& a, const CellResult& b) {
@@ -261,12 +269,10 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --one k:flows:engine runs a single arm once (no JSON) — the loop for
+  // --one k:flows runs a single cell once (no JSON) — the loop for
   // profiling one cell under gprof/perf without sweeping the whole grid.
   benchcli::FlagReader flags(
-      argc, argv,
-      "[--smoke] [--out FILE] [--json-out FILE] "
-      "[--one K:FLOWS:incremental|full]\n");
+      argc, argv, "[--smoke] [--out FILE] [--json-out FILE] [--one K:FLOWS]\n");
   benchcli::Args args;
   std::string one;
   while (flags.next()) {
@@ -279,26 +285,20 @@ int main(int argc, char** argv) {
   if (!one.empty()) {
     std::size_t k = 0;
     std::size_t flows = 0;
-    char engine[16] = {};
     int used = 0;
     const bool parsed =
-        std::sscanf(one.c_str(), "%zu:%zu:%15[a-z]%n", &k, &flows, engine,
-                    &used) == 3 &&
+        std::sscanf(one.c_str(), "%zu:%zu%n", &k, &flows, &used) == 2 &&
         static_cast<std::size_t>(used) == one.size();
-    const bool full = std::strcmp(engine, "full") == 0;
-    if (!parsed || k < 2 || k % 2 != 0 || flows == 0 ||
-        (!full && std::strcmp(engine, "incremental") != 0)) {
-      flags.fail("--one wants K:FLOWS:incremental|full with an even K >= 2 "
-                 "and FLOWS >= 1, not " + one);
+    if (!parsed || k < 2 || k % 2 != 0 || flows == 0) {
+      flags.fail("--one wants K:FLOWS with an even K >= 2 and FLOWS >= 1, "
+                 "not " + one);
     }
-    const RateEngine arm =
-        full ? RateEngine::kFullRecompute : RateEngine::kIncremental;
     net::FatTreeConfig cfg;
     cfg.k = k;
     const Topology topo = net::make_fat_tree(cfg);
-    const CellResult r = run_cell(topo, arm, flows, 200, 7);
-    std::printf("k%zu flows=%zu engine=%s: %.0f ns/event (%llu events)\n", k,
-                flows, engine, r.wall_ns_per_event,
+    const CellResult r = run_cell(topo, flows, 200, 7, false);
+    std::printf("k%zu flows=%zu: %.0f ns/event (%llu events)\n", k, flows,
+                r.wall_ns_per_event,
                 static_cast<unsigned long long>(r.events));
     return 0;
   }
@@ -324,8 +324,8 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"smoke\": %s,\n  \"churn_events\": %d,\n",
                smoke ? "true" : "false", churn);
 
-  std::printf("%-14s %8s | %12s %12s | %9s\n", "topology", "flows",
-              "full ns/ev", "incr ns/ev", "incr/full");
+  std::printf("%-14s %8s | %12s | %s\n", "topology", "flows", "ns/event",
+              "oracle");
   std::string cells_json;
   bool all_identical = true;
   std::size_t prev_k = 0;
@@ -340,19 +340,16 @@ int main(int argc, char** argv) {
     const std::string label = "fat_tree_k" + std::to_string(cell.k);
     const std::size_t n = cell.flows;
 
-    const CellResult inc =
-        run_cell_median(topo, RateEngine::kIncremental, n, churn, 7);
-    const CellResult full =
-        run_cell_median(topo, RateEngine::kFullRecompute, n, churn, 7);
-    const bool identical = full.behavior_checksum == inc.behavior_checksum;
+    const CellResult inc = run_cell_median(topo, n, churn, 7);
+    const bool identical = inc.oracle_mismatches.empty();
     all_identical = all_identical && identical;
 
-    const double speedup = inc.wall_ns_per_event > 0.0
-                               ? full.wall_ns_per_event / inc.wall_ns_per_event
-                               : 0.0;
-    std::printf("%-14s %8zu | %12.0f %12.0f | %8.1fx%s\n", label.c_str(), n,
-                full.wall_ns_per_event, inc.wall_ns_per_event, speedup,
-                identical ? "" : "  CHECKSUM MISMATCH");
+    std::printf("%-14s %8zu | %12.0f | %s\n", label.c_str(), n,
+                inc.wall_ns_per_event,
+                identical ? "match" : "MISMATCH");
+    for (std::size_t i = 0; i < inc.oracle_mismatches.size() && i < 5; ++i) {
+      std::fprintf(stderr, "  %s\n", inc.oracle_mismatches[i].c_str());
+    }
     std::fflush(stdout);
 
     char buf[256];
@@ -379,14 +376,9 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(r.behavior_checksum));
       return std::string(b);
     };
-    cells_json += arm_json("full", full) + ",\n";
     cells_json += arm_json("incremental", inc) + ",\n";
-    std::snprintf(buf, sizeof buf,
-                  "      \"speedup\": %.2f, \"peak_rss_kb\": %ld, "
-                  "\"identical\": %s}",
-                  speedup, std::max(full.rss_kb, inc.rss_kb),
-                  identical ? "true" : "false");
-    cells_json += buf;
+    cells_json += std::string("      \"identical\": ") +
+                  (identical ? "true" : "false") + "}";
   }
   std::fprintf(out, "  \"all_identical\": %s,\n",
                all_identical ? "true" : "false");

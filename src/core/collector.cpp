@@ -18,24 +18,12 @@ Collector::Collector(sim::Simulation& sim, Allocator& allocator,
       topo_(&allocator.controller().topology()),
       cfg_(cfg) {
   if (!cohort_mode()) return;
-  std::size_t shard_count = cfg_.shard_count;
-  if (shard_count == 0) {
-    // One shard per host locality group (fat-tree pod / rack), the layout
-    // that maps shards onto the collector replicas a real deployment would
-    // run next to each pod.
-    std::vector<std::int32_t> groups;
-    for (net::NodeId h : topo_->hosts()) groups.push_back(topo_->node_group(h));
-    std::sort(groups.begin(), groups.end());
-    groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
-    shard_count = std::max<std::size_t>(1, groups.size());
-  }
-  shards_ = std::make_unique<ShardedIntentQueue>(ShardedIntentQueue::Config{
-      .shard_count = shard_count, .pod_capacity = cfg_.pod_queue_capacity});
+  queue_ = std::make_unique<PodIntentQueue>(cfg_.pod_queue_capacity);
   sim_->queue().set_cohort_hook([this] { drain_cohort(); });
 }
 
 Collector::~Collector() {
-  if (shards_ != nullptr) sim_->queue().clear_cohort_hook();
+  if (queue_ != nullptr) sim_->queue().clear_cohort_hook();
 }
 
 void Collector::purge_expired() {
@@ -115,11 +103,11 @@ void Collector::job_completed(std::size_t job_serial) {
   }
   reducer_location_.erase(reducer_location_.lower_bound(lo),
                           reducer_location_.lower_bound(hi));
-  if (shards_ != nullptr) {
+  if (queue_ != nullptr) {
     // Queued-but-undrained intents die with the job: the transfers they
     // predicted will never start, so installing rules for them would only
     // occupy flow-table space.
-    purged_on_completion_ += shards_->purge_job(job_serial);
+    purged_on_completion_ += queue_->purge_job(job_serial);
   }
 }
 
@@ -130,15 +118,15 @@ std::size_t Collector::intents_waiting() const {
 }
 
 std::size_t Collector::intents_queued() const {
-  return shards_ == nullptr ? 0 : shards_->size();
+  return queue_ == nullptr ? 0 : queue_->size();
 }
 
 std::uint64_t Collector::admission_refused() const {
-  return shards_ == nullptr ? 0 : shards_->refused();
+  return queue_ == nullptr ? 0 : queue_->refused();
 }
 
 std::uint64_t Collector::admission_evicted() const {
-  return shards_ == nullptr ? 0 : shards_->evicted();
+  return queue_ == nullptr ? 0 : queue_->evicted();
 }
 
 std::uint32_t Collector::row_of(net::NodeId server) {
@@ -260,7 +248,7 @@ void Collector::admit_intent(const ShuffleIntent& intent, net::NodeId dst,
   a.expires_at = cfg_.intent_ttl > util::Duration::zero()
                      ? ttl_base + cfg_.intent_ttl
                      : util::SimTime::max();
-  if (shards_->admit(a) != ShardedIntentQueue::Admission::kRefused) {
+  if (queue_->admit(a) != PodIntentQueue::Admission::kRefused) {
     // Something is queued; make sure the cohort boundary fires even if no
     // simulator event defers work this cohort.
     sim_->queue().mark_cohort_activity();
@@ -285,8 +273,8 @@ void Collector::submit_run(std::uint32_t src, std::uint32_t dst,
 }
 
 void Collector::drain_cohort() {
-  if (shards_ == nullptr || shards_->empty()) return;
-  std::vector<AdmittedIntent> batch = shards_->drain();
+  if (queue_ == nullptr || queue_->empty()) return;
+  std::vector<AdmittedIntent> batch = queue_->drain();
   const util::SimTime now = sim_->now();
   // TTL guard at the install edge: an admitted intent whose horizon passed
   // must not install. purge_expired() catches expiry before admission; this
@@ -453,8 +441,8 @@ void Collector::encode_behavior(sim::StateEncoder& enc) const {
   enc.put_u64(purged_on_completion_);
   enc.put_u64(underflows_);
   // Admission outcomes are pipeline-invariant: the per-pod bound decides
-  // each intent identically at any shard count and in both cohort arms.
-  enc.put_u64(shards_ == nullptr ? 0 : shards_->admitted());
+  // each intent identically in both cohort arms.
+  enc.put_u64(queue_ == nullptr ? 0 : queue_->admitted());
   enc.put_u64(admission_refused());
   enc.put_u64(admission_evicted());
 }
@@ -475,8 +463,8 @@ void Collector::encode_state(sim::StateEncoder& enc) const {
   }
   enc.put_bool(flush_pending_);
 
-  enc.put_bool(shards_ != nullptr);
-  if (shards_ != nullptr) shards_->encode_state(enc);
+  enc.put_bool(queue_ != nullptr);
+  if (queue_ != nullptr) queue_->encode_state(enc);
   enc.put_u64(coalesced_saved_);
 }
 

@@ -14,15 +14,15 @@
 //
 //  * kWindowed (default, the paper's heuristic): updates accumulate for
 //    `batch_window` and flush largest-first (criticality-aware FFD).
-//  * kCohortSerial: intents are admitted into per-pod shards (bounded, with
+//  * kCohortSerial: intents are admitted into per-pod queues (bounded, with
 //    synchronous refusal) and drained one-by-one, in canonical
 //    (pod, priority, pair, job, flow) order, at every event-cohort boundary.
 //    This is the serial reference the batched pipeline is proven against.
-//  * kCohortBatched: same shards, same canonical drain order, but contiguous
+//  * kCohortBatched: same queues, same canonical drain order, but contiguous
 //    same-pair runs coalesce into a single prediction+allocation submission
 //    and the controller applies all fresh installs of the cohort as one
-//    rule-table transaction. Byte-identical to kCohortSerial at any shard
-//    count (the identity argument lives in docs/architecture.md).
+//    rule-table transaction. Byte-identical to kCohortSerial (the identity
+//    argument lives in docs/architecture.md).
 //
 // The collector sits at the receiving end of a lossy management network
 // (sim::FaultChannel), so it also defends itself: held intents expire after a
@@ -69,7 +69,7 @@ struct CollectorConfig {
   /// flows feeding the barrier-critical reducer get first pick of paths.
   /// When false, plain first-fit-decreasing by aggregate volume.
   /// Windowed pipeline only (cohort pipelines use the canonical drain
-  /// order, which is what makes them shard-invariant).
+  /// order).
   bool criticality_aware = true;
   /// Held-intent TTL: an intent whose reducer location never materializes
   /// (lost reducer-init message, reducer never launched) is dropped this
@@ -79,10 +79,6 @@ struct CollectorConfig {
   util::Duration intent_ttl = util::Duration::seconds_i(600);
   /// Pipeline selection (see enum above).
   IntentPipeline pipeline = IntentPipeline::kWindowed;
-  /// Cohort pipelines: physical shard count for the per-pod queues.
-  /// 0 = one shard per topology locality group. Purely a layout knob — the
-  /// drained state is byte-identical for any value (including 1).
-  std::size_t shard_count = 0;
   /// Cohort pipelines: max queued intents per pod between cohort
   /// boundaries; a full pod evicts its smallest intent for a strictly
   /// larger newcomer, else refuses the newcomer synchronously. 0 = unbounded.
@@ -168,7 +164,8 @@ class Collector {
   [[nodiscard]] std::size_t aggregate_count() const { return pairs_seen_; }
   /// Intents currently parked waiting for a reducer location.
   [[nodiscard]] std::size_t intents_waiting() const;
-  /// Intents admitted to shards, not yet drained (cohort pipelines only).
+  /// Intents admitted to the pod queues, not yet drained (cohort pipelines
+  /// only).
   [[nodiscard]] std::size_t intents_queued() const;
   /// Admission refusals by the bounded per-pod queues.
   [[nodiscard]] std::uint64_t admission_refused() const;
@@ -187,13 +184,12 @@ class Collector {
       net::NodeId server) const;
 
   /// Serializes the collector's *pipeline-invariant* state: the part that is
-  /// byte-identical between the serial and batched cohort arms (and at any
-  /// shard count). The differential tests and BENCH_controller's
-  /// all_identical gate hash this.
+  /// byte-identical between the serial and batched cohort arms. The
+  /// differential tests and BENCH_controller's all_identical gate hash this.
   void encode_behavior(sim::StateEncoder& enc) const;
 
   /// Serializes the collector's full logical state for snapshots:
-  /// encode_behavior plus the windowed batch, queued shard content, and
+  /// encode_behavior plus the windowed batch, queued pod content, and
   /// pipeline-specific counters.
   void encode_state(sim::StateEncoder& enc) const;
 
@@ -281,9 +277,9 @@ class Collector {
   std::vector<std::uint32_t> batch_slots_;
   bool flush_pending_ = false;
 
-  /// Cohort pipelines: the sharded admission queues, drained by the event
-  /// queue's cohort hook (installed while shards_ is set).
-  std::unique_ptr<ShardedIntentQueue> shards_;
+  /// Cohort pipelines: the bounded per-pod admission queues, drained by the
+  /// event queue's cohort hook (installed while queue_ is set).
+  std::unique_ptr<PodIntentQueue> queue_;
 
   /// Per-server rows by host index (ascending NodeId), allocated with
   /// pair_seen_ on the first booked update or completed fetch.

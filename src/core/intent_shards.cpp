@@ -17,27 +17,14 @@ bool canonical_intent_less(const AdmittedIntent& a, const AdmittedIntent& b) {
                     b.reduce_index, b.map_index, b.admit_seq);
 }
 
-ShardedIntentQueue::ShardedIntentQueue(Config cfg) : cfg_(cfg) {
-  if (cfg_.shard_count == 0) cfg_.shard_count = 1;
-  shards_.resize(cfg_.shard_count);
-}
-
-std::size_t ShardedIntentQueue::shard_for(std::int32_t pod) const {
-  // Pods can be negative (kCoreGroup placements); fold into [0, shards).
-  const auto n = static_cast<std::int64_t>(shards_.size());
-  const std::int64_t m = static_cast<std::int64_t>(pod) % n;
-  return static_cast<std::size_t>(m < 0 ? m + n : m);
-}
-
-ShardedIntentQueue::Admission ShardedIntentQueue::admit(AdmittedIntent intent) {
-  auto& pod_queue = shards_[shard_for(intent.pod)].pods[intent.pod];
+PodIntentQueue::Admission PodIntentQueue::admit(AdmittedIntent intent) {
+  auto& pod_queue = pods_[intent.pod];
   intent.admit_seq = next_admit_seq_++;
 
-  if (cfg_.pod_capacity > 0 && pod_queue.size() >= cfg_.pod_capacity) {
+  if (pod_capacity_ > 0 && pod_queue.size() >= pod_capacity_) {
     // Flow-table semantics: evict the pod's smallest-volume intent if the
     // newcomer is strictly larger, otherwise refuse the newcomer. Victim
-    // choice is a total order (volume, then newest first), so the bound's
-    // behavior never depends on shard layout.
+    // choice is a total order (volume, then newest first).
     auto victim = pod_queue.begin();
     for (auto it = pod_queue.begin(); it != pod_queue.end(); ++it) {
       if (it->wire_bytes < victim->wire_bytes ||
@@ -65,59 +52,37 @@ ShardedIntentQueue::Admission ShardedIntentQueue::admit(AdmittedIntent intent) {
   return Admission::kAdmitted;
 }
 
-std::vector<AdmittedIntent> ShardedIntentQueue::drain() {
+std::vector<AdmittedIntent> PodIntentQueue::drain() {
   std::vector<AdmittedIntent> all;
   all.reserve(size_);
-  for (Shard& shard : shards_) {
-    for (auto& [pod, queue] : shard.pods) {
-      all.insert(all.end(), queue.begin(), queue.end());
-    }
-    shard.pods.clear();
+  for (auto& [pod, queue] : pods_) {
+    all.insert(all.end(), queue.begin(), queue.end());
   }
+  pods_.clear();
   size_ = 0;
   std::sort(all.begin(), all.end(), canonical_intent_less);
   return all;
 }
 
-std::size_t ShardedIntentQueue::purge_job(std::uint64_t job_serial) {
+std::size_t PodIntentQueue::purge_job(std::uint64_t job_serial) {
   std::size_t purged = 0;
-  for (Shard& shard : shards_) {
-    for (auto it = shard.pods.begin(); it != shard.pods.end();) {
-      auto& queue = it->second;
-      const std::size_t before = queue.size();
-      std::erase_if(queue, [job_serial](const AdmittedIntent& a) {
-        return a.job_serial == job_serial;
-      });
-      purged += before - queue.size();
-      it = queue.empty() ? shard.pods.erase(it) : ++it;
-    }
+  for (auto it = pods_.begin(); it != pods_.end();) {
+    auto& queue = it->second;
+    const std::size_t before = queue.size();
+    std::erase_if(queue, [job_serial](const AdmittedIntent& a) {
+      return a.job_serial == job_serial;
+    });
+    purged += before - queue.size();
+    it = queue.empty() ? pods_.erase(it) : ++it;
   }
   size_ -= purged;
   return purged;
 }
 
-void ShardedIntentQueue::encode_state(sim::StateEncoder& enc) const {
-  // Merge per-pod queues across shards into pod-ascending order so the image
-  // is identical at any shard count. Each pod lives in exactly one shard, so
-  // this is a disjoint gather, not a merge of duplicates.
-  std::vector<const std::vector<AdmittedIntent>*> pods_sorted;
-  std::vector<std::int32_t> pod_ids;
-  for (const Shard& shard : shards_) {
-    for (const auto& [pod, queue] : shard.pods) {
-      pod_ids.push_back(pod);
-      pods_sorted.push_back(&queue);
-    }
-  }
-  std::vector<std::size_t> order(pod_ids.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return pod_ids[a] < pod_ids[b];
-  });
-
-  enc.put_u32(static_cast<std::uint32_t>(order.size()));
-  for (std::size_t idx : order) {
-    enc.put_i64(pod_ids[idx]);
-    const auto& queue = *pods_sorted[idx];
+void PodIntentQueue::encode_state(sim::StateEncoder& enc) const {
+  enc.put_u32(static_cast<std::uint32_t>(pods_.size()));
+  for (const auto& [pod, queue] : pods_) {  // ascending pod
+    enc.put_i64(pod);
     enc.put_u32(static_cast<std::uint32_t>(queue.size()));
     for (const AdmittedIntent& a : queue) {
       enc.put_i64(a.priority);

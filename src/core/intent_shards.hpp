@@ -1,19 +1,18 @@
-// Per-pod collector shards with bounded admission.
+// Per-pod collector queues with bounded admission.
 //
-// The sharded intent pipeline accumulates admitted shuffle intents into
-// per-locality-group ("pod") queues between event cohorts. Admission is
-// bounded *per pod*, never per physical shard, so the admit/refuse decision
-// for any intent is independent of how pods are distributed over shards —
-// the property that makes the pipeline byte-identical at any shard count.
-// Bounded queues reuse the flow-table eviction semantics from the control
-// plane: a full pod evicts its smallest-volume intent when the newcomer is
-// strictly larger, otherwise the newcomer is refused synchronously (the
-// prediction is lost and its traffic simply rides ECMP, the same "never
-// worse than ECMP" degradation the rest of the system promises).
+// The cohort intent pipelines accumulate admitted shuffle intents into
+// per-locality-group ("pod") queues between event cohorts, the per-pod
+// aggregation a collector replica next to each pod would do. Admission is
+// bounded per pod. Bounded queues reuse the flow-table eviction semantics
+// from the control plane: a full pod evicts its smallest-volume intent when
+// the newcomer is strictly larger, otherwise the newcomer is refused
+// synchronously (the prediction is lost and its traffic simply rides ECMP,
+// the same "never worse than ECMP" degradation the rest of the system
+// promises).
 //
-// Draining is canonical: all shards are merged and sorted by
-// (pod, priority desc, src, dst, job, reduce, map, admission seq) — a total
-// order, so the drained sequence is identical whatever the shard layout.
+// Draining is canonical: all pods are merged and sorted by
+// (pod, priority desc, src, dst, job, reduce, map, admission seq), a total
+// order.
 // Pair-contiguity within a (pod, priority) band is what the batched drain
 // exploits: every intent for one (src, dst) aggregate in a cohort forms one
 // contiguous run that coalesces into a single allocator submission.
@@ -51,21 +50,12 @@ struct AdmittedIntent {
 };
 
 /// Canonical drain order: (pod, priority desc, src, dst, job, reduce, map,
-/// admit_seq). Total order (admit_seq is unique), hence shard-layout
-/// independent.
+/// admit_seq). A total order: admit_seq is unique.
 [[nodiscard]] bool canonical_intent_less(const AdmittedIntent& a,
                                          const AdmittedIntent& b);
 
-class ShardedIntentQueue {
+class PodIntentQueue {
  public:
-  struct Config {
-    /// Physical shard count; pods map to shards by modulo. Purely a layout
-    /// parameter — admission and drain results are identical for any value.
-    std::size_t shard_count = 1;
-    /// Max queued intents per pod between cohort boundaries; 0 = unbounded.
-    std::size_t pod_capacity = 0;
-  };
-
   enum class Admission : std::uint8_t {
     kAdmitted = 0,
     /// Admitted after evicting the pod's smallest-volume queued intent.
@@ -75,7 +65,10 @@ class ShardedIntentQueue {
     kRefused = 2,
   };
 
-  explicit ShardedIntentQueue(Config cfg);
+  /// `pod_capacity`: max queued intents per pod between cohort boundaries;
+  /// 0 = unbounded.
+  explicit PodIntentQueue(std::size_t pod_capacity)
+      : pod_capacity_(pod_capacity) {}
 
   /// Admits `intent` into its pod's queue (stamping admit_seq), applying the
   /// per-pod bound.
@@ -89,30 +82,22 @@ class ShardedIntentQueue {
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
   [[nodiscard]] std::uint64_t admitted() const { return admitted_; }
   [[nodiscard]] std::uint64_t refused() const { return refused_; }
   [[nodiscard]] std::uint64_t evicted() const { return evicted_; }
 
   /// Serializes queue content (pods ascending, intents in queue order) and
-  /// the admission sequence counter. Deliberately shard-layout independent:
-  /// two queues holding the same intents encode identically at any
-  /// shard_count.
+  /// the admission sequence counter.
   void encode_state(sim::StateEncoder& enc) const;
 
  private:
-  struct Shard {
-    /// Per-pod FIFO accumulation; ordered map so encode/drain walk pods
-    /// deterministically.
-    std::map<std::int32_t, std::vector<AdmittedIntent>> pods;
-  };
-  [[nodiscard]] std::size_t shard_for(std::int32_t pod) const;
-
-  // pythia-lint: allow(snapshot-skip) shard-count identity fixed by the
+  // pythia-lint: allow(snapshot-skip) capacity identity fixed by the
   // fingerprinted scenario config; restore constructs with the same value.
-  Config cfg_;
-  std::vector<Shard> shards_;
+  std::size_t pod_capacity_;
+  /// Per-pod FIFO accumulation; ordered map so encode/drain walk pods in
+  /// ascending order.
+  std::map<std::int32_t, std::vector<AdmittedIntent>> pods_;
   // pythia-lint: allow(snapshot-skip) derived running total of the encoded
   // per-pod queues; decode recomputes it while re-admitting entries.
   std::size_t size_ = 0;

@@ -53,7 +53,7 @@ struct ShuffleIntent {
   util::SimTime emitted_at;
   /// Multi-tenant annotations (open-arrival workloads): the owning tenant
   /// and its scheduling priority. Higher priority drains earlier within a
-  /// cohort in the sharded pipeline; 0/0 (single-tenant engine paths) keeps
+  /// cohort in the cohort pipelines; 0/0 (single-tenant engine paths) keeps
   /// the canonical drain order purely topological.
   std::uint32_t tenant = 0;
   std::int32_t priority = 0;

@@ -72,7 +72,6 @@ void encode_scenario_config(const ScenarioConfig& cfg,
   enc.put_bool(py.collector.criticality_aware);
   enc.put_duration(py.collector.intent_ttl);
   enc.put_u8(static_cast<std::uint8_t>(py.collector.pipeline));
-  enc.put_u64(py.collector.shard_count);
   enc.put_u64(py.collector.pod_queue_capacity);
   enc.put_f64(py.allocator.min_available_bps);
   enc.put_bool(py.allocator.load_aware);
@@ -108,7 +107,6 @@ void encode_scenario_config(const ScenarioConfig& cfg,
 
   enc.put_u8(static_cast<std::uint8_t>(cfg.scheduler));
   enc.put_bool(cfg.enable_netflow);
-  enc.put_u8(static_cast<std::uint8_t>(cfg.rate_engine));
 }
 
 void encode_job_spec(const hadoop::JobSpec& job, sim::StateEncoder& enc) {

@@ -19,8 +19,8 @@
 namespace pythia::exp {
 
 /// Stable hash of everything that shapes a run: the scenario config (seed,
-/// topology, background, controller/Pythia knobs, scheduler, rate engine,
-/// cluster) and the job spec. Two runs with equal fingerprints and equal
+/// topology, background, controller/Pythia knobs, scheduler, cluster) and
+/// the job spec. Two runs with equal fingerprints and equal
 /// seeds are the same universe; restore and sweep-resume refuse mismatches.
 [[nodiscard]] std::uint64_t scenario_fingerprint(const ScenarioConfig& cfg,
                                                  const hadoop::JobSpec& job);

@@ -51,8 +51,7 @@ std::pair<net::NodeId, net::NodeId> cross_rack_pair(
 Scenario::Scenario(ScenarioConfig cfg)
     : cfg_(std::move(cfg)), topo_(build_topology(cfg_)) {
   sim_ = std::make_unique<sim::Simulation>(cfg_.seed);
-  fabric_ = std::make_unique<net::Fabric>(
-      *sim_, topo_, net::FabricConfig{.rate_engine = cfg_.rate_engine});
+  fabric_ = std::make_unique<net::Fabric>(*sim_, topo_);
   controller_ =
       std::make_unique<sdn::Controller>(*sim_, *fabric_, topo_,
                                         cfg_.controller);

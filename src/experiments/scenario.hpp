@@ -55,9 +55,6 @@ struct ScenarioConfig {
   SchedulerKind scheduler = SchedulerKind::kEcmp;
   /// Attach a NetFlow probe on the shuffle port (needed for Fig. 5).
   bool enable_netflow = false;
-  /// Fabric rate engine; kFullRecompute only for differential testing and
-  /// baseline benchmarking (allocations are identical by construction).
-  net::RateEngine rate_engine = net::RateEngine::kIncremental;
 };
 
 /// One knob set for the control-plane fault ablation: how broken are the two

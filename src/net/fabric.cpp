@@ -48,10 +48,9 @@ std::int64_t whole_bytes_delivered(util::Bytes size, double remaining) {
 }
 }  // namespace
 
-Fabric::Fabric(sim::Simulation& sim, const Topology& topo, FabricConfig cfg)
+Fabric::Fabric(sim::Simulation& sim, const Topology& topo)
     : sim_(&sim),
       topo_(&topo),
-      cfg_(cfg),
       link_flows_(topo.link_count()),
       cbr_load_bps_(topo.link_count(), 0.0),
       link_up_(topo.link_count(), 1),
@@ -365,11 +364,6 @@ void Fabric::arm(std::uint32_t pos) {
 
 void Fabric::recompute_rates() {
   ++counters_.recomputes;
-  if (cfg_.rate_engine == RateEngine::kFullRecompute) {
-    clear_dirty();
-    fill_full();
-    return;
-  }
   if (dirty_links_.empty()) return;  // probe-forced accounting point
   fill_incremental();
   clear_dirty();
@@ -561,8 +555,8 @@ void Fabric::live_round(std::uint32_t bottleneck, double scanned) {
   const std::uint32_t id = acquire_round();
   Round& round = rounds_[id];
   const double share = scanned < 0.0 ? 0.0 : scanned;
-  // Freeze every unfixed flow crossing the bottleneck (ascending by id, the
-  // order the full fill visits them). Every link they cross joins A.
+  // Freeze every unfixed flow crossing the bottleneck, ascending by id.
+  // Every link they cross joins A.
   for (FlowId fid : link_flows_[bottleneck]) {
     const std::uint32_t slot = fid.value();
     if (fixed(slot)) continue;
@@ -652,77 +646,6 @@ void Fabric::fill_incremental() {
                       superseded_.end());
   superseded_.clear();
   std::swap(rec_, next_rec_);
-}
-
-void Fabric::fill_full() {
-  // The original O(rounds × links × flows) progressive fill, preserved as
-  // the baseline. Flows are visited in ascending id order at every step so
-  // the floating-point operation sequence matches fill_incremental()
-  // exactly (the differential tests rely on bit-identical allocations).
-  const std::uint32_t epoch = next_fill_epoch();
-  counters_.links_touched += link_flows_.size();
-  counters_.flows_touched += active_.size();
-  ++counters_.full_fills;
-
-  sorted_active_ = active_;
-  std::sort(sorted_active_.begin(), sorted_active_.end(),
-            [](FlowId a, FlowId b) { return a.value() < b.value(); });
-
-  std::fill(elastic_rate_bps_.begin(), elastic_rate_bps_.end(), 0.0);
-  for (auto& per_class : class_rate_bps_) per_class.fill(0.0);
-  for (std::uint32_t l = 0; l < residual_.size(); ++l) {
-    residual_[l] = elastic_headroom(l);
-    unfixed_weight_[l] = 0.0;
-    unfixed_count_[l] = 0;
-  }
-  for (FlowId id : sorted_active_) {
-    const Flow& f = flows_[id.value()];
-    for (LinkId l : f.spec.path) {
-      unfixed_weight_[l.value()] += f.spec.weight;
-      ++unfixed_count_[l.value()];
-    }
-  }
-
-  std::size_t remaining_flows = sorted_active_.size();
-  while (remaining_flows > 0) {
-    ++counters_.fill_rounds;
-    double best_share = std::numeric_limits<double>::infinity();
-    std::uint32_t best_link = kNoLink;
-    for (std::uint32_t l = 0; l < residual_.size(); ++l) {
-      if (unfixed_count_[l] == 0) continue;
-      const double share = residual_[l] / std::max(unfixed_weight_[l], 1e-12);
-      if (share < best_share) {
-        best_share = share;
-        best_link = l;
-      }
-    }
-    assert(best_link != kNoLink);
-    if (best_share < 0.0) best_share = 0.0;
-
-    for (FlowId id : sorted_active_) {
-      const std::uint32_t slot = id.value();
-      if (flow_frozen_[slot] == epoch) continue;
-      Flow& f = flows_[slot];
-      const bool crosses =
-          std::any_of(f.spec.path.begin(), f.spec.path.end(),
-                      [best_link](LinkId l) { return l.value() == best_link; });
-      if (!crosses) continue;
-      const double rate = best_share * f.spec.weight;
-      set_rate(f, rate);
-      flow_frozen_[slot] = epoch;
-      --remaining_flows;
-      for (LinkId l : f.spec.path) freeze_on(l.value(), rate, f.spec.weight);
-    }
-  }
-
-  for (FlowId id : sorted_active_) {
-    const Flow& f = flows_[id.value()];
-    for (LinkId l : f.spec.path) {
-      elastic_rate_bps_[l.value()] += f.rate.bps();
-      class_rate_bps_[l.value()][static_cast<std::size_t>(f.spec.cls)] +=
-          f.rate.bps();
-    }
-  }
 }
 
 void Fabric::schedule_next_completion() {
@@ -827,10 +750,9 @@ void Fabric::settle_and_recompute() {
 }
 
 void Fabric::encode_counters(sim::StateEncoder& enc) const {
-  // Rate-engine observability: deterministic within one engine, but
-  // kIncremental and kFullRecompute legitimately differ here even though
-  // their allocations are contracted identical — which is why this lives in
-  // its own snapshot section the cross-arm bisection skips.
+  // Fill work, not behaviour: deterministic within one build, but a fill
+  // that allocates the same rates with less work differs here, which is why
+  // this lives in its own snapshot section the cross-arm bisection skips.
   enc.put_u64(counters_.recomputes);
   enc.put_u64(counters_.full_fills);
   enc.put_u64(counters_.links_touched);

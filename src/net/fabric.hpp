@@ -13,17 +13,15 @@
 // a dense column beside their remainders and rates (see the members): every
 // mutation settles every active flow anyway, so each event stays O(active).
 //
-// Two rate engines share the same progressive-fill arithmetic:
-//  * kFullRecompute reruns the fill over every link and flow on each change
-//    (the original O(rounds × links × flows) algorithm, kept as the
-//    differential-testing and benchmarking oracle);
-//  * kIncremental (default) runs one warm whole-fabric fill per change whose
-//    work follows the links the change reaches. It keeps the result's bits:
+// Each change runs one warm whole-fabric fill whose work follows the links
+// the change reaches. It keeps the bits of a cold progressive fill over
+// every link and flow in ascending flow id (the suites check every fill
+// against such a fill, tests/net/maxmin_oracle.hpp):
 //    - Rate sums on read. A fill marks stale the links a change dirtied and
 //      the paths of flows whose rate moved, instead of re-summing them;
 //      link_elastic_rate, link_class_rate, link_utilization and
 //      encode_state re-sum a stale link over its flows in ascending id from
-//      zero, the additions the eager end-of-fill sum made.
+//      zero, the additions an eager end-of-fill sum would make.
 //    - The record. Every fill records, per round, its bottleneck b_k and
 //      share s_k as scanned, the slots it froze (ascending) and the links
 //      it touched; per link, its (residual, unfixed weight, unfixed count)
@@ -134,32 +132,14 @@ struct Flow {
 
 using FlowCompleteFn = std::function<void(FlowId, util::SimTime)>;
 
-/// Which progressive-fill driver recomputes rates on fabric changes.
-enum class RateEngine {
-  /// Warm whole-fabric fill: replays every recorded round the change
-  /// cannot reach and runs live rounds only on the links it reaches
-  /// (see file header). Default.
-  kIncremental,
-  /// Legacy full fill over all links and flows on every change. Kept as the
-  /// oracle for differential tests and the scaling bench.
-  kFullRecompute,
-};
-
-struct FabricConfig {
-  RateEngine rate_engine = RateEngine::kIncremental;
-};
-
 /// Hot-path counters for perf-trajectory tracking across PRs.
 struct FabricCounters {
   std::uint64_t recomputes = 0;        // progressive fills run
-  /// Fills with no record: every kFullRecompute fill and kIncremental's
-  /// first fill.
+  /// Fills with no record: the fabric's first fill.
   std::uint64_t full_fills = 0;
-  /// Σ links per fill: every link under kFullRecompute, the affected set A
-  /// under kIncremental.
+  /// Σ links per fill in the affected set A.
   std::uint64_t links_touched = 0;
-  /// Σ flows per fill: every active flow under kFullRecompute, the flows
-  /// frozen by live rounds under kIncremental.
+  /// Σ flows per fill frozen by live rounds.
   std::uint64_t flows_touched = 0;
   std::uint64_t completion_events = 0; // completion events fired
   std::uint64_t settles = 0;           // non-empty settle intervals
@@ -167,17 +147,16 @@ struct FabricCounters {
   /// because the end-to-end benchmark reports it as the per-layer metric
   /// `fabric.deferred_recomputes`.
   std::uint64_t deferred_recomputes = 0;
-  /// Progressive-fill rounds run live (every engine); one bottleneck per
-  /// round.
+  /// Progressive-fill rounds run live; one bottleneck per round.
   std::uint64_t fill_rounds = 0;
-  /// Rounds kIncremental replayed from the previous fill's record instead
-  /// of running them; fill_rounds + reused_rounds is the cold round count.
+  /// Rounds replayed from the previous fill's record instead of running
+  /// them; fill_rounds + reused_rounds is the cold round count.
   std::uint64_t reused_rounds = 0;
 };
 
 class Fabric {
  public:
-  Fabric(sim::Simulation& sim, const Topology& topo, FabricConfig cfg = {});
+  Fabric(sim::Simulation& sim, const Topology& topo);
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -264,7 +243,6 @@ class Fabric {
   }
   /// Hot-path perf counters (recomputes, links/flows touched, events).
   [[nodiscard]] const FabricCounters& counters() const { return counters_; }
-  [[nodiscard]] RateEngine rate_engine() const { return cfg_.rate_engine; }
 
   /// Settles all flows to now() and recomputes max-min rates. Called
   /// automatically on arrivals/departures/CBR changes; public so that probes
@@ -278,10 +256,10 @@ class Fabric {
   /// excluded — it is reconstructed by replay and never observable.
   void encode_state(sim::StateEncoder& enc) const;
 
-  /// Rate-engine work counters, serialized as their own snapshot section:
-  /// kIncremental and kFullRecompute allocate identical rates but touch
-  /// different amounts of state doing it, so divergence bisection compares
-  /// behavioral sections only (see Snapshot::describe_divergence).
+  /// Fill work counters, serialized as their own snapshot section: they
+  /// count work, not behaviour (two fills that allocate identical rates may
+  /// touch different amounts of state doing it), so divergence bisection
+  /// compares behavioral sections only (see Snapshot::describe_divergence).
   void encode_counters(sim::StateEncoder& enc) const;
 
  private:
@@ -300,8 +278,7 @@ class Fabric {
   void remove_link_flow(LinkId l, FlowId id);
   void mark_dirty(LinkId l);
   void clear_dirty();
-  /// Residual capacity a link offers elastic flows (shared by both fills so
-  /// the arithmetic is bit-identical).
+  /// Residual capacity a link offers elastic flows.
   [[nodiscard]] double elastic_headroom(std::uint32_t l) const;
   /// Returns whether the rate moved (and so re-armed the flow's instant).
   bool set_rate(Flow& f, double rate_bps);
@@ -340,9 +317,8 @@ class Fabric {
   /// l's log back to its replayed entries and marks the record rounds it
   /// cut off as landing on A. Returns false if l was already in A.
   bool join_affected(std::uint32_t l, bool cold);
-  /// The fill's arithmetic for one freeze at `rate` on link l (shared by
-  /// both fills so the bits match). Defined here so that the per-(flow,
-  /// link) loops inline it.
+  /// The fill's arithmetic for one freeze at `rate` on link l. Defined here
+  /// so that the per-(flow, link) loops inline it.
   void freeze_on(std::uint32_t l, double rate, double weight) {
     residual_[l] = std::max(0.0, residual_[l] - rate);
     unfixed_weight_[l] = std::max(0.0, unfixed_weight_[l] - weight);
@@ -379,14 +355,11 @@ class Fabric {
   [[nodiscard]] bool fixed(std::uint32_t slot) const;
   /// Re-sums a link's elastic and per-class rates if a fill marked it stale.
   void refresh_link_sums(std::uint32_t l) const;
-  /// Legacy progressive fill over every link and active flow.
-  void fill_full();
 
-  // pythia-lint: allow(snapshot-skip, group) construction wiring and config
-  // identity: restore builds a fresh Fabric from the fingerprinted scenario.
+  // pythia-lint: allow(snapshot-skip, group) construction wiring: restore
+  // builds a fresh Fabric from the fingerprinted scenario.
   sim::Simulation* sim_;
   const Topology* topo_;
-  FabricConfig cfg_;
 
   // pythia-lint: allow(snapshot-skip, group) slot bookkeeping rebuilt by
   // restore replay: encode_state writes the live flows, and re-admitting
@@ -415,8 +388,7 @@ class Fabric {
   };
   std::vector<CbrStream> cbrs_;
   std::vector<char> link_up_;             // per link
-  // Per-link rate sums: written by every fill under kFullRecompute,
-  // re-summed on read under kIncremental (refresh_link_sums).
+  // Per-link rate sums, re-summed on read (refresh_link_sums).
   mutable std::vector<double> elastic_rate_bps_;
   mutable std::vector<std::array<double, 4>> class_rate_bps_;  // per class
 
@@ -442,13 +414,11 @@ class Fabric {
   // once per round for the links a freeze touched, so picking the
   // bottleneck compares instead of dividing. Each cached value is the exact
   // division the inline expression would produce (same operands), which
-  // keeps bottleneck selection bit-identical to fill_full()'s, which does
-  // not maintain it.
+  // keeps bottleneck selection bit-identical to a cold fill's.
   std::vector<double> link_share_;
   // Per-round dedup of the links a live round touched: one share refresh
   // and one log entry per link instead of one per (flow, link) path step.
   std::vector<char> link_touched_;
-  std::vector<FlowId> sorted_active_;   // fill_full scratch
   // Fill stamps: equal to fill_epoch_ means "this fill".
   std::uint32_t fill_epoch_ = 0;
   std::vector<std::uint32_t> link_affected_;   // link is in A
@@ -471,7 +441,7 @@ class Fabric {
   };
   Lowest low_{};
 
-  // The record of the last kIncremental fill (see file header). Rounds keep
+  // The record of the last fill (see file header). Rounds keep
   // their ids and contents across fills: the fill reads rec_ and writes
   // next_rec_ (step lists, swapped at the end), touches only the logs of A
   // links, and frees the rounds it superseded.

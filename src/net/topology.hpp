@@ -76,15 +76,14 @@ class Topology {
   /// 5-tuples for ECMP hashing.
   [[nodiscard]] std::uint32_t address_of(NodeId n) const;
 
-  // --- partition metadata (collector pod shards) --------------------------
+  // --- partition metadata (collector pod queues) --------------------------
   //
   // Nodes are partitioned into locality groups: one group per fat-tree pod
   // (or leaf-spine rack / two-rack rack), with core/spine/wire switches left
   // in the shared "core" group (`kCoreGroup`). The collector's cohort
   // intent pipelines use it as the pod: each admitted intent is queued
-  // under its source host's group, and by default the collector runs one
-  // shard per host group. Topologies without assignments put every host in
-  // the core group, so they get a single shard.
+  // under its source host's group. Topologies without assignments put every
+  // host in the core group, so they get a single pod queue.
 
   /// Sentinel group for nodes outside every locality group (cores/spines).
   static constexpr std::int32_t kCoreGroup = -1;

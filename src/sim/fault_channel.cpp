@@ -1,15 +1,45 @@
 #include "sim/fault_channel.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "sim/snapshot.hpp"
 
 namespace pythia::sim {
 
+namespace {
+
+[[noreturn]] void reject_field(const char* field, const char* why) {
+  throw std::invalid_argument(std::string("FaultChannelConfig::") + field +
+                              " " + why);
+}
+
+/// `cfg`, once every field is one the event loop can run.
+const FaultChannelConfig& validated(const FaultChannelConfig& cfg) {
+  const std::pair<const char*, double> probabilities[] = {
+      {"drop_probability", cfg.drop_probability},
+      {"duplicate_probability", cfg.duplicate_probability},
+  };
+  for (const auto& [field, p] : probabilities) {
+    if (!(p >= 0.0 && p <= 1.0)) reject_field(field, "must be in [0, 1]");
+  }
+  const std::pair<const char*, util::Duration> delays[] = {
+      {"base_delay", cfg.base_delay},
+      {"jitter", cfg.jitter},
+  };
+  for (const auto& [field, d] : delays) {
+    if (d < util::Duration::zero()) reject_field(field, "must not be negative");
+  }
+  return cfg;
+}
+
+}  // namespace
+
 FaultChannel::FaultChannel(Simulation& sim, std::string stream_name,
                            FaultChannelConfig cfg)
-    : sim_(&sim), stream_(std::move(stream_name)), cfg_(cfg) {}
+    : sim_(&sim), stream_(std::move(stream_name)), cfg_(validated(cfg)) {}
 
 util::Duration FaultChannel::sample_delay() {
   util::Duration delay = cfg_.base_delay;

@@ -50,7 +50,10 @@ struct FaultChannelConfig {
 class FaultChannel {
  public:
   /// `stream_name` names the RNG stream (derived from the simulation's root
-  /// seed), so two channels with distinct names fault independently.
+  /// seed), so two channels with distinct names fault independently. Throws
+  /// std::invalid_argument, naming the field, unless both probabilities are
+  /// in [0, 1] and both delays are non-negative (a negative delay would
+  /// schedule a delivery in the past).
   FaultChannel(Simulation& sim, std::string stream_name,
                FaultChannelConfig cfg = {});
 

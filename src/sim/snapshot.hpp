@@ -134,7 +134,9 @@ class Snapshot {
   // routing.counters dropped its leading u64, the full-rebuild count.
   // v8: the routing section holds k and the sorted banned set instead of
   // every pair's candidate chains, so a capture computes no routing.
-  static constexpr std::uint32_t kFormatVersion = 8;
+  // v9: the fabric has one fill and the collector no physical shards, so
+  // the scenario fingerprint dropped the rate engine and the shard count.
+  static constexpr std::uint32_t kFormatVersion = 9;
 
   // --- identity + cursor (set by the capturing layer) ---
   std::uint64_t root_seed = 0;
@@ -182,8 +184,8 @@ class Snapshot {
 
   /// Observability sections (names ending in ".counters") record how much
   /// work a strategy did, not what it computed; contracted-identical arms
-  /// (e.g. incremental vs. full-recompute rate engines) agree on every
-  /// behavioral section while legitimately differing here.
+  /// (e.g. two builds whose fabric fills touch different amounts of state)
+  /// agree on every behavioral section while legitimately differing here.
   [[nodiscard]] static bool is_observability_section(const std::string& name);
 
   /// describe_divergence restricted to behavioral sections — the cross-arm

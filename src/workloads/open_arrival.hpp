@@ -8,7 +8,7 @@
 // emitting reducer locations, per-(map, reducer) shuffle intents in waves,
 // and a completion. Arrivals are quantized to a tick so concurrent jobs
 // land intents in the same simulation instant — the event cohorts the
-// sharded pipeline drains in one batch.
+// cohort pipelines drain in one batch.
 //
 // The driver produces a deterministic event list in time order, written in
 // that order as the jobs are generated rather than sorted afterwards.

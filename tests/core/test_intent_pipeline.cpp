@@ -1,9 +1,10 @@
 // Differential and defensive tests for the cohort intent pipelines:
 //
-//  * serial vs batched drains are byte-identical (plain and under
-//    flow-table pressure, where refusals keep pairs un-coalescable);
-//  * the sharded admission layout (1 / 3 / one-per-pod shards) never leaks
-//    into behavior, including with bounded pods and job purges in play;
+//  * serial vs batched drains are byte-identical (plain, with bounded pods,
+//    and under flow-table pressure, where refusals keep pairs
+//    un-coalescable);
+//  * the batched collector's encoded state after every event of a storm,
+//    with bounded pods and a mid-storm job purge in play, is pinned;
 //  * TTL expiry and job-completion purges keep un-installable intents out
 //    of the drain entirely;
 //  * bounded pods evict only for strictly larger newcomers and refuse the
@@ -13,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "core/allocator.hpp"
@@ -20,6 +23,7 @@
 #include "net/fabric.hpp"
 #include "net/topology.hpp"
 #include "sdn/controller.hpp"
+#include "sim/image_hash.hpp"
 #include "sim/simulation.hpp"
 #include "sim/snapshot.hpp"
 #include "workloads/open_arrival.hpp"
@@ -73,28 +77,47 @@ std::vector<workloads::StormEvent> small_storm(const net::Topology& topo) {
   return workloads::generate_storm(cfg, topo, /*seed=*/11);
 }
 
-std::vector<std::uint8_t> run_storm(
-    const net::Topology& topo, const std::vector<workloads::StormEvent>& ev,
-    IntentPipeline pipeline, std::size_t shards,
-    std::size_t pod_capacity = 0, std::size_t flow_table_capacity = 0) {
+struct StormRun {
+  std::vector<std::uint8_t> image;
+  std::uint64_t refused = 0;
+  std::uint64_t evicted = 0;
+};
+
+StormRun run_storm(const net::Topology& topo,
+                   const std::vector<workloads::StormEvent>& ev,
+                   IntentPipeline pipeline, std::size_t pod_capacity = 0,
+                   std::size_t flow_table_capacity = 0) {
   CollectorConfig ccfg;
   ccfg.pipeline = pipeline;
-  ccfg.shard_count = shards;
   ccfg.pod_queue_capacity = pod_capacity;
   sdn::ControllerConfig ctcfg;
   ctcfg.flow_table_capacity = flow_table_capacity;
   Stack s(topo, ccfg, ctcfg);
   workloads::schedule_storm(s.sim, s.collector, ev);
   s.sim.run();
-  return s.image();
+  return {s.image(), s.collector.admission_refused(),
+          s.collector.admission_evicted()};
 }
 
 TEST(IntentPipeline, SerialAndBatchedArmsByteIdentical) {
   const net::Topology topo = fat_tree4();
   const auto ev = small_storm(topo);
-  const auto serial = run_storm(topo, ev, IntentPipeline::kCohortSerial, 1);
-  const auto batched = run_storm(topo, ev, IntentPipeline::kCohortBatched, 1);
-  EXPECT_EQ(serial, batched);
+  const auto serial = run_storm(topo, ev, IntentPipeline::kCohortSerial);
+  const auto batched = run_storm(topo, ev, IntentPipeline::kCohortBatched);
+  EXPECT_EQ(serial.image, batched.image);
+}
+
+TEST(IntentPipeline, SerialAndBatchedIdenticalWithBoundedPods) {
+  // Six intents per pod: admission refuses and evicts before either drain
+  // runs, so the batched arm must coalesce exactly what survived.
+  const net::Topology topo = fat_tree4();
+  const auto ev = small_storm(topo);
+  const auto serial = run_storm(topo, ev, IntentPipeline::kCohortSerial,
+                                /*pod_capacity=*/6);
+  const auto batched = run_storm(topo, ev, IntentPipeline::kCohortBatched,
+                                 /*pod_capacity=*/6);
+  EXPECT_GT(serial.refused + serial.evicted, 0u) << "the bound never bit";
+  EXPECT_EQ(serial.image, batched.image);
 }
 
 TEST(IntentPipeline, SerialAndBatchedIdenticalUnderTablePressure) {
@@ -103,34 +126,68 @@ TEST(IntentPipeline, SerialAndBatchedIdenticalUnderTablePressure) {
   // must keep submitting them per-intent to stay identical.
   const net::Topology topo = fat_tree4();
   const auto ev = small_storm(topo);
-  const auto serial = run_storm(topo, ev, IntentPipeline::kCohortSerial, 1,
+  const auto serial = run_storm(topo, ev, IntentPipeline::kCohortSerial,
                                 /*pod_capacity=*/0, /*table=*/3);
-  const auto batched = run_storm(topo, ev, IntentPipeline::kCohortBatched, 1,
+  const auto batched = run_storm(topo, ev, IntentPipeline::kCohortBatched,
                                  /*pod_capacity=*/0, /*table=*/3);
-  EXPECT_EQ(serial, batched);
+  EXPECT_EQ(serial.image, batched.image);
 }
 
-TEST(IntentPipeline, ShardCountInvariance) {
-  // The shard layout is a physical knob only: 1 shard, 3 shards, and
-  // one-per-pod must drain byte-identically — also with bounded pods, so
-  // refusal/eviction decisions cannot depend on the layout either.
+TEST(IntentPipeline, BatchedCollectorStatePinned) {
+  // Collector::encode_state after every event of the storm on the batched
+  // pipeline, folded into one FNV-1a per pod capacity and pinned, so the
+  // queue's layout may change but not its encoded bytes. Mid-storm, a job
+  // completes in the cohort that queued one of its intents, before the
+  // drain: the largest intent of the storm's second half whose reducer is
+  // already located, which its pod admits at either capacity.
   const net::Topology topo = fat_tree4();
   const auto ev = small_storm(topo);
-  for (const std::size_t cap : {std::size_t{0}, std::size_t{6}}) {
-    const auto one =
-        run_storm(topo, ev, IntentPipeline::kCohortBatched, 1, cap);
-    const auto three =
-        run_storm(topo, ev, IntentPipeline::kCohortBatched, 3, cap);
-    const auto per_pod =
-        run_storm(topo, ev, IntentPipeline::kCohortBatched, 0, cap);
-    EXPECT_EQ(one, three) << "pod capacity " << cap;
-    EXPECT_EQ(one, per_pod) << "pod capacity " << cap;
+  std::set<std::pair<std::size_t, std::size_t>> located;
+  const workloads::StormEvent* mid = nullptr;
+  for (std::size_t i = 0; i < ev.size(); ++i) {
+    const workloads::StormEvent& e = ev[i];
+    if (e.kind == workloads::StormEvent::Kind::kReducerLocated) {
+      located.insert({e.job_serial, e.reduce_index});
+    } else if (e.kind == workloads::StormEvent::Kind::kIntent &&
+               i >= ev.size() / 2 &&
+               located.contains({e.intent.job_serial, e.intent.reduce_index}) &&
+               (mid == nullptr || e.intent.predicted_wire_bytes >
+                                      mid->intent.predicted_wire_bytes)) {
+      mid = &e;
+    }
+  }
+  ASSERT_NE(mid, nullptr);
+
+  for (const auto& [cap, pin] :
+       {std::pair<std::size_t, std::uint64_t>{0, 0x1ca3d685608baec9},
+        std::pair<std::size_t, std::uint64_t>{6, 0x6c4efa56f4104afb}}) {
+    CollectorConfig ccfg;
+    ccfg.pipeline = IntentPipeline::kCohortBatched;
+    ccfg.pod_queue_capacity = cap;
+    Stack s(topo, ccfg);
+    workloads::schedule_storm(s.sim, s.collector, ev);
+    std::size_t purged = 0;
+    s.sim.at(mid->at, [&s, &purged, mid] {
+      const std::size_t queued = s.collector.intents_queued();
+      s.collector.job_completed(mid->intent.job_serial);
+      purged = queued - s.collector.intents_queued();
+    });
+    std::uint64_t h = sim::kFnv1aOffset;
+    auto fold = [&s, &h] {
+      sim::StateEncoder enc;
+      s.collector.encode_state(enc);
+      h = sim::fnv1a(enc.bytes(), h);
+    };
+    while (s.sim.run(1) > 0) fold();
+    fold();  // after the last cohort's drain
+    EXPECT_GT(purged, 0u) << "pod capacity " << cap;
+    EXPECT_EQ(h, pin) << "pod capacity " << cap << ": " << std::hex << h;
   }
 }
 
 TEST(IntentPipeline, TtlExpiryMidCohortNotInstallable) {
   // The reducer location arrives exactly at the TTL horizon: the held
-  // intent must expire before admission, never reach a shard, and install
+  // intent must expire before admission, never reach a pod queue, and install
   // nothing — in both cohort pipelines.
   const net::Topology topo = fat_tree4();
   const auto hosts = topo.hosts();

@@ -1,6 +1,6 @@
 // The weighted max-min certificate of a fabric's allocation, checked from
-// first principles rather than against another engine: a bug that both
-// rate engines share still fails it.
+// first principles rather than against another fill: a bug the fabric
+// shares with its oracle (maxmin_oracle.hpp) still fails it.
 //  * Capacity: no link carries more elastic traffic than its residual
 //    capacity (capacity minus CBR, floored at zero; zero when down).
 //  * Bottleneck: every flow with a positive rate crosses a saturated link
@@ -14,6 +14,9 @@
 // against them. A flow the fabric dropped from its active set escapes the
 // certificate, so callers that know their flow set compare it with
 // active_flows() too.
+//
+// expect_matches_oracle is the bit-exact check beside it: the fabric's rates
+// and link sums against a reference fill of the same state.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -23,6 +26,7 @@
 #include <vector>
 
 #include "net/fabric.hpp"
+#include "net/maxmin_oracle.hpp"
 
 namespace pythia::net::certificate {
 
@@ -73,6 +77,18 @@ inline void expect_maxmin(const Fabric& fabric, const std::string& where) {
         << where << ": flow " << f.value() << " at " << flow.rate.bps()
         << " bps has no saturated link on which it is maximal";
   }
+}
+
+/// Compares every active flow's rate and every link's elastic, per-class
+/// and utilization bits with a reference fill of `fabric`'s own state
+/// (maxmin::mismatches). One failure per call, prefixed by `where`, with
+/// the first mismatch and the count: a wrong fill moves many values.
+inline void expect_matches_oracle(const Fabric& fabric,
+                                  const std::string& where) {
+  const std::vector<std::string> m = maxmin::mismatches(fabric);
+  if (m.empty()) return;
+  ADD_FAILURE() << where << ": " << m.size()
+                << " values differ from the oracle, first " << m.front();
 }
 
 }  // namespace pythia::net::certificate

@@ -1,6 +1,10 @@
 // FaultChannel: deterministic control-plane fault injection.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/fault_channel.hpp"
@@ -139,6 +143,42 @@ TEST(FaultChannel, NamedStreamsFaultIndependently) {
     return delivered;
   };
   EXPECT_EQ(pattern(false), pattern(true));
+}
+
+TEST(FaultChannel, RejectsConfigsTheEventLoopCannotRun) {
+  // A negative delay would schedule a delivery before now(); a probability
+  // outside [0, 1] (or NaN) is no probability. Each throws, naming its field.
+  Simulation sim(1);
+  FaultChannelConfig drop;
+  drop.drop_probability = std::nan("");
+  FaultChannelConfig duplicate;
+  duplicate.duplicate_probability = 1.5;
+  FaultChannelConfig base;
+  base.base_delay = Duration::millis(-1);
+  FaultChannelConfig jitter;
+  jitter.jitter = Duration{-1};
+  const std::pair<const char*, FaultChannelConfig> bad[] = {
+      {"drop_probability", drop},
+      {"duplicate_probability", duplicate},
+      {"base_delay", base},
+      {"jitter", jitter},
+  };
+  for (const auto& [field, cfg] : bad) {
+    EXPECT_THROW(FaultChannel(sim, "test.channel", cfg), std::invalid_argument)
+        << field;
+    try {
+      FaultChannel ch(sim, "test.channel", cfg);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+
+  // The bounds themselves are valid.
+  FaultChannelConfig edges;
+  edges.drop_probability = 1.0;
+  edges.duplicate_probability = 0.0;
+  EXPECT_NO_THROW(FaultChannel(sim, "test.channel", edges));
 }
 
 }  // namespace

@@ -1,32 +1,37 @@
 // bisect_divergence — event-level divergence bisection between two
 // simulation arms that are supposed to be behaviorally identical.
 //
-// The determinism contract (docs/determinism.md) promises that certain arm
-// pairs — most importantly the incremental vs. full-recompute fabric rate
-// engines — produce bit-identical behavior. When that promise breaks, the
-// symptom (a diverged golden trace or final metric) is far downstream of the
-// cause. This tool localizes the break to the exact first event:
+// The determinism contract (docs/determinism.md) promises that two fresh
+// replays of one scenario produce bit-identical behavior. When that promise
+// breaks, or when two arms that should agree do not, the symptom (a
+// diverged golden trace or final metric) is far downstream of the cause.
+// This tool localizes the break to the exact first event:
 //
 //  1. run both arms to completion with an EventTraceRecorder and report the
 //     first differing trace line (coarse, human-readable context);
 //  2. binary-search the event count: fresh-replay each arm to N events,
 //     capture a snapshot (experiments/checkpoint.hpp), and compare
 //     *behavioral* checksums — observability sections ("fabric.counters",
-//     "routing.counters") are excluded, since contracted-identical arms
-//     legitimately do different amounts of work;
+//     "routing.counters") are excluded, since they count work, not
+//     behavior;
 //  3. report the first event count at which the images diverge, plus the
 //     section-level byte diff at that point.
 //
 // Every probe is a fresh deterministic replay, so the search is exact: the
 // reported event is the true first divergence, not a sampling artifact.
 //
-// `--smoke` runs the self-test pair used by CI: engines must be identical,
-// and a deliberately perturbed arm must be caught by the bisection.
+// `--smoke` runs the self-test pairs used by CI: two fresh replays of one
+// arm must agree, and a deliberately perturbed arm must be caught by the
+// bisection.
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "experiments/checkpoint.hpp"
@@ -49,32 +54,59 @@ struct Arm {
 struct Options {
   std::uint64_t seed = 1;
   double oversub = 10.0;
-  long long input_mb = 2000;
+  std::int64_t input_mb = 2000;
   std::size_t reducers = 4;
-  std::string arm_a_engine = "incremental";
-  std::string arm_b_engine = "full";
   std::string arm_b_scheduler;  // empty = same as arm A (pythia)
   std::uint64_t arm_b_seed = 0;  // 0 = same as arm A
   bool smoke = false;
 };
 
-pythia::net::RateEngine parse_engine(const std::string& name) {
-  if (name == "incremental") return pythia::net::RateEngine::kIncremental;
-  if (name == "full") return pythia::net::RateEngine::kFullRecompute;
-  std::fprintf(stderr, "unknown rate engine '%s' (incremental|full)\n",
-               name.c_str());
+void usage(std::FILE* out) {
+  std::fprintf(
+      out,
+      "usage: bisect_divergence [flags]\n"
+      "localize the first divergent event between two simulation arms\n"
+      "that should be behaviorally identical (arm B defaults to a fresh\n"
+      "replay of arm A).\n\n"
+      "  --seed N            root seed for both arms (default 1)\n"
+      "  --oversub R         background oversubscription ratio, finite and\n"
+      "                      >= 1 (default 10)\n"
+      "  --input-mb M        sort job input size in MB, >= 1 (default 2000)\n"
+      "  --reducers K        sort job reducer count, >= 1 (default 4)\n"
+      "  --arm-b-scheduler S perturb arm B's scheduler "
+      "(ecmp|pythia|hedera|flowcomb)\n"
+      "  --arm-b-seed N      perturb arm B's seed\n"
+      "  --smoke             run the CI self-test pairs and exit\n\n"
+      "exit status: 0 arms agree, 2 divergence found and localized,\n"
+      "1 usage/self-test failure\n");
+}
+
+/// Prints `why` and the usage to stderr and exits 1, before any run.
+[[noreturn]] void fail(const std::string& why) {
+  std::fprintf(stderr, "bisect_divergence: %s\n", why.c_str());
+  usage(stderr);
   std::exit(1);
 }
 
-SchedulerKind parse_scheduler(const std::string& name) {
+/// The whole of `text` as a number of type T: no sign a T cannot hold, no
+/// leading space, no trailing characters, no overflow.
+template <class T>
+T parse_number(const std::string& flag, const std::string& text) {
+  T v{};
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, v);
+  if (text.empty() || ec != std::errc{} || ptr != last) {
+    fail(flag + " wants a number, not '" + text + "'");
+  }
+  return v;
+}
+
+std::optional<SchedulerKind> parse_scheduler(const std::string& name) {
   if (name == "ecmp") return SchedulerKind::kEcmp;
   if (name == "pythia") return SchedulerKind::kPythia;
   if (name == "hedera") return SchedulerKind::kHedera;
   if (name == "flowcomb") return SchedulerKind::kFlowCombLike;
-  std::fprintf(stderr,
-               "unknown scheduler '%s' (ecmp|pythia|hedera|flowcomb)\n",
-               name.c_str());
-  std::exit(1);
+  return std::nullopt;
 }
 
 ScenarioConfig base_config(std::uint64_t seed, double oversub) {
@@ -226,19 +258,16 @@ int run_smoke() {
   const auto job =
       pythia::workloads::sort_job(pythia::util::Bytes{200LL * 1000 * 1000}, 2);
 
-  std::printf("--- smoke 1: contracted-identical engines must agree ---\n");
-  Arm a{"engine=incremental scheduler=pythia seed=1", base_config(1, 10.0)};
-  Arm b{"engine=full scheduler=pythia seed=1", base_config(1, 10.0)};
-  b.cfg.rate_engine = pythia::net::RateEngine::kFullRecompute;
-  const bool engines_agree = compare_arms(a, b, job);
-  if (!engines_agree) {
-    std::printf("SMOKE FAIL: rate engines diverged\n");
+  std::printf("--- smoke 1: two fresh replays of one arm must agree ---\n");
+  const Arm a{"scheduler=pythia seed=1", base_config(1, 10.0)};
+  if (!compare_arms(a, a, job)) {
+    std::printf("SMOKE FAIL: replays of one arm diverged\n");
     return 1;
   }
 
   std::printf("--- smoke 2: bisection must localize a real divergence ---\n");
-  Arm c{"engine=incremental scheduler=pythia seed=1", base_config(1, 10.0)};
-  Arm d{"engine=incremental scheduler=flowcomb seed=1", base_config(1, 10.0)};
+  Arm c{"scheduler=pythia seed=1", base_config(1, 10.0)};
+  Arm d{"scheduler=flowcomb seed=1", base_config(1, 10.0)};
   d.cfg.scheduler = SchedulerKind::kFlowCombLike;
   const bool perturbed_agree = compare_arms(c, d, job);
   if (perturbed_agree) {
@@ -250,61 +279,52 @@ int run_smoke() {
   return 0;
 }
 
-void usage() {
-  std::printf(
-      "bisect_divergence: localize the first divergent event between two\n"
-      "simulation arms that should be behaviorally identical.\n\n"
-      "  --seed N            root seed for both arms (default 1)\n"
-      "  --oversub R         background oversubscription ratio (default 10)\n"
-      "  --input-mb M        sort job input size in MB (default 2000)\n"
-      "  --reducers K        sort job reducer count (default 4)\n"
-      "  --arm-a-engine E    rate engine for arm A: incremental|full\n"
-      "  --arm-b-engine E    rate engine for arm B (default full)\n"
-      "  --arm-b-scheduler S perturb arm B's scheduler "
-      "(ecmp|pythia|hedera|flowcomb)\n"
-      "  --arm-b-seed N      perturb arm B's seed\n"
-      "  --smoke             run the CI self-test pair and exit\n\n"
-      "exit status: 0 arms agree, 2 divergence found and localized,\n"
-      "1 usage/self-test failure\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Every flag is parsed and checked before any run.
   Options opt;
+  std::optional<SchedulerKind> sched_b;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag.c_str());
-        std::exit(1);
-      }
+      if (i + 1 >= argc) fail(flag + " needs a value");
       return argv[++i];
     };
     if (flag == "--seed") {
-      opt.seed = std::strtoull(value().c_str(), nullptr, 10);
+      opt.seed = parse_number<std::uint64_t>(flag, value());
     } else if (flag == "--oversub") {
-      opt.oversub = std::strtod(value().c_str(), nullptr);
+      opt.oversub = parse_number<double>(flag, value());
+      if (!std::isfinite(opt.oversub) || opt.oversub < 1.0) {
+        fail("--oversub must be finite and >= 1");
+      }
     } else if (flag == "--input-mb") {
-      opt.input_mb = std::strtoll(value().c_str(), nullptr, 10);
+      opt.input_mb = parse_number<std::int64_t>(flag, value());
+      // The job size in bytes, input_mb * 10^6, must fit an int64.
+      constexpr std::int64_t kMaxMb =
+          std::numeric_limits<std::int64_t>::max() / 1'000'000;
+      if (opt.input_mb < 1 || opt.input_mb > kMaxMb) {
+        fail("--input-mb must be in [1, " + std::to_string(kMaxMb) + "]");
+      }
     } else if (flag == "--reducers") {
-      opt.reducers = std::strtoull(value().c_str(), nullptr, 10);
-    } else if (flag == "--arm-a-engine") {
-      opt.arm_a_engine = value();
-    } else if (flag == "--arm-b-engine") {
-      opt.arm_b_engine = value();
+      opt.reducers = parse_number<std::size_t>(flag, value());
+      if (opt.reducers == 0) fail("--reducers must be >= 1");
     } else if (flag == "--arm-b-scheduler") {
       opt.arm_b_scheduler = value();
+      sched_b = parse_scheduler(opt.arm_b_scheduler);
+      if (!sched_b) {
+        fail("unknown scheduler '" + opt.arm_b_scheduler +
+             "' (ecmp|pythia|hedera|flowcomb)");
+      }
     } else if (flag == "--arm-b-seed") {
-      opt.arm_b_seed = std::strtoull(value().c_str(), nullptr, 10);
+      opt.arm_b_seed = parse_number<std::uint64_t>(flag, value());
     } else if (flag == "--smoke") {
       opt.smoke = true;
     } else if (flag == "--help" || flag == "-h") {
-      usage();
+      usage(stdout);
       return 0;
     } else {
-      std::fprintf(stderr, "unknown flag %s (try --help)\n", flag.c_str());
-      return 1;
+      fail("unknown flag " + flag);
     }
   }
 
@@ -313,21 +333,15 @@ int main(int argc, char** argv) {
   const auto job = pythia::workloads::sort_job(
       pythia::util::Bytes{opt.input_mb * 1000 * 1000}, opt.reducers);
 
-  Arm a{"engine=" + opt.arm_a_engine + " scheduler=pythia seed=" +
-            std::to_string(opt.seed),
-        base_config(opt.seed, opt.oversub)};
-  a.cfg.rate_engine = parse_engine(opt.arm_a_engine);
+  const Arm a{"scheduler=pythia seed=" + std::to_string(opt.seed),
+              base_config(opt.seed, opt.oversub)};
 
   const std::uint64_t seed_b = opt.arm_b_seed != 0 ? opt.arm_b_seed : opt.seed;
-  const std::string sched_b =
-      opt.arm_b_scheduler.empty() ? "pythia" : opt.arm_b_scheduler;
-  Arm b{"engine=" + opt.arm_b_engine + " scheduler=" + sched_b + " seed=" +
-            std::to_string(seed_b),
+  Arm b{"scheduler=" +
+            (sched_b ? opt.arm_b_scheduler : std::string("pythia")) +
+            " seed=" + std::to_string(seed_b),
         base_config(seed_b, opt.oversub)};
-  b.cfg.rate_engine = parse_engine(opt.arm_b_engine);
-  if (!opt.arm_b_scheduler.empty()) {
-    b.cfg.scheduler = parse_scheduler(opt.arm_b_scheduler);
-  }
+  if (sched_b) b.cfg.scheduler = *sched_b;
 
   return compare_arms(a, b, job) ? 0 : 2;
 }
