@@ -117,7 +117,7 @@ struct ArmResult {
 };
 
 ArmResult run_arm(const net::Topology& topo,
-                  const std::vector<workloads::StormEvent>& events,
+                  const workloads::Storm& storm,
                   core::IntentPipeline pipeline, std::uint64_t seed) {
   sim::Simulation sim(seed);
   net::Fabric fabric(sim, topo);
@@ -128,7 +128,7 @@ ArmResult run_arm(const net::Topology& topo,
   core::Collector collector(sim, allocator, ccfg);
   TimingObserver obs;
   collector.set_drain_observer(&obs);
-  workloads::schedule_storm(sim, collector, events);
+  workloads::schedule_storm(sim, collector, storm);
 
   const auto t0 = Clock::now();
   sim.run();
@@ -163,13 +163,13 @@ ArmResult run_arm(const net::Topology& topo,
 /// report the run with median p99. Checksums agree across reps by
 /// construction — determinism is what the pipeline guarantees.
 ArmResult run_arm_median(const net::Topology& topo,
-                         const std::vector<workloads::StormEvent>& events,
+                         const workloads::Storm& storm,
                          core::IntentPipeline pipeline, std::uint64_t seed,
                          int reps) {
   std::vector<ArmResult> runs;
   runs.reserve(static_cast<std::size_t>(reps));
   for (int i = 0; i < reps; ++i) {
-    runs.push_back(run_arm(topo, events, pipeline, seed));
+    runs.push_back(run_arm(topo, storm, pipeline, seed));
   }
   std::sort(runs.begin(), runs.end(),
             [](const ArmResult& a, const ArmResult& b) {
@@ -242,13 +242,13 @@ int main(int argc, char** argv) {
     wcfg.mean_interarrival = util::Duration{
         std::max<std::int64_t>(1, base_interarrival_ns /
                                       static_cast<std::int64_t>(rate))};
-    const auto events = workloads::generate_storm(wcfg, topo, kSeed);
-    const std::size_t intents = workloads::storm_intent_count(events);
+    const workloads::Storm storm = workloads::generate_storm(wcfg, topo, kSeed);
+    const std::size_t intents = workloads::storm_intent_count(storm);
 
     const ArmResult serial = run_arm_median(
-        topo, events, core::IntentPipeline::kCohortSerial, kSeed, reps);
+        topo, storm, core::IntentPipeline::kCohortSerial, kSeed, reps);
     const ArmResult batched = run_arm_median(
-        topo, events, core::IntentPipeline::kCohortBatched, kSeed, reps);
+        topo, storm, core::IntentPipeline::kCohortBatched, kSeed, reps);
 
     const bool identical = serial.checksum == batched.checksum;
     all_identical = all_identical && identical;

@@ -3,8 +3,10 @@
 //  * serial vs batched drains are byte-identical (plain, with bounded pods,
 //    and under flow-table pressure, where refusals keep pairs
 //    un-coalescable);
-//  * the batched collector's encoded state after every event of a storm,
-//    with bounded pods and a mid-storm job purge in play, is pinned;
+//  * the batched collector's encoded state at the end of every instant of a
+//    storm, with bounded pods and a mid-storm job purge in play, is pinned;
+//  * scheduling a storm one event per instant fires exactly as one event
+//    per storm event did, with other events at the storm's instants;
 //  * TTL expiry and job-completion purges keep un-installable intents out
 //    of the drain entirely;
 //  * bounded pods evict only for strictly larger newcomers and refuse the
@@ -15,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -70,7 +73,7 @@ net::Topology fat_tree4() {
   return net::make_fat_tree(cfg);
 }
 
-std::vector<workloads::StormEvent> small_storm(const net::Topology& topo) {
+workloads::Storm small_storm(const net::Topology& topo) {
   workloads::OpenArrivalConfig cfg;
   cfg.jobs = 10;
   cfg.mean_interarrival = Duration::millis(15);
@@ -83,8 +86,7 @@ struct StormRun {
   std::uint64_t evicted = 0;
 };
 
-StormRun run_storm(const net::Topology& topo,
-                   const std::vector<workloads::StormEvent>& ev,
+StormRun run_storm(const net::Topology& topo, const workloads::Storm& storm,
                    IntentPipeline pipeline, std::size_t pod_capacity = 0,
                    std::size_t flow_table_capacity = 0) {
   CollectorConfig ccfg;
@@ -93,7 +95,7 @@ StormRun run_storm(const net::Topology& topo,
   sdn::ControllerConfig ctcfg;
   ctcfg.flow_table_capacity = flow_table_capacity;
   Stack s(topo, ccfg, ctcfg);
-  workloads::schedule_storm(s.sim, s.collector, ev);
+  workloads::schedule_storm(s.sim, s.collector, storm);
   s.sim.run();
   return {s.image(), s.collector.admission_refused(),
           s.collector.admission_evicted()};
@@ -134,14 +136,18 @@ TEST(IntentPipeline, SerialAndBatchedIdenticalUnderTablePressure) {
 }
 
 TEST(IntentPipeline, BatchedCollectorStatePinned) {
-  // Collector::encode_state after every event of the storm on the batched
-  // pipeline, folded into one FNV-1a per pod capacity and pinned, so the
-  // queue's layout may change but not its encoded bytes. Mid-storm, a job
-  // completes in the cohort that queued one of its intents, before the
-  // drain: the largest intent of the storm's second half whose reducer is
-  // already located, which its pod admits at either capacity.
+  // Collector::encode_state at the end of every instant of the storm on the
+  // batched pipeline, folded into one FNV-1a per pod capacity and pinned,
+  // so the queue's layout may change but not its encoded bytes. An instant
+  // ends when the next live event is later; the storm's events at one
+  // instant may fire as one queue event or many, so no fold falls between
+  // two of them. Mid-storm, a job completes in the cohort that queued one
+  // of its intents, before the drain: the largest intent of the storm's
+  // second half whose reducer is already located, which its pod admits at
+  // either capacity.
   const net::Topology topo = fat_tree4();
-  const auto ev = small_storm(topo);
+  const workloads::Storm storm = small_storm(topo);
+  const std::vector<workloads::StormEvent> ev(storm.begin(), storm.end());
   std::set<std::pair<std::size_t, std::size_t>> located;
   const workloads::StormEvent* mid = nullptr;
   for (std::size_t i = 0; i < ev.size(); ++i) {
@@ -159,13 +165,13 @@ TEST(IntentPipeline, BatchedCollectorStatePinned) {
   ASSERT_NE(mid, nullptr);
 
   for (const auto& [cap, pin] :
-       {std::pair<std::size_t, std::uint64_t>{0, 0x1ca3d685608baec9},
-        std::pair<std::size_t, std::uint64_t>{6, 0x6c4efa56f4104afb}}) {
+       {std::pair<std::size_t, std::uint64_t>{0, 0x9b900fbb2794b947},
+        std::pair<std::size_t, std::uint64_t>{6, 0x4f559375f667638a}}) {
     CollectorConfig ccfg;
     ccfg.pipeline = IntentPipeline::kCohortBatched;
     ccfg.pod_queue_capacity = cap;
     Stack s(topo, ccfg);
-    workloads::schedule_storm(s.sim, s.collector, ev);
+    workloads::schedule_storm(s.sim, s.collector, storm);
     std::size_t purged = 0;
     s.sim.at(mid->at, [&s, &purged, mid] {
       const std::size_t queued = s.collector.intents_queued();
@@ -178,10 +184,110 @@ TEST(IntentPipeline, BatchedCollectorStatePinned) {
       s.collector.encode_state(enc);
       h = sim::fnv1a(enc.bytes(), h);
     };
-    while (s.sim.run(1) > 0) fold();
+    while (s.sim.run(1) > 0) {
+      const auto next = s.sim.queue().pending_events();
+      if (next.empty() || next.front().at > s.sim.now()) fold();
+    }
     fold();  // after the last cohort's drain
     EXPECT_GT(purged, 0u) << "pod capacity " << cap;
     EXPECT_EQ(h, pin) << "pod capacity " << cap << ": " << std::hex << h;
+  }
+}
+
+/// Schedules one queue event per storm event, each reading its event in
+/// `events` when it fires: the reference for schedule_storm's one event per
+/// instant.
+void schedule_per_event(sim::Simulation& sim, Collector& collector,
+                        const std::vector<workloads::StormEvent>& events) {
+  for (const workloads::StormEvent& e : events) {
+    switch (e.kind) {
+      case workloads::StormEvent::Kind::kReducerLocated:
+        sim.at(e.at, [&collector, &e] {
+          collector.reducer_located(e.job_serial, e.reduce_index, e.server);
+        });
+        break;
+      case workloads::StormEvent::Kind::kIntent:
+        sim.at(e.at, [&collector, &e] { collector.ingest(e.intent); });
+        break;
+      case workloads::StormEvent::Kind::kJobCompleted:
+        sim.at(e.at,
+               [&collector, &e] { collector.job_completed(e.job_serial); });
+        break;
+    }
+  }
+}
+
+struct ProbedRun {
+  /// Per probe: the instant, intents received, intents queued and a hash
+  /// of Collector::encode_state.
+  std::vector<std::uint64_t> readings;
+  std::vector<std::uint8_t> image;
+};
+
+/// Runs `storm` with probes at its instants. A third of the instants get a
+/// probe scheduled before the storm, which fires before the storm's events
+/// there. Another third get a launcher scheduled before the storm; when it
+/// fires it schedules probes at its own instant and the next one, and both
+/// must fire after the storm's events at theirs.
+ProbedRun run_probed(const net::Topology& topo, const workloads::Storm& storm,
+                     IntentPipeline pipeline, std::size_t pod_capacity,
+                     bool per_event) {
+  CollectorConfig ccfg;
+  ccfg.pipeline = pipeline;
+  ccfg.pod_queue_capacity = pod_capacity;
+  Stack s(topo, ccfg);
+  const std::vector<workloads::StormEvent> events(storm.begin(), storm.end());
+  std::vector<SimTime> instants;
+  for (const workloads::StormEvent& e : events) {
+    if (instants.empty() || instants.back() != e.at) instants.push_back(e.at);
+  }
+
+  ProbedRun run;
+  const auto probe = [&s, &run] {
+    sim::StateEncoder enc;
+    s.collector.encode_state(enc);
+    run.readings.insert(
+        run.readings.end(),
+        {static_cast<std::uint64_t>(s.sim.now().ns()),
+         s.collector.intents_received(), s.collector.intents_queued(),
+         sim::fnv1a(enc.bytes(), sim::kFnv1aOffset)});
+  };
+  for (std::size_t i = 0; i < instants.size(); ++i) {
+    if (i % 3 == 0) s.sim.at(instants[i], probe);
+    if (i % 3 != 1) continue;
+    const SimTime next =
+        i + 1 < instants.size() ? instants[i + 1] : instants[i];
+    s.sim.at(instants[i], [&s, probe, next] {
+      s.sim.at(s.sim.now(), probe);
+      s.sim.at(next, probe);
+    });
+  }
+  if (per_event) {
+    schedule_per_event(s.sim, s.collector, events);
+  } else {
+    workloads::schedule_storm(s.sim, s.collector, storm);
+  }
+  s.sim.run();
+  run.image = s.image();
+  return run;
+}
+
+TEST(IntentPipeline, StormByInstantFiresAsPerEventReference) {
+  const net::Topology topo = fat_tree4();
+  const workloads::Storm storm = small_storm(topo);
+  for (const IntentPipeline pipeline :
+       {IntentPipeline::kWindowed, IntentPipeline::kCohortSerial,
+        IntentPipeline::kCohortBatched}) {
+    for (const std::size_t cap : {0u, 6u}) {
+      const ProbedRun want = run_probed(topo, storm, pipeline, cap, true);
+      const ProbedRun got = run_probed(topo, storm, pipeline, cap, false);
+      const std::string where =
+          "pipeline " + std::to_string(static_cast<int>(pipeline)) +
+          ", pod capacity " + std::to_string(cap);
+      EXPECT_GT(want.readings.size(), 4 * 10u) << where;
+      EXPECT_EQ(got.readings, want.readings) << where;
+      EXPECT_EQ(got.image, want.image) << where;
+    }
   }
 }
 

@@ -1,7 +1,8 @@
-// The open-arrival storm generator writes its events in time order in one
-// pass. These tests hold it to the generate-then-stable-sort reference it
-// replaced, field by field, over a grid of shapes and arrival rates, check
-// the order contract of its header, and check its config rejections.
+// The open-arrival storm keeps a row per job and rebuilds its events in
+// time order when iterated. These tests hold that iteration to the
+// generate-then-stable-sort reference, field by field, over a grid of
+// shapes and arrival rates, check the order contract of its header, and
+// check its config rejections.
 #include "workloads/open_arrival.hpp"
 
 #include <gtest/gtest.h>
@@ -21,8 +22,8 @@ namespace {
 using util::Duration;
 using util::SimTime;
 
-/// The generator before it wrote in order: every job's events in
-/// generation order, then a stable sort by time.
+/// The generator as it once was: every job's events in generation order,
+/// then a stable sort by time.
 std::vector<StormEvent> reference_storm(const OpenArrivalConfig& cfg,
                                         const net::Topology& topo,
                                         std::uint64_t seed) {
@@ -179,12 +180,20 @@ TEST(OpenArrival, MatchesStableSortReferenceOverGrid) {
                   "ms tick=" + std::to_string(tick_ms) +
                   "ms waves=" + std::to_string(waves) +
                   " seed=" + std::to_string(seed);
-              const auto got = generate_storm(cfg, topo, seed);
+              const Storm storm = generate_storm(cfg, topo, seed);
+              const std::vector<StormEvent> got(storm.begin(), storm.end());
               const auto want = reference_storm(cfg, topo, seed);
-              ASSERT_EQ(got.empty(), jobs == 0) << where;
+              ASSERT_EQ(storm.empty(), jobs == 0) << where;
               ASSERT_EQ(got.size(), want.size()) << where;
               ASSERT_EQ(first_difference(got, want), want.size()) << where;
               ASSERT_EQ(order_breach(got), "") << where;
+              ASSERT_EQ(storm_intent_count(storm),
+                        static_cast<std::size_t>(std::count_if(
+                            want.begin(), want.end(),
+                            [](const StormEvent& e) {
+                              return e.kind == StormEvent::Kind::kIntent;
+                            })))
+                  << where;
             }
           }
         }
@@ -193,12 +202,39 @@ TEST(OpenArrival, MatchesStableSortReferenceOverGrid) {
   }
 }
 
-void expect_rejected(const OpenArrivalConfig& cfg, const std::string& field) {
-  for (std::size_t jobs : {std::size_t{0}, cfg.jobs}) {
+TEST(OpenArrival, EmptyClassesMatchStableSortReference) {
+  // Classes that emit no intent, or no reducer location either, leave
+  // instants where a job has no event before its completion.
+  const net::Topology topo = fat_tree(4);
+  for (std::size_t waves : {0u, 1u, 3u}) {
+    OpenArrivalConfig cfg;
+    cfg.jobs = 40;
+    cfg.mean_interarrival = Duration::millis(5);
+    cfg.waves = waves;
+    cfg.sort_map_servers = 0;
+    cfg.small_reducers = 0;
+    const Storm storm = generate_storm(cfg, topo, /*seed=*/4);
+    const std::vector<StormEvent> got(storm.begin(), storm.end());
+    const auto want = reference_storm(cfg, topo, /*seed=*/4);
+    ASSERT_EQ(got.size(), want.size()) << "waves=" << waves;
+    EXPECT_EQ(first_difference(got, want), want.size()) << "waves=" << waves;
+  }
+}
+
+/// `cfg` must be rejected naming `field`, with its own job count and,
+/// unless the check depends on it, with none. Neither call could allocate a
+/// storm were the check missing: the first runs on a topology with no
+/// hosts, the second with no jobs, and both return an empty storm then.
+void expect_rejected(const OpenArrivalConfig& cfg, const std::string& field,
+                     bool needs_jobs = false) {
+  const net::Topology no_hosts;
+  const net::Topology hosts = fat_tree(4);
+  for (const bool empty_topology : {true, false}) {
+    if (!empty_topology && needs_jobs) continue;
     OpenArrivalConfig c = cfg;
-    c.jobs = jobs;
+    if (!empty_topology) c.jobs = 0;
     try {
-      (void)generate_storm(c, fat_tree(4), /*seed=*/1);
+      (void)generate_storm(c, empty_topology ? no_hosts : hosts, /*seed=*/1);
       ADD_FAILURE() << "accepted a storm with bad " << field;
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
@@ -220,6 +256,61 @@ TEST(OpenArrival, NegativeMeanInterarrivalRejected) {
   expect_rejected(cfg, "mean_interarrival");
   cfg.mean_interarrival = Duration{-1};
   expect_rejected(cfg, "mean_interarrival");
+}
+
+TEST(OpenArrival, SortFractionOutsideUnitIntervalRejected) {
+  for (const double f : {std::nan(""), -0.01, 1.01}) {
+    OpenArrivalConfig cfg;
+    cfg.sort_fraction = f;
+    cfg.nutch_fraction = 0.0;
+    expect_rejected(cfg, "sort_fraction");
+  }
+}
+
+TEST(OpenArrival, NutchFractionOutsideUnitIntervalRejected) {
+  for (const double f : {std::nan(""), -0.01, 1.01}) {
+    OpenArrivalConfig cfg;
+    cfg.sort_fraction = 0.0;
+    cfg.nutch_fraction = f;
+    expect_rejected(cfg, "nutch_fraction");
+  }
+}
+
+TEST(OpenArrival, FractionsSummingAboveOneRejected) {
+  OpenArrivalConfig cfg;
+  cfg.sort_fraction = 0.6;
+  cfg.nutch_fraction = 0.5;
+  expect_rejected(cfg, "sort_fraction + nutch_fraction");
+}
+
+TEST(OpenArrival, ClassShapeOverflowRejected) {
+  // 2^33 servers × 2^31 maps each: the per-wave intent count wraps.
+  OpenArrivalConfig cfg;
+  cfg.nutch_map_servers = std::size_t{1} << 33;
+  cfg.nutch_maps_per_server = std::size_t{1} << 31;
+  expect_rejected(cfg, "nutch_map_servers");
+  cfg = OpenArrivalConfig{};
+  cfg.small_reducers = std::size_t{1} << 40;
+  cfg.small_map_servers = std::size_t{1} << 30;
+  expect_rejected(cfg, "small_reducers");
+}
+
+TEST(OpenArrival, WavesOverflowRejected) {
+  // 144 Nutch intents a wave times 2^60 waves wraps a job's event count.
+  OpenArrivalConfig cfg;
+  cfg.waves = std::size_t{1} << 60;
+  expect_rejected(cfg, "waves");
+}
+
+TEST(OpenArrival, JobCountOverflowRejected) {
+  // Every job could be a Nutch job of 439 events: 2^60 jobs wrap the
+  // storm's event count, and 2^31 jobs of four segments each overflow its
+  // 32-bit segment index although their event count fits.
+  OpenArrivalConfig cfg;
+  cfg.jobs = std::size_t{1} << 60;
+  expect_rejected(cfg, "jobs", /*needs_jobs=*/true);
+  cfg.jobs = std::size_t{1} << 31;
+  expect_rejected(cfg, "jobs", /*needs_jobs=*/true);
 }
 
 }  // namespace
