@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
               scenario.servers()[0], scenario.servers()[9]);
           // Kill the *lightly loaded* cable (the one Pythia depends on) at
           // 10 s — mid-shuffle for every scheduler — and restore at 50 s.
-          const net::LinkId victim = paths[1].links[1];
+          const net::LinkId victim = paths[1][1];
           scenario.simulation().after(Duration::seconds_i(10), [&] {
             scenario.controller().handle_link_failure(victim);
           });

@@ -7,6 +7,8 @@
 // behaviour over ephemeral ports, and contrasts the resulting transfer time
 // with Pythia's load-aware placement.
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "core/allocator.hpp"
 #include "net/background.hpp"
@@ -47,7 +49,7 @@ int main() {
   const auto& paths = controller.routing().paths(mapper0, reducer0);
   util::Table loads({"path", "background load", "available"});
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    const net::LinkId inter = paths[i].links[1];
+    const net::LinkId inter = paths[i][1];
     loads.add_row({"Path-" + std::to_string(i + 1),
                    util::Table::percent(fabric.link_cbr_load(inter).bps() /
                                         1e9),
@@ -68,13 +70,13 @@ int main() {
     net::FiveTuple t{topo.address_of(mapper0), topo.address_of(reducer0),
                      net::kShufflePort,
                      static_cast<std::uint16_t>(30000 + i % 30000), 6};
-    if (ecmp.select(mapper0, reducer0, t).links == paths[0].links) {
+    if (ecmp.select(mapper0, reducer0, t) == paths[0]) {
       ++elephant_on_hot;
     }
   }
 
   // (b) Transfer time of the 159 MB flow on each path, alone.
-  auto transfer_seconds = [&](const net::Path& path, Bytes size) {
+  auto transfer_seconds = [&](std::vector<net::LinkId> path, Bytes size) {
     sim::Simulation s2(1);
     net::Fabric f2(s2, topo);
     net::install_background(f2, controller.routing(), hosts[0], hosts[5], bg);
@@ -83,7 +85,7 @@ int main() {
     spec.src = mapper0;
     spec.dst = reducer0;
     spec.size = size;
-    spec.path = path.links;
+    spec.path = std::move(path);
     spec.tuple = net::FiveTuple{1, 2, net::kShufflePort, 30000, 6};
     spec.cls = net::FlowClass::kShuffle;
     f2.start_flow(spec,
@@ -91,8 +93,8 @@ int main() {
     s2.run();
     return done;
   };
-  const double hot_time = transfer_seconds(paths[0], flow1_size);
-  const double cold_time = transfer_seconds(paths[1], flow1_size);
+  const double hot_time = transfer_seconds(paths[0].to_vector(), flow1_size);
+  const double cold_time = transfer_seconds(paths[1].to_vector(), flow1_size);
 
   // (c) Pythia's allocator choice for the same two predicted flows.
   core::Allocator alloc(controller);
@@ -113,10 +115,11 @@ int main() {
   out.add_row({"adversarial slowdown",
                util::Table::num(hot_time / cold_time, 1) + "x"});
   out.add_row({"Pythia: 159MB aggregate placed on",
-               rule1 && rule1->path->links == paths[1].links ? "Path-2 (idle)"
-                                                             : "Path-1"});
+               rule1 && controller.path(rule1->path_id) == paths[1]
+                   ? "Path-2 (idle)"
+                   : "Path-1"});
   out.add_row({"Pythia: 32MB aggregate placed on",
-               rule2 && rule2->path->links[1] == paths[0].links[1]
+               rule2 && controller.path(rule2->path_id)[1] == paths[0][1]
                    ? "Path-1"
                    : "Path-2"});
   std::printf("%s", out.to_string().c_str());

@@ -99,7 +99,7 @@ void BM_MaxMinRecompute(benchmark::State& state) {
     spec.src = src;
     spec.dst = dst;
     spec.size = util::Bytes{1'000'000'000'000LL};
-    spec.path = paths[rng.below(paths.size())].links;
+    spec.path = paths[rng.below(paths.size())].to_vector();
     spec.tuple = net::FiveTuple{static_cast<std::uint32_t>(i), 1, 2,
                                 static_cast<std::uint16_t>(i), 6};
     fabric.start_flow(spec);

@@ -113,7 +113,7 @@ bool tables_identical(const Topology& topo, const RoutingGraph& a,
       const auto pb = b.paths(s, d);
       if (pa.size() != pb.size()) return false;
       for (std::size_t i = 0; i < pa.size(); ++i) {
-        if (pa[i].links != pb[i].links) return false;
+        if (pa[i] != pb[i]) return false;
       }
     }
   }

@@ -22,7 +22,7 @@ int main() {
   exp::Scenario scenario(cfg);
   const auto& paths = scenario.controller().routing().paths(
       scenario.servers()[0], scenario.servers()[9]);
-  const net::LinkId victim = paths[1].links[1];
+  const net::LinkId victim = paths[1][1];
 
   std::printf("t=10s: failing inter-rack cable (link %u), t=30s: restore\n\n",
               victim.value());

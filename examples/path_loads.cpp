@@ -26,8 +26,8 @@ int main() {
 
     const auto& paths = scenario.controller().routing().paths(
         scenario.servers()[0], scenario.servers()[9]);
-    const net::LinkId hot = paths[0].links[1];   // carries the heavy CBR
-    const net::LinkId cold = paths[1].links[1];
+    const net::LinkId hot = paths[0][1];   // carries the heavy CBR
+    const net::LinkId cold = paths[1][1];
     net::LinkRecorder recorder(scenario.fabric(), {hot, cold},
                                util::Duration::millis(250));
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <utility>
 
 #include "sim/snapshot.hpp"
 #include "util/log.hpp"
@@ -89,38 +90,41 @@ bool Allocator::pair_coalescable(net::NodeId src_server,
 
 net::PathId Allocator::effective_path(net::PathId chosen) {
   if (cfg_.aggregation == Aggregation::kServerPair) return chosen;
-  const net::Path& path = controller_->path(chosen);
+  const net::PathView path = controller_->path(chosen);
   // An intra-rack path (host→ToR→host, 2 links) has no inter-ToR segment to
   // aggregate over; stripping the access links would leave an empty rack rule.
   // Such pairs are installed at server granularity instead (see install()).
-  if (path.links.size() < 3) return chosen;
-  net::Path chain;
-  chain.links.assign(path.links.begin() + 1, path.links.end() - 1);
-  return controller_->intern_path(chain);
+  if (path.size() < 3) return chosen;
+  // A composite candidate is its access links around its middle, so the
+  // middle is the chain, already interned. Ids are canonical per sequence,
+  // so either route names a chain by the same id.
+  const net::PathId middle = controller_->routing().pool().middle(chosen);
+  if (middle.valid()) return middle;
+  return controller_->intern_path(path.middle().subspan(1, path.size() - 2));
 }
 
 bool Allocator::install(net::NodeId src, net::NodeId dst, net::PathId chosen,
                         util::Bytes volume_hint,
                         std::uint64_t intent_weight) {
-  const net::Path& path = controller_->path(chosen);
   if (cfg_.aggregation == Aggregation::kServerPair ||
-      path.links.size() < 3) {
+      controller_->path(chosen).size() < 3) {
     return controller_->install_path_id(src, dst, chosen, volume_hint,
                                         intent_weight);
   }
   const auto& topo = controller_->topology();
+  net::Path chain{controller_->path(effective_path(chosen)).to_vector()};
   controller_->install_rack_path(topo.node(src).rack, topo.node(dst).rack,
-                                 controller_->path(effective_path(chosen)));
+                                 std::move(chain));
   return true;
 }
 
-double Allocator::drain_time_seconds(const net::Path& path,
+double Allocator::drain_time_seconds(net::PathView path,
                                      util::Bytes additional) const {
   // Per-link drain: each link must move its own outstanding predicted bytes
   // plus the new volume through its background-free headroom; the slowest
   // link bounds the path.
   double worst = 0.0;
-  for (net::LinkId l : path.links) {
+  for (net::LinkId l : path) {
     const double cap = controller_->topology().link(l).capacity.bps();
     const double background =
         cfg_.load_aware ? controller_->snapshot_background_load(l).bps() : 0.0;
@@ -140,13 +144,13 @@ net::PathId Allocator::choose_path(net::NodeId src, net::NodeId dst,
   double best_drain = std::numeric_limits<double>::infinity();
   std::int64_t best_packed = std::numeric_limits<std::int64_t>::max();
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const net::Path& p = candidates[i];
+    const net::PathView p = candidates[i];
     const double drain = drain_time_seconds(p, volume);
     // Tie-break by total outstanding volume already packed along the path —
     // links shared by all candidates (host access links) often dominate the
     // bottleneck term, and the lighter middle segment is still preferable.
     std::int64_t packed = 0;
-    for (net::LinkId l : p.links) packed += link_outstanding_[l.value()];
+    for (net::LinkId l : p) packed += link_outstanding_[l.value()];
     if (drain < best_drain - 1e-12 ||
         (drain < best_drain + 1e-12 && packed < best_packed)) {
       best_drain = std::min(best_drain, drain);
@@ -158,7 +162,7 @@ net::PathId Allocator::choose_path(net::NodeId src, net::NodeId dst,
 }
 
 void Allocator::pack_onto(net::PathId path, std::int64_t bytes) {
-  for (net::LinkId l : controller_->path(path).links) {
+  for (net::LinkId l : controller_->path(path)) {
     link_outstanding_[l.value()] =
         std::max<std::int64_t>(0, link_outstanding_[l.value()] + bytes);
   }
@@ -292,9 +296,9 @@ void Allocator::encode_state(sim::StateEncoder& enc) const {
     // identity) is pure behavior.
     enc.put_bool(agg.path.valid());
     if (agg.path.valid()) {
-      const net::Path& p = controller_->path(agg.path);
-      enc.put_u32(static_cast<std::uint32_t>(p.links.size()));
-      for (net::LinkId l : p.links) enc.put_u32(l.value());
+      const net::PathView p = controller_->path(agg.path);
+      enc.put_u32(static_cast<std::uint32_t>(p.size()));
+      for (net::LinkId l : p) enc.put_u32(l.value());
     }
     enc.put_u32(agg.src.value());
     enc.put_u32(agg.dst.value());

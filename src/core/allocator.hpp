@@ -105,7 +105,7 @@ class Allocator {
 
   /// Expected drain time of `path` if `additional` bytes were packed onto it
   /// now (exposed for tests and the adversarial-allocation bench).
-  [[nodiscard]] double drain_time_seconds(const net::Path& path,
+  [[nodiscard]] double drain_time_seconds(net::PathView path,
                                           util::Bytes additional) const;
 
   /// The drain-time/first-fit path decision for an aggregate, as an interned
@@ -148,8 +148,9 @@ class Allocator {
   [[nodiscard]] bool install(net::NodeId src, net::NodeId dst,
                              net::PathId chosen, util::Bytes volume_hint,
                              std::uint64_t intent_weight = 1);
-  /// Strips host access links when packing at rack granularity (interning
-  /// the chain, hence non-const).
+  /// Strips host access links when packing at rack granularity: a composite
+  /// candidate's chain is its middle's id, any other is interned (hence
+  /// non-const).
   [[nodiscard]] net::PathId effective_path(net::PathId chosen);
 
   sdn::Controller* controller_;

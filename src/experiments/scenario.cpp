@@ -127,21 +127,21 @@ void Scenario::install_static_oracle() {
     for (net::NodeId dst : topo_.hosts()) {
       if (src == dst) continue;
       if (topo_.node(src).rack == topo_.node(dst).rack) continue;
-      const auto& candidates = controller_->routing().paths(src, dst);
-      const net::Path* best = nullptr;
+      const auto candidates = controller_->routing().paths(src, dst);
+      net::PathId best;
       double best_residual = -1.0;
-      for (const auto& p : candidates) {
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
         double residual = std::numeric_limits<double>::infinity();
-        for (net::LinkId l : p.links) {
+        for (net::LinkId l : candidates[i]) {
           residual =
               std::min(residual, fabric_->link_residual_capacity(l).bps());
         }
         if (residual > best_residual) {
           best_residual = residual;
-          best = &p;
+          best = candidates.id(i);
         }
       }
-      if (best != nullptr) controller_->install_path(src, dst, *best);
+      if (best.valid()) controller_->install_path_id(src, dst, best);
     }
   }
 }

@@ -406,7 +406,7 @@ void MapReduceEngine::begin_fetch(JobState& job, ReducerState& red,
         spec.size = util::Bytes{s + 1 == stripes
                                     ? fetch.payload.count() - share * (stripes - 1)
                                     : share};
-        spec.path = candidates[static_cast<std::size_t>(s)].links;
+        spec.path = candidates[static_cast<std::size_t>(s)].to_vector();
         spec.tuple = tuple;
         spec.tuple.dst_port = next_ephemeral_port();  // distinct subflows
         spec.cls = net::FlowClass::kShuffle;
@@ -428,13 +428,12 @@ void MapReduceEngine::begin_fetch(JobState& job, ReducerState& red,
       return;
     }
 
-    const net::Path& path =
-        controller_->resolve(fetch.src_server, red.server, tuple);
     net::FlowSpec spec;
     spec.src = fetch.src_server;
     spec.dst = red.server;
     spec.size = fetch.payload;
-    spec.path = path.links;
+    spec.path =
+        controller_->resolve(fetch.src_server, red.server, tuple).to_vector();
     spec.tuple = tuple;
     spec.cls = net::FlowClass::kShuffle;
     const net::FlowId flow = fabric_->start_flow(
@@ -517,7 +516,7 @@ void MapReduceEngine::write_output(JobState& job, ReducerState& red,
     spec.src = red.server;
     spec.dst = dst;
     spec.size = output;
-    spec.path = controller_->resolve(red.server, dst, tuple).links;
+    spec.path = controller_->resolve(red.server, dst, tuple).to_vector();
     spec.tuple = tuple;
     spec.cls = net::FlowClass::kOther;
     fabric_->start_flow(spec, [this, &job, &red, server_ordinal, remaining](

@@ -9,9 +9,11 @@ namespace {
 
 /// Strips the first and last hop (host <-> ToR access links) from a
 /// host-to-host path, leaving the inter-rack chain.
-std::vector<LinkId> inter_rack_chain(const Path& path) {
-  assert(path.links.size() >= 2);
-  return {path.links.begin() + 1, path.links.end() - 1};
+std::vector<LinkId> inter_rack_chain(const PathView& path) {
+  assert(path.size() >= 2);
+  std::vector<LinkId> chain;
+  for (std::size_t i = 1; i + 1 < path.size(); ++i) chain.push_back(path[i]);
+  return chain;
 }
 
 util::BitsPerSec chain_capacity(const Topology& topo,

@@ -18,8 +18,8 @@ std::size_t EcmpSelector::select_index(const FiveTuple& t, std::size_t n) {
   return static_cast<std::size_t>(hash_tuple(t) % n);
 }
 
-const Path& EcmpSelector::select(NodeId src_host, NodeId dst_host,
-                                 const FiveTuple& t) const {
+PathView EcmpSelector::select(NodeId src_host, NodeId dst_host,
+                              const FiveTuple& t) const {
   return routing_->path(select_id(src_host, dst_host, t));
 }
 

@@ -22,10 +22,11 @@ class EcmpSelector {
   [[nodiscard]] static std::size_t select_index(const FiveTuple& t,
                                                 std::size_t n);
 
-  /// The chosen path for a flow between two hosts. Precondition: the pair is
-  /// connected (the routing graph has at least one path).
-  [[nodiscard]] const Path& select(NodeId src_host, NodeId dst_host,
-                                   const FiveTuple& t) const;
+  /// The chosen path for a flow between two hosts, valid until the next
+  /// intern into the routing pool. Precondition: the pair is connected (the
+  /// routing graph has at least one path).
+  [[nodiscard]] PathView select(NodeId src_host, NodeId dst_host,
+                                const FiveTuple& t) const;
 
   /// Same selection as interned id — the per-flow hot path passes this
   /// around instead of copying link vectors. Same precondition as select().

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <functional>
 #include <iterator>
 #include <stdexcept>
 
@@ -16,15 +17,23 @@ namespace {
 constexpr std::uint32_t kUnreachable =
     std::numeric_limits<std::uint32_t>::max();
 
-/// FNV-1a over a link-id sequence; collisions are resolved by full sequence
-/// equality wherever this is used.
-std::uint64_t link_seq_hash(std::span<const LinkId> links) {
+/// FNV-1a over a path's link sequence, however the view splits it;
+/// collisions are resolved by full sequence equality wherever this is used.
+std::uint64_t link_seq_hash(const PathView& path) {
   std::uint64_t h = 1469598103934665603ull;
-  for (LinkId l : links) {
+  const auto step = [&h](LinkId l) {
     h ^= l.value();
     h *= 1099511628211ull;
-  }
+  };
+  if (path.lead().valid()) step(path.lead());
+  for (LinkId l : path.middle()) step(l);
+  if (path.trail().valid()) step(path.trail());
   return h;
+}
+
+/// The index tag of a hash: the top 32 bits of hash · 2^64/φ.
+std::uint32_t hash_tag(std::uint64_t hash) {
+  return static_cast<std::uint32_t>((hash * 0x9E3779B97F4A7C15ull) >> 32);
 }
 
 /// The members of `set` with ids below `universe`, ascending: a membership
@@ -246,37 +255,71 @@ std::vector<Path> k_shortest_paths(
 void PathPool::grow() {
   std::vector<Slot> old = std::move(index_);
   index_.assign(std::max<std::size_t>(16, old.size() * 2), Slot{});
-  shift_ = 64 - static_cast<unsigned>(std::countr_zero(index_.size()));
+  shift_ = 32 - static_cast<unsigned>(std::countr_zero(index_.size()));
   const std::size_t mask = index_.size() - 1;
   for (const Slot& s : old) {
     if (s.id == kEmpty) continue;
-    std::size_t i = home(s.hash);
+    std::size_t i = home(s.tag);
     while (index_[i].id != kEmpty) i = (i + 1) & mask;
     index_[i] = s;
   }
 }
 
-PathId PathPool::intern(std::span<const LinkId> links) {
-  if ((paths_.size() + 1) * 2 > index_.size()) grow();
-  const std::uint64_t h = link_seq_hash(links);
+PathPool::Slot& PathPool::find(const PathView& probe, std::uint32_t tag) {
+  if ((entries_.size() + 1) * 2 > index_.size()) grow();
   const std::size_t mask = index_.size() - 1;
-  for (std::size_t i = home(h);; i = (i + 1) & mask) {
+  for (std::size_t i = home(tag);; i = (i + 1) & mask) {
     Slot& slot = index_[i];
-    if (slot.id == kEmpty) {
-      slot = Slot{h, static_cast<std::uint32_t>(paths_.size())};
-      paths_.push_back(Path{{links.begin(), links.end()}});
-      return PathId{slot.id};
-    }
-    if (slot.hash == h && std::ranges::equal(paths_[slot.id].links, links)) {
-      return PathId{slot.id};
+    if (slot.id == kEmpty ||
+        (slot.tag == tag && path(PathId{slot.id}) == probe)) {
+      return slot;
     }
   }
+}
+
+PathId PathPool::add(Slot& slot, std::uint32_t tag, Entry entry) {
+  slot = Slot{tag, static_cast<std::uint32_t>(entries_.size())};
+  entries_.push_back(entry);
+  return PathId{slot.id};
+}
+
+PathId PathPool::intern(std::span<const LinkId> links) {
+  const std::uint32_t tag = hash_tag(link_seq_hash(PathView(links)));
+  Slot& slot = find(PathView(links), tag);
+  if (slot.id != kEmpty) return PathId{slot.id};
+  const auto at = static_cast<std::uint32_t>(links_.size());
+  const auto n = static_cast<std::uint32_t>(links.size());
+  // A sub-run of a pooled path lies in links_ itself, which growing moves:
+  // copy it by offset.
+  const std::less<const LinkId*> before;
+  if (n != 0 && !before(links.data(), links_.data()) &&
+      before(links.data(), links_.data() + links_.size())) {
+    const auto from = static_cast<std::size_t>(links.data() - links_.data());
+    links_.resize(at + n);
+    std::copy_n(links_.begin() + static_cast<std::ptrdiff_t>(from), n,
+                links_.begin() + at);
+  } else {
+    links_.insert(links_.end(), links.begin(), links.end());
+  }
+  return add(slot, tag, Entry{at, kPlain, n});
+}
+
+PathId PathPool::intern(LinkId lead, PathId middle, LinkId trail) {
+  assert(lead.valid() && trail.valid());
+  assert(middle.valid() && middle.value() < entries_.size());
+  const Entry& mid = entries_[middle.value()];
+  assert(mid.mid == kPlain && "a composite's middle is a plain path");
+  const PathView probe(lead, run(mid), trail);
+  const std::uint32_t tag = hash_tag(link_seq_hash(probe));
+  Slot& slot = find(probe, tag);
+  if (slot.id != kEmpty) return PathId{slot.id};
+  return add(slot, tag, Entry{lead.value(), middle.value(), trail.value()});
 }
 
 std::vector<Path> PathSet::materialize() const {
   std::vector<Path> out;
   out.reserve(size());
-  for (PathId id : ids()) out.push_back(pool_->path(id));
+  for (PathId id : ids()) out.push_back(Path{pool_->path(id).to_vector()});
   return out;
 }
 
@@ -391,7 +434,7 @@ void RoutingGraph::rebuild(const std::unordered_set<LinkId>& banned_links) {
         const std::size_t lb =
             static_cast<std::size_t>(du) + 1 + static_cast<std::size_t>(dv);
         const PathId last = path_arena_[ids.at + ids.size - 1];
-        if (lb <= pool_.path(last).hops()) affected[slot] = 1;
+        if (lb <= pool_.path(last).size()) affected[slot] = 1;
       }
     }
   }
@@ -408,6 +451,7 @@ void RoutingGraph::rebuild(const std::unordered_set<LinkId>& banned_links) {
 
 void RoutingGraph::run_yen(NodeId src, NodeId dst, PathSearch& search,
                            PairScratch& out) const {
+  out.via = kNoAttachPair;
   out.touched.clear();
   search.k_shortest_paths(*topo_, src, dst, k_, banned_, out.found,
                           &out.touched);
@@ -424,7 +468,7 @@ std::size_t RoutingGraph::attach_pair(std::size_t slot) const {
   return static_cast<std::size_t>(a) * attach_nodes_.size() + b;
 }
 
-std::optional<RoutingGraph::PairScratch>& RoutingGraph::attach_entry(
+std::optional<RoutingGraph::AttachRun>& RoutingGraph::attach_entry(
     std::size_t ap) const {
   if (attach_cache_.empty()) {
     attach_cache_.resize(attach_nodes_.size() * attach_nodes_.size());
@@ -433,7 +477,8 @@ std::optional<RoutingGraph::PairScratch>& RoutingGraph::attach_entry(
 }
 
 // A stub pair's candidates are uplink + (each switch-level candidate) +
-// downlink, with touched = switch-level touched ∪ {uplink, downlink}; a
+// downlink, interned by commit_pair as composite entries over the cached
+// run, with touched = switch-level touched ∪ {uplink, downlink}; a
 // banned access link leaves the pair empty with nothing touched. This is
 // the host-level Yen run exactly (docs/architecture.md): neither stub can be
 // a transit node, so that run's first and last spur searches always come
@@ -449,26 +494,20 @@ void RoutingGraph::compute_pair(std::size_t slot, PairScratch& out) const {
   }
   out.found.clear();
   out.touched.clear();
+  out.via = kNoAttachPair;
   const LinkId up = access_[slot / H].up;
   const LinkId down = access_[slot % H].down;
   if (banned(up) || banned(down)) return;
-  std::optional<PairScratch>& mid = attach_entry(ap);
+  std::optional<AttachRun>& mid = attach_entry(ap);
   if (!mid) {
     const std::size_t A = attach_nodes_.size();
     run_yen(attach_nodes_[ap / A], attach_nodes_[ap % A], search_,
-            mid.emplace());
+            mid.emplace().yen);
     ++counters_.attach_pairs_computed;
   }
-  if (mid->found.empty()) return;
-  for (std::size_t i = 0; i < mid->found.size(); ++i) {
-    const std::span<const LinkId> p = mid->found[i];
-    out.found.links.push_back(up);
-    out.found.links.insert(out.found.links.end(), p.begin(), p.end());
-    out.found.links.push_back(down);
-    out.found.ends.push_back(
-        static_cast<std::uint32_t>(out.found.links.size()));
-  }
-  out.touched.assign(mid->touched.begin(), mid->touched.end());
+  if (mid->yen.found.empty()) return;
+  out.via = ap;
+  out.touched.assign(mid->yen.touched.begin(), mid->yen.touched.end());
   for (const LinkId l : {up, down}) {
     out.touched.insert(
         std::lower_bound(out.touched.begin(), out.touched.end(), l), l);
@@ -482,10 +521,27 @@ void RoutingGraph::commit_pair(std::size_t slot,
   Extent& ids = rows_[slot].paths;
   assert(ids.size == 0);
   ids.at = static_cast<std::uint32_t>(path_arena_.size());
-  ids.size = static_cast<std::uint32_t>(scratch.found.size());
-  for (std::size_t i = 0; i < scratch.found.size(); ++i) {
-    path_arena_.push_back(pool_.intern(scratch.found[i]));
+  if (scratch.via == kNoAttachPair) {
+    for (std::size_t i = 0; i < scratch.found.size(); ++i) {
+      path_arena_.push_back(pool_.intern(scratch.found[i]));
+    }
+  } else {
+    // Interning the middles here, in commit order, gives serial and parallel
+    // fills the same ids.
+    AttachRun& run = *attach_cache_[scratch.via];
+    if (run.middles.empty()) {
+      for (std::size_t i = 0; i < run.yen.found.size(); ++i) {
+        run.middles.push_back(pool_.intern(run.yen.found[i]));
+      }
+    }
+    const std::size_t H = hosts().size();
+    const LinkId up = access_[slot / H].up;
+    const LinkId down = access_[slot % H].down;
+    for (const PathId middle : run.middles) {
+      path_arena_.push_back(pool_.intern(up, middle, down));
+    }
   }
+  ids.size = static_cast<std::uint32_t>(path_arena_.size() - ids.at);
   set_pair_links(slot, scratch.touched);
   if (materialized_[slot] == 0) {
     materialized_[slot] = 1;
@@ -676,7 +732,8 @@ void RoutingGraph::materialize_all(util::ThreadPool* pool) {
     }
     pool->wait_idle();  // happens-before: workers' scratch writes visible
     for (std::size_t i = 0; i < attach_runs.size(); ++i) {
-      attach_entry(attach_runs[i]).emplace(std::move(scratch[i]));
+      attach_entry(attach_runs[i]).emplace(
+          AttachRun{std::move(scratch[i]), {}});
       ++counters_.attach_pairs_computed;
     }
     next = attach_runs.size();

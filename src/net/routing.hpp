@@ -35,14 +35,15 @@
 // A stub host is never a transit node, so this is exactly the host-level Yen
 // result — same candidates, same order, same touched links (the argument is
 // in docs/architecture.md). Every host pair on a rack pair shares that one
-// switch-level run.
+// switch-level run, and the pool stores each of its candidates as a
+// composite entry (uplink, switch-level PathId, downlink): a rack pair's
+// middles are interned once, by the first stub pair that commits them.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <iterator>
 #include <limits>
 #include <optional>
@@ -70,6 +71,109 @@ struct Path {
   [[nodiscard]] std::size_t hops() const { return links.size(); }
   friend bool operator==(const Path&, const Path&) = default;
 };
+
+/// Read-only view of one path's links: an optional leading link, a
+/// contiguous middle run and an optional trailing link, in that order. A
+/// plain path is its middle alone; a pool's composite path (a stub pair's
+/// candidate) leads with the source's uplink and trails with the
+/// destination's downlink around its switch-level middle. A view borrows
+/// storage it does not own: a pool view is valid only until the next intern
+/// into that pool, which may move the arena. Read it and let it go; never
+/// keep one.
+class PathView {
+ public:
+  PathView() = default;
+  explicit PathView(std::span<const LinkId> links) : middle_(links) {}
+  /// A view of a Path's links, as std::string_view views a std::string.
+  PathView(const Path& path) : middle_(path.links) {}
+  PathView(LinkId lead, std::span<const LinkId> middle, LinkId trail)
+      : lead_(lead), middle_(middle), trail_(trail) {}
+
+  [[nodiscard]] std::size_t size() const {
+    return middle_.size() + (lead_.valid() ? 1 : 0) + (trail_.valid() ? 1 : 0);
+  }
+  [[nodiscard]] LinkId operator[](std::size_t i) const {
+    assert(i < size());
+    if (lead_.valid()) {
+      if (i == 0) return lead_;
+      --i;
+    }
+    return i < middle_.size() ? middle_[i] : trail_;
+  }
+  /// The leading link, or an invalid id when the view has none.
+  [[nodiscard]] LinkId lead() const { return lead_; }
+  [[nodiscard]] std::span<const LinkId> middle() const { return middle_; }
+  /// The trailing link, or an invalid id when the view has none.
+  [[nodiscard]] LinkId trail() const { return trail_; }
+  /// The links as an owning vector (a flow's path, a rack chain).
+  [[nodiscard]] std::vector<LinkId> to_vector() const {
+    std::vector<LinkId> out;
+    out.reserve(size());
+    if (lead_.valid()) out.push_back(lead_);
+    out.insert(out.end(), middle_.begin(), middle_.end());
+    if (trail_.valid()) out.push_back(trail_);
+    return out;
+  }
+
+  class const_iterator;
+  [[nodiscard]] const_iterator begin() const;
+  [[nodiscard]] const_iterator end() const;
+
+ private:
+  LinkId lead_;
+  std::span<const LinkId> middle_;
+  LinkId trail_;
+};
+
+/// Walks a PathView by position. It holds a copy of the view, so it does
+/// not dangle when the view object it came from goes; iterators compare by
+/// position only.
+class PathView::const_iterator {
+ public:
+  using iterator_category = std::forward_iterator_tag;
+  using value_type = LinkId;
+  using difference_type = std::ptrdiff_t;
+  using pointer = void;
+  using reference = LinkId;
+
+  const_iterator() = default;
+  LinkId operator*() const { return view_[i_]; }
+  const_iterator& operator++() {
+    ++i_;
+    return *this;
+  }
+  const_iterator operator++(int) {
+    auto copy = *this;
+    ++i_;
+    return copy;
+  }
+  friend bool operator==(const const_iterator& a, const const_iterator& b) {
+    return a.i_ == b.i_;
+  }
+
+ private:
+  friend class PathView;
+  const_iterator(const PathView& view, std::size_t i) : view_(view), i_(i) {}
+  PathView view_;
+  std::size_t i_ = 0;
+};
+
+inline PathView::const_iterator PathView::begin() const { return {*this, 0}; }
+inline PathView::const_iterator PathView::end() const {
+  return {*this, size()};
+}
+
+/// Equal link sequences, however each side is split.
+inline bool operator==(const PathView& a, const PathView& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i] != b[i]) return false;
+  }
+  return true;
+}
+inline bool operator==(const PathView& a, std::span<const LinkId> b) {
+  return a == PathView(b);
+}
 
 /// Paths stored back to back: path i is links[ends[i − 1], ends[i]), the
 /// first starting at 0. A list reused across searches allocates only when it
@@ -177,43 +281,92 @@ std::vector<Path> k_shortest_paths(
     const std::unordered_set<LinkId>& banned_links = {},
     std::vector<LinkId>* touched_links = nullptr);
 
-/// Append-only intern table for paths. Interning the same link sequence
-/// twice yields the same PathId, and `path(id)` references are stable for
-/// the lifetime of the pool (deque storage never relocates elements), so the
-/// control plane can hold `const Path*` across rebuilds.
+/// Append-only intern table for paths that holds no heap object per path.
+/// A plain path is a run of one flat link arena; a composite path (a stub
+/// pair's candidate) is a 12-byte entry naming its leading link, the PathId
+/// of its switch-level middle (a plain path) and its trailing link, so the
+/// stub pairs of one rack pair share their middles' links. Ids are canonical
+/// per link sequence: whichever route interns a sequence (a span, a
+/// composite, a sub-run of a pooled path) gets the id it first got, so
+/// equality of ids is equality of paths. `path(id)` returns a PathView that
+/// is valid until the next intern.
 class PathPool {
  public:
   /// Interns a link sequence, copying it only when it is new to the pool.
+  /// `links` may point into the pool's own arena (a sub-run of a pooled
+  /// path).
   PathId intern(std::span<const LinkId> links);
   PathId intern(const Path& path) { return intern(std::span(path.links)); }
+  /// Interns `lead`, then the links of `middle`, then `trail`, storing a
+  /// new sequence as one composite entry. Precondition: both ends are valid
+  /// and `middle` is a plain entry (a switch-level path interned from a
+  /// span: no composite, which begins at a host, can equal one). So a pool
+  /// view is either plain (a middle alone) or composite (both ends valid).
+  PathId intern(LinkId lead, PathId middle, LinkId trail);
 
-  [[nodiscard]] const Path& path(PathId id) const {
-    assert(id.valid() && id.value() < paths_.size());
-    return paths_[id.value()];
+  [[nodiscard]] PathView path(PathId id) const {
+    assert(id.valid() && id.value() < entries_.size());
+    const Entry& e = entries_[id.value()];
+    if (e.mid == kPlain) return PathView(run(e));
+    return {LinkId{e.first}, run(entries_[e.mid]), LinkId{e.last}};
   }
-  [[nodiscard]] std::size_t size() const { return paths_.size(); }
+  /// The middle of a composite entry: the path between its leading and
+  /// trailing links. Invalid for a plain entry.
+  [[nodiscard]] PathId middle(PathId id) const {
+    assert(id.valid() && id.value() < entries_.size());
+    const std::uint32_t mid = entries_[id.value()].mid;
+    return mid == kPlain ? PathId{} : PathId{mid};
+  }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  /// Heap bytes the pool holds: its arena, entries and index, at capacity.
+  [[nodiscard]] std::size_t bytes() const {
+    return links_.capacity() * sizeof(LinkId) +
+           entries_.capacity() * sizeof(Entry) +
+           index_.capacity() * sizeof(Slot);
+  }
 
  private:
-  struct Slot {
-    std::uint64_t hash = 0;
-    std::uint32_t id = kEmpty;
-  };
   static constexpr std::uint32_t kEmpty =
       std::numeric_limits<std::uint32_t>::max();
+  static constexpr std::uint32_t kPlain = kEmpty;
 
+  /// A plain path (mid == kPlain) is `last` links of links_ from `first`; a
+  /// composite is link `first`, then plain path `mid`, then link `last`.
+  struct Entry {
+    std::uint32_t first;
+    std::uint32_t mid;
+    std::uint32_t last;
+  };
+  /// An index slot: the top 32 bits of the sequence's hash · 2^64/φ, whose
+  /// top bits are also its home, and the path's id.
+  struct Slot {
+    std::uint32_t tag = 0;
+    std::uint32_t id = kEmpty;
+  };
+
+  /// A plain entry's links; subspan bounds-checks the run against the
+  /// arena under _GLIBCXX_ASSERTIONS.
+  [[nodiscard]] std::span<const LinkId> run(const Entry& plain) const {
+    return std::span<const LinkId>(links_).subspan(plain.first, plain.last);
+  }
+  /// Index slot holding `probe`'s sequence, or the empty slot where it
+  /// belongs; grows the index first when one more path would pass half full.
+  Slot& find(const PathView& probe, std::uint32_t tag);
+  /// Fills `slot` with a new entry and returns its id.
+  PathId add(Slot& slot, std::uint32_t tag, Entry entry);
   /// Doubles the index (16 slots at first) and reinserts every entry.
   void grow();
-  /// Home slot of a hash: the top bits of hash · 2^64/φ.
-  [[nodiscard]] std::size_t home(std::uint64_t hash) const {
-    return static_cast<std::size_t>((hash * 0x9E3779B97F4A7C15ull) >> shift_);
+  [[nodiscard]] std::size_t home(std::uint32_t tag) const {
+    return static_cast<std::size_t>(tag) >> shift_;
   }
 
-  std::deque<Path> paths_;
-  // Open-addressing index over paths_: (link-sequence hash, id) slots with
-  // linear probing and a power-of-two capacity kept at most half full.
-  // Collisions are resolved by full sequence equality in intern().
+  std::vector<LinkId> links_;
+  std::vector<Entry> entries_;
+  // Open-addressing index over entries_ with linear probing and a
+  // power-of-two capacity kept at most half full. Collisions are resolved
+  // by full sequence equality.
   std::vector<Slot> index_;
-  unsigned shift_ = 64;  // 64 − log2(index_.size())
+  unsigned shift_ = 32;  // 32 − log2(index_.size())
 };
 
 /// A run of `size` consecutive arena entries starting at `at`.
@@ -224,11 +377,11 @@ struct Extent {
 
 /// Non-owning view of one host pair's candidate paths: the pair's extent in
 /// the routing table's id arena plus the pool that resolves the ids.
-/// Indexing returns the interned `const Path&` (pool storage is stable), so
-/// callers that range-for over candidates and keep `&path` work unchanged.
-/// Every access reads the extent's offset and count afresh, so the view
-/// tracks the live table: other pairs' first touches may move the arena, and
-/// after a rebuild that drops the pair the view is empty until the next
+/// Indexing returns the candidate's PathView, which is valid until the next
+/// intern into the pool (another pair's first touch): read it, or keep its
+/// id. Every access reads the extent's offset and count afresh, so the set
+/// tracks the live table: other pairs' first touches may move the arena,
+/// and after a rebuild that drops the pair the set is empty until the next
 /// paths() query recomputes it. Call `materialize()` to snapshot instead.
 class PathSet {
  public:
@@ -238,7 +391,7 @@ class PathSet {
 
   [[nodiscard]] std::size_t size() const { return extent_->size; }
   [[nodiscard]] bool empty() const { return extent_->size == 0; }
-  [[nodiscard]] const Path& operator[](std::size_t i) const {
+  [[nodiscard]] PathView operator[](std::size_t i) const {
     return pool_->path(id(i));
   }
   [[nodiscard]] PathId id(std::size_t i) const {
@@ -257,13 +410,12 @@ class PathSet {
   class const_iterator {
    public:
     using iterator_category = std::forward_iterator_tag;
-    using value_type = Path;
+    using value_type = PathView;
     using difference_type = std::ptrdiff_t;
-    using pointer = const Path*;
-    using reference = const Path&;
+    using pointer = void;
+    using reference = PathView;
 
-    const Path& operator*() const { return set_->operator[](i_); }
-    const Path* operator->() const { return &**this; }
+    PathView operator*() const { return set_->operator[](i_); }
     const_iterator& operator++() {
       ++i_;
       return *this;
@@ -369,8 +521,9 @@ class RoutingGraph {
 
   /// Interns an externally built path (e.g. composed rack chains) into the
   /// shared pool so the rest of the control plane can pass ids around.
-  PathId intern(const Path& path) { return pool_.intern(path); }
-  [[nodiscard]] const Path& path(PathId id) const { return pool_.path(id); }
+  PathId intern(std::span<const LinkId> links) { return pool_.intern(links); }
+  /// The path's links, valid until the next intern (see PathView).
+  [[nodiscard]] PathView path(PathId id) const { return pool_.path(id); }
 
   /// Number of ordered host pairs whose last Yen run *touched* `l` — i.e.
   /// any generated candidate (chosen or not) traversed it. This is the set
@@ -412,12 +565,22 @@ class RoutingGraph {
   static constexpr std::size_t kNoAttachPair =
       std::numeric_limits<std::size_t>::max();
 
-  /// One Yen result before interning: scratch a worker thread can fill
+  /// One pair's result before interning: scratch a worker thread can fill
   /// without touching shared graph state. `touched` is sorted and
-  /// deduplicated.
+  /// deduplicated. A stub pair's candidates are not in `found`: they wrap
+  /// each candidate of attachment pair `via`'s cached run in the pair's
+  /// access links.
   struct PairScratch {
     PathList found;
     std::vector<LinkId> touched;
+    std::size_t via = kNoAttachPair;
+  };
+
+  /// A switch-level Yen run shared by the stub pairs of one attachment
+  /// pair, and its candidates' pool ids once a commit needed them.
+  struct AttachRun {
+    PairScratch yen;
+    std::vector<PathId> middles;
   };
 
   /// A host's access links when it is a stub: its only uplink and only
@@ -471,7 +634,7 @@ class RoutingGraph {
   /// from; kNoAttachPair when either host is not a stub.
   [[nodiscard]] std::size_t attach_pair(std::size_t slot) const;
   /// The attachment-pair cache entry, allocating the table on first use.
-  std::optional<PairScratch>& attach_entry(std::size_t ap) const;
+  std::optional<AttachRun>& attach_entry(std::size_t ap) const;
   /// One host pair's candidates under banned_ into `out` (cleared first):
   /// host-to-host Yen, or for a stub pair the composition over the (cached)
   /// switch-level run. Not thread-safe: it runs on search_ and may fill the
@@ -479,8 +642,9 @@ class RoutingGraph {
   void compute_pair(std::size_t slot, PairScratch& out) const;
   /// Interns a scratch result and installs it as the slot's candidates and
   /// touched links (PathId assignment happens here, on the calling thread —
-  /// never on workers). const because it mutates only the lazy-cache
-  /// members below.
+  /// never on workers; a stub pair's switch-level middles are interned here
+  /// too, by the first stub pair that commits them). const because it
+  /// mutates only the lazy-cache members below.
   void commit_pair(std::size_t slot, const PairScratch& scratch) const;
   /// compute_pair + commit_pair for one slot, through scratch_.
   void recompute_pair(std::size_t slot) const;
@@ -547,8 +711,9 @@ class RoutingGraph {
   // under the current banned set (dense attach × attach, allocated on first
   // use, dropped by every rebuild that changes the banned set and once every
   // pair is materialized); a restored graph recomputes an entry on the next
-  // stub-pair query that needs it.
-  mutable std::vector<std::optional<PairScratch>> attach_cache_;
+  // stub-pair query that needs it, and re-interning its middles finds the
+  // ids they had.
+  mutable std::vector<std::optional<AttachRun>> attach_cache_;
   // pythia-lint: allow(snapshot-skip, group) search and first-touch scratch
   // for lazy queries, fill-before-read on every use; they hold no state
   // between queries.

@@ -146,23 +146,21 @@ double Controller::snapshot_utilization(net::LinkId l) const {
 }
 
 util::BitsPerSec Controller::snapshot_path_available(
-    const net::Path& path) const {
+    net::PathView path) const {
   double avail = std::numeric_limits<double>::infinity();
-  for (net::LinkId l : path.links) {
+  for (net::LinkId l : path) {
     avail = std::min(avail, snapshot_available(l).bps());
   }
   return util::BitsPerSec{std::isfinite(avail) ? avail : 0.0};
 }
 
-const net::Path& Controller::resolve(net::NodeId src_host,
-                                     net::NodeId dst_host,
-                                     const net::FiveTuple& tuple) const {
+net::PathView Controller::resolve(net::NodeId src_host,
+                                  net::NodeId dst_host,
+                                  const net::FiveTuple& tuple) const {
   if (const PathRule* rule = active_rule(src_host, dst_host)) {
-    return *rule->path;
+    return routing_.path(rule->path_id);
   }
-  if (const net::Path* rack = compose_rack_path(src_host, dst_host)) {
-    return *rack;
-  }
+  if (const auto rack = compose_rack_path(src_host, dst_host)) return *rack;
   return ecmp_.select(src_host, dst_host, tuple);
 }
 
@@ -200,7 +198,6 @@ void Controller::install_rack_path(int src_rack, int dst_rack,
   ++rules_installed_;
   if (rack_rules_.empty()) rack_rules_.resize(racks_ * racks_);
   rack_rules_[row] = std::move(pending);
-  rack_path_cache_.clear();  // composed paths may change
 
   sim_->after(cfg_.rule_install_latency,
               [this, row] { activate_rack_rule(row); });
@@ -212,7 +209,6 @@ void Controller::activate_rack_rule(std::size_t row) {
   PendingRackRule& pending = *rule;
   if (sim_->now() < pending.active_at) return;  // superseded install
   pending.active = true;
-  rack_path_cache_.clear();
 
   if (cfg_.reroute_active_flows_on_install) {
     for (net::FlowId fid : fabric_->active_flows()) {
@@ -223,8 +219,8 @@ void Controller::activate_rack_rule(std::size_t row) {
         continue;
       }
       if (active_rule(f.spec.src, f.spec.dst) != nullptr) continue;
-      if (const net::Path* p = compose_rack_path(f.spec.src, f.spec.dst)) {
-        if (f.spec.path != p->links) fabric_->reroute_flow(fid, p->links);
+      if (const auto p = compose_rack_path(f.spec.src, f.spec.dst)) {
+        if (*p != f.spec.path) fabric_->reroute_flow(fid, p->to_vector());
       }
     }
   }
@@ -242,40 +238,34 @@ const net::Path* Controller::active_rack_chain(int src_rack,
   return &rule->chain;
 }
 
-const net::Path* Controller::compose_rack_path(net::NodeId src_host,
-                                               net::NodeId dst_host) const {
+std::optional<net::PathView> Controller::compose_rack_path(
+    net::NodeId src_host, net::NodeId dst_host) const {
   const int src_rack = topo_->node(src_host).rack;
   const int dst_rack = topo_->node(dst_host).rack;
-  if (src_rack < 0 || dst_rack < 0 || src_rack == dst_rack) return nullptr;
-  const net::Path* chain = active_rack_chain(src_rack, dst_rack);
-  if (chain == nullptr || chain->links.empty()) return nullptr;
-
-  const std::uint64_t key = pair_key(src_host, dst_host);
-  if (const auto cached = rack_path_cache_.find(key);
-      cached != rack_path_cache_.end()) {
-    return &cached->second;
+  if (src_rack < 0 || dst_rack < 0 || src_rack == dst_rack) {
+    return std::nullopt;
   }
-  // host -> ToR access link, the chain, ToR -> host access link.
+  const net::Path* chain = active_rack_chain(src_rack, dst_rack);
+  if (chain == nullptr || chain->links.empty()) return std::nullopt;
+
+  // host -> ToR access link, the chain, ToR -> host access link. The access
+  // links join their hosts by construction, so the whole path connects the
+  // hosts iff the chain runs from the source's ToR to the destination's.
   const auto& up = topo_->out_links(src_host);
   assert(up.size() == 1 && "hosts are single-homed in the builders");
+  const net::NodeId src_tor = topo_->link(up.front()).dst;
   const net::NodeId dst_tor = topo_->link(chain->links.back()).dst;
   const auto down = topo_->find_link(dst_tor, dst_host);
-  if (!down.has_value()) return nullptr;  // chain ends at the wrong ToR
-
-  net::Path full;
-  full.links.reserve(chain->links.size() + 2);
-  full.links.push_back(up.front());
-  full.links.insert(full.links.end(), chain->links.begin(),
-                    chain->links.end());
-  full.links.push_back(*down);
-  if (!topo_->validate_path(src_host, dst_host, full.links)) return nullptr;
-  auto [slot, _] = rack_path_cache_.emplace(key, std::move(full));
-  return &slot->second;
+  if (!down.has_value()) return std::nullopt;  // chain ends at the wrong ToR
+  if (!topo_->validate_path(src_tor, dst_tor, chain->links)) {
+    return std::nullopt;
+  }
+  return net::PathView(up.front(), chain->links, *down);
 }
 
-std::uint64_t Controller::switch_hops(const net::Path& path) const {
+std::uint64_t Controller::switch_hops(net::PathView path) const {
   std::uint64_t hops = 0;
-  for (net::LinkId l : path.links) {
+  for (net::LinkId l : path) {
     if (topo_->node(topo_->link(l).src).kind == net::NodeKind::kSwitch) {
       ++hops;
     }
@@ -285,7 +275,7 @@ std::uint64_t Controller::switch_hops(const net::Path& path) const {
 
 void Controller::erase_rule(std::size_t index) {
   PendingRule& gone = rules_[index];
-  for (net::LinkId l : gone.rule.path->links) {
+  for (net::LinkId l : routing_.path(gone.rule.path_id)) {
     const net::NodeId sw = topo_->link(l).src;
     if (topo_->node(sw).kind != net::NodeKind::kSwitch) continue;
     std::size_t& occupancy = table_occupancy_[sw.value()];
@@ -310,10 +300,10 @@ std::size_t& Controller::list_table(net::NodeId sw) {
   return table_occupancy_[sw.value()];
 }
 
-bool Controller::admit_to_tables(const net::Path& path,
+bool Controller::admit_to_tables(net::PathView path,
                                  util::Bytes volume_hint) {
   if (cfg_.flow_table_capacity == 0) return true;
-  for (net::LinkId l : path.links) {
+  for (net::LinkId l : path) {
     const net::NodeId sw = topo_->link(l).src;
     if (topo_->node(sw).kind != net::NodeKind::kSwitch) continue;
     while (list_table(sw) >= cfg_.flow_table_capacity) {
@@ -324,7 +314,7 @@ bool Controller::admit_to_tables(const net::Path& path,
       std::size_t victim = rules_.size();
       for (std::size_t i = 0; i < rules_.size(); ++i) {
         const PendingRule& r = rules_[i];
-        const auto& links = r.rule.path->links;
+        const net::PathView links = routing_.path(r.rule.path_id);
         const bool occupies =
             std::any_of(links.begin(), links.end(), [&](net::LinkId rl) {
               return topo_->link(rl).src == sw;
@@ -363,27 +353,18 @@ bool Controller::admit_to_tables(const net::Path& path,
   return true;
 }
 
-bool Controller::install_path(net::NodeId src_host, net::NodeId dst_host,
-                              const net::Path& path, util::Bytes volume_hint) {
-  // Interning is idempotent: a path already known to the pool (the common
-  // case — candidates come from the routing table) resolves to its id
-  // without copying.
-  return install_path_id(src_host, dst_host, routing_.intern(path),
-                         volume_hint);
-}
-
 bool Controller::install_path_id(net::NodeId src_host, net::NodeId dst_host,
                                  net::PathId path_id,
                                  util::Bytes volume_hint,
                                  std::uint64_t intent_weight) {
-  const net::Path& path = routing_.path(path_id);
-  assert(topo_->validate_path(src_host, dst_host, path.links));
+  const net::PathView path = routing_.path(path_id);
+  assert(topo_->validate_path(src_host, dst_host, path.to_vector()));
   const std::uint32_t row = pair_row(src_host, dst_host);
   assert(row != kNoRule && "rules join two hosts");
   if (row == kNoRule) return false;
   // Refuse rules over failed links: the requester is working from stale
   // state; traffic stays on ECMP over the rebuilt routing graph instead.
-  for (net::LinkId l : path.links) {
+  for (net::LinkId l : path) {
     if (failed_links_.contains(l)) return false;
   }
   const util::SimTime now = sim_->now();
@@ -405,14 +386,14 @@ bool Controller::install_path_id(net::NodeId src_host, net::NodeId dst_host,
   }
 
   PendingRule pending;
-  pending.rule = PathRule{src_host, dst_host, path_id, &path, now,
+  pending.rule = PathRule{src_host, dst_host, path_id, now,
                           now + cfg_.rule_install_latency};
   pending.active = false;
   pending.volume_hint = volume_hint;
   pending.epoch = ++install_epoch_;
   pending.intent_weight = intent_weight;
   pending.row = row;
-  for (net::LinkId l : path.links) {
+  for (net::LinkId l : path) {
     const net::NodeId sw = topo_->link(l).src;
     if (topo_->node(sw).kind == net::NodeKind::kSwitch) ++list_table(sw);
   }
@@ -468,7 +449,8 @@ void Controller::attempt_install(std::uint32_t row) {
   }
 
   // One flow-mod per switch hop, re-sent on every attempt.
-  flow_mods_ += std::max<std::uint64_t>(switch_hops(*pending->rule.path), 1);
+  flow_mods_ += std::max<std::uint64_t>(
+      switch_hops(routing_.path(pending->rule.path_id)), 1);
   flow_mod_channel_.send([this, row, epoch, attempt] {
     PendingRule* cur = rule_at(row);
     if (cur == nullptr || cur->epoch != epoch || cur->attempt != attempt ||
@@ -533,9 +515,12 @@ std::size_t Controller::clear_host_rules() {
       const net::Flow& f = fabric_->flow(fid);
       if (f.spec.cls != net::FlowClass::kShuffle) continue;
       const PathRule* rule = active_rule(f.spec.src, f.spec.dst);
-      if (rule == nullptr || f.spec.path != rule->path->links) continue;
-      const net::Path& p = ecmp_.select(f.spec.src, f.spec.dst, f.spec.tuple);
-      if (f.spec.path != p.links) fabric_->reroute_flow(fid, p.links);
+      if (rule == nullptr || routing_.path(rule->path_id) != f.spec.path) {
+        continue;
+      }
+      const net::PathView p =
+          ecmp_.select(f.spec.src, f.spec.dst, f.spec.tuple);
+      if (p != f.spec.path) fabric_->reroute_flow(fid, p.to_vector());
     }
   }
   for (const PendingRule& r : rules_) rule_rows_[r.row] = kNoRule;
@@ -559,11 +544,12 @@ void Controller::activate_rule(std::uint32_t row, std::uint64_t epoch) {
     // Move in-flight flows of this aggregate onto the rule's path.
     for (net::FlowId fid : fabric_->active_flows()) {
       const net::Flow& f = fabric_->flow(fid);
-      if (f.spec.src == rule.src_host && f.spec.dst == rule.dst_host &&
-          f.spec.cls == net::FlowClass::kShuffle &&
-          f.spec.path != rule.path->links) {
-        fabric_->reroute_flow(fid, rule.path->links);
+      if (f.spec.src != rule.src_host || f.spec.dst != rule.dst_host ||
+          f.spec.cls != net::FlowClass::kShuffle) {
+        continue;
       }
+      const net::PathView path = routing_.path(rule.path_id);
+      if (path != f.spec.path) fabric_->reroute_flow(fid, path.to_vector());
     }
   }
   PYTHIA_LOG(kDebug, "sdn") << "rule active for pair ("
@@ -610,14 +596,13 @@ void Controller::handle_link_failure(net::LinkId l) {
   // Purge forwarding rules (host-pair and rack wildcards) that traverse a
   // dead link; traffic falls back to ECMP over the rebuilt path set until an
   // app reinstalls. Each rule's fate depends only on failed_links_.
-  const auto dead = [this](const net::Path& path) {
-    return std::any_of(path.links.begin(), path.links.end(),
-                       [this](net::LinkId pl) {
-                         return failed_links_.contains(pl);
-                       });
+  const auto dead = [this](net::PathView path) {
+    return std::any_of(path.begin(), path.end(), [this](net::LinkId pl) {
+      return failed_links_.contains(pl);
+    });
   };
   for (std::size_t i = 0; i < rules_.size();) {
-    if (dead(*rules_[i].rule.path)) {
+    if (dead(routing_.path(rules_[i].rule.path_id))) {
       erase_rule(i);  // moves the last rule into i
     } else {
       ++i;
@@ -626,7 +611,6 @@ void Controller::handle_link_failure(net::LinkId l) {
   for (std::optional<PendingRackRule>& rule : rack_rules_) {
     if (rule && dead(rule->chain)) rule.reset();
   }
-  rack_path_cache_.clear();
 
   // Reroute stranded in-flight flows (their TCP connections would retransmit
   // onto the re-converged forwarding state).
@@ -635,8 +619,8 @@ void Controller::handle_link_failure(net::LinkId l) {
       const net::Flow& f = fabric_->flow(fid);
       const auto& candidates = routing_.paths(f.spec.src, f.spec.dst);
       if (candidates.empty()) continue;  // disconnected: stays stalled
-      const net::Path& p = ecmp_.select(f.spec.src, f.spec.dst, f.spec.tuple);
-      fabric_->reroute_flow(fid, p.links);
+      fabric_->reroute_flow(
+          fid, ecmp_.select(f.spec.src, f.spec.dst, f.spec.tuple).to_vector());
     }
   }
   PYTHIA_LOG(kInfo, "sdn") << "link " << l.value()
@@ -686,8 +670,9 @@ void Controller::encode_state(sim::StateEncoder& enc) const {
     // The rule's path as its link chain, not the raw pool id: interning
     // order (and therefore id values) tracks query order in the lazy
     // routing graph, while the chain is pure behavior.
-    enc.put_u32(static_cast<std::uint32_t>(pr.rule.path->links.size()));
-    for (net::LinkId l : pr.rule.path->links) enc.put_u32(l.value());
+    const net::PathView path = routing_.path(pr.rule.path_id);
+    enc.put_u32(static_cast<std::uint32_t>(path.size()));
+    for (net::LinkId l : path) enc.put_u32(l.value());
     enc.put_bool(pr.active);
     enc.put_bool(pr.confirmed);
     enc.put_u64(static_cast<std::uint64_t>(pr.attempt));

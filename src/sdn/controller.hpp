@@ -14,7 +14,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -72,14 +72,13 @@ struct ControllerConfig {
 
 /// A forwarding rule for a host-pair aggregate (the paper aggregates at
 /// server granularity because shuffle dst ports are unknowable in advance).
-/// The path is interned in the controller's routing pool: rules carry an id
-/// plus a stable pointer instead of a link-vector copy, so rule bookkeeping
-/// compares ids on the hot path.
+/// The path is interned in the controller's routing pool: rules carry its id
+/// instead of a link-vector copy, so rule bookkeeping compares ids on the
+/// hot path, and read its links through Controller::path(path_id).
 struct PathRule {
   net::NodeId src_host;
   net::NodeId dst_host;
   net::PathId path_id;
-  const net::Path* path = nullptr;  // pool storage, stable across rebuilds
   util::SimTime requested_at;
   util::SimTime active_at;  // requested_at + install latency
 };
@@ -112,20 +111,24 @@ class Controller {
   [[nodiscard]] double snapshot_utilization(net::LinkId l) const;
   /// Minimum snapshot-available bandwidth along a path.
   [[nodiscard]] util::BitsPerSec snapshot_path_available(
-      const net::Path& path) const;
+      net::PathView path) const;
 
   // --- forwarding ---
 
   /// Resolves the path a new flow between two hosts takes right now:
-  /// an active rule's path if one exists, otherwise ECMP over the
-  /// k-shortest-path set.
-  [[nodiscard]] const net::Path& resolve(net::NodeId src_host,
-                                         net::NodeId dst_host,
-                                         const net::FiveTuple& tuple) const;
+  /// an active rule's path if one exists, then an active rack rule's chain
+  /// between the hosts' access links, otherwise ECMP over the
+  /// k-shortest-path set. The view is valid until the next intern into the
+  /// routing pool or the next rack-rule change: copy the links out of it.
+  [[nodiscard]] net::PathView resolve(net::NodeId src_host,
+                                      net::NodeId dst_host,
+                                      const net::FiveTuple& tuple) const;
 
-  /// Requests installation of `path` for the host-pair aggregate. The rule
-  /// becomes active after the configured install latency; one flow-mod per
-  /// switch on the path is counted toward the control-plane overhead totals.
+  /// Requests installation of interned path `path_id` for the host-pair
+  /// aggregate (callers that already hold an id: allocator, Hedera,
+  /// ECMP-derived ids). The rule becomes active after the configured install
+  /// latency; one flow-mod per switch on the path is counted toward the
+  /// control-plane overhead totals.
   /// `volume_hint` (predicted aggregate bytes) drives table-full eviction:
   /// when a switch on the path has no free entry, the smallest-volume rule
   /// occupying it is evicted if the newcomer is larger. Under a faulty
@@ -137,17 +140,11 @@ class Controller {
   /// hosts are a caller bug, asserted and refused) — the caller's traffic
   /// stays on ECMP and it must not account the path as taken. A true return
   /// means the install is in flight; it can still fail asynchronously.
-  bool install_path(net::NodeId src_host, net::NodeId dst_host,
-                    const net::Path& path,
-                    util::Bytes volume_hint = util::Bytes::zero());
-
-  /// Id-based install: the fast path for callers that already hold an
-  /// interned path (allocator, Hedera, ECMP-derived ids). Identical
-  /// semantics to the Path overload. `intent_weight` is the number of
-  /// shuffle intents whose traffic rides on this rule (1 for unbatched
-  /// callers); every install/reject/timeout outcome advances the per-intent
-  /// counters by this weight so batching cannot understate the failure rate
-  /// the watchdog's ECMP-fallback trigger sees.
+  /// `intent_weight` is the number of shuffle intents whose traffic rides on
+  /// this rule (1 for unbatched callers); every install/reject/timeout
+  /// outcome advances the per-intent counters by this weight so batching
+  /// cannot understate the failure rate the watchdog's ECMP-fallback
+  /// trigger sees.
   bool install_path_id(net::NodeId src_host, net::NodeId dst_host,
                        net::PathId path_id,
                        util::Bytes volume_hint = util::Bytes::zero(),
@@ -172,13 +169,13 @@ class Controller {
   /// Issues every deferred install attempt in order and closes the batch.
   void commit_install_batch();
 
-  /// Interns an externally composed path (e.g. a rack chain with access
-  /// links) into the routing pool so it can be passed by id.
-  [[nodiscard]] net::PathId intern_path(const net::Path& path) {
-    return routing_.intern(path);
+  /// Interns an externally composed path (e.g. a rack chain) into the
+  /// routing pool so it can be passed by id.
+  [[nodiscard]] net::PathId intern_path(std::span<const net::LinkId> links) {
+    return routing_.intern(links);
   }
-  /// Resolves an interned id to its path (stable reference).
-  [[nodiscard]] const net::Path& path(net::PathId id) const {
+  /// Resolves an interned id to its links, valid until the next intern.
+  [[nodiscard]] net::PathView path(net::PathId id) const {
     return routing_.path(id);
   }
 
@@ -351,13 +348,13 @@ class Controller {
   [[nodiscard]] const PendingRule* rule_at(std::uint32_t row) const;
   /// Number of switch hops on a host-pair path (= flow-mods per attempt and
   /// table entries the rule occupies).
-  [[nodiscard]] std::uint64_t switch_hops(const net::Path& path) const;
+  [[nodiscard]] std::uint64_t switch_hops(net::PathView path) const;
   /// Frees a switch entry per hop, then erases rules_[index]; all rule
   /// removal funnels through here so the table occupancy never drifts.
   void erase_rule(std::size_t index);
   /// Makes room on every switch along `path` (evicting smaller rules) or
   /// refuses; no-op when flow_table_capacity == 0.
-  [[nodiscard]] bool admit_to_tables(const net::Path& path,
+  [[nodiscard]] bool admit_to_tables(net::PathView path,
                                      util::Bytes volume_hint);
   /// The switch's table entry, listed from now on.
   std::size_t& list_table(net::NodeId sw);
@@ -386,19 +383,17 @@ class Controller {
            static_cast<std::uint32_t>(b);
   }
   void activate_rack_rule(std::size_t row);
-  /// Composes host access links around a rack chain; cached per host pair.
-  [[nodiscard]] const net::Path* compose_rack_path(net::NodeId src_host,
-                                                   net::NodeId dst_host) const;
+  /// The hosts' access links around their racks' active chain, or nullopt
+  /// when there is none or it does not join them. Valid while the rack rule
+  /// stands.
+  [[nodiscard]] std::optional<net::PathView> compose_rack_path(
+      net::NodeId src_host, net::NodeId dst_host) const;
   // pythia-lint: allow(snapshot-skip) the rack-pair row width, one more
   // than the topology's largest rack (fingerprinted); the rows are encoded.
   std::size_t racks_ = 0;
   // Rack rules: row src_rack · racks_ + dst_rack; allocated by the first
   // install_rack_path.
   std::vector<std::optional<PendingRackRule>> rack_rules_;
-  // pythia-lint: allow(snapshot-skip) memoization of compose_rack_path():
-  // every entry is a pure function of the routing graph, so a cold cache
-  // after restore recomputes byte-identical paths.
-  mutable std::unordered_map<std::uint64_t, net::Path> rack_path_cache_;
 
   mutable std::vector<double> snapshot_load_bps_;
   mutable std::vector<double> snapshot_shuffle_bps_;

@@ -94,9 +94,8 @@ void HederaApp::run_round() {
     net::PathId best;
     double best_avail = -1.0;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const net::Path& p = candidates[i];
       double avail = std::numeric_limits<double>::infinity();
-      for (net::LinkId l : p.links) {
+      for (net::LinkId l : candidates[i]) {
         const bool own = std::find(f.spec.path.begin(), f.spec.path.end(),
                                    l) != f.spec.path.end();
         const double load = controller_->snapshot_load(l).bps() -
@@ -109,7 +108,7 @@ void HederaApp::run_round() {
         best = candidates.id(i);
       }
     }
-    if (best.valid() && controller_->path(best).links != f.spec.path) {
+    if (best.valid() && controller_->path(best) != f.spec.path) {
       controller_->install_path_id(f.spec.src, f.spec.dst, best);
       ++rerouted_;
       PYTHIA_LOG(kDebug, "hedera")

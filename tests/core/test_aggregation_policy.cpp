@@ -23,7 +23,8 @@ TEST(RackAggregation, ControllerComposesWildcardPaths) {
 
   const auto& paths = ctl.routing().paths(hosts[0], hosts[9]);
   net::Path chain;
-  chain.links.assign(paths[1].links.begin() + 1, paths[1].links.end() - 1);
+  const auto full = paths[1].to_vector();
+  chain.links.assign(full.begin() + 1, full.end() - 1);
   ctl.install_rack_path(0, 1, chain);
   sim.run();
   ASSERT_NE(ctl.active_rack_chain(0, 1), nullptr);
@@ -36,17 +37,17 @@ TEST(RackAggregation, ControllerComposesWildcardPaths) {
                              static_cast<std::uint16_t>(30000 + s * 10 + d),
                              6};
       const auto& p = ctl.resolve(hosts[s], hosts[d], t);
-      EXPECT_TRUE(topo.validate_path(hosts[s], hosts[d], p.links));
+      EXPECT_TRUE(topo.validate_path(hosts[s], hosts[d], p.to_vector()));
       // Middle hops are exactly the installed chain.
-      ASSERT_EQ(p.links.size(), chain.links.size() + 2);
+      ASSERT_EQ(p.size(), chain.links.size() + 2);
       for (std::size_t i = 0; i < chain.links.size(); ++i) {
-        EXPECT_EQ(p.links[i + 1], chain.links[i]);
+        EXPECT_EQ(p[i + 1], chain.links[i]);
       }
     }
   }
   // Same-rack traffic is untouched by the wildcard.
   const net::FiveTuple t{1, 2, 50060, 30000, 6};
-  EXPECT_EQ(ctl.resolve(hosts[0], hosts[1], t).links.size(), 2u);
+  EXPECT_EQ(ctl.resolve(hosts[0], hosts[1], t).size(), 2u);
 }
 
 TEST(RackAggregation, HostRuleTakesPrecedenceOverWildcard) {
@@ -58,15 +59,16 @@ TEST(RackAggregation, HostRuleTakesPrecedenceOverWildcard) {
   const auto& paths = ctl.routing().paths(hosts[0], hosts[9]);
 
   net::Path chain;
-  chain.links.assign(paths[1].links.begin() + 1, paths[1].links.end() - 1);
+  const auto full = paths[1].to_vector();
+  chain.links.assign(full.begin() + 1, full.end() - 1);
   ctl.install_rack_path(0, 1, chain);
-  ctl.install_path(hosts[0], hosts[9], paths[0]);
+  ctl.install_path_id(hosts[0], hosts[9], paths.id(0));
   sim.run();
 
   const net::FiveTuple t{1, 2, 50060, 30000, 6};
-  EXPECT_EQ(ctl.resolve(hosts[0], hosts[9], t).links, paths[0].links);
+  EXPECT_EQ(ctl.resolve(hosts[0], hosts[9], t), paths[0]);
   // Other pairs still use the wildcard.
-  EXPECT_EQ(ctl.resolve(hosts[1], hosts[9], t).links[1], chain.links[0]);
+  EXPECT_EQ(ctl.resolve(hosts[1], hosts[9], t)[1], chain.links[0]);
 }
 
 TEST(RackAggregation, UsesFarFewerRulesThanServerPairs) {
@@ -147,7 +149,8 @@ TEST(Criticality, HotDestinationAllocatedFirst) {
   const auto* first_rule = cluster.controller->active_rule(hosts[0], hosts[9]);
   ASSERT_NE(hot_rule, nullptr);
   ASSERT_NE(first_rule, nullptr);
-  EXPECT_NE(hot_rule->path->links[1], first_rule->path->links[1]);
+  EXPECT_NE(cluster.controller->path(hot_rule->path_id)[1],
+            cluster.controller->path(first_rule->path_id)[1]);
 }
 
 TEST(Criticality, CanBeDisabled) {

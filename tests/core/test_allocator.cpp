@@ -35,8 +35,8 @@ struct Fixture {
   /// CBR on inter-rack path `idx` between s0 and d0.
   void load_path(std::size_t idx, double bps) {
     const auto& paths = controller.routing().paths(s0, d0);
-    std::vector<net::LinkId> chain{paths[idx].links.begin() + 1,
-                                   paths[idx].links.end() - 1};
+    const auto full = paths[idx].to_vector();
+    std::vector<net::LinkId> chain{full.begin() + 1, full.end() - 1};
     fabric.start_cbr(chain, BitsPerSec{bps});
   }
 };
@@ -51,7 +51,7 @@ TEST(Allocator, AvoidsBackgroundLoadedPath) {
   const auto* rule = f.controller.active_rule(f.s0, f.d0);
   ASSERT_NE(rule, nullptr);
   const auto& paths = f.controller.routing().paths(f.s0, f.d0);
-  EXPECT_EQ(rule->path->links, paths[1].links);
+  EXPECT_EQ(f.controller.path(rule->path_id), paths[1]);
   EXPECT_EQ(alloc.allocations(), 1u);
 }
 
@@ -70,7 +70,8 @@ TEST(Allocator, PacksSecondAggregateAwayFromFirst) {
   ASSERT_NE(r0, nullptr);
   ASSERT_NE(r1, nullptr);
   // Compare the inter-rack segment (middle hops differ iff paths differ).
-  EXPECT_NE(r0->path->links[1], r1->path->links[1]);
+  EXPECT_NE(f.controller.path(r0->path_id)[1],
+            f.controller.path(r1->path_id)[1]);
 }
 
 TEST(Allocator, LinkOutstandingBookkeeping) {
@@ -111,13 +112,14 @@ TEST(Allocator, DrainedAggregateReallocatesAgainstNewState) {
   // First round: clean network, allocator picks some path P.
   alloc.add_predicted_volume(f.s0, f.d0, Bytes{1'000'000});
   f.sim.run();
-  const auto first = f.controller.active_rule(f.s0, f.d0)->path;
+  const auto first =
+      f.controller.path(f.controller.active_rule(f.s0, f.d0)->path_id)
+          .to_vector();
   alloc.retire_volume(f.s0, f.d0, Bytes{1'000'000});
 
   // Background then floods P; the drained aggregate's next wave must move.
   const auto& paths = f.controller.routing().paths(f.s0, f.d0);
-  const std::size_t loaded =
-      first->links == paths[0].links ? 0 : 1;
+  const std::size_t loaded = paths[0] == first ? 0 : 1;
   f.load_path(loaded, 9.9e9);
   // Advance time so the controller's load snapshot refreshes.
   f.sim.after(util::Duration::seconds_i(2), [] {});
@@ -125,8 +127,10 @@ TEST(Allocator, DrainedAggregateReallocatesAgainstNewState) {
 
   alloc.add_predicted_volume(f.s0, f.d0, Bytes{1'000'000});
   f.sim.run();
-  const auto second = f.controller.active_rule(f.s0, f.d0)->path;
-  EXPECT_NE(first->links, second->links);
+  const auto second =
+      f.controller.path(f.controller.active_rule(f.s0, f.d0)->path_id)
+          .to_vector();
+  EXPECT_NE(first, second);
   EXPECT_GE(alloc.reallocations(), 1u);
 }
 
@@ -145,7 +149,7 @@ TEST(Allocator, LoadBlindModeIgnoresBackground) {
   const auto* rule = f.controller.active_rule(f.s0, f.d0);
   ASSERT_NE(rule, nullptr);
   const auto& paths = f.controller.routing().paths(f.s0, f.d0);
-  EXPECT_EQ(rule->path->links, paths[0].links);
+  EXPECT_EQ(f.controller.path(rule->path_id), paths[0]);
 }
 
 TEST(Allocator, RackModeSameRackPairFallsBackToServerInstall) {
@@ -163,7 +167,8 @@ TEST(Allocator, RackModeSameRackPairFallsBackToServerInstall) {
   EXPECT_EQ(f.controller.active_rack_chain(0, 0), nullptr);
   const auto* rule = f.controller.active_rule(f.s0, f.s1);
   ASSERT_NE(rule, nullptr);
-  EXPECT_EQ(rule->path->links.size(), 2u);  // host→ToR→host, nothing stripped
+  EXPECT_EQ(f.controller.path(rule->path_id).size(),
+            2u);  // host→ToR→host, nothing stripped
 
   // Cross-rack pairs still aggregate to one rule per rack pair.
   alloc.add_predicted_volume(f.s0, f.d0, Bytes{1'000'000});
@@ -191,11 +196,11 @@ TEST(Allocator, GrowingAggregateKeepsItsPath) {
   Allocator alloc(f.controller);
   alloc.add_predicted_volume(f.s0, f.d0, Bytes{1'000'000});
   f.sim.run();
-  const auto first = f.controller.active_rule(f.s0, f.d0)->path;
+  const auto first = f.controller.active_rule(f.s0, f.d0)->path_id;
   // More volume while still outstanding: first-fit sticks to the path.
   alloc.add_predicted_volume(f.s0, f.d0, Bytes{2'000'000});
   f.sim.run();
-  EXPECT_EQ(f.controller.active_rule(f.s0, f.d0)->path->links, first->links);
+  EXPECT_EQ(f.controller.active_rule(f.s0, f.d0)->path_id, first);
   EXPECT_EQ(alloc.pair_outstanding(f.s0, f.d0).count(), 3'000'000);
   EXPECT_EQ(alloc.reallocations(), 0u);
 }

@@ -140,8 +140,8 @@ TEST(PythiaSystem, SpeedsUpSkewedShuffleUnderAsymmetricLoad) {
     const auto hosts = cluster.topo.hosts();
     const auto& paths = cluster.controller->routing().paths(hosts[0], hosts[9]);
     for (const auto* pair : {&paths}) {
-      std::vector<net::LinkId> chain{(*pair)[0].links.begin() + 1,
-                                     (*pair)[0].links.end() - 1};
+      const auto full = (*pair)[0].to_vector();
+      std::vector<net::LinkId> chain{full.begin() + 1, full.end() - 1};
       cluster.fabric->start_cbr(chain, util::BitsPerSec{9e9});
     }
     std::unique_ptr<PythiaSystem> pythia;

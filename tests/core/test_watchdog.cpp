@@ -58,7 +58,7 @@ TEST(Watchdog, UnansweredEmissionTripsFallback) {
 
   // Give the controller an active rule so the fallback's clear is visible.
   const auto& paths = f.controller.routing().paths(f.src, f.dst);
-  f.controller.install_path(f.src, f.dst, paths[0]);
+  f.controller.install_path_id(f.src, f.dst, paths.id(0));
 
   f.sim.after(Duration::seconds_i(1),
               [&] { wd.note_emission(f.sim.now()); });
@@ -98,12 +98,12 @@ TEST(Watchdog, InstallFailureRateTripsFallback) {
   // Two rules, each burning its full retry ladder: enough attempts to clear
   // the watchdog's min_install_samples bar.
   const net::NodeId src2 = f.topo.hosts()[1];
-  f.controller.install_path(f.src, f.dst,
-                            f.controller.routing().paths(f.src, f.dst)[0],
-                            Bytes{1000});
-  f.controller.install_path(src2, f.dst,
-                            f.controller.routing().paths(src2, f.dst)[0],
-                            Bytes{1000});
+  f.controller.install_path_id(f.src, f.dst,
+                               f.controller.routing().paths(f.src, f.dst).id(0),
+                               Bytes{1000});
+  f.controller.install_path_id(src2, f.dst,
+                               f.controller.routing().paths(src2, f.dst).id(0),
+                               Bytes{1000});
   f.sim.run();  // drain the retry/backoff ladders
   ASSERT_GE(f.controller.install_attempts(), 8u);
   ASSERT_EQ(f.controller.installs_abandoned(), 2u);

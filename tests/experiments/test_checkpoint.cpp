@@ -108,7 +108,7 @@ TEST(CheckpointDrill, MidLinkFailureRestoresWithPrologue) {
   const ScenarioPrologue drill = [](Scenario& s) {
     const auto& paths = s.controller().routing().paths(s.servers().front(),
                                                        s.servers().back());
-    const net::LinkId victim = paths[1].links[1];
+    const net::LinkId victim = paths[1][1];
     s.simulation().after(util::Duration::seconds_i(5), [&s, victim] {
       s.controller().handle_link_failure(victim);
     });

@@ -115,7 +115,7 @@ ChurnOutcome run_churn(std::uint64_t seed, std::size_t k, std::size_t flows) {
     net::NodeId b = a;
     while (b == a) b = hosts[rng.below(hosts.size())];
     const auto& paths = routing.paths(a, b);
-    fabric.start_cbr(paths[rng.below(paths.size())].links,
+    fabric.start_cbr(paths[rng.below(paths.size())].to_vector(),
                      BitsPerSec{0.4 * 10e9});
   }
 
@@ -131,7 +131,7 @@ ChurnOutcome run_churn(std::uint64_t seed, std::size_t k, std::size_t flows) {
     // 1–100 MB so flows overlap and drain at different times.
     spec.size = Bytes{static_cast<std::int64_t>(1 + rng.below(100)) * 1000 *
                       1000};
-    spec.path = path.links;
+    spec.path = path.to_vector();
     spec.tuple = net::FiveTuple{static_cast<std::uint32_t>(i), 0, 0,
                                 static_cast<std::uint16_t>(i), 6};
     // Stagger arrivals across the first 2 simulated seconds.

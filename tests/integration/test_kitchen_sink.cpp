@@ -54,7 +54,7 @@ TEST_P(KitchenSink, EverythingOnStillConservesAndCompletes) {
   // Kill one inter-rack cable mid-run, restore later.
   const auto& paths = scenario.controller().routing().paths(
       scenario.servers()[0], scenario.servers()[9]);
-  const net::LinkId victim = paths[1].links[1];
+  const net::LinkId victim = paths[1][1];
   scenario.simulation().after(util::Duration::seconds_i(25), [&] {
     scenario.controller().handle_link_failure(victim);
   });

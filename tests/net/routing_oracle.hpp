@@ -106,7 +106,7 @@ inline void expect_pair_matches(const RoutingGraph& rg, NodeId src,
   ASSERT_EQ(got.size(), want.size())
       << what << ": pair " << src.value() << "->" << dst.value();
   for (std::size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(got[i].links, want[i].links)
+    ASSERT_EQ(got[i].to_vector(), want[i].links)
         << what << ": pair " << src.value() << "->" << dst.value()
         << " path " << i;
   }

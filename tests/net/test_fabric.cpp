@@ -231,12 +231,12 @@ TEST(Fabric, RerouteAtUnchangedRateKeepsDeadline) {
   spec.src = src;
   spec.dst = dst;
   spec.size = Bytes{kGB};
-  spec.path = paths[0].links;
+  spec.path = paths[0].to_vector();
   std::int64_t done_ns = 0;
   const FlowId f = fabric.start_flow(
       spec, [&](FlowId, SimTime at) { done_ns = at.ns(); });
   sim.at(SimTime::from_seconds(0.1),
-         [&] { fabric.reroute_flow(f, paths[1].links); });
+         [&] { fabric.reroute_flow(f, paths[1].to_vector()); });
   for (int event = 1; sim.run(1) > 0; ++event) {
     const std::string where = "event " + std::to_string(event);
     certificate::expect_matches_oracle(fabric, where);

@@ -71,7 +71,7 @@ TEST(FabricAccounting, SettleResidueSumsExactly) {
   spec.src = hosts[0];
   spec.dst = hosts[5];
   spec.size = Bytes{1'000'000'007};  // prime: never divides evenly
-  spec.path = routing.paths(spec.src, spec.dst)[0].links;
+  spec.path = routing.paths(spec.src, spec.dst)[0].to_vector();
   fabric.start_flow(spec);
 
   // Force hundreds of settle points at awkward intervals.
@@ -138,10 +138,10 @@ TEST(FabricAccounting, FailedLinkReportsZeroUtilization) {
   spec.src = hosts[0];
   spec.dst = hosts[5];
   spec.size = Bytes{50'000'000'000};
-  spec.path = path.links;
+  spec.path = path.to_vector();
   fabric.start_flow(spec);
 
-  const LinkId mid = path.links[1];
+  const LinkId mid = path[1];
   EXPECT_GT(fabric.link_utilization(mid), 0.9);  // saturated by the flow
   fabric.fail_link(mid);
   EXPECT_EQ(fabric.link_utilization(mid), 0.0);
@@ -196,7 +196,7 @@ TEST(FabricAccounting, ByteConservationAcrossRandomizedChurn) {
       spec.size = zero_byte ? Bytes::zero()
                             : Bytes{static_cast<std::int64_t>(
                                   1 + rng.below(300'000'000))};
-      spec.path = paths[rng.below(paths.size())].links;
+      spec.path = paths[rng.below(paths.size())].to_vector();
       spec.weight = rng.uniform(0.5, 3.0);
       sim.at(SimTime{static_cast<std::int64_t>(rng.below(1'500'000'000))},
              [&fabric, spec] { fabric.start_flow(spec); });
@@ -221,7 +221,7 @@ TEST(FabricAccounting, SlotRecyclingBoundsStorage) {
   Fabric fabric(sim, topo);
   const auto hosts = topo.hosts();
   const RoutingGraph routing(topo, 2);
-  const auto path = routing.paths(hosts[0], hosts[5])[0].links;
+  const auto path = routing.paths(hosts[0], hosts[5])[0].to_vector();
 
   std::vector<std::uint32_t> slots;
   for (int i = 0; i < 20; ++i) {

@@ -66,7 +66,7 @@ TEST_P(FabricChurn, ConservesBytesAndDrains) {
       spec.src = src;
       spec.dst = dst;
       spec.size = Bytes{bytes};
-      spec.path = paths[path_choice % paths.size()].links;
+      spec.path = paths[path_choice % paths.size()].to_vector();
       spec.tuple = FiveTuple{static_cast<std::uint32_t>(i), 1, kShufflePort,
                              static_cast<std::uint16_t>(i), 6};
       spec.cls = FlowClass::kShuffle;
@@ -77,8 +77,8 @@ TEST_P(FabricChurn, ConservesBytesAndDrains) {
   // CBR bursts that come and go.
   if (p.with_cbr) {
     const auto& paths = routing.paths(hosts[0], hosts[9]);
-    std::vector<LinkId> chain{paths[0].links.begin() + 1,
-                              paths[0].links.end() - 1};
+    const auto full = paths[0].to_vector();
+    std::vector<LinkId> chain{full.begin() + 1, full.end() - 1};
     sim.at(SimTime::from_seconds(1.0), [&fabric, chain] {
       const CbrId id = fabric.start_cbr(chain, BitsPerSec{9e9});
       fabric.simulation().after(Duration::seconds_i(6),
@@ -89,13 +89,13 @@ TEST_P(FabricChurn, ConservesBytesAndDrains) {
   // A mid-run inter-rack failure with recovery; stranded flows hop paths.
   if (p.with_failures) {
     const auto& paths = routing.paths(hosts[0], hosts[9]);
-    const LinkId victim = paths[1].links[1];
+    const LinkId victim = paths[1][1];
     sim.at(SimTime::from_seconds(3.0), [&fabric, &routing, victim, &hosts] {
       fabric.fail_link(victim);
       for (FlowId f : fabric.flows_crossing(victim)) {
         const auto& flow = fabric.flow(f);
         const auto& alts = routing.paths(flow.spec.src, flow.spec.dst);
-        fabric.reroute_flow(f, alts[0].links);
+        fabric.reroute_flow(f, alts[0].to_vector());
       }
       (void)hosts;
     });

@@ -66,7 +66,7 @@ ChurnResult run_churn(std::uint64_t seed, double cross_pod_fraction) {
     spec.src = src;
     spec.dst = dst;
     spec.size = Bytes{6'000'000'000};
-    spec.path = routing.paths(src, dst)[0].links;
+    spec.path = routing.paths(src, dst)[0].to_vector();
     spec.weight = 1.0 + i;
     const int tag = 1000 + i;
     pinned.push_back(fabric.start_flow(
@@ -95,7 +95,7 @@ ChurnResult run_churn(std::uint64_t seed, double cross_pod_fraction) {
       dst = hosts[pod * hosts_per_pod + rng.below(hosts_per_pod)];
     }
     const auto& paths = routing.paths(src, dst);
-    const auto path = paths[rng.below(paths.size())].links;
+    const auto path = paths[rng.below(paths.size())].to_vector();
     // Every 9th flow is zero-byte: starts and completes within one instant,
     // exercising slot recycling hard.
     const auto size = static_cast<std::int64_t>(
@@ -117,14 +117,15 @@ ChurnResult run_churn(std::uint64_t seed, double cross_pod_fraction) {
   // CBR pulse on a cross-pod path.
   const auto& cbr_paths = routing.paths(hosts[0], hosts[hosts.size() - 2]);
   sim.at(SimTime::from_seconds(0.3), [&fabric, &cbr_paths] {
-    const CbrId id = fabric.start_cbr(cbr_paths[0].links, BitsPerSec{4e9});
+    const CbrId id =
+        fabric.start_cbr(cbr_paths[0].to_vector(), BitsPerSec{4e9});
     fabric.simulation().at(SimTime::from_seconds(1.2),
                            [&fabric, id] { fabric.stop_cbr(id); });
   });
 
   // Fail + restore a core-facing link (cross-pod hop of a long path) and an
   // intra-pod link (first hop: host -> edge).
-  const auto& long_path = routing.paths(hosts[1], hosts.back())[0].links;
+  const auto& long_path = routing.paths(hosts[1], hosts.back())[0].to_vector();
   const LinkId core_victim = long_path[long_path.size() / 2];
   const LinkId pod_victim = long_path.front();
   sim.at(SimTime::from_seconds(0.5),
@@ -142,7 +143,7 @@ ChurnResult run_churn(std::uint64_t seed, double cross_pod_fraction) {
       if (!fabric.flow_active(f)) continue;
       const auto& spec = fabric.flow(f).spec;
       const auto& alts = routing.paths(spec.src, spec.dst);
-      fabric.reroute_flow(f, alts[alts.size() - 1].links);
+      fabric.reroute_flow(f, alts[alts.size() - 1].to_vector());
     }
   });
   sim.at(SimTime::from_seconds(1.1), [&fabric, pinned] {

@@ -21,15 +21,15 @@ struct TwoPathFixture {
   sim::Simulation sim;
   Fabric fabric{sim, topo};
   NodeId src, dst;
-  const Path* path0;
-  const Path* path1;
+  Path path0;  // copies: a routing view lasts only until the next intern
+  Path path1;
 
   TwoPathFixture() {
     const auto hosts = topo.hosts();
     src = hosts[0];
     dst = hosts[9];
-    path0 = &routing.paths(src, dst)[0];
-    path1 = &routing.paths(src, dst)[1];
+    path0.links = routing.paths(src, dst)[0].to_vector();
+    path1.links = routing.paths(src, dst)[1].to_vector();
   }
 
   FlowId start(const Path& p, std::int64_t bytes, double* done = nullptr) {
@@ -48,24 +48,24 @@ struct TwoPathFixture {
 
 TEST(FabricFailure, FailedLinkStarvesFlows) {
   TwoPathFixture f;
-  const FlowId flow = f.start(*f.path0, 10 * kGB);
+  const FlowId flow = f.start(f.path0, 10 * kGB);
   EXPECT_GT(f.fabric.flow(flow).rate.bps(), 0.0);
 
-  const LinkId inter = f.path0->links[1];
+  const LinkId inter = f.path0.links[1];
   f.fabric.fail_link(inter);
   EXPECT_FALSE(f.fabric.link_up(inter));
   EXPECT_DOUBLE_EQ(f.fabric.flow(flow).rate.bps(), 0.0);
   EXPECT_DOUBLE_EQ(f.fabric.link_residual_capacity(inter).bps(), 0.0);
   // Flows on the other path are untouched.
-  const FlowId other = f.start(*f.path1, 10 * kGB);
+  const FlowId other = f.start(f.path1, 10 * kGB);
   EXPECT_GT(f.fabric.flow(other).rate.bps(), 0.0);
 }
 
 TEST(FabricFailure, RestoreResumesTransfer) {
   TwoPathFixture f;
   double done = -1.0;
-  f.start(*f.path0, 10 * kGB, &done);  // 10 GB at 10 Gbps = 8 s
-  const LinkId inter = f.path0->links[1];
+  f.start(f.path0, 10 * kGB, &done);  // 10 GB at 10 Gbps = 8 s
+  const LinkId inter = f.path0.links[1];
 
   f.sim.after(Duration::seconds_i(2), [&] { f.fabric.fail_link(inter); });
   f.sim.after(Duration::seconds_i(5), [&] { f.fabric.restore_link(inter); });
@@ -76,7 +76,7 @@ TEST(FabricFailure, RestoreResumesTransfer) {
 
 TEST(FabricFailure, FailIsIdempotent) {
   TwoPathFixture f;
-  const LinkId inter = f.path0->links[1];
+  const LinkId inter = f.path0.links[1];
   f.fabric.fail_link(inter);
   f.fabric.fail_link(inter);
   f.fabric.restore_link(inter);
@@ -86,9 +86,9 @@ TEST(FabricFailure, FailIsIdempotent) {
 
 TEST(FabricFailure, FlowsCrossingReportsOnlyUsers) {
   TwoPathFixture f;
-  const FlowId on0 = f.start(*f.path0, 10 * kGB);
-  const FlowId on1 = f.start(*f.path1, 10 * kGB);
-  const LinkId inter0 = f.path0->links[1];
+  const FlowId on0 = f.start(f.path0, 10 * kGB);
+  const FlowId on1 = f.start(f.path1, 10 * kGB);
+  const LinkId inter0 = f.path0.links[1];
   const auto crossing = f.fabric.flows_crossing(inter0);
   ASSERT_EQ(crossing.size(), 1u);
   EXPECT_EQ(crossing[0], on0);
@@ -97,16 +97,16 @@ TEST(FabricFailure, FlowsCrossingReportsOnlyUsers) {
 
 TEST(RoutingBanned, KShortestExcludesBannedLinks) {
   TwoPathFixture f;
-  const LinkId inter0 = f.path0->links[1];
+  const LinkId inter0 = f.path0.links[1];
   const auto paths =
       k_shortest_paths(f.topo, f.src, f.dst, 4, {inter0});
   ASSERT_EQ(paths.size(), 1u);  // only the second cable survives
-  EXPECT_EQ(paths[0].links, f.path1->links);
+  EXPECT_EQ(paths[0].links, f.path1.links);
 }
 
 TEST(RoutingBanned, RebuildWithBannedShrinksPathSets) {
   TwoPathFixture f;
-  const LinkId inter0 = f.path0->links[1];
+  const LinkId inter0 = f.path0.links[1];
   f.routing.rebuild({inter0});
   EXPECT_EQ(f.routing.paths(f.src, f.dst).size(), 1u);
   // Same-rack pairs are unaffected.

@@ -95,7 +95,7 @@ CompletionLog run_churn(std::uint64_t seed) {
     spec.src = src;
     spec.dst = dst;
     spec.size = Bytes{4'000'000'000};
-    spec.path = paths[0].links;
+    spec.path = paths[0].to_vector();
     spec.weight = 1.0 + i;
     const int tag = 1000 + i;
     pinned.push_back(fabric.start_flow(spec, [&log, tag](FlowId, SimTime t) {
@@ -112,7 +112,7 @@ CompletionLog run_churn(std::uint64_t seed) {
     NodeId dst = src;
     while (dst == src) dst = hosts[rng.below(hosts.size())];
     const auto& paths = routing.paths(src, dst);
-    const auto path = paths[rng.below(paths.size())].links;
+    const auto path = paths[rng.below(paths.size())].to_vector();
     const auto size =
         static_cast<std::int64_t>(1'000'000 + rng.below(400'000'000));
     const double weight = rng.uniform(0.5, 3.0);
@@ -132,13 +132,14 @@ CompletionLog run_churn(std::uint64_t seed) {
   // CBR pulse on a cross-rack path.
   const auto& cbr_paths = routing.paths(hosts[0], hosts[8]);
   sim.at(SimTime::from_seconds(0.3), [&fabric, &cbr_paths] {
-    const CbrId id = fabric.start_cbr(cbr_paths[0].links, BitsPerSec{6e9});
+    const CbrId id =
+        fabric.start_cbr(cbr_paths[0].to_vector(), BitsPerSec{6e9});
     fabric.simulation().at(SimTime::from_seconds(1.2),
                            [&fabric, id] { fabric.stop_cbr(id); });
   });
 
   // Fail + restore one spine uplink.
-  const LinkId victim = cbr_paths[1].links[1];
+  const LinkId victim = cbr_paths[1][1];
   sim.at(SimTime::from_seconds(0.5), [&fabric, victim] {
     fabric.fail_link(victim);
   });
@@ -152,7 +153,7 @@ CompletionLog run_churn(std::uint64_t seed) {
       if (!fabric.flow_active(f)) continue;
       const auto& spec = fabric.flow(f).spec;
       const auto& alts = routing.paths(spec.src, spec.dst);
-      fabric.reroute_flow(f, alts[alts.size() - 1].links);
+      fabric.reroute_flow(f, alts[alts.size() - 1].to_vector());
     }
   });
   sim.at(SimTime::from_seconds(1.1), [&fabric, pinned] {
@@ -219,7 +220,7 @@ TEST(IncrementalDifferential, RatesBitIdenticalUnderSnapshots) {
       spec.dst = dst;
       spec.size = Bytes{static_cast<std::int64_t>(
           5'000'000 + rng.below(900'000'000))};
-      spec.path = paths[rng.below(paths.size())].links;
+      spec.path = paths[rng.below(paths.size())].to_vector();
       spec.weight = rng.uniform(0.5, 4.0);
       sim.at(SimTime{static_cast<std::int64_t>(rng.below(1'000'000'000))},
              [&fabric, spec] { fabric.start_flow(spec); });
@@ -282,7 +283,7 @@ void schedule_dense_churn(sim::Simulation& sim, Fabric& fabric,
     spec.src = src;
     spec.dst = dst;
     spec.size = Bytes{size};
-    spec.path = paths[rng.below(paths.size())].links;
+    spec.path = paths[rng.below(paths.size())].to_vector();
     spec.cls = static_cast<FlowClass>(rng.below(4));
     spec.weight = 1.0 + static_cast<double>(rng.below(3));
     const int t = tag++;
@@ -327,7 +328,7 @@ void schedule_dense_churn(sim::Simulation& sim, Fabric& fabric,
   }
   // Background CBR along one cross-rack path while the wave runs, so
   // utilization reads mix CBR and elastic load.
-  const auto cbr_path = routing.paths(hosts[0], hosts.back())[0].links;
+  const auto cbr_path = routing.paths(hosts[0], hosts.back())[0].to_vector();
   sim.at(SimTime::from_seconds(0.35), [&fabric, cbr_path] {
     const CbrId id = fabric.start_cbr(cbr_path, BitsPerSec{3e9});
     fabric.simulation().at(SimTime::from_seconds(0.9),
@@ -556,7 +557,7 @@ void schedule_warm_churn(sim::Simulation& sim, Fabric& fabric,
     spec.src = src;
     spec.dst = dst;
     spec.size = Bytes{size};
-    spec.path = paths[rng.below(paths.size())].links;
+    spec.path = paths[rng.below(paths.size())].to_vector();
     spec.cls = static_cast<FlowClass>(rng.below(4));
     spec.weight = 1.0 + static_cast<double>(rng.below(3));
     const int tag = static_cast<int>(fabric.flows_started());
@@ -613,7 +614,7 @@ void schedule_warm_churn(sim::Simulation& sim, Fabric& fabric,
           const FlowId id = active[rng.below(active.size())];
           const Flow& f = fabric.flow(id);
           const auto& paths = routing.paths(f.spec.src, f.spec.dst);
-          const auto& path = paths[rng.below(paths.size())].links;
+          const auto& path = paths[rng.below(paths.size())].to_vector();
           if (path != f.spec.path) fabric.reroute_flow(id, path);
           break;
         }
@@ -628,7 +629,7 @@ void schedule_warm_churn(sim::Simulation& sim, Fabric& fabric,
           const auto [src, dst] = pick_pair(rng);
           const auto& paths = routing.paths(src, dst);
           const CbrId id = fabric.start_cbr(
-              paths[rng.below(paths.size())].links,
+              paths[rng.below(paths.size())].to_vector(),
               BitsPerSec{1e9 + 1e9 * static_cast<double>(rng.below(3))});
           fabric.simulation().after(Duration::from_seconds(0.07),
                                     [&fabric, id] { fabric.stop_cbr(id); });
@@ -826,7 +827,7 @@ TEST(IncrementalCounters, AffectedSetIsWhatTheChangeReaches) {
     spec.src = src;
     spec.dst = dst;
     spec.size = Bytes{10'000'000'000};
-    spec.path = routing.paths(src, dst)[0].links;
+    spec.path = routing.paths(src, dst)[0].to_vector();
     return fabric.start_flow(spec);
   };
   std::vector<FlowId> cross;
@@ -891,7 +892,7 @@ TEST(IncrementalCounters, WarmStartReusesUnaffectedRounds) {
     spec.src = src;
     spec.dst = dst;
     spec.size = Bytes{10'000'000'000};
-    spec.path = routing.paths(src, dst)[0].links;
+    spec.path = routing.paths(src, dst)[0].to_vector();
     return inc.start_flow(spec);
   };
   for (std::size_t i = 0; i < 16; ++i) {
@@ -994,7 +995,7 @@ TEST(IncrementalCounters, CleanRecomputeIsFree) {
   spec.src = hosts[0];
   spec.dst = hosts[6];
   spec.size = Bytes{10'000'000'000};
-  spec.path = routing.paths(spec.src, spec.dst)[0].links;
+  spec.path = routing.paths(spec.src, spec.dst)[0].to_vector();
   fabric.start_flow(spec);
 
   const auto before = fabric.counters();

@@ -26,8 +26,8 @@ struct Fixture {
     const auto hosts = topo.hosts();
     src = hosts[0];
     dst = hosts[9];
-    inter0 = routing.paths(src, dst)[0].links[1];
-    inter1 = routing.paths(src, dst)[1].links[1];
+    inter0 = routing.paths(src, dst)[0][1];
+    inter1 = routing.paths(src, dst)[1][1];
   }
 
   void start(std::size_t path_idx, std::int64_t bytes) {
@@ -35,7 +35,7 @@ struct Fixture {
     spec.src = src;
     spec.dst = dst;
     spec.size = Bytes{bytes};
-    spec.path = routing.paths(src, dst)[path_idx].links;
+    spec.path = routing.paths(src, dst)[path_idx].to_vector();
     spec.tuple = FiveTuple{1, 2, kShufflePort, 31000, 6};
     spec.cls = FlowClass::kShuffle;
     fabric.start_flow(spec);
@@ -74,8 +74,8 @@ TEST(LinkRecorder, DoesNotKeepSimulationAlive) {
 TEST(LinkRecorder, SeparatesCbrFromElastic) {
   Fixture f;
   LinkRecorder recorder(f.fabric, {f.inter0}, Duration::millis(100));
-  std::vector<LinkId> chain{f.routing.paths(f.src, f.dst)[0].links.begin() + 1,
-                            f.routing.paths(f.src, f.dst)[0].links.end() - 1};
+  const auto full = f.routing.paths(f.src, f.dst)[0].to_vector();
+  std::vector<LinkId> chain{full.begin() + 1, full.end() - 1};
   f.fabric.start_cbr(chain, BitsPerSec{4e9});
   f.start(0, 3 * kGB);  // gets the residual 6 Gbps
   f.sim.run();

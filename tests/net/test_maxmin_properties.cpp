@@ -67,8 +67,8 @@ TEST_P(MaxMinProperty, AllocationIsMaxMinFair) {
   auto start_cbr = [&](Fabric& fab) {
     const auto& paths = routing.paths(cbr_src, cbr_dst);
     ASSERT_FALSE(paths.empty());
-    const double capacity = topo.link(paths[0].links[0]).capacity.bps();
-    fab.start_cbr(paths[0].links, BitsPerSec{capacity * p.cbr_fraction});
+    const double capacity = topo.link(paths[0][0]).capacity.bps();
+    fab.start_cbr(paths[0].to_vector(), BitsPerSec{capacity * p.cbr_fraction});
   };
   if (p.cbr_fraction > 0.0) start_cbr(fabric);
 
@@ -84,7 +84,7 @@ TEST_P(MaxMinProperty, AllocationIsMaxMinFair) {
     spec.src = src;
     spec.dst = dst;
     spec.size = Bytes{static_cast<std::int64_t>(1e12)};  // long-lived
-    spec.path = path.links;
+    spec.path = path.to_vector();
     spec.tuple = FiveTuple{static_cast<std::uint32_t>(i), 0, 0,
                            static_cast<std::uint16_t>(i), 6};
     spec.weight = p.weighted ? rng.uniform(0.5, 4.0) : 1.0;
@@ -120,7 +120,7 @@ TEST_P(MaxMinProperty, AllocationIsMaxMinFair) {
     spec.src = src;
     spec.dst = dst;
     spec.size = Bytes{static_cast<std::int64_t>(1e12)};
-    spec.path = path.links;
+    spec.path = path.to_vector();
     spec.tuple = FiveTuple{static_cast<std::uint32_t>(i), 0, 0,
                            static_cast<std::uint16_t>(i), 6};
     spec.weight = p.weighted ? rng2.uniform(0.5, 4.0) : 1.0;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "net/routing_oracle.hpp"
 
@@ -154,7 +156,7 @@ TEST(RoutingGraph, PrecomputesAllHostPairs) {
   EXPECT_EQ(rg.k(), 2u);
 }
 
-TEST(PathPool, InternDeduplicatesAndKeepsReferencesStable) {
+TEST(PathPool, InternDeduplicatesAndIdsStayValid) {
   const Topology topo = diamond();
   const auto hosts = topo.hosts();
   const auto paths = k_shortest_paths(topo, hosts[0], hosts[1], 4);
@@ -170,15 +172,104 @@ TEST(PathPool, InternDeduplicatesAndKeepsReferencesStable) {
   EXPECT_EQ(pool.intern(paths[1]), b);
   EXPECT_EQ(pool.size(), 2u);
 
-  // References stay valid as the pool grows (deque storage).
-  const Path* first = &pool.path(a);
+  // Ids stay valid as the pool grows past several arena and index
+  // reallocations; a view re-read by id shows the same links.
   for (int i = 0; i < 1000; ++i) {
     Path p;
     p.links.push_back(LinkId{static_cast<std::uint32_t>(i + 100)});
     pool.intern(std::move(p));
   }
-  EXPECT_EQ(first, &pool.path(a));
-  EXPECT_EQ(pool.path(a).links, paths[0].links);
+  EXPECT_EQ(pool.path(a).to_vector(), paths[0].links);
+  EXPECT_EQ(pool.path(b).to_vector(), paths[1].links);
+}
+
+// One id per link sequence, whichever route interns it: a full span, a
+// composite (lead, middle id, trail) entry, or a sub-run of a pooled path.
+TEST(PathPool, OneIdPerSequenceAcrossInternRoutes) {
+  const std::vector<LinkId> middle{LinkId{7}, LinkId{8}, LinkId{9}};
+  const std::vector<LinkId> full{LinkId{1}, LinkId{7}, LinkId{8}, LinkId{9},
+                                 LinkId{2}};
+  {
+    // Composite first: the span and the stripped chain find its entries.
+    PathPool pool;
+    const PathId mid = pool.intern(middle);
+    const PathId whole = pool.intern(LinkId{1}, mid, LinkId{2});
+    EXPECT_NE(whole, mid);
+    EXPECT_EQ(pool.middle(whole), mid);
+    EXPECT_FALSE(pool.middle(mid).valid());
+    EXPECT_EQ(pool.path(whole).to_vector(), full);
+    EXPECT_EQ(pool.intern(full), whole);
+    EXPECT_EQ(pool.intern(pool.path(whole).middle()), mid);
+    EXPECT_EQ(pool.intern(LinkId{1}, mid, LinkId{2}), whole);
+    EXPECT_EQ(pool.size(), 2u);
+  }
+  {
+    // Span first: the composite route returns the plain entry's id, and
+    // stripping it interns the chain from the pool's own arena.
+    PathPool pool;
+    const PathId whole = pool.intern(full);
+    const PathView view = pool.path(whole);
+    const PathId chain = pool.intern(view.middle().subspan(1, 3));
+    EXPECT_EQ(pool.path(chain).to_vector(), middle);
+    EXPECT_EQ(pool.intern(LinkId{1}, chain, LinkId{2}), whole);
+    EXPECT_FALSE(pool.middle(whole).valid());
+    EXPECT_EQ(pool.size(), 2u);
+  }
+}
+
+// Two hosts on one switch: their middle is the switch's empty run to itself,
+// so the composite is just the uplink and the downlink.
+TEST(PathPool, EmptyMiddleOfSameSwitchPair) {
+  PathPool pool;
+  const PathId empty = pool.intern(std::span<const LinkId>{});
+  EXPECT_EQ(pool.path(empty).size(), 0u);
+  const PathId both = pool.intern(LinkId{3}, empty, LinkId{4});
+  const PathView view = pool.path(both);
+  EXPECT_EQ(view.size(), 2u);
+  EXPECT_EQ(view[0], LinkId{3});
+  EXPECT_EQ(view[1], LinkId{4});
+  EXPECT_TRUE(view.middle().empty());
+  EXPECT_EQ(pool.intern(std::vector<LinkId>{LinkId{3}, LinkId{4}}), both);
+  EXPECT_EQ(pool.intern(std::span<const LinkId>{}), empty);
+
+  // The routing table stores a same-switch stub pair the same way.
+  const Topology topo = make_two_rack({});
+  const RoutingGraph graph(topo, 2);
+  const auto hosts = topo.hosts();
+  const auto set = graph.paths(hosts[0], hosts[1]);
+  ASSERT_EQ(set.size(), 1u);
+  EXPECT_EQ(set[0].size(), 2u);
+  const PathId middle = graph.pool().middle(set.id(0));
+  ASSERT_TRUE(middle.valid());
+  EXPECT_EQ(graph.path(middle).size(), 0u);
+}
+
+// A view is valid only until the next intern; re-reading by id after many
+// later interns, which move the arena, gives the same links.
+TEST(PathPool, ViewReReadAfterLaterInterns) {
+  LeafSpineConfig cfg;
+  cfg.racks = 8;
+  cfg.servers_per_rack = 4;
+  cfg.spines = 4;
+  const Topology topo = make_leaf_spine(cfg);
+  const RoutingGraph graph(topo, 4);
+  const auto hosts = topo.hosts();
+  const auto first = graph.paths(hosts.front(), hosts.back());
+  ASSERT_FALSE(first.empty());
+  std::vector<std::vector<LinkId>> before;
+  for (const PathView p : first) before.push_back(p.to_vector());
+  const std::size_t pool_before = graph.pool().size();
+  for (NodeId dst : hosts) {
+    for (NodeId src : hosts) {
+      if (src != dst) (void)graph.paths(src, dst);
+    }
+  }
+  ASSERT_GT(graph.pool().size(), pool_before);
+  ASSERT_EQ(first.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(first[i].to_vector(), before[i]);
+    EXPECT_TRUE(topo.validate_path(hosts.front(), hosts.back(), before[i]));
+  }
 }
 
 TEST(RoutingGraph, HasPathsAndHostPairQueries) {
@@ -226,8 +317,8 @@ TEST(RoutingGraph, IncrementalMatchesOracleOnBanAndRestore) {
   const auto hosts = topo.hosts();
 
   // Ban one inter-rack cable, then a second, then restore both.
-  const LinkId victim = rg.paths(hosts[0], hosts[9])[0].links[1];
-  const LinkId second = rg.paths(hosts[0], hosts[9])[1].links[1];
+  const LinkId victim = rg.paths(hosts[0], hosts[9])[0][1];
+  const LinkId second = rg.paths(hosts[0], hosts[9])[1][1];
   rg.materialize_all();
   const std::vector<std::unordered_set<LinkId>> steps = {
       {victim}, {victim, second}, {second}, {}};
@@ -263,8 +354,8 @@ TEST(RoutingGraph, PairsUsingReverseIndex) {
   // Links are directional: a rack0->rack1 cable is in the candidate set of
   // every rack0->rack1 pair (both cables, since k=2 enumerates both), while
   // host 0's outbound access link is touched only by pairs sourced there.
-  const LinkId cable = rg.paths(hosts[0], hosts[9])[0].links[1];
-  const LinkId access = rg.paths(hosts[0], hosts[9])[0].links[0];
+  const LinkId cable = rg.paths(hosts[0], hosts[9])[0][1];
+  const LinkId access = rg.paths(hosts[0], hosts[9])[0][0];
   EXPECT_EQ(rg.pairs_using(cable), 25u);  // 5 x 5 rack0 -> rack1 pairs
   EXPECT_EQ(rg.pairs_using(access), 9u);  // host0 -> each other host
 }

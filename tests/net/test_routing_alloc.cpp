@@ -1,11 +1,14 @@
 // Heap cost of the routing table's host-pair layout.
 //
 // This binary replaces the global operator new/delete with counting
-// versions (allocations and bytes). Counting is off except inside an
-// AllocWindow, so gtest's own bookkeeping never shows up in a measurement.
+// versions: allocations, requested bytes, frees, and the usable bytes of
+// every block allocated and freed (malloc_usable_size). Counting is off
+// except inside an AllocWindow, so gtest's own bookkeeping never shows up in
+// a measurement.
 // The topology is the end-to-end Nutch fabric: a 32×8 leaf-spine with four
 // spines (256 hosts, 65 536 host-pair slots), k = 4.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <cstddef>
 #include <cstdio>
@@ -22,25 +25,29 @@ bool g_counting = false;
 std::size_t g_allocs = 0;
 std::size_t g_bytes = 0;
 std::size_t g_frees = 0;
+std::size_t g_usable_allocated = 0;
+std::size_t g_usable_freed = 0;
 
 }  // namespace
 
 void* operator new(std::size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
   if (g_counting) {
     ++g_allocs;
     g_bytes += n;
+    g_usable_allocated += malloc_usable_size(p);
   }
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
+  return p;
 }
 void operator delete(void* p) noexcept {
-  if (p != nullptr && g_counting) ++g_frees;
+  if (p != nullptr && g_counting) {
+    ++g_frees;
+    g_usable_freed += malloc_usable_size(p);
+  }
   std::free(p);
 }
-void operator delete(void* p, std::size_t) noexcept {
-  if (p != nullptr && g_counting) ++g_frees;
-  std::free(p);
-}
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace pythia::net {
 namespace {
@@ -52,6 +59,8 @@ class AllocWindow {
     g_allocs = 0;
     g_bytes = 0;
     g_frees = 0;
+    g_usable_allocated = 0;
+    g_usable_freed = 0;
     g_counting = true;
   }
   AllocWindow(const AllocWindow&) = delete;
@@ -60,14 +69,27 @@ class AllocWindow {
   [[nodiscard]] std::size_t allocs() const { return g_allocs; }
   [[nodiscard]] std::size_t bytes() const { return g_bytes; }
   [[nodiscard]] std::size_t frees() const { return g_frees; }
+  /// Usable bytes allocated in the window and not freed in it.
+  [[nodiscard]] std::size_t live() const {
+    return g_usable_allocated - g_usable_freed;
+  }
 };
 
 constexpr std::size_t kPaths = 4;
-/// Allocations per first-touched pair beyond the paths the pool gains. The
-/// shared structures' growth (the pool's deque blocks and index, both
-/// arenas, the per-link reverse lists) costs ~1.4 here; table rows that
-/// held per-pair vectors cost ~5.4.
-constexpr double kOverheadPerPair = 2.0;
+/// Allocations per first-touched pair. Paths own no heap object, so all of
+/// them are shared growth: the pool's arena, entries and index, both table
+/// arenas, the switch-level runs, and the per-link reverse lists, which
+/// grow by doubling and make ~1.0 of the ~1.3 here. A pool path that owned
+/// its link vector added ~3.9 (5.35 in all).
+constexpr double kAllocsPerPair = 1.5;
+/// Heap bytes a first touch retains per pair: ~377 here, of which the pool
+/// is ~113 (its index ~64) and the touched-link arena and reverse lists
+/// most of the rest. Paths that each owned a link vector, a deque slot and
+/// 2–4 16-byte index slots retained ~567.
+constexpr double kRetainedPerPair = 400.0;
+/// The pool's share: ~113 bytes per pair here, 12 per candidate entry and
+/// 2–4 8-byte index slots per entry, with the rack pair's middles once.
+constexpr double kPoolPerPair = 128.0;
 
 Topology nutch_fabric() {
   LeafSpineConfig cfg;
@@ -107,33 +129,37 @@ TEST(RoutingAlloc, ConstructionCostsAtMost24BytesPerSlot) {
 }
 
 // A first touch interns the pair's candidates and records its touched links
-// in shared arenas: beyond the paths the pool gains (each owns its link
-// vector), it allocates only when a shared structure grows. A per-pair
-// vector (a candidate-id list, a touched-link list, a scratch result) would
-// add at least one allocation per pair and break the bound.
-TEST(RoutingAlloc, FirstTouchAllocatesLittleBeyondNewPaths) {
+// in shared arenas: a stub pair's candidates are 12-byte pool entries over
+// its rack pair's switch-level middles, so it allocates only when a shared
+// structure grows. A per-pair or per-path heap object (a link vector, a
+// candidate-id list, a scratch result) would add at least one allocation per
+// pair and break the first bound; the others bound what the pairs and the
+// pool keep.
+TEST(RoutingAlloc, FirstTouchAllocatesOnlySharedGrowth) {
   const Topology topo = nutch_fabric();
   const RoutingGraph graph(topo, kPaths);
   const auto pairs = sample_pairs(topo);
   ASSERT_EQ(pairs.size(), 2'040u);
   std::size_t allocs = 0;
+  std::size_t live = 0;
   {
     AllocWindow window;
     for (const auto& [src, dst] : pairs) (void)graph.paths(src, dst);
     allocs = window.allocs();
+    live = window.live();
   }
-  const std::size_t gained = graph.pool().size();
   ASSERT_EQ(graph.pairs_materialized(), pairs.size());
   ASSERT_EQ(graph.counters().attach_pairs_computed, 32u);
-  const double per_pair =
-      static_cast<double>(allocs) / static_cast<double>(pairs.size());
-  const double overhead =
-      static_cast<double>(allocs - gained) / static_cast<double>(pairs.size());
-  std::printf("first touch: %zu allocations, %.2f per pair (%zu paths "
-              "gained, %.2f per pair beyond them)\n",
-              allocs, per_pair, gained, overhead);
-  EXPECT_GE(allocs, gained);
-  EXPECT_LT(overhead, kOverheadPerPair);
+  const auto n = static_cast<double>(pairs.size());
+  const double per_pair = static_cast<double>(allocs) / n;
+  const double retained = static_cast<double>(live) / n;
+  std::printf("first touch: %zu allocations, %.2f per pair; %zu B retained, "
+              "%.1f B per pair (%zu paths, pool %zu B)\n",
+              allocs, per_pair, live, retained, graph.pool().size(),
+              graph.pool().bytes());
+  EXPECT_LT(per_pair, kAllocsPerPair);
+  EXPECT_LT(retained, kRetainedPerPair);
+  EXPECT_LT(static_cast<double>(graph.pool().bytes()) / n, kPoolPerPair);
 }
 
 TEST(RoutingAlloc, SecondTouchAllocatesNothing) {

@@ -118,7 +118,7 @@ TEST(LazyRouting, RebuildInvalidatesInsteadOfRecomputing) {
   // Materialize one cross-pod pair, then fail a link on its first path.
   const auto before = lazy.paths(hosts.front(), hosts.back());
   ASSERT_FALSE(before.empty());
-  const LinkId victim = before[0].links[1];
+  const LinkId victim = before[0][1];
   std::unordered_set<LinkId> banned{victim};
 
   const auto recomputed_before = lazy.counters().pairs_recomputed;
@@ -149,7 +149,7 @@ TEST(LazyRouting, PathSetTracksTheLiveTable) {
   lazy.materialize_all();  // every other pair lands after this one
   ASSERT_EQ(view.materialize(), first);
   std::size_t i = 0;
-  for (const Path& p : view) EXPECT_EQ(p, first[i++]);
+  for (const PathView p : view) EXPECT_EQ(p, first[i++]);
 
   const auto cables = [&] {
     std::vector<LinkId> out;
@@ -181,7 +181,7 @@ TEST(LazyRouting, PathSetTracksTheLiveTable) {
     expect_pair_matches(lazy, src, dst, o.pair(src, dst), "churn");
     ASSERT_EQ(view.size(), o.pair(src, dst).size());
     for (std::size_t c = 0; c < view.size(); ++c) {
-      EXPECT_EQ(view[c].links, o.pair(src, dst)[c].links);
+      EXPECT_EQ(view[c].to_vector(), o.pair(src, dst)[c].links);
     }
   }
 }

@@ -131,7 +131,7 @@ TEST(Controller, LargestRetryBudgetAbandonsAfterEveryAttempt) {
   cfg.max_install_retries = 39;
   auto ctl = f.make_controller(cfg);
   const auto paths = ctl.routing().paths(f.src, f.dst);
-  ASSERT_TRUE(ctl.install_path(f.src, f.dst, paths[0]));
+  ASSERT_TRUE(ctl.install_path_id(f.src, f.dst, paths.id(0)));
   f.sim.run();
   EXPECT_EQ(ctl.install_attempts(), 40u);
   EXPECT_EQ(ctl.install_rejects(), 40u);
@@ -146,8 +146,8 @@ TEST(Controller, ResolveFallsBackToEcmp) {
   Fixture f;
   auto ctl = f.make_controller();
   const FiveTuple t{1, 2, 50060, 31000, 6};
-  const Path& p = ctl.resolve(f.src, f.dst, t);
-  EXPECT_TRUE(f.topo.validate_path(f.src, f.dst, p.links));
+  EXPECT_TRUE(f.topo.validate_path(f.src, f.dst,
+                                   ctl.resolve(f.src, f.dst, t).to_vector()));
   EXPECT_EQ(ctl.rules_installed(), 0u);
 }
 
@@ -159,7 +159,7 @@ TEST(Controller, RuleInstallHasLatency) {
   const auto& paths = ctl.routing().paths(f.src, f.dst);
   ASSERT_EQ(paths.size(), 2u);
 
-  ctl.install_path(f.src, f.dst, paths[1]);
+  ctl.install_path_id(f.src, f.dst, paths.id(1));
   EXPECT_EQ(ctl.rules_installed(), 1u);
   // Not yet active: install latency has not elapsed.
   EXPECT_EQ(ctl.active_rule(f.src, f.dst), nullptr);
@@ -169,12 +169,12 @@ TEST(Controller, RuleInstallHasLatency) {
   f.sim.run_until(util::SimTime::from_seconds(0.005));
   const PathRule* rule = ctl.active_rule(f.src, f.dst);
   ASSERT_NE(rule, nullptr);
-  EXPECT_EQ(rule->path->links, paths[1].links);
+  EXPECT_EQ(ctl.path(rule->path_id), paths[1]);
 
   // Resolve now returns the rule's path regardless of the hash.
   for (std::uint16_t port = 0; port < 32; ++port) {
     const FiveTuple t{1, 2, 50060, port, 6};
-    EXPECT_EQ(ctl.resolve(f.src, f.dst, t).links, paths[1].links);
+    EXPECT_EQ(ctl.resolve(f.src, f.dst, t), paths[1]);
   }
 }
 
@@ -182,7 +182,7 @@ TEST(Controller, RuleIsDirectional) {
   Fixture f;
   auto ctl = f.make_controller();
   const auto& paths = ctl.routing().paths(f.src, f.dst);
-  ctl.install_path(f.src, f.dst, paths[0]);
+  ctl.install_path_id(f.src, f.dst, paths.id(0));
   f.sim.run();
   EXPECT_NE(ctl.active_rule(f.src, f.dst), nullptr);
   EXPECT_EQ(ctl.active_rule(f.dst, f.src), nullptr);
@@ -192,7 +192,7 @@ TEST(Controller, RemoveRuleRevertsToEcmp) {
   Fixture f;
   auto ctl = f.make_controller();
   const auto& paths = ctl.routing().paths(f.src, f.dst);
-  ctl.install_path(f.src, f.dst, paths[1]);
+  ctl.install_path_id(f.src, f.dst, paths.id(1));
   f.sim.run();
   ASSERT_NE(ctl.active_rule(f.src, f.dst), nullptr);
   ctl.remove_rule(f.src, f.dst);
@@ -203,12 +203,13 @@ TEST(Controller, ReinstallSupersedesPending) {
   Fixture f;
   auto ctl = f.make_controller();
   const auto& paths = ctl.routing().paths(f.src, f.dst);
-  ctl.install_path(f.src, f.dst, paths[0]);
-  ctl.install_path(f.src, f.dst, paths[1]);  // supersedes before activation
+  ctl.install_path_id(f.src, f.dst, paths.id(0));
+  // Supersedes before activation.
+  ctl.install_path_id(f.src, f.dst, paths.id(1));
   f.sim.run();
   const PathRule* rule = ctl.active_rule(f.src, f.dst);
   ASSERT_NE(rule, nullptr);
-  EXPECT_EQ(rule->path->links, paths[1].links);
+  EXPECT_EQ(ctl.path(rule->path_id), paths[1]);
   EXPECT_EQ(ctl.rules_installed(), 2u);
 }
 
@@ -217,7 +218,7 @@ TEST(Controller, FlowModsCountSwitchHops) {
   auto ctl = f.make_controller();
   const auto& paths = ctl.routing().paths(f.src, f.dst);
   // Inter-rack path: host->tor0->wire->tor1->host = 3 switch-sourced links.
-  ctl.install_path(f.src, f.dst, paths[0]);
+  ctl.install_path_id(f.src, f.dst, paths.id(0));
   EXPECT_EQ(ctl.flow_mod_messages(), 3u);
 }
 
@@ -233,14 +234,14 @@ TEST(Controller, RuleActivationReroutesActiveFlows) {
   spec.src = f.src;
   spec.dst = f.dst;
   spec.size = Bytes{100'000'000'000LL};
-  spec.path = paths[0].links;
+  spec.path = paths[0].to_vector();
   spec.tuple = FiveTuple{1, 2, 50060, 31000, 6};
   spec.cls = FlowClass::kShuffle;
   const net::FlowId flow = f.fabric.start_flow(spec);
 
-  ctl.install_path(f.src, f.dst, paths[1]);
+  ctl.install_path_id(f.src, f.dst, paths.id(1));
   f.sim.run_until(util::SimTime::from_seconds(0.01));
-  EXPECT_EQ(f.fabric.flow(flow).spec.path, paths[1].links);
+  EXPECT_EQ(f.fabric.flow(flow).spec.path, paths[1].to_vector());
 }
 
 TEST(Controller, RerouteOnInstallCanBeDisabled) {
@@ -254,31 +255,31 @@ TEST(Controller, RerouteOnInstallCanBeDisabled) {
   spec.src = f.src;
   spec.dst = f.dst;
   spec.size = Bytes{100'000'000'000LL};
-  spec.path = paths[0].links;
+  spec.path = paths[0].to_vector();
   spec.tuple = FiveTuple{1, 2, 50060, 31000, 6};
   spec.cls = FlowClass::kShuffle;
   const net::FlowId flow = f.fabric.start_flow(spec);
 
-  ctl.install_path(f.src, f.dst, paths[1]);
+  ctl.install_path_id(f.src, f.dst, paths.id(1));
   f.sim.run_until(util::SimTime::from_seconds(0.01));
-  EXPECT_EQ(f.fabric.flow(flow).spec.path, paths[0].links);
+  EXPECT_EQ(f.fabric.flow(flow).spec.path, paths[0].to_vector());
 }
 
 TEST(Controller, SnapshotSeparatesBackgroundFromShuffle) {
   Fixture f;
   auto ctl = f.make_controller();
   const auto& paths = ctl.routing().paths(f.src, f.dst);
-  const net::LinkId inter = paths[0].links[1];  // tor0 -> wire link
+  const net::LinkId inter = paths[0][1];  // tor0 -> wire link
 
   // 4 Gbps of CBR background plus a shuffle flow on the same path.
-  std::vector<net::LinkId> chain{paths[0].links.begin() + 1,
-                                 paths[0].links.end() - 1};
+  const auto full = paths[0].to_vector();
+  std::vector<net::LinkId> chain{full.begin() + 1, full.end() - 1};
   f.fabric.start_cbr(chain, BitsPerSec{4e9});
   FlowSpec spec;
   spec.src = f.src;
   spec.dst = f.dst;
   spec.size = Bytes{100'000'000'000LL};
-  spec.path = paths[0].links;
+  spec.path = paths[0].to_vector();
   spec.tuple = FiveTuple{1, 2, 50060, 31000, 6};
   spec.cls = FlowClass::kShuffle;
   f.fabric.start_flow(spec);
@@ -295,14 +296,14 @@ TEST(Controller, SnapshotIsSampleAndHold) {
   cfg.link_stats_period = Duration::seconds_i(1);
   auto ctl = f.make_controller(cfg);
   const auto& paths = ctl.routing().paths(f.src, f.dst);
-  const net::LinkId inter = paths[0].links[1];
+  const net::LinkId inter = paths[0][1];
 
   // First query: snapshot of an idle network.
   EXPECT_DOUBLE_EQ(ctl.snapshot_load(inter).bps(), 0.0);
 
   // Load appears, but within the stats period the snapshot stays stale.
-  std::vector<net::LinkId> chain{paths[0].links.begin() + 1,
-                                 paths[0].links.end() - 1};
+  const auto full = paths[0].to_vector();
+  std::vector<net::LinkId> chain{full.begin() + 1, full.end() - 1};
   f.fabric.start_cbr(chain, BitsPerSec{5e9});
   EXPECT_DOUBLE_EQ(ctl.snapshot_load(inter).bps(), 0.0);
 
@@ -316,8 +317,8 @@ TEST(Controller, PathAvailableIsBottleneck) {
   Fixture f;
   auto ctl = f.make_controller();
   const auto& paths = ctl.routing().paths(f.src, f.dst);
-  std::vector<net::LinkId> chain{paths[0].links.begin() + 1,
-                                 paths[0].links.end() - 1};
+  const auto full = paths[0].to_vector();
+  std::vector<net::LinkId> chain{full.begin() + 1, full.end() - 1};
   f.fabric.start_cbr(chain, BitsPerSec{9e9});
   EXPECT_NEAR(ctl.snapshot_path_available(paths[0]).bps(), 1e9, 1e3);
   EXPECT_NEAR(ctl.snapshot_path_available(paths[1]).bps(), 10e9, 1e3);
@@ -348,7 +349,7 @@ TEST(ControllerEncoding, ScriptedSequenceKeepsEncodeBytes) {
   auto ctl = f.make_controller(cfg);
   const auto& h = f.topo.hosts();
   const auto path = [&](std::size_t a, std::size_t b, std::size_t i) {
-    return ctl.routing().paths(h[a], h[b])[i];
+    return ctl.routing().paths(h[a], h[b]).id(i);
   };
   std::vector<std::uint64_t> got;
   const auto step = [&] {
@@ -358,32 +359,32 @@ TEST(ControllerEncoding, ScriptedSequenceKeepsEncodeBytes) {
   };
 
   // 1: install; 2: a second rule fills tor0 (capacity 2).
-  EXPECT_TRUE(ctl.install_path(h[0], h[5], path(0, 5, 0), Bytes{100}));
+  EXPECT_TRUE(ctl.install_path_id(h[0], h[5], path(0, 5, 0), Bytes{100}));
   step();
-  EXPECT_TRUE(ctl.install_path(h[1], h[6], path(1, 6, 0), Bytes{200}));
+  EXPECT_TRUE(ctl.install_path_id(h[1], h[6], path(1, 6, 0), Bytes{200}));
   step();
   // 3: supersede the first rule with the other inter-rack path.
-  EXPECT_TRUE(ctl.install_path(h[0], h[5], path(0, 5, 1), Bytes{150}));
+  EXPECT_TRUE(ctl.install_path_id(h[0], h[5], path(0, 5, 1), Bytes{150}));
   step();
   // 4: a larger newcomer evicts the smallest rule on the full tables.
-  EXPECT_TRUE(ctl.install_path(h[2], h[7], path(2, 7, 0), Bytes{1000}));
+  EXPECT_TRUE(ctl.install_path_id(h[2], h[7], path(2, 7, 0), Bytes{1000}));
   step();
   EXPECT_EQ(ctl.table_evictions(), 1u);
   // 5: a smaller one is refused.
-  EXPECT_FALSE(ctl.install_path(h[3], h[8], path(3, 8, 0), Bytes{1}));
+  EXPECT_FALSE(ctl.install_path_id(h[3], h[8], path(3, 8, 0), Bytes{1}));
   step();
   EXPECT_EQ(ctl.table_rejects(), 1u);
   // 6: remove_rule; 7: a same-rack rule; 8: removing the last two rules
   // leaves every listed switch at a zero count.
   ctl.remove_rule(h[2], h[7]);
   step();
-  EXPECT_TRUE(ctl.install_path(h[4], h[3], path(4, 3, 0), Bytes{50}));
+  EXPECT_TRUE(ctl.install_path_id(h[4], h[3], path(4, 3, 0), Bytes{50}));
   step();
   ctl.remove_rule(h[4], h[3]);
   ctl.remove_rule(h[1], h[6]);
   step();
   // 9: a rack rule over the first inter-rack chain.
-  const Path inter = path(0, 5, 0);
+  const Path inter{ctl.path(path(0, 5, 0)).to_vector()};
   ctl.install_rack_path(
       0, 1, Path{{inter.links.begin() + 1, inter.links.end() - 1}});
   step();
@@ -394,11 +395,11 @@ TEST(ControllerEncoding, ScriptedSequenceKeepsEncodeBytes) {
   ctl.handle_link_restore(inter.links[1]);
   step();
   // 12: a rule to clear; 13: clear every host rule; 14: install after it.
-  EXPECT_TRUE(ctl.install_path(h[1], h[7], path(1, 7, 1), Bytes{30}));
+  EXPECT_TRUE(ctl.install_path_id(h[1], h[7], path(1, 7, 1), Bytes{30}));
   step();
   EXPECT_GT(ctl.clear_host_rules(), 0u);
   step();
-  EXPECT_TRUE(ctl.install_path(h[2], h[6], path(2, 6, 0), Bytes{40}));
+  EXPECT_TRUE(ctl.install_path_id(h[2], h[6], path(2, 6, 0), Bytes{40}));
   step();
 
   const std::vector<std::uint64_t> expected = {
@@ -429,8 +430,8 @@ TEST(ControllerEncoding, RetrySequenceKeepsEncodeBytes) {
   for (std::size_t i = 0; i < h.size(); ++i) {
     const NodeId dst = h[(i + 5) % h.size()];
     const auto paths = ctl.routing().paths(h[i], dst);
-    EXPECT_TRUE(ctl.install_path(h[i], dst, paths[i % paths.size()],
-                                 Bytes{static_cast<std::int64_t>(10 * i)}));
+    EXPECT_TRUE(ctl.install_path_id(h[i], dst, paths.id(i % paths.size()),
+                                    Bytes{static_cast<std::int64_t>(10 * i)}));
     got.push_back(state_hash(ctl));
   }
   f.sim.run();

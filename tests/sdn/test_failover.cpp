@@ -54,7 +54,8 @@ TEST(Failover, RoutingGraphDropsFailedPath) {
 TEST(Failover, RulesOnFailedPathArePurged) {
   Fixture f;
   const auto paths = f.controller.routing().paths(f.src, f.dst).materialize();
-  f.controller.install_path(f.src, f.dst, paths[0]);
+  f.controller.install_path_id(f.src, f.dst,
+                               f.controller.intern_path(paths[0].links));
   f.sim.run();
   ASSERT_NE(f.controller.active_rule(f.src, f.dst), nullptr);
 
@@ -63,7 +64,7 @@ TEST(Failover, RulesOnFailedPathArePurged) {
   // Resolution falls back to ECMP over the surviving path.
   const FiveTuple t{1, 2, 50060, 31000, 6};
   const auto& resolved = f.controller.resolve(f.src, f.dst, t);
-  EXPECT_EQ(resolved.links, paths[1].links);
+  EXPECT_EQ(resolved.to_vector(), paths[1].links);
 }
 
 TEST(Failover, StrandedFlowsAreReroutedAndComplete) {
@@ -92,7 +93,8 @@ TEST(Failover, StrandedFlowsAreReroutedAndComplete) {
 TEST(Failover, RulesSurviveUnrelatedFailure) {
   Fixture f;
   const auto paths = f.controller.routing().paths(f.src, f.dst).materialize();
-  f.controller.install_path(f.src, f.dst, paths[1]);
+  f.controller.install_path_id(f.src, f.dst,
+                               f.controller.intern_path(paths[1].links));
   f.sim.run();
   f.controller.handle_link_failure(paths[0].links[1]);
   EXPECT_NE(f.controller.active_rule(f.src, f.dst), nullptr);
@@ -123,7 +125,8 @@ TEST(Failover, InstallOverFailedLinkIsRefused) {
   const auto paths = f.controller.routing().paths(f.src, f.dst).materialize();
   f.controller.handle_link_failure(paths[0].links[1]);
   // A stale scheduler asks for the dead path: the controller must refuse.
-  f.controller.install_path(f.src, f.dst, paths[0]);
+  f.controller.install_path_id(f.src, f.dst,
+                               f.controller.intern_path(paths[0].links));
   f.sim.run();
   EXPECT_EQ(f.controller.active_rule(f.src, f.dst), nullptr);
   EXPECT_EQ(f.controller.rules_installed(), 0u);
@@ -135,10 +138,11 @@ TEST(Failover, SwitchDeathPurgesRulesThroughIt) {
   // One rule over each inter-rack wire switch; killing one switch must purge
   // exactly the rule whose path traverses it.
   const net::NodeId host2 = f.topo.hosts()[1];
-  f.controller.install_path(f.src, f.dst, paths[0], Bytes{1000});
-  f.controller.install_path(host2, f.dst, f.controller.routing()
-                                              .paths(host2, f.dst)[1],
-                            Bytes{1000});
+  f.controller.install_path_id(
+      f.src, f.dst, f.controller.intern_path(paths[0].links), Bytes{1000});
+  f.controller.install_path_id(
+      host2, f.dst, f.controller.routing().paths(host2, f.dst).id(1),
+      Bytes{1000});
   f.sim.run();
   ASSERT_NE(f.controller.active_rule(f.src, f.dst), nullptr);
   ASSERT_NE(f.controller.active_rule(host2, f.dst), nullptr);
@@ -153,7 +157,7 @@ TEST(Failover, SwitchDeathPurgesRulesThroughIt) {
   EXPECT_EQ(f.controller.table_occupancy(wire), 0u);
   // Resolution for the purged pair falls back to ECMP on the survivor.
   const FiveTuple t{1, 2, 50060, 31000, 6};
-  EXPECT_EQ(f.controller.resolve(f.src, f.dst, t).links, paths[1].links);
+  EXPECT_EQ(f.controller.resolve(f.src, f.dst, t).to_vector(), paths[1].links);
 }
 
 TEST(Failover, JobCompletesAcrossSwitchDeath) {
@@ -168,7 +172,7 @@ TEST(Failover, JobCompletesAcrossSwitchDeath) {
     const auto& paths = scenario.controller().routing().paths(
         scenario.servers()[0], scenario.servers()[9]);
     const net::NodeId wire =
-        scenario.topology().link(paths[1].links[1]).dst;
+        scenario.topology().link(paths[1][1]).dst;
     scenario.simulation().after(Duration::seconds_i(20), [&] {
       scenario.controller().handle_switch_failure(wire);
     });
@@ -199,7 +203,7 @@ TEST_P(FailoverJob, JobCompletesAcrossMidShuffleLinkFailure) {
   // Fail one inter-rack cable 20 s in (mid-job), restore at 60 s.
   const auto& paths = scenario.controller().routing().paths(
       scenario.servers()[0], scenario.servers()[9]);
-  const LinkId victim = paths[1].links[1];
+  const LinkId victim = paths[1][1];
   scenario.simulation().after(Duration::seconds_i(20), [&] {
     scenario.controller().handle_link_failure(victim);
   });

@@ -30,13 +30,13 @@ struct Fixture {
     dst = hosts[9];
   }
 
-  net::FlowId start_shuffle(const net::Path& path, std::int64_t bytes,
+  net::FlowId start_shuffle(net::PathView path, std::int64_t bytes,
                             std::uint16_t port) {
     FlowSpec spec;
     spec.src = src;
     spec.dst = dst;
     spec.size = Bytes{bytes};
-    spec.path = path.links;
+    spec.path = path.to_vector();
     spec.tuple = FiveTuple{1, 2, 50060, port, 6};
     spec.cls = FlowClass::kShuffle;
     return fabric.start_flow(spec);
@@ -52,8 +52,8 @@ TEST(Hedera, ReroutesElephantOffLoadedPath) {
   const auto& paths = f.controller.routing().paths(f.src, f.dst);
   ASSERT_EQ(paths.size(), 2u);
   // Load path 0 with 9.5 Gbps of background.
-  std::vector<net::LinkId> chain{paths[0].links.begin() + 1,
-                                 paths[0].links.end() - 1};
+  const auto full = paths[0].to_vector();
+  std::vector<net::LinkId> chain{full.begin() + 1, full.end() - 1};
   f.fabric.start_cbr(chain, BitsPerSec{9.5e9});
 
   // A big shuffle flow unluckily lands (ECMP-style) on the loaded path.
@@ -65,7 +65,7 @@ TEST(Hedera, ReroutesElephantOffLoadedPath) {
   f.sim.run_until(SimTime::from_seconds(5.0));
   EXPECT_GE(hedera.scheduling_rounds(), 1u);
   EXPECT_GE(hedera.elephants_rerouted(), 1u);
-  EXPECT_EQ(f.fabric.flow(flow).spec.path, paths[1].links);
+  EXPECT_EQ(f.fabric.flow(flow).spec.path, paths[1].to_vector());
   // On the clean path the flow now runs at full NIC rate.
   EXPECT_NEAR(f.fabric.flow(flow).rate.bps(), 10e9, 1e3);
 }
@@ -81,7 +81,7 @@ TEST(Hedera, IgnoresNonShuffleTraffic) {
   spec.src = f.src;
   spec.dst = f.dst;
   spec.size = Bytes{50'000'000'000LL};
-  spec.path = paths[0].links;
+  spec.path = paths[0].to_vector();
   spec.tuple = FiveTuple{1, 2, 9999, 31000, 6};
   spec.cls = FlowClass::kOther;  // not shuffle
   f.fabric.start_flow(spec);
@@ -129,7 +129,7 @@ TEST(Hedera, MiceAreLeftOnTheirPath) {
   // No starvation, each flow healthy but below threshold -> no reroutes.
   EXPECT_EQ(hedera.elephants_rerouted(), 0u);
   for (net::FlowId id : flows) {
-    EXPECT_EQ(f.fabric.flow(id).spec.path, paths[0].links);
+    EXPECT_EQ(f.fabric.flow(id).spec.path, paths[0].to_vector());
   }
 }
 
