@@ -8,8 +8,9 @@
 // recomputed vs reused, cold-build arms, choose_path ns, peak RSS).
 // `--smoke` runs k=4 only for CI.
 //
-// Two victims per topology: the cable with the *median* reverse-index
-// fanout (a representative physical failure) and the one with the *largest*
+// Two victims per topology: the cable with the *median* fanout (the host
+// pairs whose Yen run touched it: a representative physical failure) and the
+// one with the *largest*
 // (the adversarial case — on a fat tree that is a core uplink whose
 // candidate sets cover a quarter of all cross-pod pairs, which bounds the
 // achievable speedup by the work ratio itself). Before timing, one untimed
@@ -80,27 +81,28 @@ RoutingGraph full_table(const Topology& topo, std::size_t k_paths,
 }
 
 /// Switch-switch cables actually present in some candidate set of `rg` (a
-/// full table), sorted by reverse-index fanout ascending. Cables no pair
-/// routes over (common in the sparse k=16 cell, whose 128 hosts cannot
-/// exercise the full core) are excluded — "failing" one is a no-op for
-/// routing and measures nothing.
+/// full table), sorted by fanout (RoutingGraph::pairs_using) ascending.
+/// Cables no pair routes over (common in the sparse k=16 cell, whose 128
+/// hosts cannot exercise the full core) are excluded — "failing" one is a
+/// no-op for routing and measures nothing. pairs_using scans the table, so
+/// each cable's count is read once.
 std::vector<LinkId> cables_by_fanout(const Topology& topo,
                                      const RoutingGraph& rg) {
-  std::vector<LinkId> cables;
+  std::vector<std::pair<std::size_t, LinkId>> cables;
   for (const auto& link : topo.links()) {
-    if (topo.node(link.src).kind == net::NodeKind::kSwitch &&
-        topo.node(link.dst).kind == net::NodeKind::kSwitch &&
-        rg.pairs_using(link.id) > 0) {
-      cables.push_back(link.id);
+    if (topo.node(link.src).kind != net::NodeKind::kSwitch ||
+        topo.node(link.dst).kind != net::NodeKind::kSwitch) {
+      continue;
+    }
+    if (const std::size_t fanout = rg.pairs_using(link.id); fanout > 0) {
+      cables.emplace_back(fanout, link.id);
     }
   }
-  std::sort(cables.begin(), cables.end(), [&](LinkId a, LinkId b) {
-    if (rg.pairs_using(a) != rg.pairs_using(b)) {
-      return rg.pairs_using(a) < rg.pairs_using(b);
-    }
-    return a.value() < b.value();
-  });
-  return cables;
+  std::sort(cables.begin(), cables.end());
+  std::vector<LinkId> out;
+  out.reserve(cables.size());
+  for (const auto& cable : cables) out.push_back(cable.second);
+  return out;
 }
 
 bool tables_identical(const Topology& topo, const RoutingGraph& a,
@@ -231,10 +233,10 @@ VictimResult run_victim(const Topology& topo, RoutingGraph& inc,
     inc.materialize_all();
   };
 
-  // Cold first failure: the reverse index still carries the initial build's
+  // Cold first failure: the endpoint runs still carry the initial build's
   // touched unions, which include every unchosen Yen candidate. A
-  // fail+restore cycle shrinks the recomputed pairs' stored witness runs to
-  // the ban-era unions (still sound — the routing suites check it against
+  // fail+restore cycle leaves the runs the restore does not reach with
+  // their ban-era unions (still sound — the routing suites check it against
   // the oracle), so repeat failures of the same cable recompute fewer
   // pairs. Both costs are real: cold is the first-ever failure, warm is
   // every one after.

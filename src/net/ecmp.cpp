@@ -1,6 +1,7 @@
 #include "net/ecmp.hpp"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "util/random.hpp"
 
@@ -14,7 +15,9 @@ std::uint64_t EcmpSelector::hash_tuple(const FiveTuple& t) {
 }
 
 std::size_t EcmpSelector::select_index(const FiveTuple& t, std::size_t n) {
-  assert(n > 0);
+  if (n == 0) {
+    throw std::invalid_argument("ECMP cannot select from an empty path set");
+  }
   return static_cast<std::size_t>(hash_tuple(t) % n);
 }
 
@@ -26,7 +29,13 @@ PathView EcmpSelector::select(NodeId src_host, NodeId dst_host,
 PathId EcmpSelector::select_id(NodeId src_host, NodeId dst_host,
                                const FiveTuple& t) const {
   const auto candidates = routing_->paths(src_host, dst_host);
-  assert(!candidates.empty() && "ECMP requires a connected host pair");
+  if (candidates.empty()) {
+    const Topology& topo = routing_->topology();
+    throw std::runtime_error("ECMP: no path from " +
+                             topo.node(src_host).name + " to " +
+                             topo.node(dst_host).name +
+                             " (the pair is partitioned)");
+  }
   return candidates.id(select_index(t, candidates.size()));
 }
 

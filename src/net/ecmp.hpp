@@ -18,18 +18,19 @@ class EcmpSelector {
   /// Deterministic hash of the 5-tuple.
   [[nodiscard]] static std::uint64_t hash_tuple(const FiveTuple& t);
 
-  /// Index into an equal-cost path set of size `n`.
+  /// Index into an equal-cost path set of size `n`. Throws
+  /// std::invalid_argument when n == 0.
   [[nodiscard]] static std::size_t select_index(const FiveTuple& t,
                                                 std::size_t n);
 
   /// The chosen path for a flow between two hosts, valid until the next
-  /// intern into the routing pool. Precondition: the pair is connected (the
-  /// routing graph has at least one path).
+  /// intern into the routing pool. Throws std::runtime_error naming both
+  /// hosts when the routing graph has no path between them (a partition).
   [[nodiscard]] PathView select(NodeId src_host, NodeId dst_host,
                                 const FiveTuple& t) const;
 
   /// Same selection as interned id — the per-flow hot path passes this
-  /// around instead of copying link vectors. Same precondition as select().
+  /// around instead of copying link vectors. Throws as select() does.
   [[nodiscard]] PathId select_id(NodeId src_host, NodeId dst_host,
                                  const FiveTuple& t) const;
 

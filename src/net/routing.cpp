@@ -283,24 +283,25 @@ PathId PathPool::add(Slot& slot, std::uint32_t tag, Entry entry) {
   return PathId{slot.id};
 }
 
-PathId PathPool::intern(std::span<const LinkId> links) {
-  const std::uint32_t tag = hash_tag(link_seq_hash(PathView(links)));
-  Slot& slot = find(PathView(links), tag);
+PathId PathPool::intern(const PathView& links) {
+  const std::uint32_t tag = hash_tag(link_seq_hash(links));
+  Slot& slot = find(links, tag);
   if (slot.id != kEmpty) return PathId{slot.id};
   const auto at = static_cast<std::uint32_t>(links_.size());
   const auto n = static_cast<std::uint32_t>(links.size());
   // A sub-run of a pooled path lies in links_ itself, which growing moves:
   // copy it by offset.
+  const std::span<const LinkId> mid = links.middle();
   const std::less<const LinkId*> before;
-  if (n != 0 && !before(links.data(), links_.data()) &&
-      before(links.data(), links_.data() + links_.size())) {
-    const auto from = static_cast<std::size_t>(links.data() - links_.data());
-    links_.resize(at + n);
-    std::copy_n(links_.begin() + static_cast<std::ptrdiff_t>(from), n,
-                links_.begin() + at);
-  } else {
-    links_.insert(links_.end(), links.begin(), links.end());
-  }
+  const bool inside = !mid.empty() && !before(mid.data(), links_.data()) &&
+                      before(mid.data(), links_.data() + links_.size());
+  const auto from = inside ? mid.data() - links_.data() : 0;
+  links_.resize(at + n);
+  auto out = links_.begin() + at;
+  if (links.lead().valid()) *out++ = links.lead();
+  out = inside ? std::copy_n(links_.begin() + from, mid.size(), out)
+               : std::copy(mid.begin(), mid.end(), out);
+  if (links.trail().valid()) *out = links.trail();
   return add(slot, tag, Entry{at, kPlain, n});
 }
 
@@ -333,54 +334,63 @@ RoutingGraph::RoutingGraph(const Topology& topo, std::size_t k,
   const std::size_t nodes = topo.node_count();
   const std::vector<NodeId>& hosts = topo.hosts();
   rows_.resize(hosts.size() * hosts.size());
-  link_pairs_.resize(topo.link_count());
   materialized_.resize(rows_.size(), 0);
   in_links_.assign(nodes, {});
   for (const Link& l : topo.links()) {
     in_links_[l.dst.value()].push_back(l.id);
   }
 
-  // Stub hosts: one uplink and one downlink, both to the same switch.
+  // Stub hosts (one uplink and one downlink, both to the same switch) take
+  // that switch as their endpoint; every other host is its own.
   access_.assign(hosts.size(), Access{});
-  std::vector<std::uint32_t> attach_index(nodes, kNotHost);
+  std::vector<std::uint32_t> endpoint_of(nodes, kNotHost);
   for (std::size_t i = 0; i < hosts.size(); ++i) {
+    NodeId end = hosts[i];
     const auto& out = topo.out_links(hosts[i]);
     const auto& in = in_links_[hosts[i].value()];
-    if (out.size() != 1 || in.size() != 1) continue;
-    const NodeId sw = topo.link(out.front()).dst;
-    if (topo.link(in.front()).src != sw ||
-        topo.node(sw).kind != NodeKind::kSwitch) {
-      continue;
+    if (out.size() == 1 && in.size() == 1) {
+      const NodeId sw = topo.link(out.front()).dst;
+      if (topo.link(in.front()).src == sw &&
+          topo.node(sw).kind == NodeKind::kSwitch) {
+        end = sw;
+        access_[i].up = out.front();
+        access_[i].down = in.front();
+      }
     }
-    std::uint32_t& a = attach_index[sw.value()];
-    if (a == kNotHost) {
-      a = static_cast<std::uint32_t>(attach_nodes_.size());
-      attach_nodes_.push_back(sw);
+    std::uint32_t& e = endpoint_of[end.value()];
+    if (e == kNotHost) {
+      e = static_cast<std::uint32_t>(endpoints_.size());
+      endpoints_.push_back(end);
     }
-    access_[i] = Access{out.front(), in.front(), a};
+    access_[i].endpoint = e;
   }
 }
 
-// A rebuild drops only the materialized pairs the banned-set delta can
-// affect; every other pair's k-best set is *exactly* what a fresh Yen run
-// under the new banned set would produce (the routing suites check every
-// pair against direct k_shortest_paths calls):
+// A rebuild drops only the runs the banned-set delta can affect and the
+// materialized pairs on them; every other run, and every pair on it, holds
+// *exactly* what a fresh Yen run under the new banned set would produce
+// (the routing suites check every pair against direct k_shortest_paths
+// calls):
 //
-//  - Newly banned link m: a pair can only change if m was touched by its
-//    last Yen run (any generated candidate, chosen or not). If no spur
-//    search result used m, every search in the rerun returns the same path:
-//    removing an edge the returned path does not use changes neither the
-//    hop level of any node on that path nor the ascending-id order in which
-//    the BFS expands each level before it, so each of those nodes is still
-//    first discovered through the same parent link. The whole run replays
-//    byte-identically.
+//  - Newly banned link m: a run can only change if m was touched by it (any
+//    generated candidate, chosen or not). If no spur search result used m,
+//    every search in the rerun returns the same path: removing an edge the
+//    returned path does not use changes neither the hop level of any node on
+//    that path nor the ascending-id order in which the BFS expands each
+//    level before it, so each of those nodes is still first discovered
+//    through the same parent link. The whole run replays byte-identically.
 //  - Restored link l = (u → v): any candidate the rerun generates that did
 //    not exist before implies an s ⇝ u → v ⇝ t walk of the same hop count,
 //    so its length is ≥ lb = dist(s, u) + 1 + dist(v, t) on the new graph.
-//    If the pair already has k candidates and lb exceeds the k-th's hops,
-//    no new or changed candidate can displace a chosen one and the result
-//    set is unchanged. (Unchosen long candidates may differ; they are also
+//    If the run already has k candidates and lb exceeds the k-th's hops, no
+//    new or changed candidate can displace a chosen one and the result set
+//    is unchanged. (Unchosen long candidates may differ; they are also
 //    irrelevant to future deltas for the same hop-bound reason.)
+//
+// A stub end adds one hop to both sides of each comparison, so judging the
+// run drops exactly the pairs on it that judging each host pair would. The
+// exception is a pair whose own access link changed: it is dropped whatever
+// its run does (a banned access link leaves it no candidates).
 void RoutingGraph::rebuild(const std::unordered_set<LinkId>& banned_links) {
   std::vector<LinkId> next = sorted_members(banned_links, topo_->link_count());
   if (next == banned_) {
@@ -391,8 +401,6 @@ void RoutingGraph::rebuild(const std::unordered_set<LinkId>& banned_links) {
     return;
   }
   ++counters_.incremental_rebuilds;
-  // Switch-level runs are valid for one banned set only.
-  attach_cache_ = {};
   std::vector<LinkId> added;    // newly failed links
   std::vector<LinkId> removed;  // restored links
   std::set_difference(next.begin(), next.end(), banned_.begin(),
@@ -401,167 +409,125 @@ void RoutingGraph::rebuild(const std::unordered_set<LinkId>& banned_links) {
                       next.end(), std::back_inserter(removed));
   banned_ = std::move(next);
 
-  std::vector<char> affected(rows_.size(), 0);
-  for (LinkId l : added) {
-    for (std::uint32_t slot : link_pairs_[l.value()]) affected[slot] = 1;
+  std::vector<char> reached(runs_.size(), 0);  // per run: drop it
+  for (std::size_t r = 0; r < runs_.size(); ++r) {
+    if (!runs_[r]) continue;
+    const std::vector<LinkId>& touched = runs_[r]->touched;
+    reached[r] = std::any_of(added.begin(), added.end(), [&](LinkId l) {
+      return std::binary_search(touched.begin(), touched.end(), l);
+    });
   }
-
-  const std::vector<NodeId>& hosts = this->hosts();
-  const std::size_t H = hosts.size();
+  const std::size_t E = endpoints_.size();
   std::vector<std::uint32_t> dist_to_u;
   std::vector<std::uint32_t> dist_from_v;
   for (LinkId l : removed) {
     const Link& link = topo_->link(l);
     bfs_hops(link.src, /*reverse=*/true, dist_to_u);
     bfs_hops(link.dst, /*reverse=*/false, dist_from_v);
-    for (std::size_t ai = 0; ai < H; ++ai) {
-      const std::uint32_t du = dist_to_u[hosts[ai].value()];
-      if (du == kUnreachable) continue;
-      for (std::size_t bi = 0; bi < H; ++bi) {
-        const std::size_t slot = pair_slot(static_cast<std::uint32_t>(ai),
-                                           static_cast<std::uint32_t>(bi));
-        // An unmaterialized pair (the diagonal included) has nothing a
-        // restored link could stale-ify; it computes on its next query.
-        if (affected[slot] != 0 || materialized_[slot] == 0) continue;
-        const std::uint32_t dv = dist_from_v[hosts[bi].value()];
-        if (dv == kUnreachable) continue;
-        const Extent ids = rows_[slot].paths;
-        if (ids.size < k_) {
-          // Starved or partitioned pair: the restored link may add paths.
-          affected[slot] = 1;
-          continue;
-        }
-        const std::size_t lb =
-            static_cast<std::size_t>(du) + 1 + static_cast<std::size_t>(dv);
-        const PathId last = path_arena_[ids.at + ids.size - 1];
-        if (lb <= pool_.path(last).size()) affected[slot] = 1;
+    for (std::size_t r = 0; r < runs_.size(); ++r) {
+      if (!runs_[r] || reached[r] != 0) continue;
+      const std::uint32_t du = dist_to_u[endpoints_[r / E].value()];
+      const std::uint32_t dv = dist_from_v[endpoints_[r % E].value()];
+      if (du == kUnreachable || dv == kUnreachable) continue;
+      // A starved or partitioned run may gain paths from the restored link.
+      const PathList& found = runs_[r]->found;
+      const std::size_t lb =
+          static_cast<std::size_t>(du) + 1 + static_cast<std::size_t>(dv);
+      if (found.size() < k_ || lb <= found[found.size() - 1].size()) {
+        reached[r] = 1;
       }
     }
   }
 
-  // Affected pairs are dropped, not recomputed — the next query (if any
-  // ever comes) recomputes under the then-current banned set. Surviving
-  // materialized pairs are the reuse win.
+  // Dropped pairs are not recomputed — the next query (if any ever comes)
+  // recomputes under the then-current banned set. Surviving materialized
+  // pairs are the reuse win.
+  const auto access_changed = [&added, &removed](LinkId l) {
+    return std::binary_search(added.begin(), added.end(), l) ||
+           std::binary_search(removed.begin(), removed.end(), l);
+  };
   for (std::size_t slot = 0; slot < rows_.size(); ++slot) {
-    if (affected[slot] != 0) invalidate_pair(slot);
+    if (materialized_[slot] == 0) continue;
+    if (access_changed(source(slot).up) ||
+        access_changed(destination(slot).down) ||
+        (access_live(slot) && reached[run_index(slot)] != 0)) {
+      invalidate_pair(slot);
+    }
+  }
+  for (std::size_t r = 0; r < runs_.size(); ++r) {
+    if (reached[r] != 0) runs_[r].reset();
   }
   counters_.pairs_reused += materialized_count_;
-  compact_arenas();
+  compact_paths();
 }
 
-void RoutingGraph::run_yen(NodeId src, NodeId dst, PathSearch& search,
-                           PairScratch& out) const {
-  out.via = kNoAttachPair;
+void RoutingGraph::run_yen(std::size_t run, PathSearch& search,
+                           Run& out) const {
+  const std::size_t E = endpoints_.size();
   out.touched.clear();
-  search.k_shortest_paths(*topo_, src, dst, k_, banned_, out.found,
-                          &out.touched);
+  search.k_shortest_paths(*topo_, endpoints_[run / E], endpoints_[run % E],
+                          k_, banned_, out.found, &out.touched);
   std::sort(out.touched.begin(), out.touched.end());
   out.touched.erase(std::unique(out.touched.begin(), out.touched.end()),
                     out.touched.end());
 }
 
-std::size_t RoutingGraph::attach_pair(std::size_t slot) const {
-  const std::size_t H = hosts().size();
-  const std::uint32_t a = access_[slot / H].attach;
-  const std::uint32_t b = access_[slot % H].attach;
-  if (a == kNotHost || b == kNotHost) return kNoAttachPair;
-  return static_cast<std::size_t>(a) * attach_nodes_.size() + b;
-}
-
-std::optional<RoutingGraph::AttachRun>& RoutingGraph::attach_entry(
-    std::size_t ap) const {
-  if (attach_cache_.empty()) {
-    attach_cache_.resize(attach_nodes_.size() * attach_nodes_.size());
-  }
-  return attach_cache_[ap];
-}
-
-// A stub pair's candidates are uplink + (each switch-level candidate) +
-// downlink, interned by commit_pair as composite entries over the cached
-// run, with touched = switch-level touched ∪ {uplink, downlink}; a
-// banned access link leaves the pair empty with nothing touched. This is
-// the host-level Yen run exactly (docs/architecture.md): neither stub can be
-// a transit node, so that run's first and last spur searches always come
-// back empty and every other search is the switch-level one plus the two
-// access links. Hosts on one switch get the single up+down path because a
-// switch's run to itself yields the one empty chain.
-void RoutingGraph::compute_pair(std::size_t slot, PairScratch& out) const {
-  const std::size_t H = hosts().size();
-  const std::size_t ap = attach_pair(slot);
-  if (ap == kNoAttachPair) {
-    run_yen(hosts()[slot / H], hosts()[slot % H], search_, out);
-    return;
-  }
-  out.found.clear();
-  out.touched.clear();
-  out.via = kNoAttachPair;
-  const LinkId up = access_[slot / H].up;
-  const LinkId down = access_[slot % H].down;
-  if (banned(up) || banned(down)) return;
-  std::optional<AttachRun>& mid = attach_entry(ap);
-  if (!mid) {
-    const std::size_t A = attach_nodes_.size();
-    run_yen(attach_nodes_[ap / A], attach_nodes_[ap % A], search_,
-            mid.emplace().yen);
+RoutingGraph::Run& RoutingGraph::ensure_run(std::size_t run) const {
+  if (runs_.empty()) runs_.resize(endpoints_.size() * endpoints_.size());
+  std::optional<Run>& entry = runs_[run];
+  if (!entry) {
+    run_yen(run, search_, entry.emplace());
     ++counters_.attach_pairs_computed;
   }
-  if (mid->yen.found.empty()) return;
-  out.via = ap;
-  out.touched.assign(mid->yen.touched.begin(), mid->yen.touched.end());
-  for (const LinkId l : {up, down}) {
-    out.touched.insert(
-        std::lower_bound(out.touched.begin(), out.touched.end(), l), l);
-  }
+  return *entry;
 }
 
-void RoutingGraph::commit_pair(std::size_t slot,
-                               const PairScratch& scratch) const {
+// A pair's candidates are its uplink if the source is a stub, then each
+// candidate of its endpoints' run, then its downlink if the destination is
+// a stub; its touched links are the run's union plus those access links. A
+// banned access link leaves the pair empty with nothing touched. This is the
+// host-level Yen run exactly (docs/architecture.md): a stub cannot be a
+// transit node, so that run's spur searches at a stub source and at a stub
+// destination's attachment switch always come back empty and every other
+// search is the endpoint-level one plus the access links. Stubs on one
+// switch get the single up+down path because a switch's run to itself yields
+// the one empty chain.
+void RoutingGraph::commit_pair(std::size_t slot) const {
   // An unmaterialized pair holds no candidates (an invalidated pair's are
   // already dead), so the new ones go to the arena's end.
-  Extent& ids = rows_[slot].paths;
+  Extent& ids = rows_[slot];
   assert(ids.size == 0);
   ids.at = static_cast<std::uint32_t>(path_arena_.size());
-  if (scratch.via == kNoAttachPair) {
-    for (std::size_t i = 0; i < scratch.found.size(); ++i) {
-      path_arena_.push_back(pool_.intern(scratch.found[i]));
-    }
-  } else {
-    // Interning the middles here, in commit order, gives serial and parallel
-    // fills the same ids.
-    AttachRun& run = *attach_cache_[scratch.via];
-    if (run.middles.empty()) {
-      for (std::size_t i = 0; i < run.yen.found.size(); ++i) {
-        run.middles.push_back(pool_.intern(run.yen.found[i]));
+  if (access_live(slot)) {
+    Run& run = ensure_run(run_index(slot));
+    const LinkId up = source(slot).up;
+    const LinkId down = destination(slot).down;
+    if (up.valid() && down.valid()) {
+      // Interning the middles here, in commit order, gives serial and
+      // parallel fills the same ids.
+      if (run.middles.empty()) {
+        for (std::size_t i = 0; i < run.found.size(); ++i) {
+          run.middles.push_back(pool_.intern(run.found[i]));
+        }
       }
-    }
-    const std::size_t H = hosts().size();
-    const LinkId up = access_[slot / H].up;
-    const LinkId down = access_[slot % H].down;
-    for (const PathId middle : run.middles) {
-      path_arena_.push_back(pool_.intern(up, middle, down));
+      for (const PathId middle : run.middles) {
+        path_arena_.push_back(pool_.intern(up, middle, down));
+      }
+    } else {
+      for (std::size_t i = 0; i < run.found.size(); ++i) {
+        path_arena_.push_back(pool_.intern(PathView(up, run.found[i], down)));
+      }
     }
   }
   ids.size = static_cast<std::uint32_t>(path_arena_.size() - ids.at);
-  set_pair_links(slot, scratch.touched);
-  if (materialized_[slot] == 0) {
-    materialized_[slot] = 1;
-    ++materialized_count_;
-  }
+  materialized_[slot] = 1;
+  ++materialized_count_;
   ++counters_.pairs_recomputed;
 }
 
-void RoutingGraph::recompute_pair(std::size_t slot) const {
-  compute_pair(slot, scratch_);
-  commit_pair(slot, scratch_);
-}
-
 void RoutingGraph::invalidate_pair(std::size_t slot) {
-  if (materialized_[slot] == 0) return;
-  // The candidates go; the stored touched union stays as the diff witness
-  // set_pair_links needs when the pair is eventually recomputed (and as a
-  // conservative reverse-index entry for future added-link scans).
-  path_dead_ += rows_[slot].paths.size;
-  rows_[slot].paths.size = 0;
+  path_dead_ += rows_[slot].size;
+  rows_[slot].size = 0;
   materialized_[slot] = 0;
   --materialized_count_;
   ++counters_.pairs_invalidated;
@@ -569,90 +535,21 @@ void RoutingGraph::invalidate_pair(std::size_t slot) {
 
 void RoutingGraph::ensure_pair(std::size_t slot) const {
   if (materialized_[slot] != 0 || diagonal(slot)) return;
-  recompute_pair(slot);
+  commit_pair(slot);
   ++counters_.lazy_materializations;
 }
 
-void RoutingGraph::set_pair_links(std::size_t slot,
-                                  std::span<const LinkId> touched) const {
-  // Both lists are sorted by link, so one merge walk diffs them. A link the
-  // pair leaves drops the slot by swap-and-pop; the slot moved into its
-  // place finds the link in its own sorted list by binary search and takes
-  // the new position. No reader depends on a reverse list's order. The new
-  // list is built in scratch: writing it over the old one during the walk
-  // would overwrite entries not yet read.
-  const std::span<const PairLink> old_links = pair_links(slot);
-  std::vector<PairLink>& next = links_scratch_;
-  next.clear();
-  const auto slot32 = static_cast<std::uint32_t>(slot);
-  auto old_it = old_links.begin();
-  for (LinkId l : touched) {
-    for (; old_it != old_links.end() && old_it->link < l; ++old_it) {
-      drop_pair_link(*old_it);
-    }
-    if (old_it != old_links.end() && old_it->link == l) {
-      next.push_back(*old_it++);
-    } else {
-      auto& pairs = link_pairs_[l.value()];
-      next.push_back({l, static_cast<std::uint32_t>(pairs.size())});
-      pairs.push_back(slot32);
-    }
+void RoutingGraph::compact_paths() {
+  if (path_dead_ * 2 <= path_arena_.size()) return;
+  std::vector<PathId> packed;
+  packed.reserve(path_arena_.size() - path_dead_);
+  for (Extent& row : rows_) {
+    const auto from = path_arena_.begin() + row.at;
+    row.at = static_cast<std::uint32_t>(packed.size());
+    packed.insert(packed.end(), from, from + row.size);
   }
-  for (; old_it != old_links.end(); ++old_it) drop_pair_link(*old_it);
-  // A union that fits the slot's room is rewritten in place; a longer one
-  // moves to the arena's end and abandons the old room.
-  PairRow& row = rows_[slot];
-  const auto n = static_cast<std::uint32_t>(next.size());
-  if (n > row.link_room) {
-    link_dead_ += row.links.size;
-    row.links.at = static_cast<std::uint32_t>(link_arena_.size());
-    row.link_room = n;
-    link_arena_.insert(link_arena_.end(), next.begin(), next.end());
-  } else {
-    link_dead_ = link_dead_ + row.links.size - n;
-    std::copy(next.begin(), next.end(), link_arena_.begin() + row.links.at);
-  }
-  row.links.size = n;
-}
-
-void RoutingGraph::drop_pair_link(PairLink entry) const {
-  auto& pairs = link_pairs_[entry.link.value()];
-  const std::uint32_t moved = pairs.back();
-  pairs[entry.pos] = moved;
-  pairs.pop_back();
-  if (entry.pos == pairs.size()) return;  // it was the last one
-  const std::span<PairLink> links = pair_links(moved);
-  const auto it = std::lower_bound(
-      links.begin(), links.end(), entry.link,
-      [](const PairLink& p, LinkId l) { return p.link < l; });
-  assert(it != links.end() && it->link == entry.link);
-  it->pos = entry.pos;
-}
-
-void RoutingGraph::compact_arenas() {
-  if (path_dead_ * 2 > path_arena_.size()) {
-    std::vector<PathId> packed;
-    packed.reserve(path_arena_.size() - path_dead_);
-    for (PairRow& row : rows_) {
-      const auto from = path_arena_.begin() + row.paths.at;
-      row.paths.at = static_cast<std::uint32_t>(packed.size());
-      packed.insert(packed.end(), from, from + row.paths.size);
-    }
-    path_arena_ = std::move(packed);
-    path_dead_ = 0;
-  }
-  if (link_dead_ * 2 > link_arena_.size()) {
-    std::vector<PairLink> packed;
-    packed.reserve(link_arena_.size() - link_dead_);
-    for (PairRow& row : rows_) {
-      const auto from = link_arena_.begin() + row.links.at;
-      row.links.at = static_cast<std::uint32_t>(packed.size());
-      row.link_room = row.links.size;
-      packed.insert(packed.end(), from, from + row.links.size);
-    }
-    link_arena_ = std::move(packed);
-    link_dead_ = 0;
-  }
+  path_arena_ = std::move(packed);
+  path_dead_ = 0;
 }
 
 void RoutingGraph::bfs_hops(NodeId origin, bool reverse,
@@ -686,66 +583,42 @@ void RoutingGraph::materialize_all(util::ThreadPool* pool) {
     }
   }
   if (todo.empty()) return;
-  // Parallel: first run the distinct Yen computations `todo` needs across
-  // the pool — each uncached attachment pair some stub pair with live
-  // access links derives from, then every non-stub pair — into private
-  // scratch. Workers only read shared state (topology, banned set — both
-  // frozen for the duration); caching and interning happen after
-  // wait_idle() on this thread, walking `todo` in ascending slot order, so
-  // the PathId sequence is byte-identical to computing the slots serially.
-  std::vector<PairScratch> scratch;
-  std::size_t next = 0;  // scratch index of the next non-stub slot
+  // Parallel: first run every endpoint run a pair of `todo` with live access
+  // links needs and the table lacks across the pool, into private scratch.
+  // Workers only read shared state (topology, endpoints, banned set — all
+  // frozen for the duration); the runs are installed and the pairs interned
+  // after wait_idle() on this thread, walking `todo` in ascending slot
+  // order, so the PathId sequence is byte-identical to computing the slots
+  // serially.
   if (pool != nullptr && pool->thread_count() > 1) {
-    const std::vector<NodeId>& hosts = this->hosts();
-    const std::size_t H = hosts.size();
-    const std::size_t A = attach_nodes_.size();
-    std::vector<std::pair<NodeId, NodeId>> runs;
-    std::vector<std::size_t> attach_runs;  // cache index of runs[i]
-    std::vector<char> queued(A * A, 0);
+    if (runs_.empty()) runs_.resize(endpoints_.size() * endpoints_.size());
+    std::vector<std::size_t> needed;
+    std::vector<char> queued(runs_.size(), 0);
     for (std::uint32_t slot : todo) {
-      const std::size_t ap = attach_pair(slot);
-      if (ap == kNoAttachPair || banned(access_[slot / H].up) ||
-          banned(access_[slot % H].down) || queued[ap] != 0 ||
-          attach_entry(ap)) {
-        continue;
-      }
-      queued[ap] = 1;
-      runs.emplace_back(attach_nodes_[ap / A], attach_nodes_[ap % A]);
-      attach_runs.push_back(ap);
+      const std::size_t r = run_index(slot);
+      if (!access_live(slot) || runs_[r] || queued[r] != 0) continue;
+      queued[r] = 1;
+      needed.push_back(r);
     }
-    for (std::uint32_t slot : todo) {
-      if (attach_pair(slot) == kNoAttachPair) {
-        runs.emplace_back(hosts[slot / H], hosts[slot % H]);
-      }
-    }
-    scratch.resize(runs.size());
+    std::vector<Run> scratch(needed.size());
     const std::size_t chunk =
-        std::max<std::size_t>(1, runs.size() / (pool->thread_count() * 8));
-    for (std::size_t begin = 0; begin < runs.size(); begin += chunk) {
-      const std::size_t end = std::min(begin + chunk, runs.size());
-      pool->submit([this, &runs, &scratch, begin, end] {
+        std::max<std::size_t>(1, needed.size() / (pool->thread_count() * 8));
+    for (std::size_t begin = 0; begin < needed.size(); begin += chunk) {
+      const std::size_t end = std::min(begin + chunk, needed.size());
+      pool->submit([this, &needed, &scratch, begin, end] {
         PathSearch search;  // per task: workers share no search state
         for (std::size_t i = begin; i < end; ++i) {
-          run_yen(runs[i].first, runs[i].second, search, scratch[i]);
+          run_yen(needed[i], search, scratch[i]);
         }
       });
     }
     pool->wait_idle();  // happens-before: workers' scratch writes visible
-    for (std::size_t i = 0; i < attach_runs.size(); ++i) {
-      attach_entry(attach_runs[i]).emplace(
-          AttachRun{std::move(scratch[i]), {}});
+    for (std::size_t i = 0; i < needed.size(); ++i) {
+      runs_[needed[i]].emplace(std::move(scratch[i]));
       ++counters_.attach_pairs_computed;
     }
-    next = attach_runs.size();
   }
-  for (std::uint32_t slot : todo) {
-    if (next < scratch.size() && attach_pair(slot) == kNoAttachPair) {
-      commit_pair(slot, scratch[next++]);
-    } else {
-      recompute_pair(slot);  // stub pairs derive from the cache
-    }
-  }
-  attach_cache_ = {};  // every pair is materialized: no reader is left
+  for (std::uint32_t slot : todo) commit_pair(slot);
 }
 
 PathSet RoutingGraph::paths(NodeId src_host, NodeId dst_host) const {
@@ -759,7 +632,7 @@ PathSet RoutingGraph::paths(NodeId src_host, NodeId dst_host) const {
   }
   const std::size_t slot = pair_slot(a, b);
   ensure_pair(slot);
-  return {&path_arena_, &rows_[slot].paths, &pool_};
+  return {&path_arena_, &rows_[slot], &pool_};
 }
 
 bool RoutingGraph::is_host_pair(NodeId src_host, NodeId dst_host) const {
@@ -773,12 +646,23 @@ bool RoutingGraph::has_paths(NodeId src_host, NodeId dst_host) const {
   if (a == kNotHost || b == kNotHost) return false;
   const std::size_t slot = pair_slot(a, b);
   ensure_pair(slot);
-  return rows_[slot].paths.size != 0;
+  return rows_[slot].size != 0;
 }
 
 std::size_t RoutingGraph::pairs_using(LinkId l) const {
-  assert(l.valid() && l.value() < link_pairs_.size());
-  return link_pairs_[l.value()].size();
+  assert(l.valid() && l.value() < topo_->link_count());
+  std::size_t n = 0;
+  for (std::size_t slot = 0; slot < rows_.size(); ++slot) {
+    // A pair with candidates has live access links and a run; one without
+    // touched nothing.
+    if (rows_[slot].size == 0) continue;
+    const std::vector<LinkId>& touched = runs_[run_index(slot)]->touched;
+    if (l == source(slot).up || l == destination(slot).down ||
+        std::binary_search(touched.begin(), touched.end(), l)) {
+      ++n;
+    }
+  }
+  return n;
 }
 
 void RoutingGraph::encode_counters(sim::StateEncoder& enc) const {

@@ -13,31 +13,34 @@
 // so a warm search allocates only the paths it returns.
 //
 // Paths are interned in a PathPool: the graph stores PathId handles instead
-// of link-vector copies, a reverse index LinkId → {host pairs using it} lets
-// rebuild() drop only the pairs a failed/restored link can affect, and the
-// control plane (controller/allocator) passes ids on the per-flow hot path
-// instead of copying/comparing link vectors. No host pair owns a heap
-// object: each slot of the dense pair table is an offset and a count into
-// one shared arena of candidate ids and one of touched links.
+// of link-vector copies, and the control plane (controller/allocator) passes
+// ids on the per-flow hot path instead of copying/comparing link vectors.
+//
+// The only search state is one Yen run per ordered pair of *endpoints*. A
+// *stub* host (wired to the fabric by exactly one uplink and one downlink,
+// both to the same switch) has its attachment switch as its endpoint; every
+// other host is its own endpoint. A host pair's candidates are the source's
+// uplink if it is a stub, then each candidate of its endpoints' run, then
+// the destination's downlink if it is a stub. A stub host is never a transit
+// node, so this is exactly the host-level Yen result — same candidates, same
+// order, same touched links beyond the access links (the argument is in
+// docs/architecture.md). Every host pair on a rack pair shares that one run.
+// A pair of two stubs interns each candidate as a composite entry (uplink,
+// the run candidate's PathId, downlink), the run's middles being interned
+// once by the first such pair that commits them; any other pair interns
+// its candidates as plain spans. No host pair owns a heap object: a slot of
+// the dense pair table is an offset and a count into one shared arena of
+// candidate ids, plus a materialized flag.
 //
 // The table is lazy: a pair is computed on its first paths()/has_paths()
-// query, and rebuild() merely *invalidates* the affected materialized pairs.
-// A pair's Yen candidate set is a pure function of (topology, banned set, k),
-// so query order changes only when a pair is computed, never what it holds.
-// At warehouse scale most host pairs never carry a shuffle flow, so this
-// removes the cold-build wall entirely; materialize_all() fills the whole
-// table (optionally across a util::ThreadPool) when a caller needs it.
-//
-// A pair of *stub* hosts (each wired to the fabric by exactly one uplink and
-// one downlink, both to the same switch) does not run Yen itself: its
-// candidates are the source's uplink, then each candidate of one cached Yen
-// run between the two attachment switches, then the destination's downlink.
-// A stub host is never a transit node, so this is exactly the host-level Yen
-// result — same candidates, same order, same touched links (the argument is
-// in docs/architecture.md). Every host pair on a rack pair shares that one
-// switch-level run, and the pool stores each of its candidates as a
-// composite entry (uplink, switch-level PathId, downlink): a rack pair's
-// middles are interned once, by the first stub pair that commits them.
+// query, and rebuild() merely *invalidates* the materialized pairs on the
+// runs a failed/restored link can affect (judged from each run's touched
+// links and candidates). A pair's Yen candidate set is a pure function of
+// (topology, banned set, k), so query order changes only when a pair is
+// computed, never what it holds. At warehouse scale most host pairs never
+// carry a shuffle flow, so this removes the cold-build wall entirely;
+// materialize_all() fills the whole table (optionally across a
+// util::ThreadPool) when a caller needs it.
 #pragma once
 
 #include <algorithm>
@@ -219,7 +222,7 @@ class PathSearch {
   /// of `excluded_links` (failed links). When `touched_links` is non-null,
   /// every link of every candidate path the run generated (chosen or not)
   /// is appended to it — the routing graph's incremental rebuild keys its
-  /// reverse index on this union, because a banned link that appears only
+  /// invalidation on this union, because a banned link that appears only
   /// in an *unchosen* candidate can still flip the deterministic tie-break
   /// of a later spur computation.
   std::vector<Path> k_shortest_paths(
@@ -292,10 +295,13 @@ std::vector<Path> k_shortest_paths(
 /// is valid until the next intern.
 class PathPool {
  public:
-  /// Interns a link sequence, copying it only when it is new to the pool.
-  /// `links` may point into the pool's own arena (a sub-run of a pooled
-  /// path).
-  PathId intern(std::span<const LinkId> links);
+  /// Interns a link sequence as a plain entry, copying it only when it is
+  /// new to the pool. The view's middle may point into the pool's own arena
+  /// (a sub-run of a pooled path).
+  PathId intern(const PathView& links);
+  PathId intern(std::span<const LinkId> links) {
+    return intern(PathView(links));
+  }
   PathId intern(const Path& path) { return intern(std::span(path.links)); }
   /// Interns `lead`, then the links of `middle`, then `trail`, storing a
   /// new sequence as one composite entry. Precondition: both ends are valid
@@ -465,9 +471,10 @@ struct RoutingCounters {
   /// Pairs computed one at a time on first query (a subset of
   /// pairs_recomputed; materialize_all's pairs are the rest).
   std::uint64_t lazy_materializations = 0;
-  /// Yen runs between two attachment switches, the shared middle section of
-  /// every stub-host pair's candidates. At most (attachment switches)² per
-  /// banned set, however many host pairs derive from them.
+  /// Yen runs between two endpoints (attachment switches of stub hosts,
+  /// other hosts themselves), the shared middle section of every host pair's
+  /// candidates. At most (endpoints)² per banned set, however many host
+  /// pairs derive from them; a run a rebuild does not reach is kept.
   std::uint64_t attach_pairs_computed = 0;
 };
 
@@ -499,13 +506,13 @@ class RoutingGraph {
   /// Materializes the pair on first use.
   [[nodiscard]] bool has_paths(NodeId src_host, NodeId dst_host) const;
 
-  /// Computes every not-yet-materialized pair. With a thread pool, the Yen
-  /// runs (switch-level runs for stub pairs, host-level runs for the rest)
-  /// execute concurrently, each pool task on its own PathSearch, into
-  /// private scratch; host pairs are then derived and interned on the
-  /// calling thread in canonical slot order — the PathId sequence (part of
-  /// the determinism contract) is identical to computing the same pairs
-  /// serially. Without one (or with a single-threaded pool), runs serially.
+  /// Computes every not-yet-materialized pair. With a thread pool, the
+  /// endpoint runs those pairs need and the table lacks execute
+  /// concurrently, each pool task on its own PathSearch, into private
+  /// scratch; host pairs are then derived and interned on the calling thread
+  /// in canonical slot order — the PathId sequence (part of the determinism
+  /// contract) is identical to computing the same pairs serially. Without
+  /// one (or with a single-threaded pool), runs serially.
   void materialize_all(util::ThreadPool* pool = nullptr);
 
   /// Ordered host pairs whose candidates are currently computed; grows with
@@ -525,18 +532,20 @@ class RoutingGraph {
   /// The path's links, valid until the next intern (see PathView).
   [[nodiscard]] PathView path(PathId id) const { return pool_.path(id); }
 
-  /// Number of ordered host pairs whose last Yen run *touched* `l` — i.e.
-  /// any generated candidate (chosen or not) traversed it. This is the set
-  /// a rebuild invalidates when `l` fails; the bench uses it to pick a
-  /// worst-case victim link. Counts materialized pairs only (plus invalidated
-  /// ones, whose stored union stays as the diff witness).
+  /// Number of materialized host pairs whose Yen run *touched* `l` — i.e.
+  /// any generated candidate (chosen or not) traversed it: the pairs with
+  /// candidates whose access links or endpoint run's touched union hold it.
+  /// This is the set a rebuild invalidates when `l` fails; the bench uses it
+  /// to pick a worst-case victim link. A scan over the table.
   [[nodiscard]] std::size_t pairs_using(LinkId l) const;
 
   /// Switches the table to `banned_links` (failed links), which no path may
   /// use — the controller's topology-update service calls this on
-  /// link-failure/restore events. Drops only the materialized pairs the
-  /// banned-set delta can affect; they recompute on their next query. An
-  /// unchanged banned set returns immediately, bumping only noop_rebuilds.
+  /// link-failure/restore events. Drops only the endpoint runs the
+  /// banned-set delta can affect, the materialized pairs on them, and the
+  /// materialized pairs whose own access link changed; they recompute on
+  /// their next query. An unchanged banned set returns immediately, bumping
+  /// only noop_rebuilds.
   void rebuild(const std::unordered_set<LinkId>& banned_links);
 
   /// Serializes the routing state for snapshots (section version
@@ -562,50 +571,24 @@ class RoutingGraph {
  private:
   static constexpr std::uint32_t kNotHost = Topology::kNoHost;
 
-  static constexpr std::size_t kNoAttachPair =
-      std::numeric_limits<std::size_t>::max();
-
-  /// One pair's result before interning: scratch a worker thread can fill
-  /// without touching shared graph state. `touched` is sorted and
-  /// deduplicated. A stub pair's candidates are not in `found`: they wrap
-  /// each candidate of attachment pair `via`'s cached run in the pair's
-  /// access links.
-  struct PairScratch {
+  /// The Yen run between two endpoints under banned_: its candidates in
+  /// order, their touched-link union (every link of every generated
+  /// candidate, sorted and deduplicated), and the candidates' pool ids once
+  /// a pair of two stubs committed them as middles.
+  struct Run {
     PathList found;
     std::vector<LinkId> touched;
-    std::size_t via = kNoAttachPair;
-  };
-
-  /// A switch-level Yen run shared by the stub pairs of one attachment
-  /// pair, and its candidates' pool ids once a commit needed them.
-  struct AttachRun {
-    PairScratch yen;
     std::vector<PathId> middles;
   };
 
-  /// A host's access links when it is a stub: its only uplink and only
-  /// downlink, both to attachment switch `attach` (index into
-  /// attach_nodes_). `attach` is kNotHost for every other host.
+  /// A host's endpoint (index into endpoints_) and, when the host is a stub,
+  /// its only uplink and only downlink, both to the attachment switch that
+  /// is its endpoint. A host that is not a stub is its own endpoint and has
+  /// invalid access links, which no banned set holds.
   struct Access {
     LinkId up;
     LinkId down;
-    std::uint32_t attach = kNotHost;
-  };
-
-  /// A link a pair's last Yen run touched, and the pair's position in the
-  /// link's reverse list.
-  struct PairLink {
-    LinkId link;
-    std::uint32_t pos;
-  };
-
-  /// One host pair's slot: its candidates in path_arena_, its touched links
-  /// in link_arena_, and the link entries a recompute may rewrite in place
-  /// (`link_room` ≥ links.size).
-  struct PairRow {
-    Extent paths;
-    Extent links;
-    std::uint32_t link_room = 0;
+    std::uint32_t endpoint = kNotHost;
   };
 
   [[nodiscard]] const std::vector<NodeId>& hosts() const {
@@ -620,49 +603,45 @@ class RoutingGraph {
   [[nodiscard]] bool banned(LinkId l) const {
     return std::binary_search(banned_.begin(), banned_.end(), l);
   }
-  [[nodiscard]] std::span<PairLink> pair_links(std::size_t slot) const {
-    const Extent e = rows_[slot].links;
-    return {link_arena_.data() + e.at, e.size};
+  [[nodiscard]] const Access& source(std::size_t slot) const {
+    return access_[slot / hosts().size()];
+  }
+  [[nodiscard]] const Access& destination(std::size_t slot) const {
+    return access_[slot % hosts().size()];
+  }
+  /// The index of the run a host pair derives its candidates from.
+  [[nodiscard]] std::size_t run_index(std::size_t slot) const {
+    return static_cast<std::size_t>(source(slot).endpoint) *
+               endpoints_.size() +
+           destination(slot).endpoint;
+  }
+  /// True iff neither of the pair's access links is banned; a pair with a
+  /// banned one has no candidates and touches nothing.
+  [[nodiscard]] bool access_live(std::size_t slot) const {
+    return !banned(source(slot).up) && !banned(destination(slot).down);
   }
 
-  /// Pure Yen run between two nodes under banned_ into scratch: reads only
-  /// the topology and the banned set, writes only `search` and `out` — safe
+  /// Pure Yen run `run` under banned_ into `out`: reads only the topology,
+  /// the endpoints and the banned set, writes only `search` and `out` — safe
   /// to fan across worker threads that each own a PathSearch.
-  void run_yen(NodeId src, NodeId dst, PathSearch& search,
-               PairScratch& out) const;
-  /// Attachment-cache index a pair of stub hosts derives its candidates
-  /// from; kNoAttachPair when either host is not a stub.
-  [[nodiscard]] std::size_t attach_pair(std::size_t slot) const;
-  /// The attachment-pair cache entry, allocating the table on first use.
-  std::optional<AttachRun>& attach_entry(std::size_t ap) const;
-  /// One host pair's candidates under banned_ into `out` (cleared first):
-  /// host-to-host Yen, or for a stub pair the composition over the (cached)
-  /// switch-level run. Not thread-safe: it runs on search_ and may fill the
-  /// attachment cache.
-  void compute_pair(std::size_t slot, PairScratch& out) const;
-  /// Interns a scratch result and installs it as the slot's candidates and
-  /// touched links (PathId assignment happens here, on the calling thread —
-  /// never on workers; a stub pair's switch-level middles are interned here
-  /// too, by the first stub pair that commits them). const because it
-  /// mutates only the lazy-cache members below.
-  void commit_pair(std::size_t slot, const PairScratch& scratch) const;
-  /// compute_pair + commit_pair for one slot, through scratch_.
-  void recompute_pair(std::size_t slot) const;
+  void run_yen(std::size_t run, PathSearch& search, Run& out) const;
+  /// The run, computed on search_ first if the table lacks it (allocating
+  /// the table on first use). Not thread-safe.
+  Run& ensure_run(std::size_t run) const;
+  /// Derives one unmaterialized pair's candidates from its run, interns
+  /// them (PathId assignment happens here, on the calling thread — never on
+  /// workers; a stub pair's middles are interned here too, by the first
+  /// pair of two stubs that commits them) and marks the pair materialized.
+  /// const because it mutates only the lazy-cache members below.
+  void commit_pair(std::size_t slot) const;
   /// Drops a materialized pair's candidates (the next query recomputes them
-  /// under the then-current banned set). Keeps the stored touched union as
-  /// the diff witness for the eventual re-commit.
+  /// under the then-current banned set).
   void invalidate_pair(std::size_t slot);
   /// Materializes `slot` if it is an unmaterialized off-diagonal pair.
   void ensure_pair(std::size_t slot) const;
-  /// Replaces a pair's touched-link union, updating the link → pairs reverse
-  /// index by diffing old and new unions. `touched` must be sorted and
-  /// deduplicated. const: lazy-cache members only.
-  void set_pair_links(std::size_t slot, std::span<const LinkId> touched) const;
-  /// Removes one pair from a link's reverse list by swap-and-pop.
-  void drop_pair_link(PairLink entry) const;
-  /// Rewrites each arena whose dead entries outnumber its live ones with
-  /// only the live extents, in slot order.
-  void compact_arenas();
+  /// Rewrites the candidate arena with only the live extents, in slot
+  /// order, once its dead entries outnumber its live ones.
+  void compact_paths();
   /// Hop-count BFS from `origin` over links outside banned_; `reverse`
   /// walks links backwards (distance *to* origin). Fills `dist`
   /// (kUnreachable for disconnected nodes).
@@ -670,56 +649,45 @@ class RoutingGraph {
                 std::vector<std::uint32_t>& dist) const;
 
   // pythia-lint: allow(snapshot-skip, group) construction-time derivations
-  // of the (fingerprinted) topology: wiring, reverse adjacency and stub
-  // access links rebuild identically in the restored process. k_ and
+  // of the (fingerprinted) topology: wiring, reverse adjacency, stub access
+  // links and endpoints rebuild identically in the restored process. k_ and
   // banned_ ARE encoded. Host pairs are keyed on the topology's dense host
   // index (Topology::host_index).
   const Topology* topo_ = nullptr;
   std::size_t k_ = 0;
   std::vector<std::vector<LinkId>> in_links_;  // reverse adjacency for BFS
   std::vector<LinkId> banned_;  // banned set of last rebuild, sorted
-  std::vector<Access> access_;        // per host slot
-  std::vector<NodeId> attach_nodes_;  // attachment switch index → node
+  std::vector<Access> access_;     // per host slot
+  std::vector<NodeId> endpoints_;  // endpoint index → node
 
   // Lazy cache: logically-const queries (paths/has_paths) materialize pairs
-  // on demand, so these are mutable. Every materialized entry equals the
-  // pure per-pair Yen result under the current banned set — query order
-  // cannot change what is stored, only when.
+  // and runs on demand, so these are mutable. Every materialized entry
+  // equals the pure per-pair Yen result under the current banned set, and
+  // every run the pure per-endpoint-pair one — query order cannot change
+  // what is stored, only when.
   // pythia-lint: allow(snapshot-skip, group) a cache of the per-pair
   // function that the encoded k_ and banned_ name; restore replays the run,
-  // which materializes the same pairs in the same order. The work counters
-  // and the materialized count go to encode_counters.
+  // which materializes the same pairs in the same order, and re-interning a
+  // run's middles finds the ids they had. The work counters and the
+  // materialized count go to encode_counters.
   mutable PathPool pool_;
-  // Dense table: slot = host_index(src) * H + host_index(dst).
-  mutable std::vector<PairRow> rows_;
-  // Candidate ids of every slot, each slot's run in candidate order.
+  // Dense table: slot = host_index(src) * H + host_index(dst) → the slot's
+  // candidate ids in path_arena_.
+  mutable std::vector<Extent> rows_;
   mutable std::vector<PathId> path_arena_;
-  // Touched-link union of every slot's last Yen run, each slot's run sorted
-  // by link, with the slot's position in that link's reverse list.
-  mutable std::vector<PairLink> link_arena_;
-  // Arena entries outside every live extent (an abandoned or shrunk run).
+  // Arena entries outside every live extent (a dropped pair's candidates).
   mutable std::size_t path_dead_ = 0;
-  mutable std::size_t link_dead_ = 0;
-  // Reverse index: link id → slots whose last Yen run touched it, unordered.
-  mutable std::vector<std::vector<std::uint32_t>> link_pairs_;
   // Per-slot flag: candidates computed and current (off-diagonal only).
   mutable std::vector<char> materialized_;
   mutable std::size_t materialized_count_ = 0;
   mutable RoutingCounters counters_;
+  // Endpoint runs under the current banned set, dense endpoint × endpoint,
+  // allocated on first use; rebuild() drops the runs it reaches.
+  mutable std::vector<std::optional<Run>> runs_;
 
-  // pythia-lint: allow(snapshot-skip) derived cache: switch-level Yen runs
-  // under the current banned set (dense attach × attach, allocated on first
-  // use, dropped by every rebuild that changes the banned set and once every
-  // pair is materialized); a restored graph recomputes an entry on the next
-  // stub-pair query that needs it, and re-interning its middles finds the
-  // ids they had.
-  mutable std::vector<std::optional<AttachRun>> attach_cache_;
-  // pythia-lint: allow(snapshot-skip, group) search and first-touch scratch
-  // for lazy queries, fill-before-read on every use; they hold no state
-  // between queries.
+  // pythia-lint: allow(snapshot-skip) search scratch for lazy queries,
+  // fill-before-read on every use; it holds no state between queries.
   mutable PathSearch search_;
-  mutable PairScratch scratch_;
-  mutable std::vector<PairLink> links_scratch_;
 };
 
 }  // namespace pythia::net

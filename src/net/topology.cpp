@@ -1,8 +1,27 @@
 #include "net/topology.hpp"
 
 #include <cassert>
+#include <cmath>
+#include <stdexcept>
 
 namespace pythia::net {
+
+namespace {
+
+void require_count(std::size_t n, const char* field) {
+  if (n == 0) {
+    throw std::invalid_argument(std::string(field) + " must be at least 1");
+  }
+}
+
+void require_capacity(util::BitsPerSec capacity, const char* field) {
+  if (!std::isfinite(capacity.bps()) || capacity.bps() <= 0.0) {
+    throw std::invalid_argument(std::string(field) +
+                                " must be a finite positive rate");
+  }
+}
+
+}  // namespace
 
 NodeId Topology::add_host(std::string name, int rack) {
   const NodeId id{static_cast<std::uint32_t>(nodes_.size())};
@@ -31,10 +50,18 @@ void Topology::set_node_group(NodeId n, std::int32_t group) {
 }
 
 LinkId Topology::add_link(NodeId src, NodeId dst, util::BitsPerSec capacity) {
-  assert(src.valid() && src.value() < nodes_.size());
-  assert(dst.valid() && dst.value() < nodes_.size());
-  assert(src != dst);
-  assert(capacity.bps() > 0.0);
+  for (const NodeId end : {src, dst}) {
+    if (!end.valid() || end.value() >= nodes_.size()) {
+      throw std::invalid_argument("Topology::add_link: node " +
+                                  std::to_string(end.value()) +
+                                  " is not in the topology");
+    }
+  }
+  if (src == dst) {
+    throw std::invalid_argument("Topology::add_link: self-loop at " +
+                                nodes_[src.value()].name);
+  }
+  require_capacity(capacity, "Topology::add_link capacity");
   const LinkId id{static_cast<std::uint32_t>(links_.size())};
   links_.push_back(Link{id, src, dst, capacity});
   out_[src.value()].push_back(id);
@@ -82,8 +109,11 @@ bool Topology::validate_path(NodeId src, NodeId dst,
 }
 
 Topology make_two_rack(const TwoRackConfig& cfg) {
-  assert(cfg.servers_per_rack > 0);
-  assert(cfg.inter_rack_links > 0);
+  require_count(cfg.servers_per_rack, "TwoRackConfig::servers_per_rack");
+  require_count(cfg.inter_rack_links, "TwoRackConfig::inter_rack_links");
+  require_capacity(cfg.host_link, "TwoRackConfig::host_link");
+  require_capacity(cfg.inter_rack_capacity,
+                   "TwoRackConfig::inter_rack_capacity");
   Topology topo;
   const NodeId tor0 = topo.add_switch("tor-0", 0);
   const NodeId tor1 = topo.add_switch("tor-1", 1);
@@ -111,7 +141,11 @@ Topology make_two_rack(const TwoRackConfig& cfg) {
 }
 
 Topology make_leaf_spine(const LeafSpineConfig& cfg) {
-  assert(cfg.racks > 0 && cfg.servers_per_rack > 0 && cfg.spines > 0);
+  require_count(cfg.racks, "LeafSpineConfig::racks");
+  require_count(cfg.servers_per_rack, "LeafSpineConfig::servers_per_rack");
+  require_count(cfg.spines, "LeafSpineConfig::spines");
+  require_capacity(cfg.host_link, "LeafSpineConfig::host_link");
+  require_capacity(cfg.uplink, "LeafSpineConfig::uplink");
   Topology topo;
   std::vector<NodeId> tors;
   tors.reserve(cfg.racks);
@@ -143,7 +177,12 @@ Topology make_leaf_spine(const LeafSpineConfig& cfg) {
 }
 
 Topology make_fat_tree(const FatTreeConfig& cfg) {
-  assert(cfg.k >= 2 && cfg.k % 2 == 0 && "fat-tree arity must be even");
+  if (cfg.k < 2 || cfg.k % 2 != 0) {
+    throw std::invalid_argument("FatTreeConfig::k must be even and at least 2");
+  }
+  require_capacity(cfg.host_link, "FatTreeConfig::host_link");
+  require_capacity(cfg.edge_agg, "FatTreeConfig::edge_agg");
+  require_capacity(cfg.agg_core, "FatTreeConfig::agg_core");
   const std::size_t k = cfg.k;
   const std::size_t half = k / 2;
   const std::size_t hosts_per_edge =

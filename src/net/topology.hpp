@@ -37,7 +37,9 @@ class Topology {
  public:
   NodeId add_host(std::string name, int rack);
   NodeId add_switch(std::string name, int rack = -1);
-  /// Adds a single directed link.
+  /// Adds a single directed link. Throws std::invalid_argument for an
+  /// endpoint outside the topology, a self-loop, or a capacity that is not
+  /// finite and positive.
   LinkId add_link(NodeId src, NodeId dst, util::BitsPerSec capacity);
   /// Adds both directions; returns the forward link id.
   LinkId add_duplex(NodeId a, NodeId b, util::BitsPerSec capacity);
@@ -118,6 +120,9 @@ struct TwoRackConfig {
   util::BitsPerSec host_link = util::BitsPerSec{10e9};
   util::BitsPerSec inter_rack_capacity = util::BitsPerSec{10e9};
 };
+/// Throws std::invalid_argument naming the field, before building anything,
+/// when a count is 0 or a capacity is not finite and positive (so do
+/// make_leaf_spine and make_fat_tree).
 Topology make_two_rack(const TwoRackConfig& cfg);
 
 /// Leaf-spine fabric: `racks` ToRs, each host attaches to its ToR, every ToR

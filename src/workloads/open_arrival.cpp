@@ -209,6 +209,30 @@ Storm generate_storm(const OpenArrivalConfig& cfg, const net::Topology& topo,
   const std::size_t wave_parts = std::max<std::size_t>(cfg.waves, 1);
   storm.jobs_.reserve(cfg.jobs);
   storm.segments_.reserve(cfg.jobs * (wave_parts + 1));
+  // Draws: a quarter above the expected count (each class's intents
+  // weighted by its fraction), at most what all-largest jobs would draw, so
+  // a storm of many jobs fills the buffer without moving it. Growth by
+  // doubling copied the draws again and freed ~4 MB of old buffers per
+  // control_storm-sized storm: holes that decided whether repeated runs in
+  // one process reused the heap or faulted it in again. A storm that draws
+  // more still grows.
+  {
+    const std::array<double, 3> fractions = {
+        cfg.sort_fraction, cfg.nutch_fraction,
+        1.0 - cfg.sort_fraction - cfg.nutch_fraction};
+    double expected = 0.0;
+    std::size_t most = 0;
+    for (std::size_t c = 0; c < fractions.size(); ++c) {
+      const std::size_t n = cfg.waves * storm.shapes_[c].intents_per_wave();
+      expected += fractions[c] * static_cast<double>(n);
+      most = std::max(most, n);
+    }
+    const double want = 1.25 * expected * static_cast<double>(cfg.jobs);
+    const std::size_t cap = cfg.jobs * most;
+    storm.draws_.reserve(want < static_cast<double>(cap)
+                             ? static_cast<std::size_t>(want)
+                             : cap);
+  }
 
   const std::int64_t tick_ns = std::max<std::int64_t>(1, cfg.tick.ns());
   util::Xoshiro256 rng(seed);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
 namespace pythia::net {
@@ -81,6 +84,36 @@ TEST(EcmpSelector, StablePathForAFlow) {
                     50060, 31234, 6};
   EXPECT_EQ(ecmp.select(hosts[0], hosts[9], t),
             ecmp.select(hosts[0], hosts[9], t));
+}
+
+/// A partitioned pair has no candidate to hash onto: selection must fail
+/// with an error naming the pair in every build type, not divide by zero.
+TEST(EcmpSelector, EmptyCandidateSetThrows) {
+  const FiveTuple t{1, 2, 50060, 31000, 6};
+  EXPECT_THROW((void)EcmpSelector::select_index(t, 0), std::invalid_argument);
+
+  const Topology topo = make_two_rack({});
+  RoutingGraph routing(topo, 2);
+  const auto hosts = topo.hosts();
+  std::unordered_set<LinkId> cables;
+  for (const PathView p : routing.paths(hosts[0], hosts[9])) {
+    cables.insert(p[1]);
+  }
+  ASSERT_EQ(cables.size(), 2u);
+  routing.rebuild(cables);
+  ASSERT_FALSE(routing.has_paths(hosts[0], hosts[9]));
+  const EcmpSelector ecmp(routing);
+  try {
+    (void)ecmp.select_id(hosts[0], hosts[9], t);
+    ADD_FAILURE() << "select_id returned on a partitioned pair";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(topo.node(hosts[0]).name), std::string::npos) << what;
+    EXPECT_NE(what.find(topo.node(hosts[9]).name), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)ecmp.select(hosts[0], hosts[9], t), std::runtime_error);
+  // A pair the partition leaves connected still selects.
+  EXPECT_EQ(ecmp.select(hosts[0], hosts[1], t).size(), 2u);
 }
 
 }  // namespace

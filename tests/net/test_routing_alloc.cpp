@@ -76,17 +76,22 @@ class AllocWindow {
 };
 
 constexpr std::size_t kPaths = 4;
+/// Heap bytes per host-pair slot at construction: an 8-byte candidate
+/// extent and a 1-byte materialized flag, ~9.3 in all here. A slot that also
+/// held its touched-link extent and room cost ~21.6.
+constexpr std::size_t kBytesPerSlot = 12;
 /// Allocations per first-touched pair. Paths own no heap object, so all of
-/// them are shared growth: the pool's arena, entries and index, both table
-/// arenas, the switch-level runs, and the per-link reverse lists, which
-/// grow by doubling and make ~1.0 of the ~1.3 here. A pool path that owned
-/// its link vector added ~3.9 (5.35 in all).
-constexpr double kAllocsPerPair = 1.5;
-/// Heap bytes a first touch retains per pair: ~377 here, of which the pool
-/// is ~113 (its index ~64) and the touched-link arena and reverse lists
-/// most of the rest. Paths that each owned a link vector, a deque slot and
-/// 2–4 16-byte index slots retained ~567.
-constexpr double kRetainedPerPair = 400.0;
+/// them are shared growth: the pool's arena, entries and index, the
+/// candidate-id arena, and the 32 endpoint runs with the run table, ~0.27
+/// here. Per-link reverse lists of touched pairs, grown one entry at a
+/// time, made it ~1.30; a pool path that owned its link vector added ~3.9.
+constexpr double kAllocsPerPair = 0.5;
+/// Heap bytes a first touch retains per pair: ~190 here, of which the pool
+/// is ~113 (its index ~64) and the run table most of the rest. A per-pair
+/// touched-link union with its entries in per-link reverse lists retained
+/// ~377; paths that each owned a link vector, a deque slot and 2–4 16-byte
+/// index slots retained ~567.
+constexpr double kRetainedPerPair = 250.0;
 /// The pool's share: ~113 bytes per pair here, 12 per candidate entry and
 /// 2–4 8-byte index slots per entry, with the rack pair's middles once.
 constexpr double kPoolPerPair = 128.0;
@@ -113,7 +118,7 @@ std::vector<std::pair<NodeId, NodeId>> sample_pairs(const Topology& topo) {
   return pairs;
 }
 
-TEST(RoutingAlloc, ConstructionCostsAtMost24BytesPerSlot) {
+TEST(RoutingAlloc, ConstructionCostsAtMost12BytesPerSlot) {
   const Topology topo = nutch_fabric();
   const std::size_t slots = topo.hosts().size() * topo.hosts().size();
   ASSERT_EQ(slots, 65'536u);
@@ -125,16 +130,16 @@ TEST(RoutingAlloc, ConstructionCostsAtMost24BytesPerSlot) {
   }
   std::printf("construction: %zu B, %.2f B per slot\n", bytes,
               static_cast<double>(bytes) / static_cast<double>(slots));
-  EXPECT_LE(bytes, 24 * slots);
+  EXPECT_LE(bytes, kBytesPerSlot * slots);
 }
 
-// A first touch interns the pair's candidates and records its touched links
-// in shared arenas: a stub pair's candidates are 12-byte pool entries over
-// its rack pair's switch-level middles, so it allocates only when a shared
-// structure grows. A per-pair or per-path heap object (a link vector, a
-// candidate-id list, a scratch result) would add at least one allocation per
-// pair and break the first bound; the others bound what the pairs and the
-// pool keep.
+// A first touch interns the pair's candidates into shared arenas: a stub
+// pair's candidates are 12-byte pool entries over its rack pair's run
+// middles, and its touched links are its run's, so it allocates only when a
+// shared structure grows or its rack pair's run is new. A per-pair or
+// per-path heap object (a link vector, a candidate-id list, a touched-link
+// list) would add at least one allocation per pair and break the first
+// bound; the others bound what the pairs, the runs and the pool keep.
 TEST(RoutingAlloc, FirstTouchAllocatesOnlySharedGrowth) {
   const Topology topo = nutch_fabric();
   const RoutingGraph graph(topo, kPaths);

@@ -1,16 +1,17 @@
-// The routing table's stub-host decomposition against the independent
-// oracle (routing_oracle.hpp): a pair of stub hosts derives its candidates
-// from one Yen run between the two attachment switches instead of running
-// Yen host to host, so every ordered host pair is checked against a direct
-// reference Yen call on the hosts themselves — candidates link for link,
-// and the link → pairs reverse index against the oracle's touched sets — on
-// the paper topologies and on random graphs with multi-homed hosts and
-// host↔host links (pairs that must fall back to host-level Yen). Bans reach
-// the table cold, through incremental rebuilds of a full table, and through
-// a table that only ever saw one query.
+// The routing table's endpoint decomposition against the independent
+// oracle (routing_oracle.hpp): a host pair derives its candidates from one
+// Yen run between its endpoints (a stub host's attachment switch, any other
+// host itself) instead of running Yen host to host, so every ordered host
+// pair is checked against a direct reference Yen call on the hosts
+// themselves — candidates link for link, and pairs_using against the
+// oracle's touched sets — on the paper topologies and on random graphs with
+// multi-homed hosts and host↔host links (pairs with one or no stub end).
+// Bans reach the table cold, through incremental rebuilds of a full table,
+// and through a table that only ever saw one query.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_set>
@@ -93,9 +94,9 @@ void check_topology(const Topology& topo, const std::string& name) {
         rg.rebuild(banned);
         expect_matches_oracle(rg, ban, true, tag + " cold ban " + what);
       }
-      // A pair the ban cannot affect replays its clean run exactly, touched
-      // links included, so after the ban the reverse index must match the
-      // oracle's too. A restore keeps a pair it proves unchanged together
+      // A run the ban cannot affect replays its clean run exactly, touched
+      // links included, so after the ban pairs_using must match the
+      // oracle's too. A restore keeps a run it proves unchanged together
       // with its ban-era touched union (a sound, documented witness, not the
       // clean run's), so after it only the candidates are compared.
       RoutingGraph rg(topo, k);
@@ -290,6 +291,144 @@ TEST(RoutingDecomposition, RebuildDropsSwitchLevelRuns) {
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(after[i].to_vector(), want[i].links);
     EXPECT_EQ(std::count(after[i].begin(), after[i].end(), spine_link), 0);
+  }
+}
+
+/// A run no delta reaches survives the rebuild: a same-switch run touches
+/// no link, so after a core ban the reverse pair on that switch derives from
+/// the kept run instead of a new Yen run.
+TEST(RoutingDecomposition, RebuildKeepsRunsItDoesNotReach) {
+  LeafSpineConfig cfg;
+  cfg.racks = 3;
+  cfg.servers_per_rack = 2;
+  cfg.spines = 2;
+  const Topology topo = make_leaf_spine(cfg);
+  const auto hosts = topo.hosts();
+  RoutingGraph rg(topo, 2);
+  ASSERT_EQ(rg.paths(hosts[0], hosts[1]).size(), 1u);
+  const LinkId spine_link = rg.paths(hosts.front(), hosts.back())[0][1];
+  const std::uint64_t runs = rg.counters().attach_pairs_computed;
+  ASSERT_EQ(runs, 2u);
+
+  rg.rebuild({spine_link, reverse_of(topo, spine_link)});
+  EXPECT_EQ(rg.pairs_materialized(), 1u);  // only the cross-rack pair went
+  EXPECT_EQ(rg.paths(hosts[1], hosts[0]).size(), 1u);
+  EXPECT_EQ(rg.counters().attach_pairs_computed, runs);
+  expect_matches_oracle(
+      rg, run_oracle(topo, 2, {spine_link, reverse_of(topo, spine_link)}),
+      true, "after the ban");
+}
+
+/// The PathId sequence is part of the determinism contract: snapshots,
+/// rules and the allocator carry ids, so a change to how the table derives
+/// or interns candidates must assign every id as before. This script runs a
+/// seeded query order, bans the busiest core cable, queries again, restores
+/// it and fills the table; after each step it hashes (FNV-1a) every pair it
+/// holds — host indices, candidate count and PathIds, an emptied set for a
+/// dropped pair — with the pool size and the materialized count. The
+/// pinned values were recorded before the table derived every pair from an
+/// endpoint run.
+std::array<std::uint64_t, 5> path_id_script(const Topology& topo) {
+  constexpr std::size_t kPaths = 4;
+  const auto& hosts = topo.hosts();
+  RoutingGraph rg(topo, kPaths);
+  std::uint64_t h = 0;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ULL;
+  };
+  const auto mix_set = [&](NodeId src, NodeId dst, const PathSet& set) {
+    mix(topo.host_index(src));
+    mix(topo.host_index(dst));
+    mix(set.size());
+    for (const PathId id : set.ids()) mix(id.value());
+  };
+  util::Xoshiro256 rng(29);
+  std::vector<std::pair<NodeId, NodeId>> order;
+  std::vector<PathSet> held;
+  for (int i = 0; i < 48; ++i) {
+    const NodeId src = hosts[rng.below(hosts.size())];
+    NodeId dst = src;
+    while (dst == src) dst = hosts[rng.below(hosts.size())];
+    order.emplace_back(src, dst);
+  }
+  const auto step = [&] {
+    h = 1469598103934665603ULL;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      mix_set(order[i].first, order[i].second, held[i]);
+    }
+    mix(rg.pool().size());
+    mix(rg.pairs_materialized());
+    return h;
+  };
+  std::array<std::uint64_t, 5> out{};
+  for (const auto& [src, dst] : order) held.push_back(rg.paths(src, dst));
+  out[0] = step();
+  const LinkId core = busiest_core_link(topo, run_oracle(topo, kPaths, {}));
+  rg.rebuild({core, reverse_of(topo, core)});
+  out[1] = step();
+  for (const auto& [src, dst] : order) (void)rg.paths(src, dst);
+  out[2] = step();
+  rg.rebuild({});
+  out[3] = step();
+  rg.materialize_all();
+  h = 1469598103934665603ULL;
+  for (NodeId src : hosts) {
+    for (NodeId dst : hosts) {
+      if (src != dst) mix_set(src, dst, rg.paths(src, dst));
+    }
+  }
+  mix(rg.pool().size());
+  out[4] = h;
+  return out;
+}
+
+TEST(RoutingDecomposition, PathIdSequenceIsPinned) {
+  LeafSpineConfig ls;
+  ls.racks = 4;
+  ls.servers_per_rack = 3;
+  ls.spines = 3;
+  FatTreeConfig ft;
+  ft.k = 4;
+  struct Case {
+    std::string name;
+    Topology topo;
+    std::array<std::uint64_t, 5> want;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"two_rack", make_two_rack({}),
+                   {0x10257798c2d44deaULL, 0x37493c55ac4ca139ULL,
+                    0xf5e0f38e1785b3a4ULL, 0x790baf6689ec6a75ULL,
+                    0xad9616663e485782ULL}});
+  cases.push_back({"leaf_spine", make_leaf_spine(ls),
+                   {0x0b209591730ce330ULL, 0x3f0bb6038a731b09ULL,
+                    0x3dd0adf06ae33900ULL, 0xfa180412b32d61bbULL,
+                    0x9ecaf3abd91a0afaULL}});
+  cases.push_back({"fat_tree_k4", make_fat_tree(ft),
+                   {0xbe77f5ad1c148189ULL, 0x49ece455a7c0376aULL,
+                    0x550f081b555e77a9ULL, 0x92cc19548e2f6d82ULL,
+                    0x9412416023872856ULL}});
+  const std::array<std::array<std::uint64_t, 5>, 3> random_want = {{
+      {0x079658a586c16c20ULL, 0x001867e9e6b9949aULL,
+       0x78839db9ef6578c7ULL, 0x58e1d8501d2f91a2ULL,
+       0xd5f59d849f9eef67ULL},
+      {0x5247a4a6eeabd923ULL, 0xd9374297e761aa39ULL,
+       0xa8aedddf0d59a378ULL, 0x56335c501ae85348ULL,
+       0x7553da97388cea2dULL},
+      {0x4cc49de93194efabULL, 0x93eccdeabfb96cc9ULL,
+       0x411698c9aeae9608ULL, 0x590e06501d551ab7ULL,
+       0x3f8815dc110c2e9aULL},
+  }};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    util::Xoshiro256 rng(seed);
+    cases.push_back({"random seed " + std::to_string(seed),
+                     random_mixed_topology(rng), random_want[seed - 1]});
+  }
+  for (const Case& c : cases) {
+    const auto got = path_id_script(c.topo);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], c.want[i]) << c.name << " step " << i;
+    }
   }
 }
 

@@ -2,9 +2,9 @@
 // (routing_oracle.hpp): drive randomized link failure/restore sequences and
 // require every pair the table returns to equal a direct reference Yen
 // call under the banned set of the moment. This is the proof obligation
-// behind rebuild()'s reverse index and restore hop bound — any divergence
-// here means a rebuild kept a pair whose Yen run a banned/restored link can
-// change.
+// behind rebuild()'s touched-link test and restore hop bound — any
+// divergence here means a rebuild kept a run a banned/restored link can
+// change, or a pair on it.
 #include <gtest/gtest.h>
 
 #include <string>

@@ -170,7 +170,7 @@ TEST(LazyRouting, PathSetTracksTheLiveTable) {
   EXPECT_NE(view[0], first[0]);  // the first candidate crossed the cable
 
   // Fail and restore cables with the whole table read in between, so dead
-  // arena entries pile up and rebuilds compact both arenas.
+  // arena entries pile up and rebuilds compact the candidate arena.
   util::Xoshiro256 rng(11);
   for (int step = 0; step < 12; ++step) {
     const LinkId l = cables[rng.below(cables.size())];

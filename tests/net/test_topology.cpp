@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 namespace pythia::net {
 namespace {
 
@@ -208,6 +213,122 @@ TEST(Topology, OutLinksDeterministicOrder) {
     const NodeId id{static_cast<std::uint32_t>(n)};
     EXPECT_EQ(a.out_links(id), b.out_links(id));
   }
+}
+
+/// Expects `build` to throw std::invalid_argument whose message names
+/// `field`.
+void expect_rejects(const std::function<void()>& build,
+                    const std::string& field) {
+  try {
+    build();
+    ADD_FAILURE() << field << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(TopologyValidation, AddLinkRejectsUnknownEndpointsSelfLoopsAndBadRates) {
+  Topology topo;
+  const NodeId a = topo.add_host("a", 0);
+  const NodeId s = topo.add_switch("s");
+  expect_rejects([&] { topo.add_link(a, NodeId{7}, BitsPerSec{1e9}); },
+                 "not in the topology");
+  expect_rejects([&] { topo.add_link(NodeId{}, s, BitsPerSec{1e9}); },
+                 "not in the topology");
+  expect_rejects([&] { topo.add_link(s, s, BitsPerSec{1e9}); }, "self-loop");
+  for (const double bps : {0.0, -1.0, kNaN, kInf}) {
+    expect_rejects([&] { topo.add_link(a, s, BitsPerSec{bps}); },
+                   "capacity");
+  }
+  EXPECT_EQ(topo.link_count(), 0u);
+}
+
+TEST(TopologyValidation, TwoRackServersPerRack) {
+  TwoRackConfig cfg;
+  cfg.servers_per_rack = 0;
+  expect_rejects([&] { make_two_rack(cfg); }, "servers_per_rack");
+}
+
+TEST(TopologyValidation, TwoRackInterRackLinks) {
+  TwoRackConfig cfg;
+  cfg.inter_rack_links = 0;
+  expect_rejects([&] { make_two_rack(cfg); }, "inter_rack_links");
+}
+
+TEST(TopologyValidation, TwoRackHostLink) {
+  for (const double bps : {0.0, kNaN}) {
+    TwoRackConfig cfg;
+    cfg.host_link = BitsPerSec{bps};
+    expect_rejects([&] { make_two_rack(cfg); }, "host_link");
+  }
+}
+
+TEST(TopologyValidation, TwoRackInterRackCapacity) {
+  for (const double bps : {0.0, -5e9, kNaN, kInf}) {
+    TwoRackConfig cfg;
+    cfg.inter_rack_capacity = BitsPerSec{bps};
+    expect_rejects([&] { make_two_rack(cfg); }, "inter_rack_capacity");
+  }
+}
+
+TEST(TopologyValidation, LeafSpineRacks) {
+  LeafSpineConfig cfg;
+  cfg.racks = 0;
+  expect_rejects([&] { make_leaf_spine(cfg); }, "racks");
+}
+
+TEST(TopologyValidation, LeafSpineServersPerRack) {
+  LeafSpineConfig cfg;
+  cfg.servers_per_rack = 0;
+  expect_rejects([&] { make_leaf_spine(cfg); }, "servers_per_rack");
+}
+
+TEST(TopologyValidation, LeafSpineSpines) {
+  LeafSpineConfig cfg;
+  cfg.spines = 0;
+  expect_rejects([&] { make_leaf_spine(cfg); }, "spines");
+}
+
+TEST(TopologyValidation, LeafSpineHostLink) {
+  LeafSpineConfig cfg;
+  cfg.host_link = BitsPerSec{kNaN};
+  expect_rejects([&] { make_leaf_spine(cfg); }, "host_link");
+}
+
+TEST(TopologyValidation, LeafSpineUplink) {
+  LeafSpineConfig cfg;
+  cfg.uplink = BitsPerSec{0.0};
+  expect_rejects([&] { make_leaf_spine(cfg); }, "uplink");
+}
+
+TEST(TopologyValidation, FatTreeK) {
+  for (const std::size_t k : {0UL, 1UL, 3UL, 5UL}) {
+    FatTreeConfig cfg;
+    cfg.k = k;
+    expect_rejects([&] { make_fat_tree(cfg); }, "k must be even");
+  }
+}
+
+TEST(TopologyValidation, FatTreeHostLink) {
+  FatTreeConfig cfg;
+  cfg.host_link = BitsPerSec{-1.0};
+  expect_rejects([&] { make_fat_tree(cfg); }, "host_link");
+}
+
+TEST(TopologyValidation, FatTreeEdgeAgg) {
+  FatTreeConfig cfg;
+  cfg.edge_agg = BitsPerSec{kInf};
+  expect_rejects([&] { make_fat_tree(cfg); }, "edge_agg");
+}
+
+TEST(TopologyValidation, FatTreeAggCore) {
+  FatTreeConfig cfg;
+  cfg.agg_core = BitsPerSec{0.0};
+  expect_rejects([&] { make_fat_tree(cfg); }, "agg_core");
 }
 
 }  // namespace

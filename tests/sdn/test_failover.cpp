@@ -2,6 +2,9 @@
 // claims fault tolerance through routing-graph updates on failure events).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "experiments/scenario.hpp"
 #include "sdn/controller.hpp"
 #include "sim/simulation.hpp"
@@ -188,6 +191,41 @@ TEST(Failover, JobCompletesAcrossSwitchDeath) {
         << exp::scheduler_name(kind);
     EXPECT_GE(scenario.controller().topology_rebuilds(), 2u)
         << exp::scheduler_name(kind);
+  }
+}
+
+// Both inter-rack cables die 3 s into a sort: no path is left between the
+// racks, so the next cross-rack fetch has no candidate to select. Holding
+// such a fetch until a restore is not modelled; the run must stop with an
+// error that names the partitioned pair, in every build type, instead of
+// dividing by zero in ECMP's hash.
+TEST(Failover, PartitionedFetchStopsWithAnErrorNamingThePair) {
+  for (const auto kind :
+       {exp::SchedulerKind::kEcmp, exp::SchedulerKind::kPythia}) {
+    exp::ScenarioConfig cfg;
+    cfg.scheduler = kind;
+    exp::Scenario scenario(cfg);
+    const auto paths = scenario.controller()
+                           .routing()
+                           .paths(scenario.servers()[0], scenario.servers()[9])
+                           .materialize();
+    ASSERT_EQ(paths.size(), 2u);
+    scenario.simulation().after(Duration::seconds_i(3), [&] {
+      for (const net::Path& p : paths) {
+        scenario.controller().handle_link_failure(p.links[1]);
+      }
+    });
+    const auto job = workloads::sort_job(Bytes{4 * kGB}, 8);
+    try {
+      (void)scenario.run_job(job);
+      ADD_FAILURE() << exp::scheduler_name(kind) << ": the job completed";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("no path from server-"), std::string::npos)
+          << exp::scheduler_name(kind) << ": " << what;
+      EXPECT_NE(what.find(" to server-"), std::string::npos)
+          << exp::scheduler_name(kind) << ": " << what;
+    }
   }
 }
 
